@@ -21,14 +21,11 @@ import time
 from .convexity import DEFAULT_GRID, VIOLATION_TOLERANCE, certify, jcoeff
 from .errors import ConfigError, HConvexLabError
 from .falsify import (
-    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, Campaign, lambda_profile,
-    replay_witness, run_campaign,
+    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RULES, Campaign, chain_report,
+    lambda_profile, replay_witness, run_campaign,
 )
 from .funclib import Interval, ScalarFunction
 from .opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector, jensen_verify
-from .refined import (
-    WeightedSample, amgm_chain, chrystal_chain, hm_chain, kyfan_chain,
-)
 from .reporting import CHAIN_CSV_FIELDS, canonical_json, csv_text, envelope
 
 EXIT_OK = 0
@@ -40,11 +37,14 @@ EXIT_VIOLATION = 2
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def _require_keys(obj: dict, allowed, context: str) -> None:
+def _require_keys(obj: dict, allowed, context: str, required=()) -> None:
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{context}: missing key {key!r}")
 
 
 def parse_function(obj, context: str = "function") -> ScalarFunction:
@@ -134,10 +134,8 @@ def _emit(args, command, config, result, t0, seed=None, tolerances=None,
 def cmd_certify(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ("v", "grid"))
-    _require_keys(cfg, ("f", "g", "h", "v", "grid", "ambient"), "certify")
-    for key in ("f", "g", "h", "v"):
-        if key not in cfg:
-            raise ConfigError(f"certify: missing key {key!r}")
+    _require_keys(cfg, ("f", "g", "h", "v", "grid", "ambient"), "certify",
+                  required=("f", "g", "h", "v"))
     f = parse_function(cfg["f"], "f")
     g = parse_function(cfg["g"], "g")
     h = parse_function(cfg["h"], "h")
@@ -156,10 +154,8 @@ def cmd_certify(args) -> int:
 def cmd_jcoeff(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ("samples",))
-    _require_keys(cfg, ("h", "interval", "samples"), "jcoeff")
-    for key in ("h", "interval"):
-        if key not in cfg:
-            raise ConfigError(f"jcoeff: missing key {key!r}")
+    _require_keys(cfg, ("h", "interval", "samples"), "jcoeff",
+                  required=("h", "interval"))
     h = parse_function(cfg["h"], "h")
     K = parse_interval(cfg["interval"], "interval")
     samples = int(cfg.get("samples", 4096))
@@ -173,10 +169,8 @@ def cmd_jcoeff(args) -> int:
 def cmd_jensen(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ())
-    _require_keys(cfg, ("f", "h", "matrix", "x", "mode", "lam"), "jensen")
-    for key in ("f", "matrix", "x", "mode"):
-        if key not in cfg:
-            raise ConfigError(f"jensen: missing key {key!r}")
+    _require_keys(cfg, ("f", "h", "matrix", "x", "mode", "lam"), "jensen",
+                  required=("f", "matrix", "x", "mode"))
     if cfg["mode"] not in JENSEN_MODES:
         raise ConfigError(f"jensen: mode must be one of {JENSEN_MODES}")
     f = parse_function(cfg["f"], "f")
@@ -192,27 +186,14 @@ def cmd_jensen(args) -> int:
     return EXIT_VIOLATION if verdict.margin < 0.0 else EXIT_OK
 
 
-def _one_chain(inequality: str, row: dict, alpha: float, v: float, p):
-    if inequality == "holder_mccarthy":
-        A = parse_matrix(row["matrix"])
-        x = UnitVector(row["x"])
-        return hm_chain(A, x, float(p), alpha, v)
-    sample = WeightedSample(tuple(row["a"]), tuple(row["q"]),
-                            b=tuple(row["b"]) if row.get("b") else None)
-    fn = {"kyfan": kyfan_chain, "amgm": amgm_chain,
-          "chrystal": chrystal_chain}[inequality]
-    return fn(sample, alpha, v)
-
-
 def cmd_refine(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ())
-    _require_keys(cfg, ("inequality", "alpha", "v", "p", "samples"), "refine")
-    for key in ("inequality", "alpha", "v", "samples"):
-        if key not in cfg:
-            raise ConfigError(f"refine: missing key {key!r}")
+    _require_keys(cfg, ("inequality", "alpha", "v", "p", "samples"), "refine",
+                  required=("inequality", "alpha", "v", "samples"))
+    chains = {r.chain: r for r in RULES.values() if r.chain}
     inequality = cfg["inequality"]
-    if inequality not in ("kyfan", "amgm", "chrystal", "holder_mccarthy"):
+    if inequality not in chains:
         raise ConfigError(f"refine: unknown inequality {inequality!r}")
     rows = cfg["samples"]
     if isinstance(rows, dict):
@@ -221,8 +202,10 @@ def cmd_refine(args) -> int:
     reports = []
     for i, row in enumerate(rows):
         _require_keys(row, allowed, f"refine.samples[{i}]")
-        reports.append(_one_chain(inequality, row, float(cfg["alpha"]),
-                                  float(cfg["v"]), cfg.get("p")))
+        if "matrix" in row:
+            row = dict(row, matrix=parse_matrix(row["matrix"]))
+        reports.append(chains[inequality].report(
+            row, float(cfg["alpha"]), float(cfg["v"]), cfg.get("p")))
     result = [r.to_json() for r in reports]
     _emit(args, "refine", cfg, result, t0,
           csv_rows=[r.csv_row() for r in reports])
@@ -237,18 +220,17 @@ def cmd_falsify(args) -> int:
     cfg = _merged(args, _load_config(args),
                   ("target", "samples", "seed", "margin_kind"))
     _require_keys(cfg, ("target", "samples", "seed", "region", "margin_kind",
-                        "witness_cap"), "falsify")
-    for key in ("target", "samples", "seed"):
-        if key not in cfg:
-            raise ConfigError(f"falsify: missing key {key!r}")
+                        "witness_cap"), "falsify",
+                  required=("target", "samples", "seed"))
     campaign = Campaign(cfg["target"], cfg["samples"], cfg["seed"],
                         region=cfg.get("region", {}),
                         margin_kind=cfg.get("margin_kind", "refined"),
                         witness_cap=int(cfg.get("witness_cap", 32)))
     report = run_campaign(campaign)
     csv_rows = None
-    if campaign.target in ("kyfan", "amgm", "chrystal", "holder-mccarthy"):
-        csv_rows = [_witness_csv_row(w) for w in report["witnesses"]]
+    if RULES[campaign.target].chain and args.format == "csv":
+        csv_rows = [chain_report(w["inputs"]).csv_row()
+                    for w in report["witnesses"]]
     _emit(args, "falsify", campaign.to_json(), report, t0,
           seed=campaign.seed,
           tolerances={"candidate_threshold": CANDIDATE_THRESHOLD,
@@ -256,19 +238,6 @@ def cmd_falsify(args) -> int:
           csv_rows=csv_rows)
     confirmed = report["witness_stats"]["confirmed"]
     return EXIT_VIOLATION if confirmed else EXIT_OK
-
-
-def _witness_csv_row(w: dict) -> dict:
-    inst, extras = w["inputs"], w["extras"]
-    chain = extras["chain"]
-    return {
-        "inequality": inst["target"].replace("-", "_"),
-        "n": inst.get("n", inst.get("dim")),
-        "alpha": inst["alpha"], "gamma": extras["gamma"],
-        "beta": extras["beta"], "lhs": chain[0], "mid": chain[1],
-        "rhs": chain[2], "margin1": extras["margins"][0],
-        "margin2": extras["margins"][1], "feasible": extras["feasible"],
-    }
 
 
 def cmd_replay(args) -> int:
@@ -306,10 +275,8 @@ def cmd_replay(args) -> int:
 def cmd_sweep(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ())
-    _require_keys(cfg, ("f", "h", "matrix", "x", "grid"), "sweep")
-    for key in ("f", "h", "matrix", "x"):
-        if key not in cfg:
-            raise ConfigError(f"sweep: missing key {key!r}")
+    _require_keys(cfg, ("f", "h", "matrix", "x", "grid"), "sweep",
+                  required=("f", "h", "matrix", "x"))
     f = parse_function(cfg["f"], "f")
     h = parse_function(cfg["h"], "h")
     A = parse_matrix(cfg["matrix"])

@@ -40,6 +40,8 @@ Targets
                     lhs <= rhs margin)
   certificates      grid certification of the conditional-convexity gap
                     for one built-in triple at sampled parameters
+A target's rules (region defaults and checks, sampler, double evaluator,
+feasibility rule, error bound, 60-digit confirmer) are its RULES record.
 """
 
 from __future__ import annotations
@@ -49,17 +51,25 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .convexity import certify
+from .convexity import JensenCoefficient, certify
 from .errors import ConfigError, EmptyRegion, HConvexLabError
-from .funclib import gate_interval, make_triple, scalar_function
-from .highprec import digits, hp_chain_margins, hp_jensen_margin
+from .funclib import (
+    _TRIPLE_RULES, TRIPLE_NAMES, gate_interval, make_triple, scalar_function,
+    triple_beta_range,
+)
+from .highprec import (
+    closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
+)
 from .opcalc import SymmetricMatrix, UnitVector, jensen_verify, spectrum_in
 from .refined import (
-    WeightedSample, amgm_chain, chrystal_chain, hm_chain, kyfan_chain,
+    WeightedSample, _overall, amgm_chain, chrystal_chain, hm_chain,
+    kyfan_chain,
 )
 
 CANDIDATE_THRESHOLD = -1e-10
@@ -68,17 +78,11 @@ RETRY_CAP = 512
 WITNESS_CAP = 32
 THREADS_ENV = "HCONVEXLAB_THREADS"
 
-TARGETS = (
-    "operator-jensen", "per-lambda", "half-bound", "best-possible",
-    "kyfan", "amgm", "chrystal", "holder-mccarthy", "certificates",
-)
-_CHAIN_TARGETS = ("kyfan", "amgm", "chrystal", "holder-mccarthy")
-_OPERATOR_TARGETS = ("operator-jensen", "per-lambda", "half-bound")
-
 # the one instance every operator-jensen report must evaluate and publish:
 # it satisfies the certified-gap hypotheses yet its infimum-mode margin is
 # decided by the oracle, not assumed
 PINNED_INSTANCE = {
+    "target": "operator-jensen", "weight": "exp_weight",
     "triple": "amgm", "alpha": 2.0, "beta": 2.16, "v": 0.8,
     "diag": [0.64, 0.8],
     "x": [0.7071067811865476, 0.7071067811865476],
@@ -88,31 +92,6 @@ PINNED_INSTANCE = {
 # ---------------------------------------------------------------------------
 # Campaign configuration
 # ---------------------------------------------------------------------------
-
-_REGION_DEFAULTS = {
-    "kyfan": {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-    "amgm": {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-    "chrystal": {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
-    "holder-mccarthy": {"alpha": [0.01, 3.0], "v": [0.1, 2.0],
-                        "dim": [2, 8], "p": [1.000001, 4.0]},
-    "operator-jensen": {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0],
-                        "dim": [2, 8], "triple": "amgm",
-                        "weight": "exp_weight"},
-    "per-lambda": {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0],
-                   "dim": [2, 8], "triple": "amgm", "weight": "exp_weight",
-                   "lam": [1e-6, 1.0 - 1e-6]},
-    "half-bound": {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0],
-                   "dim": [2, 8], "triple": "amgm", "weight": "exp_weight"},
-    "best-possible": {"a": [1e-3, 10.0], "beta": [1e-6, 1.0 - 1e-6],
-                      "lam": [0.5 + 1e-12, 1.0 - 1e-12]},
-    "certificates": {"triple": "amgm", "alpha": [1.000001, 3.0],
-                     "v": [0.05, 1.0], "grid": [256, 256]},
-}
-
-# per-inequality parameter constraints a region must respect at construction
-_ALPHA_FLOOR = {"kyfan": 1.0, "amgm": 1.0, "chrystal": 0.0,
-                "holder-mccarthy": 0.0}
-
 
 def _check_range(name, pair, lo=None, hi=None, lo_strict=False):
     try:
@@ -143,7 +122,7 @@ class Campaign:
     witness_cap: int = WITNESS_CAP
 
     def __post_init__(self):
-        if self.target not in TARGETS:
+        if self.target not in RULES:
             raise ConfigError(f"unknown target {self.target!r}; "
                               f"expected one of {TARGETS}")
         if not 1 <= int(self.samples):
@@ -166,55 +145,54 @@ class Campaign:
 
 
 def _resolve_region(target: str, region: dict) -> dict:
-    defaults = _REGION_DEFAULTS[target]
-    unknown = set(region) - set(defaults)
+    rules = RULES[target]
+    unknown = set(region) - set(rules.region)
     if unknown:
         raise ConfigError(f"unknown region keys for {target!r}: "
                           f"{sorted(unknown)}")
-    out = {**defaults, **{k: v for k, v in region.items() if v is not None}}
+    out = {**rules.region,
+           **{k: v for k, v in region.items() if v is not None}}
+    if "triple" in out and out["triple"] not in TRIPLE_NAMES:
+        raise ConfigError(f"unknown triple {out['triple']!r}")
     # stated parameter constraints are enforced here; data-dependent
     # hypothesis clauses (anchor, membership) stay post hoc
-    floor = _ALPHA_FLOOR.get(target)
-    if target in ("operator-jensen", "per-lambda", "half-bound"):
-        floor = 1.0 if out["triple"] in ("kyfan", "amgm") else 0.0
-    if "alpha" in out and floor is not None:
+    if "alpha" in out:
+        floor = _TRIPLE_RULES[out.get("triple", rules.chain)][0]
         out["alpha"] = _check_range("alpha", out["alpha"], lo=floor,
                                     lo_strict=True)
-    if target == "certificates":
-        out["alpha"] = _check_range(
-            "alpha", out["alpha"],
-            lo=1.0 if out["triple"] in ("kyfan", "amgm") else 0.0,
-            lo_strict=True)
+    if "grid" in out:
         out["grid"] = [int(out["grid"][0]), int(out["grid"][1])]
-    for key in ("v", "a"):
+    # (key, lower end, upper end): both ends are strict
+    for key, lo, hi in (("v", 0.0, None), ("a", 0.0, None),
+                        ("lam", rules.lam_floor, 1.0), ("beta", 0.0, 1.0),
+                        ("p", 1.0, None)):
         if key in out:
-            out[key] = _check_range(key, out[key], lo=0.0, lo_strict=True)
-    if "lam" in out:
-        lo = 0.5 if target == "best-possible" else 0.0
-        out["lam"] = _check_range("lam", out["lam"], lo=lo, hi=1.0,
-                                  lo_strict=True)
-        if out["lam"][1] >= 1.0:
-            raise ConfigError("lam range must stay strictly below 1")
-    if "beta" in out:
-        out["beta"] = _check_range("beta", out["beta"], lo=0.0, hi=1.0,
-                                   lo_strict=True)
-        if out["beta"][1] >= 1.0:
-            raise ConfigError("beta range must stay strictly below 1")
-    if "p" in out:
-        out["p"] = _check_range("p", out["p"], lo=1.0, lo_strict=True)
+            out[key] = _check_range(key, out[key], lo=lo, hi=hi,
+                                    lo_strict=True)
+            if hi is not None and out[key][1] >= hi:
+                raise ConfigError(f"{key} range must stay strictly below 1")
     for key in ("n", "dim"):
         if key in out:
             pair = _check_range(key, out[key], lo=1,
                                 hi=10_000 if key == "n" else 64)
             out[key] = [int(pair[0]), int(pair[1])]
-    if "triple" in out and out["triple"] not in ("kyfan", "amgm", "chrystal",
-                                                 "holder_mccarthy"):
-        raise ConfigError(f"unknown triple {out['triple']!r}")
     if "weight" in out and out["weight"] not in ("exp_weight",
                                                  "identity_weight"):
         raise ConfigError(f"weight must be exp_weight|identity_weight, "
                           f"got {out['weight']!r}")
     return out
+
+
+def _worker_count(raw: str | None) -> int:
+    """Campaign workers for a HCONVEXLAB_THREADS value: 1 when unset or
+    empty, a positive integer clamped to the CPU count (reports do not
+    depend on it), and a ConfigError for anything else."""
+    if not (raw or "").strip():
+        return 1
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"{THREADS_ENV} must be a positive integer, "
+                          f"got {raw!r}")
+    return min(int(raw), os.cpu_count() or 1)
 
 
 def _stream(seed: int, index: int) -> Generator:
@@ -263,35 +241,37 @@ def _unit_vector(rng: Generator, dim: int):
             return [float(t) for t in x / norm]
 
 
-def _draw_chain(rng: Generator, target: str, region: dict) -> dict:
+def _draw_mean_chain(low, rng: Generator, target: str, region: dict):
+    """kyfan and amgm: values uniform on [low(v, alpha), v]."""
     alpha = float(rng.uniform(*region["alpha"]))
-    if target in ("kyfan", "amgm"):
-        v = _log_uniform(rng, *region["v"])
-        n = int(rng.integers(region["n"][0], region["n"][1] + 1))
-        if target == "kyfan":
-            lo = v ** alpha / (v ** alpha + (1.0 - v) ** alpha)
-        else:
-            lo = v ** alpha
-        lo = min(max(lo, 5e-324), v)
-        a = [float(t) for t in rng.uniform(lo, v, n)]
-        return {"target": target, "alpha": alpha, "v": v, "n": n,
-                "a": a, "q": _weights(rng, n)}
-    if target == "chrystal":
-        v = _log_uniform(rng, *region["v"])
-        n = int(rng.integers(region["n"][0], region["n"][1] + 1))
-        # spread target delta keeps the data's log-ratios above the
-        # beta-dependent lower gate: the gate value is monotone in the
-        # spread, so actual spread <= delta preserves membership
-        cap = 0.3 * alpha * math.log1p(math.exp(-v / 2.0)) \
-            / math.log1p(math.exp(v))
-        delta = _log_uniform(rng, 1e-6, max(cap, 2e-6))
-        base = delta / (0.5 * v)
-        vals = rng.uniform(base, base + delta, 2 * n)
-        return {"target": target, "alpha": alpha, "v": v, "n": n,
-                "a": [float(t) for t in vals[:n]],
-                "b": [float(t) for t in vals[n:]],
-                "q": _weights(rng, n)}
-    # holder-mccarthy
+    v = _log_uniform(rng, *region["v"])
+    n = int(rng.integers(region["n"][0], region["n"][1] + 1))
+    lo = min(max(low(v, alpha), 5e-324), v)
+    a = [float(t) for t in rng.uniform(lo, v, n)]
+    return {"target": target, "alpha": alpha, "v": v, "n": n,
+            "a": a, "q": _weights(rng, n)}, None
+
+
+def _draw_chrystal(rng: Generator, target: str, region: dict):
+    alpha = float(rng.uniform(*region["alpha"]))
+    v = _log_uniform(rng, *region["v"])
+    n = int(rng.integers(region["n"][0], region["n"][1] + 1))
+    # spread target delta keeps the data's log-ratios above the
+    # beta-dependent lower gate: the gate value is monotone in the
+    # spread, so actual spread <= delta preserves membership
+    cap = 0.3 * alpha * math.log1p(math.exp(-v / 2.0)) \
+        / math.log1p(math.exp(v))
+    delta = _log_uniform(rng, 1e-6, max(cap, 2e-6))
+    base = delta / (0.5 * v)
+    vals = rng.uniform(base, base + delta, 2 * n)
+    return {"target": target, "alpha": alpha, "v": v, "n": n,
+            "a": [float(t) for t in vals[:n]],
+            "b": [float(t) for t in vals[n:]],
+            "q": _weights(rng, n)}, None
+
+
+def _draw_holder_mccarthy(rng: Generator, target: str, region: dict):
+    alpha = float(rng.uniform(*region["alpha"]))
     v = _log_uniform(rng, *region["v"])
     p = float(rng.uniform(*region["p"]))
     dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
@@ -299,61 +279,54 @@ def _draw_chain(rng: Generator, target: str, region: dict) -> dict:
     lo = max(v * (gtarget / alpha) ** (1.0 / p), v - gtarget)
     eigs = [float(t) for t in rng.uniform(min(lo, v), v, dim)]
     return {"target": target, "alpha": alpha, "v": v, "p": p, "dim": dim,
-            "diag": eigs, "x": _unit_vector(rng, dim)}
+            "diag": eigs, "x": _unit_vector(rng, dim)}, None
+
+
+def _draw_triple_params(rng: Generator, region: dict):
+    """alpha, beta in the region triple's stated range, and the top of v."""
+    triple = region["triple"]
+    alpha = float(rng.uniform(*region["alpha"]))
+    beta = float(rng.uniform(*triple_beta_range(triple, alpha)))
+    v_hi = min(region["v"][1], 0.5) if triple == "kyfan" else region["v"][1]
+    return alpha, beta, v_hi
 
 
 def _draw_operator(rng: Generator, target: str, region: dict):
-    """(instance, (triple, gate interval)); evaluation reuses the pair."""
-    alpha = float(rng.uniform(*region["alpha"]))
-    triple = region["triple"]
-    span = 1.0 if triple in ("kyfan", "amgm") else alpha
-    beta = float(rng.uniform(alpha, alpha + span))
-    v_hi = min(region["v"][1], 0.5) if triple == "kyfan" else region["v"][1]
+    """The setup is (triple, gate interval)."""
+    alpha, beta, v_hi = _draw_triple_params(rng, region)
     v = _log_uniform(rng, region["v"][0], v_hi)
     dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
-    t = make_triple(triple, alpha, beta,
-                    p=2.0 if triple == "holder_mccarthy" else None)
+    t = _operator_triple(region["triple"], alpha, beta)
     gi = gate_interval(t.g, v, t.f.domain)
     eigs = [float(u) for u in rng.uniform(gi.interval.lo, gi.interval.hi, dim)]
-    inst = {"target": target, "triple": triple, "alpha": alpha, "beta": beta,
-            "v": v, "diag": eigs, "x": _unit_vector(rng, dim),
+    inst = {"target": target, "triple": region["triple"], "alpha": alpha,
+            "beta": beta, "v": v, "diag": eigs, "x": _unit_vector(rng, dim),
             "weight": region["weight"]}
-    if target == "per-lambda":
+    if "lam" in region:
         inst["lam"] = float(rng.uniform(*region["lam"]))
     return inst, (t, gi)
 
 
-def _draw_best_possible(rng: Generator, region: dict) -> dict:
-    return {"target": "best-possible",
+def _draw_best_possible(rng: Generator, target: str, region: dict):
+    return {"target": target,
             "a": _log_uniform(rng, *region["a"]),
             "beta": float(rng.uniform(*region["beta"])),
-            "lam": float(rng.uniform(*region["lam"]))}
+            "lam": float(rng.uniform(*region["lam"]))}, None
 
 
-def _draw_certificates(rng: Generator, region: dict) -> dict:
-    triple = region["triple"]
-    alpha = float(rng.uniform(*region["alpha"]))
-    span = 1.0 if triple in ("kyfan", "amgm") else alpha
-    beta = float(rng.uniform(alpha, alpha + span))
-    v_hi = min(region["v"][1], 0.5) if triple == "kyfan" else region["v"][1]
+def _draw_certificates(rng: Generator, target: str, region: dict):
+    alpha, beta, v_hi = _draw_triple_params(rng, region)
     v = float(rng.uniform(min(region["v"][0], v_hi), v_hi))
-    inst = {"target": "certificates", "triple": triple, "alpha": alpha,
+    inst = {"target": target, "triple": region["triple"], "alpha": alpha,
             "beta": beta, "v": v, "grid": list(region["grid"])}
-    if triple == "holder_mccarthy":
+    if region["triple"] == "holder_mccarthy":
         inst["p"] = float(rng.uniform(1.5, 4.0))
-    return inst
+    return inst, None
 
 
 def _draw(rng: Generator, target: str, region: dict):
-    """(instance, setup): setup holds the objects the draw built that
-    _evaluate can reuse, or None."""
-    if target in _CHAIN_TARGETS:
-        return _draw_chain(rng, target, region), None
-    if target in _OPERATOR_TARGETS:
-        return _draw_operator(rng, target, region)
-    if target == "best-possible":
-        return _draw_best_possible(rng, region), None
-    return _draw_certificates(rng, region), None
+    """(instance, setup) from the target's sampler."""
+    return RULES[target].draw(rng, target, region)
 
 
 def draw_instance(rng: Generator, target: str, region: dict) -> dict:
@@ -364,64 +337,107 @@ def draw_instance(rng: Generator, target: str, region: dict) -> dict:
 # Per-target evaluation (doubles); shared by campaigns and replay
 # ---------------------------------------------------------------------------
 
-def _chain_report(inst: dict):
-    target = inst["target"]
-    if target == "holder-mccarthy":
-        return hm_chain(SymmetricMatrix.diagonal(inst["diag"]),
-                        UnitVector(inst["x"]), inst["p"], inst["alpha"],
-                        inst["v"])
-    sample = WeightedSample(tuple(inst["a"]), tuple(inst["q"]),
-                            b=tuple(inst["b"]) if inst.get("b") else None)
-    fn = {"kyfan": kyfan_chain, "amgm": amgm_chain,
-          "chrystal": chrystal_chain}[target]
-    return fn(sample, inst["alpha"], inst["v"])
+def _sample(data) -> WeightedSample:
+    return WeightedSample(tuple(data["a"]), tuple(data["q"]),
+                          b=tuple(data["b"]) if data.get("b") else None)
 
 
-def _operator_triple(inst: dict):
-    return make_triple(inst["triple"], inst["alpha"], inst["beta"],
-                       p=2.0 if inst["triple"] == "holder_mccarthy" else None)
+def _matrix(data) -> SymmetricMatrix:
+    """An instance's operator (diag or dense entries), or a parsed matrix."""
+    if "matrix" in data:
+        return data["matrix"]
+    return SymmetricMatrix.diagonal(data["diag"]) if "diag" in data \
+        else SymmetricMatrix(data["entries"])
 
 
-def _operator_parts(inst: dict, triple):
+def chain_report(inst: dict):
+    """The ChainReport of a chain target's instance."""
+    return RULES[inst["target"]].report(inst, inst["alpha"], inst["v"],
+                                        inst.get("p"))
+
+
+def _evaluate_chain(inst: dict, margin_kind: str, setup):
+    rep = chain_report(inst)
+    margin = (rep.chain[2] - rep.chain[0]) if margin_kind == "outer" \
+        else min(rep.margins)
+    return margin, dict(rep.flags), {
+        "chain": list(rep.chain), "margins": list(rep.margins),
+        "gamma": rep.gamma, "beta": rep.beta, "feasible": rep.feasible}
+
+
+def _operator_triple(name: str, alpha: float, beta: float):
+    return make_triple(name, alpha, beta,
+                       p=2.0 if name == "holder_mccarthy" else None)
+
+
+def _operator_parts(inst: dict, triple=None):
+    """(triple, h, A, x); the triple is rebuilt unless the draw's is given."""
+    triple = triple or _operator_triple(inst["triple"], inst["alpha"],
+                                        inst["beta"])
     h = scalar_function("identity_weight") \
         if inst.get("weight") == "identity_weight" else triple.h
-    A = SymmetricMatrix.diagonal(inst["diag"]) if "diag" in inst \
-        else SymmetricMatrix(inst["entries"])
-    return h, A, UnitVector(inst["x"])
-
-
-def _closed_form_coefficient(h) -> float:
-    if h.family == "exp_weight":
-        return h.params["alpha"] / h.params["beta"]
-    if h.family == "identity_weight":
-        return 1.0
-    if h.family == "power_weight":
-        return 0.0 if h.params["beta"] > 1.0 else 1.0
-    raise ConfigError(f"no closed-form Jensen coefficient for {h.family!r}")
+    return triple, h, _matrix(inst), UnitVector(inst["x"])
 
 
 def _operator_flags(inst: dict, triple, A, gi=None) -> dict:
     if gi is None:
         gi = gate_interval(triple.g, inst["v"], triple.f.domain)
     inside, _ = spectrum_in(A, gi.interval)
-    lo = 1.0 if inst["triple"] in ("kyfan", "amgm") else 0.0
-    span = 1.0 if inst["triple"] in ("kyfan", "amgm") else inst["alpha"]
+    floor, beta_hi, _ = _TRIPLE_RULES[inst["triple"]]
     return {
-        "alpha_in_range": inst["alpha"] > lo,
+        "alpha_in_range": inst["alpha"] > floor,
         "beta_in_range": inst["alpha"] <= inst["beta"]
-                         <= inst["alpha"] + span + 1e-12,
+                         <= beta_hi(inst["alpha"]) + 1e-12,
         "anchor_in_range": triple.anchors.contains(inst["v"]),
         "spectrum_in_gate": inside,
     }
 
 
-class _FrozenCoefficient:
-    """Minimal stand-in carrying a precomputed M value into jensen_verify."""
+def _evaluate_operator(inst: dict, margin_kind: str, setup):
+    triple, gi = setup or (None, None)
+    triple, h, A, x = _operator_parts(inst, triple)
+    mode = RULES[inst["target"]].mode
+    # the closed form is the infimum's boundary limit (t -> 1 or t -> 0)
+    coeff = JensenCoefficient(closed_form_jcoeff(h), None, True) \
+        if mode == "infimum" else None
+    verdict = jensen_verify(triple.f, h, A, x, mode,
+                            lam=inst.get("lam"), coefficient=coeff)
+    flags = _operator_flags(inst, triple, A, gi)
+    return verdict.margin, flags, {
+        "lhs": verdict.lhs, "rhs": verdict.rhs,
+        "rhs_factor": verdict.rhs_factor,
+        "expectation": verdict.expectation}
 
-    __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        self.value = value
+def _best_possible_terms(a, beta, lam, ops=math):
+    """(lhs, factor, reduced and full expectation); ops = math or mpmath."""
+    return (ops.exp(-a / 2), lam ** (beta - 1), ops.exp(-a) / 2,
+            (1 + ops.exp(-a)) / 2)
+
+
+def _evaluate_best_possible(inst: dict, margin_kind: str, setup):
+    a, beta, lam = inst["a"], inst["beta"], inst["lam"]
+    lhs, factor, reduced, full = _best_possible_terms(a, beta, lam)
+    margin = factor * reduced - lhs
+    flags = {"lambda_in_range": 0.5 < lam < 1.0,
+             "exponent_in_range": 0.0 < beta < 1.0,
+             "scale_in_range": a > 0.0,
+             "factor_decreasing": True}
+    return margin, flags, {
+        "lhs": lhs, "rhs_factor": factor,
+        "reduced_expectation": reduced,
+        "functional_calculus_margin": factor * full - lhs}
+
+
+def _evaluate_certificates(inst: dict, margin_kind: str, setup):
+    triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
+                         p=inst.get("p"))
+    cert = certify(triple.f, triple.g, triple.h, inst["v"],
+                   grid=tuple(inst["grid"]))
+    flags = {"params_in_range": True, "gate_feasible": True}
+    return cert.min_value, flags, {
+        "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
+        "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
 
 
 def evaluate_instance(inst: dict, margin_kind: str = "refined"):
@@ -434,58 +450,43 @@ def evaluate_instance(inst: dict, margin_kind: str = "refined"):
 
 
 def _evaluate(inst: dict, margin_kind: str, setup):
-    """evaluate_instance, reusing the draw's (triple, gate) when given."""
-    target = inst["target"]
-    if target in _CHAIN_TARGETS:
-        rep = _chain_report(inst)
-        margin = (rep.chain[2] - rep.chain[0]) if margin_kind == "outer" \
-            else min(rep.margins)
-        return margin, dict(rep.flags), {
-            "chain": list(rep.chain), "margins": list(rep.margins),
-            "gamma": rep.gamma, "beta": rep.beta, "feasible": rep.feasible}
-    if target in _OPERATOR_TARGETS:
-        triple, gi = setup or (_operator_triple(inst), None)
-        h, A, x = _operator_parts(inst, triple)
-        mode = {"operator-jensen": "infimum", "per-lambda": "per-lambda",
-                "half-bound": "half-bound"}[target]
-        coeff = _FrozenCoefficient(_closed_form_coefficient(h)) \
-            if mode == "infimum" else None
-        verdict = jensen_verify(triple.f, h, A, x, mode,
-                                lam=inst.get("lam"), coefficient=coeff)
-        flags = _operator_flags(inst, triple, A, gi)
-        return verdict.margin, flags, {
-            "lhs": verdict.lhs, "rhs": verdict.rhs,
-            "rhs_factor": verdict.rhs_factor,
-            "expectation": verdict.expectation}
-    if target == "best-possible":
-        a, beta, lam = inst["a"], inst["beta"], inst["lam"]
-        lhs = math.exp(-a / 2.0)
-        factor = lam ** (beta - 1.0)
-        reduced = math.exp(-a) / 2.0
-        full = (1.0 + math.exp(-a)) / 2.0
-        margin = factor * reduced - lhs
-        flags = {"lambda_in_range": 0.5 < lam < 1.0,
-                 "exponent_in_range": 0.0 < beta < 1.0,
-                 "scale_in_range": a > 0.0,
-                 "factor_decreasing": True}
-        return margin, flags, {
-            "lhs": lhs, "rhs_factor": factor,
-            "reduced_expectation": reduced,
-            "functional_calculus_margin": factor * full - lhs}
-    # certificates
-    triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
-                         p=inst.get("p"))
-    cert = certify(triple.f, triple.g, triple.h, inst["v"],
-                   grid=tuple(inst["grid"]))
-    flags = {"params_in_range": True, "gate_feasible": True}
-    return cert.min_value, flags, {
-        "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
-        "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
+    """evaluate_instance, reusing the draw's setup when given."""
+    return RULES[inst["target"]].evaluate(inst, margin_kind, setup)
 
 
 # ---------------------------------------------------------------------------
 # Extended-precision confirmation
 # ---------------------------------------------------------------------------
+
+def _confirm_chain(candidate: dict):
+    inst = candidate["inputs"]
+    m1, m2 = hp_chain_margins(
+        RULES[inst["target"]].chain, inst.get("a"), inst.get("q"),
+        inst["alpha"], b=inst.get("b"), p=inst.get("p"),
+        entries=np.diag(inst["diag"]) if "diag" in inst else None,
+        x=inst.get("x"))
+    return (m1 + m2) if candidate.get("margin_kind") == "outer" \
+        else min(m1, m2)
+
+
+def _confirm_operator(candidate: dict):
+    inst = candidate["inputs"]
+    triple, h, A, x = _operator_parts(inst)
+    return hp_jensen_margin(triple.f, h, A.entries, x.components,
+                            RULES[inst["target"]].mode, lam=inst.get("lam"))
+
+
+def _confirm_best_possible(candidate: dict):
+    from mpmath import mp
+    inst = candidate["inputs"]
+    with mp.workdps(60):
+        lhs, factor, reduced, full = _best_possible_terms(
+            *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), ops=mp)
+        candidate.setdefault("extras", {})[
+            "functional_calculus_margin_confirmed"] = digits(
+                factor * full - lhs)
+        return factor * reduced - lhs
+
 
 def confirm(candidate: dict) -> dict:
     """Re-evaluate a candidate witness at 60 digits and set its status.
@@ -494,58 +495,26 @@ def confirm(candidate: dict) -> dict:
     sign agreeing with the double margin; otherwise the candidate is
     demoted as "float-noise" (sign mismatch) or "below-threshold".
     """
-    inst = candidate["inputs"]
-    target = inst["target"]
-    if target in _CHAIN_TARGETS:
-        key = inst["target"].replace("-", "_")
-        if target == "holder-mccarthy":
-            m1, m2 = hp_chain_margins(
-                key, None, None, inst["alpha"], p=inst["p"],
-                entries=np.diag(inst["diag"]), x=inst["x"])
-        else:
-            m1, m2 = hp_chain_margins(key, inst["a"], inst["q"],
-                                      inst["alpha"], b=inst.get("b"))
-        hp_margin = (m1 + m2) if candidate.get("margin_kind") == "outer" \
-            else min(m1, m2)
-    elif target in _OPERATOR_TARGETS:
-        triple = _operator_triple(inst)
-        h, A, x = _operator_parts(inst, triple)
-        mode = {"operator-jensen": "infimum", "per-lambda": "per-lambda",
-                "half-bound": "half-bound"}[target]
-        hp_margin = hp_jensen_margin(triple.f, h, A.entries, x.components,
-                                     mode, lam=inst.get("lam"))
-    elif target == "best-possible":
-        from mpmath import mp
-        with mp.workdps(60):
-            a, beta, lam = (mp.mpf(inst["a"]), mp.mpf(inst["beta"]),
-                            mp.mpf(inst["lam"]))
-            factor = lam ** (beta - 1)
-            hp_margin = factor * mp.exp(-a) / 2 - mp.exp(-a / 2)
-            candidate.setdefault("extras", {})[
-                "functional_calculus_margin_confirmed"] = digits(
-                    factor * (1 + mp.exp(-a)) / 2 - mp.exp(-a / 2))
-    else:  # certificates: min_value is already the hp-corrected gap value
-        hp_margin = candidate["margin_double"]
-
+    rules = RULES[candidate["inputs"]["target"]]
+    hp_margin = rules.confirm(candidate)
     margin_f = float(hp_margin)
-    feasible_all = _counts_as_feasible(target, candidate["flags"])
     sign_agrees = (margin_f < 0.0) == (candidate["margin_double"] < 0.0)
     out = dict(candidate)
     out["margin_confirmed"] = digits(hp_margin)
     out["margin_confirmed_double"] = margin_f
-    if not sign_agrees or margin_f >= 0.0:
-        out["confirmed"] = False
-        out["demotion"] = "float-noise"
-    elif margin_f >= CONFIRM_THRESHOLD:
-        out["confirmed"] = False
-        out["demotion"] = "below-threshold"
-    elif not feasible_all:
-        out["confirmed"] = False
-        out["demotion"] = "infeasible-flags"
-    else:
-        out["confirmed"] = True
-        out["demotion"] = None
+    out["confirmed"], out["demotion"] = \
+        _status(margin_f, rules.feasible(candidate["flags"])) \
+        if sign_agrees else (False, "float-noise")
     return out
+
+
+def _status(margin: float, feasible: bool):
+    """(confirmed, demotion) of a margin that decides the candidate."""
+    if margin >= 0.0:
+        return False, "float-noise"
+    if margin >= CONFIRM_THRESHOLD:
+        return False, "below-threshold"
+    return (True, None) if feasible else (False, "infeasible-flags")
 
 
 # ---------------------------------------------------------------------------
@@ -616,61 +585,80 @@ def margin_bound(candidate: dict) -> float | None:
 
     best-possible, certificates and dense (``entries``) instances get None.
     """
+    bound = RULES[candidate["inputs"]["target"]].bound
+    return None if bound is None else bound(candidate)
+
+
+def _operator_bound(candidate: dict) -> float | None:
     inst, extras = candidate["inputs"], candidate["extras"]
-    target = inst["target"]
-    margin = candidate["margin_double"]
-    if target in _OPERATOR_TARGETS:
-        if "diag" not in inst:
-            return None
-        e = _weight_error(inst["x"])
-        c, expect = extras["rhs_factor"], extras["expectation"]
-        lhs, rhs = extras["lhs"], extras["rhs"]
-        k0, k1 = _F_CONDITION[inst["triple"]]
-        d_expect = e * expect + 10 * _U * (1.0 + expect)
-        d_lhs = (k0 + k1 * lhs) * e + 10 * _U * (1.0 + lhs)
-        return 2.0 * (c * d_expect + 13 * _U * c * expect + _U * rhs + d_lhs
-                      + _U * abs(margin))
-    if target not in _CHAIN_TARGETS:
+    if "diag" not in inst:
         return None
-    lhs, mid, rhs = extras["chain"]
-    if target == "holder-mccarthy":
-        e = _weight_error(inst["x"])
-        d_lhs = (inst["p"] * e + _FN) * lhs
-        d_mid = (e + 12 * _U) * mid
-        d_rhs = (e + _FN) * rhs
-    else:
-        a, n = inst["a"], len(inst["a"])
-        r = inst["alpha"] / extras["beta"]
-        if target == "chrystal":
-            b = inst["b"]
-            t_a, t_b = _log_extent(a, math.log), _log_extent(b, math.log)
-            t_ab = _log_extent([x + y for x, y in zip(a, b)], math.log)
-            d_la, d_lb, d_lab = (_log_sum_error(n, t)
-                                 for t in (t_a, t_b, t_ab))
-            s = abs(r - 1.0)
-            d_y = (r * d_lab + 4 * _U * r * t_ab + s * d_lb
-                   + (3 * _U * r + 2 * _U * s) * t_b
-                   + _U * (r * t_ab + s * t_b))
-            d_lhs = lhs * (max(d_la, d_lb) + _FN + _U)
-            d_mid = mid * (d_y + _FN)
-            d_rhs = rhs * (d_lab + _FN)
-        else:
-            log = math.log if target == "amgm" \
-                else (lambda t: math.log((1.0 - t) / t))
-            t = _log_extent(a, log)
-            d_l = _log_sum_error(n, t)
-            d_mid = mid * (r * d_l + 4 * _U * r * t + _FN)
-            if target == "kyfan":
-                d_lhs = (2 * n + 2) * _U * lhs
-                d_rhs = rhs * (d_l + _FN)
-            else:
-                d_lhs = lhs * (d_l + _FN)
-                d_rhs = n * _U * rhs
+    e = _weight_error(inst["x"])
+    c, expect = extras["rhs_factor"], extras["expectation"]
+    lhs, rhs = extras["lhs"], extras["rhs"]
+    k0, k1 = _F_CONDITION[inst["triple"]]
+    d_expect = e * expect + 10 * _U * (1.0 + expect)
+    d_lhs = (k0 + k1 * lhs) * e + 10 * _U * (1.0 + lhs)
+    return 2.0 * (c * d_expect + 13 * _U * c * expect + _U * rhs + d_lhs
+                  + _U * abs(candidate["margin_double"]))
+
+
+def _chain_bound(candidate: dict, d_lhs: float, d_mid: float,
+                 d_rhs: float) -> float:
+    """The margin's bound from the bounds on the three chain terms."""
     if candidate.get("margin_kind") == "outer":
-        return 2.0 * (d_rhs + d_lhs + _U * abs(margin))
-    m1, m2 = extras["margins"]
+        return 2.0 * (d_rhs + d_lhs + _U * abs(candidate["margin_double"]))
+    m1, m2 = candidate["extras"]["margins"]
     return 2.0 * max(d_mid + d_lhs + _U * abs(m1),
                      d_rhs + d_mid + _U * abs(m2))
+
+
+def _tempered_log_error(candidate: dict, log):
+    """(n, dL, dmid) for kyfan and amgm, whose L sums q log(...) over a."""
+    a = candidate["inputs"]["a"]
+    extras = candidate["extras"]
+    r = candidate["inputs"]["alpha"] / extras["beta"]
+    t = _log_extent(a, log)
+    d_l = _log_sum_error(len(a), t)
+    return len(a), d_l, extras["chain"][1] * (r * d_l + 4 * _U * r * t + _FN)
+
+
+def _kyfan_bound(candidate: dict) -> float:
+    lhs, _, rhs = candidate["extras"]["chain"]
+    n, d_l, d_mid = _tempered_log_error(
+        candidate, lambda t: math.log((1.0 - t) / t))
+    return _chain_bound(candidate, (2 * n + 2) * _U * lhs, d_mid,
+                        rhs * (d_l + _FN))
+
+
+def _amgm_bound(candidate: dict) -> float:
+    lhs, _, rhs = candidate["extras"]["chain"]
+    n, d_l, d_mid = _tempered_log_error(candidate, math.log)
+    return _chain_bound(candidate, lhs * (d_l + _FN), d_mid, n * _U * rhs)
+
+
+def _chrystal_bound(candidate: dict) -> float:
+    inst, extras = candidate["inputs"], candidate["extras"]
+    lhs, mid, rhs = extras["chain"]
+    a, b, n = inst["a"], inst["b"], len(inst["a"])
+    r = inst["alpha"] / extras["beta"]
+    t_a, t_b = _log_extent(a, math.log), _log_extent(b, math.log)
+    t_ab = _log_extent([x + y for x, y in zip(a, b)], math.log)
+    d_la, d_lb, d_lab = (_log_sum_error(n, t) for t in (t_a, t_b, t_ab))
+    s = abs(r - 1.0)
+    d_y = (r * d_lab + 4 * _U * r * t_ab + s * d_lb
+           + (3 * _U * r + 2 * _U * s) * t_b
+           + _U * (r * t_ab + s * t_b))
+    return _chain_bound(candidate, lhs * (max(d_la, d_lb) + _FN + _U),
+                        mid * (d_y + _FN), rhs * (d_lab + _FN))
+
+
+def _holder_mccarthy_bound(candidate: dict) -> float:
+    inst = candidate["inputs"]
+    lhs, mid, rhs = candidate["extras"]["chain"]
+    e = _weight_error(inst["x"])
+    return _chain_bound(candidate, (inst["p"] * e + _FN) * lhs,
+                        (e + 12 * _U) * mid, (e + _FN) * rhs)
 
 
 def _weight_error(x) -> float:
@@ -697,19 +685,90 @@ def bound_status(margin: float, bound: float, feasible: bool):
     [margin - bound, margin + bound] misses both edges by more than one
     ulp, so that rounding cannot carry the exact value across either.
     Rounding is monotone, so computing the two ends in doubles loses
-    nothing.  The order is confirm's: float-noise, below-threshold,
-    infeasible-flags, confirmed.
+    nothing.  Every point of the interval then has the status of margin.
     """
     lo, hi = margin - bound, margin + bound
     for edge in (0.0, CONFIRM_THRESHOLD):
         if lo <= math.nextafter(edge, math.inf) \
                 and hi >= math.nextafter(edge, -math.inf):
             return None
-    if lo > 0.0:
-        return False, "float-noise"
-    if hi > CONFIRM_THRESHOLD:
-        return False, "below-threshold"
-    return (True, None) if feasible else (False, "infeasible-flags")
+    return _status(margin, feasible)
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TargetRules:
+    """What campaigns, replay and the CLI know of one target.  Its functions
+    look up the layers they call (make_triple, the chains...) at call time."""
+
+    region: dict  # region defaults; any other key is an error
+    # (rng, target, region) -> (instance, setup), where setup holds what
+    # the draw built that evaluate can reuse, or None
+    draw: Callable
+    evaluate: Callable  # (inst, margin_kind, setup) -> (margin, flags, extras)
+    confirm: Callable  # candidate -> its margin at 60 digits
+    bound: Callable | None = None  # candidate -> margin_bound's B or None
+    chain: str | None = None  # the refined chain (and funclib triple) name
+    report: Callable | None = None  # (data, alpha, v, p) -> ChainReport
+    mode: str | None = None  # the operator targets' jensen_verify mode
+    lam_floor: float = 0.0  # the lam range stays above this
+    pinned: dict | None = None  # an instance every report publishes
+
+    def feasible(self, flags: dict) -> bool:
+        """Whether a draw counts: its chain's rule, else every flag."""
+        return _overall(self.chain, flags)
+
+
+def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
+    return TargetRules(
+        {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0], "dim": [2, 8],
+         "triple": "amgm", "weight": "exp_weight", **region},
+        _draw_operator, _evaluate_operator, _confirm_operator,
+        _operator_bound, mode=mode, pinned=pinned)
+
+
+RULES = {
+    "operator-jensen": _operator_rules("infimum", pinned=PINNED_INSTANCE),
+    "per-lambda": _operator_rules("per-lambda", lam=[1e-6, 1.0 - 1e-6]),
+    "half-bound": _operator_rules("half-bound"),
+    "best-possible": TargetRules(
+        {"a": [1e-3, 10.0], "beta": [1e-6, 1.0 - 1e-6],
+         "lam": [0.5 + 1e-12, 1.0 - 1e-12]},
+        _draw_best_possible, _evaluate_best_possible,
+        _confirm_best_possible, lam_floor=0.5),
+    "kyfan": TargetRules(
+        {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
+        partial(_draw_mean_chain,
+                lambda v, a: v ** a / (v ** a + (1.0 - v) ** a)),
+        _evaluate_chain, _confirm_chain, _kyfan_bound, chain="kyfan",
+        report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
+    "amgm": TargetRules(
+        {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
+        partial(_draw_mean_chain, lambda v, a: v ** a),
+        _evaluate_chain, _confirm_chain, _amgm_bound, chain="amgm",
+        report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
+    "chrystal": TargetRules(
+        {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]}, _draw_chrystal,
+        _evaluate_chain, _confirm_chain, _chrystal_bound, chain="chrystal",
+        report=lambda d, alpha, v, p: chrystal_chain(_sample(d), alpha, v)),
+    "holder-mccarthy": TargetRules(
+        {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
+         "p": [1.000001, 4.0]},
+        _draw_holder_mccarthy, _evaluate_chain, _confirm_chain,
+        _holder_mccarthy_bound, chain="holder_mccarthy",
+        report=lambda d, alpha, v, p: hm_chain(
+            _matrix(d), UnitVector(d["x"]), float(p), alpha, v)),
+    "certificates": TargetRules(
+        {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
+         "grid": [256, 256]},
+        _draw_certificates, _evaluate_certificates,
+        # min_value is already the hp-corrected gap value
+        lambda candidate: candidate["margin_double"]),
+}
+TARGETS = tuple(RULES)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +778,7 @@ def bound_status(margin: float, bound: float, feasible: bool):
 def _run_range(campaign_json: dict, start: int, stop: int):
     """Evaluate sample indices [start, stop); returns chunk aggregates."""
     c = Campaign(**campaign_json)
+    feasible = RULES[c.target].feasible
     drawn = rejected = 0
     min_margin = math.inf
     argmin = None
@@ -735,7 +795,7 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             except (ValueError, ArithmeticError, HConvexLabError):
                 rejected += 1
                 continue
-            if not _counts_as_feasible(c.target, flags):
+            if not feasible(flags):
                 rejected += 1
                 continue
             accepted = (inst, margin, flags, extras)
@@ -758,13 +818,6 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _counts_as_feasible(target: str, flags: dict) -> bool:
-    if target == "chrystal":
-        return all(ok for key, ok in flags.items()
-                   if key != "values_in_interval")
-    return all(flags.values())
-
-
 def _chunks(n: int, workers: int):
     size = max(1, -(-n // workers))
     return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
@@ -777,11 +830,11 @@ def run_campaign(campaign: Campaign) -> dict:
     attached by the CLI envelope, not here).
     """
     t0 = time.perf_counter()
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    spans = _chunks(campaign.samples, workers) if workers > 1 \
-        else [(0, campaign.samples)]
+    rules = RULES[campaign.target]
+    workers = _worker_count(os.environ.get(THREADS_ENV))
+    spans = _chunks(campaign.samples, workers)
     cj = campaign.to_json()
-    if workers > 1 and len(spans) > 1:
+    if len(spans) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [cj] * len(spans),
                                   [s[0] for s in spans],
@@ -816,9 +869,8 @@ def run_campaign(campaign: Campaign) -> dict:
         if cand["index"] not in reported:
             bound = margin_bound(cand)
             if bound is not None:
-                status = bound_status(
-                    cand["margin_double"], bound,
-                    _counts_as_feasible(campaign.target, cand["flags"]))
+                status = bound_status(cand["margin_double"], bound,
+                                      rules.feasible(cand["flags"]))
         if status is None:
             w = confirm(cand)
             witnesses[cand["index"]] = w
@@ -850,23 +902,12 @@ def run_campaign(campaign: Campaign) -> dict:
         "tolerances": {"candidate_threshold": CANDIDATE_THRESHOLD,
                        "confirm_threshold": CONFIRM_THRESHOLD},
     }
-    if campaign.target == "operator-jensen":
-        report["pinned_instance"] = _pinned_report()
+    if rules.pinned is not None:
+        pinned = replay_witness({"inputs": dict(rules.pinned)})
+        report["pinned_instance"] = {k: v for k, v in pinned.items()
+                                     if k not in ("index", "margin_kind")}
     report["elapsed_s"] = time.perf_counter() - t0
     return report
-
-
-def _pinned_report() -> dict:
-    inst = dict(PINNED_INSTANCE, target="operator-jensen",
-                weight="exp_weight")
-    margin, flags, extras = evaluate_instance(inst)
-    cand = {"index": -1, "inputs": inst, "margin_double": margin,
-            "flags": flags, "extras": extras}
-    out = confirm(cand) if margin < CANDIDATE_THRESHOLD else dict(
-        cand, confirmed=False, demotion=None,
-        margin_confirmed=digits(margin), margin_confirmed_double=margin)
-    del out["index"]
-    return out
 
 
 def replay_witness(witness: dict) -> dict:

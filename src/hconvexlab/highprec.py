@@ -65,38 +65,49 @@ def hp_gap(f: ScalarFunction, h: ScalarFunction, v, u, lam) -> mp.mpf:
                 + hp_eval(h, 1 - lam) * hp_eval(f, v) - hp_eval(f, w))
 
 
-def hp_jcoeff(h: ScalarFunction) -> mp.mpf:
-    """Closed-form M_(0,1)(h) = inf h(t)/t for the weight families."""
-    with mp.workdps(DPS):
-        if h.family == "exp_weight":
-            # h(t)/t = (a/b) e^{t(1-t)} / t is strictly decreasing on (0,1),
-            # so the infimum is the boundary limit at t -> 1
-            return mp.mpf(h.params["alpha"]) / mp.mpf(h.params["beta"])
-        if h.family == "identity_weight":
-            return mp.mpf(1)
-        if h.family == "power_weight":
-            # h(t)/t = t^(beta-1): limit 0 at t->0 when beta > 1, else
-            # the infimum sits at t -> 1
-            return mp.mpf(0) if h.params["beta"] > 1.0 else mp.mpf(1)
+def closed_form_jcoeff(h: ScalarFunction, num=float):
+    """Closed-form M_(0,1)(h) = inf h(t)/t in the number type ``num``."""
+    if h.family == "exp_weight":
+        # h(t)/t = (a/b) e^{t(1-t)} / t is strictly decreasing on (0,1),
+        # so the infimum is the boundary limit at t -> 1
+        return num(h.params["alpha"]) / num(h.params["beta"])
+    if h.family == "identity_weight":
+        return num(1)
+    if h.family == "power_weight":
+        # h(t)/t = t^(beta-1): limit 0 at t->0 when beta > 1, else
+        # the infimum sits at t -> 1
+        return num(0) if h.params["beta"] > 1.0 else num(1)
     raise PrecisionUnavailable(
         f"no closed-form Jensen coefficient for family {h.family!r}")
 
 
-def _hp_spectral_weights(entries: np.ndarray, x: np.ndarray):
-    """Eigenvalues and the weights <x, q_i>^2 at working precision."""
+def hp_jcoeff(h: ScalarFunction) -> mp.mpf:
+    """Closed-form M_(0,1)(h) = inf h(t)/t for the weight families."""
+    with mp.workdps(DPS):
+        return closed_form_jcoeff(h, mp.mpf)
+
+
+def _hp_spectral_weights(entries, x):
+    """Eigenvalues, the weights <x, q_i>^2 / |x|^2 and <Ax,x>/|x|^2
+    (clamped to the spectrum) at working precision."""
+    entries, x = np.asarray(entries, float), np.asarray(x, float)
     n = entries.shape[0]
     offdiag = entries - np.diag(np.diag(entries))
     if not offdiag.any():
-        return ([mp.mpf(entries[i, i]) for i in range(n)],
-                [mp.mpf(x[i]) ** 2 for i in range(n)])
-    E, Q = mp.eigsy(mp.matrix(entries.tolist()))
-    xs = [mp.mpf(t) for t in x]
-    eigs, weights = [], []
-    for j in range(n):
-        dot = mp.fsum(Q[i, j] * xs[i] for i in range(n))
-        eigs.append(E[j])
-        weights.append(dot ** 2)
-    return eigs, weights
+        eigs = [mp.mpf(entries[i, i]) for i in range(n)]
+        weights = [mp.mpf(x[i]) ** 2 for i in range(n)]
+    else:
+        E, Q = mp.eigsy(mp.matrix(entries.tolist()))
+        xs = [mp.mpf(t) for t in x]
+        eigs, weights = [], []
+        for j in range(n):
+            dot = mp.fsum(Q[i, j] * xs[i] for i in range(n))
+            eigs.append(E[j])
+            weights.append(dot ** 2)
+    total = mp.fsum(weights)
+    weights = [w / total for w in weights]
+    qf = mp.fsum(m * w for m, w in zip(eigs, weights))
+    return eigs, weights, min(max(qf, min(eigs)), max(eigs))
 
 
 def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
@@ -108,12 +119,7 @@ def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
     mpmath's symmetric eigensolver.
     """
     with mp.workdps(DPS):
-        eigs, weights = _hp_spectral_weights(np.asarray(entries, float),
-                                             np.asarray(x, float))
-        total = mp.fsum(weights)
-        weights = [w / total for w in weights]
-        qf = mp.fsum(m * w for m, w in zip(eigs, weights))
-        qf = min(max(qf, min(eigs)), max(eigs))
+        eigs, weights, qf = _hp_spectral_weights(entries, x)
         expectation = mp.fsum(hp_eval(f, m) * w for m, w in zip(eigs, weights))
         if mode == "classical":
             factor = mp.mpf(1)
@@ -135,24 +141,16 @@ def hp_chain_margins(inequality: str, a, q, alpha: float, b=None,
     with mp.workdps(DPS):
         al = mp.mpf(alpha)
         if inequality == "holder_mccarthy":
-            eigs, weights = _hp_spectral_weights(np.asarray(entries, float),
-                                                 np.asarray(x, float))
-            total = mp.fsum(weights)
-            weights = [w / total for w in weights]
+            eigs, weights, qf = _hp_spectral_weights(entries, x)
             g = max(eigs) - min(eigs)
-            qf = mp.fsum(m * w for m, w in zip(eigs, weights))
-            qf = min(max(qf, min(eigs)), max(eigs))
             apx = mp.fsum((m ** mp.mpf(p)) * w for m, w in zip(eigs, weights))
             lhs, mid, rhs = hm_terms(qf, apx, al, g, mp.mpf(p), ops=mp)
         else:
             av = [mp.mpf(t) for t in a]
             qv = [mp.mpf(t) for t in q]
-            if inequality == "kyfan":
-                g = max(av) - min(av)
-                lhs, mid, rhs = kyfan_terms(av, qv, al, g, ops=mp)
-            elif inequality == "amgm":
-                g = max(av) - min(av)
-                lhs, mid, rhs = amgm_terms(av, qv, al, g, ops=mp)
+            if inequality in ("kyfan", "amgm"):
+                terms = kyfan_terms if inequality == "kyfan" else amgm_terms
+                lhs, mid, rhs = terms(av, qv, al, max(av) - min(av), ops=mp)
             elif inequality == "chrystal":
                 bv = [mp.mpf(t) for t in b]
                 g = max(av + bv) - min(av + bv)

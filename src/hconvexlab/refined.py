@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, SpectrumDomainError
 from .funclib import scalar_function
 from .opcalc import SymmetricMatrix, UnitVector, apply_function, quadratic_form
@@ -161,7 +159,7 @@ def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
     return flags
 
 
-def _overall(inequality: str, flags: dict) -> bool:
+def _overall(inequality: str | None, flags: dict) -> bool:
     # chrystal's membership clause has two readings; the operative one is
     # the log-ratio clause (the substituted variables), so the raw-values
     # flag travels with the report without deciding feasibility
@@ -311,9 +309,3 @@ def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
     flags = feasible(spec_sample, alpha, v, "holder_mccarthy", p=p)
     return _report("holder_mccarthy", lhs, mid, rhs, g, alpha, v, A.dim,
                    flags, p=p)
-
-
-def chain_report_array(reports) -> np.ndarray:
-    """Stack (lhs, mid, rhs, margin1, margin2) rows for quick aggregation."""
-    return np.array([[r.chain[0], r.chain[1], r.chain[2],
-                      r.margins[0], r.margins[1]] for r in reports])

@@ -67,8 +67,3 @@ def csv_text(rows, fields=CHAIN_CSV_FIELDS) -> str:
     for row in rows:
         writer.writerow([_csv_cell(row[f]) for f in fields])
     return buf.getvalue()
-
-
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

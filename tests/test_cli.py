@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, configs, exit codes, reports."""
 
+import csv
 import json
 
 import pytest
 
 from hconvexlab.cli import main
+from hconvexlab.opcalc import SymmetricMatrix, UnitVector
+from hconvexlab.refined import hm_chain
 
 CERT_CONFIG = {
     "f": {"family": "neglog", "params": {}},
@@ -189,6 +192,27 @@ def test_refine_csv_output(tmp_path):
     assert lines[1].split(",")[-1] == "false"
 
 
+def test_refine_holder_mccarthy_reads_diagonal_and_dense_matrices(tmp_path):
+    x = [0.6, 0.8]
+    expected = hm_chain(SymmetricMatrix.diagonal([0.64, 0.8]), UnitVector(x),
+                        2.0, 1.0, 0.8).to_json()
+    for matrix in ({"diagonal": [0.64, 0.8]}, [[0.64, 0.0], [0.0, 0.8]]):
+        cfg = _write(tmp_path, "hm.json", {
+            "inequality": "holder_mccarthy", "alpha": 1.0, "v": 0.8, "p": 2.0,
+            "samples": [{"matrix": matrix, "x": x}]})
+        code, report = _run(tmp_path, "refine", "--config", cfg)
+        assert code == 2  # a feasible chain with a negative margin
+        assert report["result"] == [expected]
+
+
+def test_refine_unknown_inequality_is_an_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "r.json", {
+        "inequality": "holder-mccarthy", "alpha": 1.0, "v": 0.8,
+        "samples": []})
+    assert main(["refine", "--config", cfg]) == 1
+    assert "unknown inequality" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # falsify / replay
 # ---------------------------------------------------------------------------
@@ -212,6 +236,39 @@ def test_falsify_and_replay_round_trip(tmp_path):
     assert code == 2
     assert replay["result"]["matches"] == {"margin_double": True,
                                            "margin_confirmed": True}
+
+
+def test_falsify_csv_rows_are_the_witness_chains(tmp_path):
+    out = tmp_path / "campaign.json"
+    rows = tmp_path / "rows.csv"
+    for target in ("chrystal", "holder-mccarthy"):
+        argv = ["falsify", "--target", target, "--samples", "100",
+                "--seed", "7"]
+        main(argv + ["--out", str(out)])
+        main(argv + ["--format", "csv", "--out", str(rows)])
+        witnesses = json.loads(out.read_text())["result"]["witnesses"]
+        with open(rows, newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(witnesses) > 0
+        for row, w in zip(table, witnesses):
+            extras = w["extras"]
+            assert row["inequality"] == target.replace("-", "_")
+            inputs = w["inputs"]
+            assert int(row["n"]) == inputs.get("n", inputs.get("dim"))
+            assert [float(row[k]) for k in ("lhs", "mid", "rhs")] \
+                == extras["chain"]
+            assert [float(row["margin1"]), float(row["margin2"])] \
+                == extras["margins"]
+            assert float(row["beta"]) == extras["beta"]
+            assert row["feasible"] == str(extras["feasible"]).lower()
+
+
+def test_falsify_rejects_a_bad_worker_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HCONVEXLAB_THREADS", "lots")
+    code = main(["falsify", "--target", "amgm", "--samples", "10",
+                 "--seed", "1", "--out", str(tmp_path / "c.json")])
+    assert code == 1
+    assert "HCONVEXLAB_THREADS" in capsys.readouterr().err
 
 
 def test_falsify_no_witness_exits_zero(tmp_path):

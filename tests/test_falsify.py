@@ -1,5 +1,6 @@
 """Seeded falsification campaigns: sampling, confirmation, determinism."""
 
+import hashlib
 import math
 import os
 
@@ -8,14 +9,12 @@ import pytest
 
 from hconvexlab import ConfigError, EmptyRegion, HConvexLabError
 from hconvexlab.falsify import (
-    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, Campaign,
+    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES, Campaign,
     PINNED_INSTANCE, TARGETS, WITNESS_CAP, bound_status, confirm,
     draw_instance, evaluate_instance, lambda_profile, margin_bound,
     replay_witness, run_campaign,
 )
-from hconvexlab.falsify import (
-    _REGION_DEFAULTS, _Streams, _counts_as_feasible, _stream,
-)
+from hconvexlab.falsify import _Streams, _stream, _worker_count
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.reporting import canonical_json, strip_wall_time
@@ -46,13 +45,24 @@ def test_campaign_validation():
         Campaign("amgm", 10, 1, region={"v": [0.9, 0.1]})  # out of order
     c = Campaign("amgm", 10, 1, region={"alpha": [1.5, 2.0]})
     assert c.region["alpha"] == [1.5, 2.0]
-    assert c.region["v"] == _REGION_DEFAULTS["amgm"]["v"]  # defaults merged
+    assert c.region["v"] == RULES["amgm"].region["v"]  # defaults merged
 
 
 def test_targets_constant():
     assert TARGETS == ("operator-jensen", "per-lambda", "half-bound",
                        "best-possible", "kyfan", "amgm", "chrystal",
                        "holder-mccarthy", "certificates")
+
+
+def test_worker_count_parsing():
+    # parsed only: no value here reaches a process pool
+    assert _worker_count(None) == _worker_count("") == 1
+    assert _worker_count(" ") == _worker_count("1") == 1
+    assert _worker_count("2") == min(2, os.cpu_count() or 1)
+    assert _worker_count(str(10 ** 9)) == (os.cpu_count() or 1)
+    for bad in ("0", "-3", "two", "1.5", "1e9"):
+        with pytest.raises(ConfigError, match="HCONVEXLAB_THREADS"):
+            _worker_count(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +81,7 @@ def test_reused_generator_gives_each_sample_its_own_stream():
 
 
 def test_draw_is_deterministic_per_seed_and_index():
-    region = _REGION_DEFAULTS["amgm"]
+    region = RULES["amgm"].region
     a = draw_instance(_stream(123, 5), "amgm", region)
     b = draw_instance(_stream(123, 5), "amgm", region)
     c = draw_instance(_stream(123, 6), "amgm", region)
@@ -81,7 +91,7 @@ def test_draw_is_deterministic_per_seed_and_index():
 
 def test_drawn_chain_instances_are_feasible_by_construction():
     for target in ("kyfan", "amgm", "chrystal", "holder-mccarthy"):
-        region = _REGION_DEFAULTS[target]
+        region = RULES[target].region
         for i in range(40):
             inst = draw_instance(_stream(31, i), target, region)
             _, flags, _ = evaluate_instance(inst)
@@ -240,7 +250,7 @@ def test_campaign_counts_match_full_confirmation(target):
                 margin, flags, extras = evaluate_instance(inst)
             except (ValueError, ArithmeticError, HConvexLabError):
                 continue
-            if _counts_as_feasible(target, flags):
+            if RULES[target].feasible(flags):
                 break
         if margin >= CANDIDATE_THRESHOLD:
             continue
@@ -264,6 +274,51 @@ def test_campaign_frozen_statistics():
     assert rep["outcome"] == "confirmed witness"
     assert rep["min_margin"] == min(
         w["margin_double"] for w in rep["witnesses"])
+
+
+# sha256 of the canonical report bytes (wall time stripped) of a
+# 200-sample campaign at the acceptance seed, for every target and for the
+# chains' outer margins.  Reruns alone cannot show a change of the bytes;
+# these pin them.  Taken with numpy 2.4.6 on x86-64 Linux: a libm whose
+# exp, log or pow round differently changes them too.
+GOLDEN_SEED = 20260815
+GOLDEN_DIGESTS = {
+    ("operator-jensen", "refined"):
+        "9e71ec85ecefddf328d9f3d2a53884031bc3e9a5345066c99d61dc74372b02f3",
+    ("per-lambda", "refined"):
+        "c7c42f1f0a7b2409d99c1ecd271d35f8cbb89d62bd2b5d744f3e0d740d19baef",
+    ("half-bound", "refined"):
+        "ad41e1a5061a59acb927521dd1afe37e25424562d438d65bf1ea92df864491a6",
+    ("best-possible", "refined"):
+        "4098732a2fd9f902f6c5148056d1748ac0afa5d84f60b2d2a5b17f2e5fc36bed",
+    ("kyfan", "refined"):
+        "ebb25ef94999d5b63218f090e1ad8f1c2cc8c4820aecc79b9f9511f79ae1190a",
+    ("amgm", "refined"):
+        "7c1074c9b74b66716efbd1cb99cb27c18392b1e6ef5a9674bf8e58c461d6aef8",
+    ("chrystal", "refined"):
+        "0e8c35b1d9e1c02132aae5036dca418fbd8af99a15499f46e5ebb4f822da69c1",
+    ("holder-mccarthy", "refined"):
+        "416be68f08dec10f42f940654dc2545dd500b47642a13f84b62494f928d8d4a6",
+    ("certificates", "refined"):
+        "38cecf36a82710f460472128913528f787d92d53e3bc1e86e23585f54a1e35bf",
+    ("kyfan", "outer"):
+        "d9a846c7bbf458ca66df5e0bf507238c1ddc47b8c1bb87a5d08b2f635cebc749",
+    ("amgm", "outer"):
+        "105bec828ab5c84dfab15397a2b22dd588e7be5d05b40cd1afa0164242eca5b6",
+    ("chrystal", "outer"):
+        "c960698d42716151fa9a3c27d787de4a363f347b85eee179c09edb6e23347795",
+    ("holder-mccarthy", "outer"):
+        "9e7d9ad7ffac47efbf03c59f294d66ff3821988f60be289472eefd447e887a9c",
+}
+
+
+@pytest.mark.parametrize("target, margin_kind", list(GOLDEN_DIGESTS),
+                         ids=[f"{t}/{k}" for t, k in GOLDEN_DIGESTS])
+def test_report_bytes_match_golden_digests(target, margin_kind):
+    rep = run_campaign(Campaign(target, 200, GOLDEN_SEED,
+                                margin_kind=margin_kind))
+    digest = hashlib.sha256(_report_bytes(rep).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[target, margin_kind]
 
 
 def test_campaign_reports_are_byte_deterministic():

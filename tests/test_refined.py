@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +10,7 @@ from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
-    chain_report_array, chrystal_chain, chrystal_terms, feasible, gamma,
-    hm_chain, kyfan_chain,
+    chrystal_chain, chrystal_terms, feasible, gamma, hm_chain, kyfan_chain,
 )
 
 
@@ -262,9 +260,6 @@ def test_report_serialization_and_array():
     row = r.csv_row()
     assert list(row) == ["inequality", "n", "alpha", "gamma", "beta", "lhs",
                          "mid", "rhs", "margin1", "margin2", "feasible"]
-    arr = chain_report_array([r, r])
-    assert arr.shape == (2, 5)  # lhs, mid, rhs, margin1, margin2
-    assert arr[0, 4] == r.margins[1]
 
 
 def test_chain_names_constant():
