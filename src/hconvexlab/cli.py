@@ -24,8 +24,9 @@ from .falsify import (
     CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RULES, Campaign, chain_report,
     lambda_profile, replay_witness, run_campaign,
 )
-from .funclib import Interval, ScalarFunction
+from .funclib import TRIPLES, Interval, ScalarFunction
 from .opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector, jensen_verify
+from .refined import CHAINS
 from .reporting import CHAIN_CSV_FIELDS, canonical_json, csv_text, envelope
 
 EXIT_OK = 0
@@ -43,7 +44,7 @@ def _require_keys(obj: dict, allowed, context: str, required=()) -> None:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; "
                           f"allowed: {sorted(allowed)}")
     for key in required:
-        if key not in obj:
+        if obj.get(key) is None:  # null counts as missing
             raise ConfigError(f"{context}: missing key {key!r}")
 
 
@@ -51,9 +52,8 @@ def parse_function(obj, context: str = "function") -> ScalarFunction:
     """{"family": name, "params": {...}, "domain": {...}?}"""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object, got {obj!r}")
-    _require_keys(obj, ("family", "params", "domain"), context)
-    if "family" not in obj:
-        raise ConfigError(f"{context}: missing 'family'")
+    _require_keys(obj, ("family", "params", "domain"), context,
+                  required=("family",))
     domain = parse_interval(obj["domain"], f"{context}.domain") \
         if obj.get("domain") else None
     try:
@@ -189,19 +189,23 @@ def cmd_jensen(args) -> int:
 def cmd_refine(args) -> int:
     t0 = time.perf_counter()
     cfg = _merged(args, _load_config(args), ())
-    _require_keys(cfg, ("inequality", "alpha", "v", "p", "samples"), "refine",
+    keys = ("inequality", "alpha", "v", "p", "samples")
+    _require_keys(cfg, keys, "refine",
                   required=("inequality", "alpha", "v", "samples"))
     chains = {r.chain: r for r in RULES.values() if r.chain}
     inequality = cfg["inequality"]
     if inequality not in chains:
         raise ConfigError(f"refine: unknown inequality {inequality!r}")
+    if TRIPLES[inequality].needs_p:
+        _require_keys(cfg, keys, "refine", required=("p",))
     rows = cfg["samples"]
     if isinstance(rows, dict):
         rows = [rows]
     allowed = ("a", "q", "b", "matrix", "x")
     reports = []
     for i, row in enumerate(rows):
-        _require_keys(row, allowed, f"refine.samples[{i}]")
+        _require_keys(row, allowed, f"refine.samples[{i}]",
+                      required=CHAINS[inequality].row_keys)
         if "matrix" in row:
             row = dict(row, matrix=parse_matrix(row["matrix"]))
         reports.append(chains[inequality].report(

@@ -51,7 +51,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -60,7 +59,7 @@ from numpy.random import Generator, Philox
 from .convexity import JensenCoefficient, certify
 from .errors import ConfigError, EmptyRegion, HConvexLabError
 from .funclib import (
-    _TRIPLE_RULES, TRIPLE_NAMES, gate_interval, make_triple, scalar_function,
+    TRIPLE_NAMES, TRIPLES, gate_interval, make_triple, scalar_function,
     triple_beta_range,
 )
 from .highprec import (
@@ -157,7 +156,7 @@ def _resolve_region(target: str, region: dict) -> dict:
     # stated parameter constraints are enforced here; data-dependent
     # hypothesis clauses (anchor, membership) stay post hoc
     if "alpha" in out:
-        floor = _TRIPLE_RULES[out.get("triple", rules.chain)][0]
+        floor = TRIPLES[out.get("triple", rules.chain)].alpha_floor
         out["alpha"] = _check_range("alpha", out["alpha"], lo=floor,
                                     lo_strict=True)
     if "grid" in out:
@@ -241,12 +240,13 @@ def _unit_vector(rng: Generator, dim: int):
             return [float(t) for t in x / norm]
 
 
-def _draw_mean_chain(low, rng: Generator, target: str, region: dict):
-    """kyfan and amgm: values uniform on [low(v, alpha), v]."""
+def _draw_mean_chain(rng: Generator, target: str, region: dict):
+    """kyfan and amgm: values uniform on the gate interval [g(v), v]."""
     alpha = float(rng.uniform(*region["alpha"]))
     v = _log_uniform(rng, *region["v"])
     n = int(rng.integers(region["n"][0], region["n"][1] + 1))
-    lo = min(max(low(v, alpha), 5e-324), v)
+    gv = TRIPLES[RULES[target].chain].gate_value(v, alpha)
+    lo = min(max(gv, 5e-324), v)
     a = [float(t) for t in rng.uniform(lo, v, n)]
     return {"target": target, "alpha": alpha, "v": v, "n": n,
             "a": a, "q": _weights(rng, n)}, None
@@ -287,8 +287,7 @@ def _draw_triple_params(rng: Generator, region: dict):
     triple = region["triple"]
     alpha = float(rng.uniform(*region["alpha"]))
     beta = float(rng.uniform(*triple_beta_range(triple, alpha)))
-    v_hi = min(region["v"][1], 0.5) if triple == "kyfan" else region["v"][1]
-    return alpha, beta, v_hi
+    return alpha, beta, min(region["v"][1], TRIPLES[triple].anchors.hi)
 
 
 def _draw_operator(rng: Generator, target: str, region: dict):
@@ -319,7 +318,7 @@ def _draw_certificates(rng: Generator, target: str, region: dict):
     v = float(rng.uniform(min(region["v"][0], v_hi), v_hi))
     inst = {"target": target, "triple": region["triple"], "alpha": alpha,
             "beta": beta, "v": v, "grid": list(region["grid"])}
-    if region["triple"] == "holder_mccarthy":
+    if TRIPLES[region["triple"]].needs_p:
         inst["p"] = float(rng.uniform(1.5, 4.0))
     return inst, None
 
@@ -367,7 +366,7 @@ def _evaluate_chain(inst: dict, margin_kind: str, setup):
 
 def _operator_triple(name: str, alpha: float, beta: float):
     return make_triple(name, alpha, beta,
-                       p=2.0 if name == "holder_mccarthy" else None)
+                       p=2.0 if TRIPLES[name].needs_p else None)
 
 
 def _operator_parts(inst: dict, triple=None):
@@ -383,12 +382,12 @@ def _operator_flags(inst: dict, triple, A, gi=None) -> dict:
     if gi is None:
         gi = gate_interval(triple.g, inst["v"], triple.f.domain)
     inside, _ = spectrum_in(A, gi.interval)
-    floor, beta_hi, _ = _TRIPLE_RULES[inst["triple"]]
+    rule, alpha = TRIPLES[inst["triple"]], inst["alpha"]
     return {
-        "alpha_in_range": inst["alpha"] > floor,
-        "beta_in_range": inst["alpha"] <= inst["beta"]
-                         <= beta_hi(inst["alpha"]) + 1e-12,
-        "anchor_in_range": triple.anchors.contains(inst["v"]),
+        "alpha_in_range": alpha > rule.alpha_floor,
+        "beta_in_range": alpha <= inst["beta"]
+                         <= alpha + rule.gamma_max(alpha) + 1e-12,
+        "anchor_in_range": rule.anchors.contains(inst["v"]),
         "spectrum_in_gate": inside,
     }
 
@@ -741,14 +740,13 @@ RULES = {
         _confirm_best_possible, lam_floor=0.5),
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-        partial(_draw_mean_chain,
-                lambda v, a: v ** a / (v ** a + (1.0 - v) ** a)),
-        _evaluate_chain, _confirm_chain, _kyfan_bound, chain="kyfan",
+        _draw_mean_chain, _evaluate_chain, _confirm_chain, _kyfan_bound,
+        chain="kyfan",
         report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-        partial(_draw_mean_chain, lambda v, a: v ** a),
-        _evaluate_chain, _confirm_chain, _amgm_bound, chain="amgm",
+        _draw_mean_chain, _evaluate_chain, _confirm_chain, _amgm_bound,
+        chain="amgm",
         report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]}, _draw_chrystal,

@@ -32,6 +32,7 @@ Parameters are validated at construction; evaluation is a pure closed form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -100,24 +101,6 @@ class Interval:
         )
         return lo_ok and hi_ok
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        """Intersection, or None when empty."""
-        if self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif self.lo < other.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif self.hi > other.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        if lo > hi or (lo == hi and (lo_open or hi_open)):
-            return None
-        return Interval(lo, hi, lo_open, hi_open)
-
     def to_json(self) -> dict:
         # infinite endpoints travel as strings: canonical JSON bans inf/nan
         lo = self.lo if math.isfinite(self.lo) else str(self.lo)
@@ -157,6 +140,17 @@ class _Ops:
 
 
 _NP_OPS = _Ops()
+
+
+class _MathOps:
+    """Python-float ops for the triples' gate cores: a core run with these
+    gives the bits of its formula written with ``**`` and ``math`` (numpy's
+    scalar routines can differ in the last place).  Overflow raises."""
+
+    exp = staticmethod(math.exp)
+    power = staticmethod(operator.pow)
+    # numpy's log(0) = -inf, which chrystal_gate reaches at beta == alpha
+    log = staticmethod(lambda x: -math.inf if x == 0.0 else math.log(x))
 
 
 def _positive(name: str, value: float) -> None:
@@ -199,7 +193,13 @@ def _check_power_target(p):
 
 def _chrystal_core(p, t, ops):
     expo = p["beta"] / p["alpha"] - 1.0
-    arg = ops.power(1.0 + ops.exp(t), expo) - 1.0
+    try:
+        arg = ops.power(1.0 + ops.exp(t), expo) - 1.0
+    except OverflowError:
+        # only _MathOps raise: with L the power's log, g = log(e^L - 1) =
+        # L + log(1 - e^-L), which is L once the power is beyond the doubles
+        log_power = expo * (t + math.log1p(math.exp(-t)))
+        return log_power + ops.log(-math.expm1(-log_power))
     # beta == alpha makes arg identically 0; log(0) -> -inf by convention
     with np.errstate(divide="ignore"):
         return ops.log(arg)
@@ -441,47 +441,68 @@ class Triple:
                 "f": self.f.to_json(), "anchors": self.anchors.to_json()}
 
 
-TRIPLE_NAMES = ("kyfan", "amgm", "chrystal", "holder_mccarthy")
+@dataclass(frozen=True)
+class TripleRule:
+    """The stated hypothesis of a built-in triple: alpha > alpha_floor, the
+    data's spread gamma <= gamma_max(alpha) (beta = alpha + gamma), an anchor
+    v in ``anchors`` and the data inside the gate interval [g(v), v]."""
 
-# stated parameter constraints: (alpha low, alpha must exceed low strictly,
-# beta high as a function of alpha, needs exponent p)
-_TRIPLE_RULES = {
-    "kyfan": (1.0, lambda a: a + 1.0, False),
-    "amgm": (1.0, lambda a: a + 1.0, False),
-    "chrystal": (0.0, lambda a: 2.0 * a, False),
-    "holder_mccarthy": (0.0, lambda a: 2.0 * a, True),
+    alpha_floor: float
+    gamma_max: Callable[[float], float]
+    gate: str  # the family of g
+    target: str  # the family of f
+    anchors: Interval  # admissible anchor points v
+
+    @property
+    def needs_p(self) -> bool:
+        return "p" in _FAMILIES[self.target].param_names
+
+    def gate_value(self, v: float, alpha: float, beta: float | None = None,
+                   p: float | None = None) -> float:
+        """g(v) in Python floats, or nan outside the gate family's domain."""
+        family = _FAMILIES[self.gate]
+        if not family.max_domain.contains(v):
+            return math.nan
+        # a core reads only the parameters its family names
+        return family.core({"alpha": alpha, "beta": beta, "p": p}, v, _MathOps)
+
+
+TRIPLES = {
+    "kyfan": TripleRule(1.0, lambda a: 1.0, "kyfan_gate", "logit",
+                        interval(0.0, 0.5, lo_open=True)),
+    "amgm": TripleRule(1.0, lambda a: 1.0, "power_gate", "neglog",
+                       interval(0.0, 1.0, lo_open=True)),
+    "chrystal": TripleRule(0.0, lambda a: a, "chrystal_gate", "softplus",
+                           interval(0.0, math.inf, lo_open=True)),
+    "holder_mccarthy": TripleRule(0.0, lambda a: a, "root_gate", "power",
+                                  interval(0.0, math.inf, lo_open=True)),
 }
+TRIPLE_NAMES = tuple(TRIPLES)
 
 
 def triple_beta_range(name: str, alpha: float) -> tuple[float, float]:
     """Admissible [beta_lo, beta_hi] for a triple at the given alpha."""
-    lo, hi_fn, _ = _TRIPLE_RULES[name]
-    if not alpha > lo:
-        raise ValueError(f"{name}: alpha must exceed {lo}, got {alpha}")
-    return alpha, hi_fn(alpha)
+    rule = TRIPLES[name]
+    if not alpha > rule.alpha_floor:
+        raise ValueError(f"{name}: alpha must exceed {rule.alpha_floor}, "
+                         f"got {alpha}")
+    return alpha, alpha + rule.gamma_max(alpha)
 
 
 def make_triple(name: str, alpha: float, beta: float,
                 p: float | None = None) -> Triple:
     """Instantiate one of the built-in triples, enforcing its stated ranges."""
-    if name not in _TRIPLE_RULES:
+    rule = TRIPLES.get(name)
+    if rule is None:
         raise ValueError(f"unknown triple {name!r}; known: {TRIPLE_NAMES}")
     blo, bhi = triple_beta_range(name, alpha)
     if not blo <= beta <= bhi:
         raise ValueError(f"{name}: beta={beta} outside [{blo}, {bhi}]")
-    needs_p = _TRIPLE_RULES[name][2]
-    if needs_p and (p is None or not p > 1):
+    if rule.needs_p and (p is None or not p > 1):
         raise ValueError(f"{name}: requires exponent p > 1")
-    h = scalar_function("exp_weight", alpha=alpha, beta=beta)
-    if name == "kyfan":
-        return Triple(name, h, scalar_function("kyfan_gate", alpha=alpha),
-                      scalar_function("logit"), interval(0.0, 0.5, lo_open=True))
-    if name == "amgm":
-        return Triple(name, h, scalar_function("power_gate", alpha=alpha),
-                      scalar_function("neglog"), interval(0.0, 1.0, lo_open=True))
-    if name == "chrystal":
-        return Triple(name, h, scalar_function("chrystal_gate", alpha=alpha, beta=beta),
-                      scalar_function("softplus"),
-                      interval(0.0, math.inf, lo_open=True))
-    return Triple(name, h, scalar_function("root_gate", alpha=alpha, beta=beta, p=p),
-                  scalar_function("power", p=p), interval(0.0, math.inf))
+    # h, g and f each take the parameters their families name
+    values = {"alpha": alpha, "beta": beta, "p": p}
+    h, g, f = (ScalarFunction(family, {k: values[k]
+                                       for k in _FAMILIES[family].param_names})
+               for family in ("exp_weight", rule.gate, rule.target))
+    return Triple(name, h, g, f, rule.anchors)

@@ -21,6 +21,7 @@ from mpmath import mp
 
 from .errors import PrecisionUnavailable
 from .funclib import ScalarFunction, family_core
+from .refined import chain_rule
 
 DPS = 60
 WITNESS_DIGITS = 50
@@ -137,26 +138,19 @@ def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
 def hp_chain_margins(inequality: str, a, q, alpha: float, b=None,
                      p: float | None = None, entries=None, x=None):
     """(mid - lhs, rhs - mid) for one chain instance at 60 digits."""
-    from .refined import amgm_terms, chrystal_terms, hm_terms, kyfan_terms
+    chain = chain_rule(inequality)
     with mp.workdps(DPS):
-        al = mp.mpf(alpha)
-        if inequality == "holder_mccarthy":
+        if chain.spectral:
             eigs, weights, qf = _hp_spectral_weights(entries, x)
-            g = max(eigs) - min(eigs)
-            apx = mp.fsum((m ** mp.mpf(p)) * w for m, w in zip(eigs, weights))
-            lhs, mid, rhs = hm_terms(qf, apx, al, g, mp.mpf(p), ops=mp)
+            p = mp.mpf(p)
+            apx = mp.fsum((m ** p) * w for m, w in zip(eigs, weights))
+            inputs, values = (qf, apx, p), eigs
         else:
-            av = [mp.mpf(t) for t in a]
-            qv = [mp.mpf(t) for t in q]
-            if inequality in ("kyfan", "amgm"):
-                terms = kyfan_terms if inequality == "kyfan" else amgm_terms
-                lhs, mid, rhs = terms(av, qv, al, max(av) - min(av), ops=mp)
-            elif inequality == "chrystal":
-                bv = [mp.mpf(t) for t in b]
-                g = max(av + bv) - min(av + bv)
-                lhs, mid, rhs = chrystal_terms(av, bv, qv, al, g, ops=mp)
-            else:
-                raise ValueError(f"unknown inequality {inequality!r}")
+            inputs, values = chain.inputs(
+                *(None if col is None else [mp.mpf(t) for t in col]
+                  for col in (a, b, q)))
+        lhs, mid, rhs = chain.terms(*inputs, mp.mpf(alpha),
+                                    max(values) - min(values), ops=mp)
         return mid - lhs, rhs - mid
 
 

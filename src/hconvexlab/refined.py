@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DomainError, SpectrumDomainError
-from .funclib import scalar_function
+from .funclib import TRIPLES, Interval, interval, scalar_function
 from .opcalc import SymmetricMatrix, UnitVector, apply_function, quadratic_form
 
 N_CAP = 10_000
 MEMBERSHIP_SLACK = 1e-12
-
-CHAIN_NAMES = ("kyfan", "amgm", "chrystal", "holder_mccarthy")
 
 
 # ---------------------------------------------------------------------------
@@ -90,13 +89,10 @@ def gamma(sample: WeightedSample, inequality: str) -> float:
     chrystal takes the three-way max over |a_i-a_j|, |b_i-b_j|, |a_i-b_j|;
     for holder_mccarthy the values are read as the spectrum.
     """
-    if inequality not in CHAIN_NAMES:
-        raise ValueError(f"unknown inequality {inequality!r}")
-    values = sample.a
-    if inequality == "chrystal":
-        if sample.b is None:
-            raise ValueError("chrystal spread needs the paired values b")
-        values = sample.a + sample.b
+    chain = chain_rule(inequality)
+    if chain.paired and sample.b is None:
+        raise ValueError(f"{inequality} spread needs the paired values b")
+    values = chain.inputs(sample.a, sample.b, sample.q)[1]
     return max(values) - min(values)
 
 
@@ -118,53 +114,29 @@ def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
     then checked.  Nothing is rejected; the flags are the result.
     """
     g = gamma(sample, inequality)
-    beta = alpha + g
-    flags: dict = {}
-    if inequality in ("kyfan", "amgm"):
-        flags["alpha_in_range"] = alpha > 1.0
-        flags["gamma_in_range"] = g <= 1.0 + MEMBERSHIP_SLACK
-        if inequality == "kyfan":
-            flags["anchor_in_range"] = 0.0 < v <= 0.5
-            lo = v ** alpha / (v ** alpha + (1.0 - v) ** alpha) \
-                if 0.0 < v < 1.0 else math.nan
-        else:
-            flags["anchor_in_range"] = 0.0 < v <= 1.0
-            lo = v ** alpha if v > 0.0 else math.nan
-        flags["values_in_interval"] = (
-            not math.isnan(lo) and _within(sample.a, lo, v))
-    elif inequality == "chrystal":
-        flags["alpha_in_range"] = alpha > 0.0
-        flags["gamma_in_range"] = g <= alpha + MEMBERSHIP_SLACK
-        flags["anchor_in_range"] = v > 0.0
-        expo = beta / alpha - 1.0
-        arg = (1.0 + math.exp(v)) ** expo - 1.0 if alpha > 0.0 else math.nan
-        lo = math.log(arg) if arg > 0.0 else -math.inf
-        ok = not math.isnan(arg) and v > 0.0
-        flags["values_in_interval"] = ok and _within(
-            sample.a + (sample.b or ()), lo, v)
-        ratios = [math.log(ai / bi) for ai, bi in zip(sample.a, sample.b or ())
-                  if ai > 0.0 and bi > 0.0] if sample.b else []
-        flags["logratios_in_interval"] = (
-            ok and len(ratios) == sample.n and _within(ratios, lo, v))
-    else:  # holder_mccarthy: sample.a is the spectrum
-        flags["alpha_in_range"] = alpha > 0.0
-        flags["gamma_in_range"] = g <= alpha + MEMBERSHIP_SLACK
-        flags["anchor_in_range"] = v > 0.0
+    values = CHAINS[inequality].inputs(sample.a, sample.b, sample.q)[1]
+    return _flags(inequality, values, g, alpha, v, p, sample)
+
+
+def _flags(name: str, values, g: float, alpha: float, v: float, p,
+           sample=None) -> dict:
+    rule, chain = TRIPLES[name], CHAINS[name]
+    flags = {"alpha_in_range": alpha > rule.alpha_floor,
+             "gamma_in_range": g <= rule.gamma_max(alpha) + MEMBERSHIP_SLACK,
+             "anchor_in_range": rule.anchors.contains(v)}
+    if rule.needs_p:
         flags["exponent_in_range"] = p is not None and p > 1.0
-        if p is not None and p > 1.0 and alpha > 0.0 and v > 0.0:
-            lo = v * (beta / alpha - 1.0) ** (1.0 / p)
-            flags["spectrum_in_interval"] = _within(sample.a, lo, v)
-        else:
-            flags["spectrum_in_interval"] = False
+    lo = rule.gate_value(v, alpha, alpha + g, p) \
+        if all(flags[k] for k in chain.gated_by) else math.nan
+    flags[chain.member] = _within(values, lo, v)
+    if chain.clauses is not None:
+        flags.update(chain.clauses(sample, lo, v))
     return flags
 
 
 def _overall(inequality: str | None, flags: dict) -> bool:
-    # chrystal's membership clause has two readings; the operative one is
-    # the log-ratio clause (the substituted variables), so the raw-values
-    # flag travels with the report without deciding feasibility
-    skip = {"values_in_interval"} if inequality == "chrystal" else set()
-    return all(ok for key, ok in flags.items() if key not in skip)
+    advisory = CHAINS[inequality].advisory if inequality else ()
+    return all(ok for key, ok in flags.items() if key not in advisory)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +170,64 @@ def chrystal_terms(a, b, q, alpha, g, ops=math):
     return lhs, mid, ops.exp(log_ab)
 
 
-def hm_terms(qf, apx, alpha, g, p, ops=math):
+def hm_terms(qf, apx, p, alpha, g, ops=math):
     beta = alpha + g
     return qf ** p, (alpha / beta) * apx, apx
+
+
+# ---------------------------------------------------------------------------
+# The chain table; each chain's hypothesis is funclib.TRIPLES[name]
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChainRule:
+    """How one chain is evaluated and how its data meet its hypothesis."""
+
+    terms: Callable  # (*inputs, alpha, gamma, ops=math) -> (lhs, mid, rhs)
+    row_keys: tuple  # what a refine row must give
+    domain: Interval | None = None  # where a sample's values must lie
+    paired: bool = False  # the values are a and the b paired with them
+    spectral: bool = False  # the values are the spectrum of a matrix
+    member: str = "values_in_interval"  # flag of the values in [g(v), v]
+    gated_by: tuple = ()  # flags g(v) needs; nan (no membership) otherwise
+    clauses: Callable | None = None  # (sample, g(v), v) -> more flags
+    advisory: tuple = ()  # flags that travel without deciding feasibility
+
+    def inputs(self, a, b, q):
+        """(inputs of terms, values whose spread is gamma) of a sample."""
+        return ((a, b, q), a + b) if self.paired else ((a, q), a)
+
+
+def _logratio_clause(sample, lo: float, v: float) -> dict:
+    ratios = [math.log(ai / bi) for ai, bi in zip(sample.a, sample.b)
+              if ai > 0.0 and bi > 0.0]
+    return {"logratios_in_interval":
+            len(ratios) == sample.n and _within(ratios, lo, v)}
+
+
+_POSITIVE = interval(0.0, math.inf, lo_open=True)
+CHAINS = {
+    "kyfan": ChainRule(kyfan_terms, ("a", "q"),
+                       interval(0.0, 0.5, lo_open=True)),
+    "amgm": ChainRule(amgm_terms, ("a", "q"), _POSITIVE),
+    # the membership clause has two readings; the operative one is the
+    # log-ratio clause (the substituted variables)
+    "chrystal": ChainRule(
+        chrystal_terms, ("a", "b", "q"), _POSITIVE, paired=True,
+        gated_by=("alpha_in_range", "anchor_in_range"),
+        clauses=_logratio_clause, advisory=("values_in_interval",)),
+    "holder_mccarthy": ChainRule(
+        hm_terms, ("matrix", "x"), spectral=True,
+        member="spectrum_in_interval",
+        gated_by=("alpha_in_range", "anchor_in_range", "exponent_in_range")),
+}
+CHAIN_NAMES = tuple(CHAINS)
+
+
+def chain_rule(inequality: str) -> ChainRule:
+    if inequality not in CHAINS:
+        raise ValueError(f"unknown inequality {inequality!r}")
+    return CHAINS[inequality]
 
 
 # ---------------------------------------------------------------------------
@@ -252,39 +279,35 @@ def _report(inequality, lhs, mid, rhs, g, alpha, v, n, flags, p=None):
                        n, _overall(inequality, flags), flags, p)
 
 
+def _sample_chain(name: str, sample: WeightedSample, alpha: float,
+                  v: float) -> ChainReport:
+    chain = CHAINS[name]
+    if chain.paired and sample.b is None:
+        raise DomainError(f"{name} chain needs the paired values b")
+    inputs, values = chain.inputs(sample.a, sample.b, sample.q)
+    lo, hi = min(values), max(values)
+    if not (chain.domain.contains(lo) and chain.domain.contains(hi)):
+        raise DomainError(f"{name} chain needs values in {chain.domain}, "
+                          f"got {values}")
+    g = hi - lo
+    lhs, mid, rhs = chain.terms(*inputs, alpha, g)
+    flags = _flags(name, values, g, alpha, v, None, sample)
+    return _report(name, lhs, mid, rhs, g, alpha, v, sample.n, flags)
+
+
 def kyfan_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Ratio-of-means vs tempered and classical products of (1-a)/a."""
-    if not all(0.0 < t <= 0.5 for t in sample.a):
-        raise DomainError(f"kyfan chain needs all values in (0, 1/2], got "
-                          f"{sample.a}")
-    g = gamma(sample, "kyfan")
-    lhs, mid, rhs = kyfan_terms(sample.a, sample.q, alpha, g)
-    flags = feasible(sample, alpha, v, "kyfan")
-    return _report("kyfan", lhs, mid, rhs, g, alpha, v, sample.n, flags)
+    return _sample_chain("kyfan", sample, alpha, v)
 
 
 def amgm_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Geometric mean vs tempered geometric mean vs arithmetic mean."""
-    if not all(t > 0.0 for t in sample.a):
-        raise DomainError(f"amgm chain needs positive values, got {sample.a}")
-    g = gamma(sample, "amgm")
-    lhs, mid, rhs = amgm_terms(sample.a, sample.q, alpha, g)
-    flags = feasible(sample, alpha, v, "amgm")
-    return _report("amgm", lhs, mid, rhs, g, alpha, v, sample.n, flags)
+    return _sample_chain("amgm", sample, alpha, v)
 
 
 def chrystal_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Sum of two geometric means vs tempered vs product of sums."""
-    if sample.b is None:
-        raise DomainError("chrystal chain needs the paired values b")
-    if not all(t > 0.0 for t in sample.a + sample.b):
-        raise DomainError(
-            f"chrystal chain needs positive values, got a={sample.a}, "
-            f"b={sample.b}")
-    g = gamma(sample, "chrystal")
-    lhs, mid, rhs = chrystal_terms(sample.a, sample.b, sample.q, alpha, g)
-    flags = feasible(sample, alpha, v, "chrystal")
-    return _report("chrystal", lhs, mid, rhs, g, alpha, v, sample.n, flags)
+    return _sample_chain("chrystal", sample, alpha, v)
 
 
 def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
@@ -299,13 +322,11 @@ def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
         raise SpectrumDomainError(
             f"spectrum must be positive, found {bad.tolist()}",
             offending=tuple(float(t) for t in bad))
-    g = float(eigs[-1] - eigs[0])
+    g = float(eigs[-1] - eigs[0])  # the spectrum is sorted ascending
     qf = quadratic_form(A, x)
     qf = min(max(qf, float(eigs[0])), float(eigs[-1]))
     apx = quadratic_form(apply_function(scalar_function("power", p=p), A), x)
-    lhs, mid, rhs = hm_terms(qf, apx, alpha, g, p)
-    spec_sample = WeightedSample(tuple(float(t) for t in eigs),
-                                 (1.0 / len(eigs),) * len(eigs))
-    flags = feasible(spec_sample, alpha, v, "holder_mccarthy", p=p)
+    lhs, mid, rhs = hm_terms(qf, apx, p, alpha, g)
+    flags = _flags("holder_mccarthy", eigs.tolist(), g, alpha, v, p)
     return _report("holder_mccarthy", lhs, mid, rhs, g, alpha, v, A.dim,
                    flags, p=p)

@@ -205,6 +205,40 @@ def test_refine_holder_mccarthy_reads_diagonal_and_dense_matrices(tmp_path):
         assert report["result"] == [expected]
 
 
+@pytest.mark.parametrize("config, missing", [
+    ({"inequality": "holder_mccarthy", "alpha": 1.0, "v": 0.8,
+      "samples": [{"matrix": [[0.64, 0.0], [0.0, 0.8]], "x": [0.6, 0.8]}]},
+     "'p'"),
+    ({"inequality": "holder_mccarthy", "alpha": 1.0, "v": 0.8, "p": None,
+      "samples": [{"matrix": [[0.64, 0.0], [0.0, 0.8]], "x": [0.6, 0.8]}]},
+     "'p'"),
+    ({"inequality": "holder_mccarthy", "alpha": 1.0, "v": 0.8, "p": 2.0,
+      "samples": [{"matrix": [[0.64, 0.0], [0.0, 0.8]]}]}, "'x'"),
+    ({"inequality": "amgm", "alpha": 2.0, "v": 0.8,
+      "samples": [{"a": [0.64, 0.8]}]}, "'q'"),
+    ({"inequality": "chrystal", "alpha": 2.0, "v": 1.0,
+      "samples": [{"a": [3.0], "q": [1.0]}]}, "'b'"),
+])
+def test_refine_missing_input_is_an_error(tmp_path, capsys, config, missing):
+    cfg = _write(tmp_path, "r.json", config)
+    assert main(["refine", "--config", cfg]) == 1
+    assert f"missing key {missing}" in capsys.readouterr().err
+
+
+def test_refine_chrystal_far_anchor_is_data_not_overflow(tmp_path):
+    # (1 + e^v)^expo is beyond the doubles here; the gate value is its log
+    cfg = _write(tmp_path, "r.json", {
+        "inequality": "chrystal", "alpha": 1.0, "v": 800.0,
+        "samples": [{"a": [1.0, 2.0], "b": [1.5, 2.5], "q": [0.5, 0.5]}]})
+    code, report = _run(tmp_path, "refine", "--config", cfg)
+    assert code == 0
+    row = report["result"][0]
+    assert row["flags"]["anchor_in_range"] and not row["feasible"]
+    # the gate value 1.5 * 800 = 1200 lies above every log-ratio and value
+    assert not row["flags"]["logratios_in_interval"]
+    assert not row["flags"]["values_in_interval"]
+
+
 def test_refine_unknown_inequality_is_an_error(tmp_path, capsys):
     cfg = _write(tmp_path, "r.json", {
         "inequality": "holder-mccarthy", "alpha": 1.0, "v": 0.8,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hconvexlab import DomainError, SpectrumDomainError, interval
-from hconvexlab.funclib import scalar_function
+from hconvexlab.funclib import make_triple, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
@@ -118,6 +118,15 @@ def test_hm_frozen_chain():
     assert r.gamma == pytest.approx(0.16, abs=1e-15)
     assert r.p == 2.0
     assert r.margins[0] < 0.0 < r.margins[1]
+
+
+def test_hm_anchor_zero_is_outside_for_the_triple_and_the_chain():
+    tr = make_triple("holder_mccarthy", 2.0, 3.0, p=2.0)
+    assert not tr.anchors.contains(0.0) and tr.anchors.contains(1e-300)
+    assert (tr.anchors.lo, tr.anchors.hi) == (0.0, math.inf)
+    r = hm_chain(SymmetricMatrix.diagonal([0.64, 0.8]), UnitVector([1.0, 1.0]),
+                 2.0, 2.0, 0.0)
+    assert not r.flags["anchor_in_range"] and not r.feasible
 
 
 def test_hm_rejects_bad_exponent_and_spectrum():
