@@ -321,6 +321,77 @@ def test_report_bytes_match_golden_digests(target, margin_kind):
     assert digest == GOLDEN_DIGESTS[target, margin_kind]
 
 
+# (sha256 over repr((margin, flags, extras)) of the first 1,000 draws at
+# the acceptance seed, 20 for certificates, with the exception class name
+# of a draw that raises; sha256 over margin_confirmed of the first 50).
+# The golden digests pin only the reported witnesses; these pin every
+# double margin the kernels give and the 60-digit path of every target,
+# also where no campaign candidate reaches it.  Same platform as above.
+KERNEL_DIGESTS = {
+    ("operator-jensen", "refined"): (
+        "cf57381e17f537d8e0bf61baf7afadb05036644241deacf8ab46e99ee03ffeef",
+        "83a5530a63a3e63a9a2e3a48ce28a65662fb251a13034f39ea573058784cfa7c"),
+    ("per-lambda", "refined"): (
+        "43d3230c35493d2a18ffa0db6183ae5e50b4bb671bfb5c1aa03a993c15d84510",
+        "b4fc493955a4d3ec3811a1d595c9a45d3f617b688d41e8cbd3c1d3a50b87f7d3"),
+    ("half-bound", "refined"): (
+        "f8e4dcb3f450468af5a6f6e0c576d4343e98731855a59e8ace74ac4831734adf",
+        "3ba8d1af47a582cdebc8e9af00e23a5159a36154aeb788ee44c87df3b5415cb4"),
+    ("best-possible", "refined"): (
+        "85e9b44abec8d2e8e841377f22015994b5fac81834bf975ab0b418f6106e8894",
+        "fcfaa44c53bd9b3c0f761968caa4403aaf3e649948376f21985243036f5e52bf"),
+    ("kyfan", "refined"): (
+        "a3b5ffd35ea0f7ce96021787b3771f394db65769fd536a2e091665b0cf161005",
+        "c416e7dc23b05f50c9165687ee39b3869e2e97af69557312592c6760fcf03606"),
+    ("amgm", "refined"): (
+        "8d848c7c000f957d659498aba204d4416889ec60a4e7fb7a6ac61f84f34b33e6",
+        "5747048404cca710a0ee13f2574cf1064f8c7af4c988406ddd3a242778b287e3"),
+    ("chrystal", "refined"): (
+        "7159d0e5293435f596e3c42ad0722ddf2f5be79160452848422bb1a185de408f",
+        "3fc67f6045a0a6c05c48fcf6777a1652cec5ebbc9c855b79eb2f9e125f3ee85a"),
+    ("holder-mccarthy", "refined"): (
+        "5794d7c9d1a10a2cbdb2e8bfdc7d71dc2d982c20121750ba6698bb0050c9bb67",
+        "80127cc4069082875f40b76a0cc71e7bb40cb1fec4dca9744a522b098d051f1b"),
+    ("certificates", "refined"): (
+        "dad679b70d7d2fdec42f3b9f1eb457ef9235f40660e97261aff1d443803b7c2c",
+        "d90d17aacd62702034e573e19c831cffff9c950017720675910a341348b64f1f"),
+    ("kyfan", "outer"): (
+        "a07c802c2b32234f3451b493f359a0fca81ae7249e28d0f67b4e593ce78db677",
+        "b5247cc22c78dcd927aa29c56cb8396ea1ada0748d1c193f2d619f65d1686abe"),
+    ("amgm", "outer"): (
+        "fa1a1cd633ff966495d9d20f6c86cc3d58d996c3a59552b3212f4201437d75be",
+        "1e16f546e140d0e3002f505a9141297ec1f252df7f38067f30aab352317ab20d"),
+    ("chrystal", "outer"): (
+        "29661fdd95990335522b9648a8169c0149641b86941b3a0304943f0459410ba2",
+        "468bc892245d5ed31e3944abaefd93bc7aa1dd3f6fc38db011b9cf2f756029cc"),
+    ("holder-mccarthy", "outer"): (
+        "f5d64889d30314192d0bcecb7ab7be2cc0324e581b8e0eb5758c4b737c65ed2e",
+        "66e7c325267d2b8e74898c447d23bed966ed3d48a286bc1e987c7362e86997ae"),
+}
+
+
+@pytest.mark.parametrize("target, margin_kind", list(KERNEL_DIGESTS),
+                         ids=[f"{t}/{k}" for t, k in KERNEL_DIGESTS])
+def test_kernel_bits_match_digests(target, margin_kind):
+    region = Campaign(target, 1, 1).region
+    doubles, confirmed = hashlib.sha256(), hashlib.sha256()
+    for i in range(20 if target == "certificates" else 1000):
+        try:
+            inst = draw_instance(_stream(GOLDEN_SEED, i), target, region)
+            margin, flags, extras = evaluate_instance(inst, margin_kind)
+        except (ValueError, ArithmeticError, HConvexLabError) as exc:
+            doubles.update(type(exc).__name__.encode())
+            continue
+        doubles.update(repr((margin, flags, extras)).encode())
+        if i < 50:
+            out = confirm({"index": i, "inputs": inst,
+                           "margin_double": margin, "flags": flags,
+                           "extras": extras, "margin_kind": margin_kind})
+            confirmed.update(out["margin_confirmed"].encode())
+    assert (doubles.hexdigest(), confirmed.hexdigest()) \
+        == KERNEL_DIGESTS[target, margin_kind]
+
+
 def test_campaign_reports_are_byte_deterministic():
     rep1 = run_campaign(Campaign("amgm", 200, 99))
     rep2 = run_campaign(Campaign("amgm", 200, 99))
