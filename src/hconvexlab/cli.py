@@ -48,6 +48,21 @@ def _require_keys(obj: dict, allowed, context: str, required=()) -> None:
             raise ConfigError(f"{context}: missing key {key!r}")
 
 
+def parse_number(value, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{context}: expected a number, got {value!r}") \
+            from None
+
+
+def parse_numbers(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{context}: expected a list of numbers, "
+                          f"got {value!r}")
+    return [parse_number(t, context) for t in value]
+
+
 def parse_function(obj, context: str = "function") -> ScalarFunction:
     """{"family": name, "params": {...}, "domain": {...}?}"""
     if not isinstance(obj, dict):
@@ -198,18 +213,24 @@ def cmd_refine(args) -> int:
         raise ConfigError(f"refine: unknown inequality {inequality!r}")
     if TRIPLES[inequality].needs_p:
         _require_keys(cfg, keys, "refine", required=("p",))
+    alpha = parse_number(cfg["alpha"], "refine.alpha")
+    v = parse_number(cfg["v"], "refine.v")
+    p = None if cfg.get("p") is None else parse_number(cfg["p"], "refine.p")
     rows = cfg["samples"]
     if isinstance(rows, dict):
         rows = [rows]
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ConfigError(f"refine.samples: expected an object or a list of "
+                          f"objects, got {rows!r}")
     allowed = ("a", "q", "b", "matrix", "x")
     reports = []
     for i, row in enumerate(rows):
         _require_keys(row, allowed, f"refine.samples[{i}]",
                       required=CHAINS[inequality].row_keys)
-        if "matrix" in row:
-            row = dict(row, matrix=parse_matrix(row["matrix"]))
-        reports.append(chains[inequality].report(
-            row, float(cfg["alpha"]), float(cfg["v"]), cfg.get("p")))
+        row = {k: parse_matrix(val) if k == "matrix"
+               else parse_numbers(val, f"refine.samples[{i}].{k}")
+               for k, val in row.items() if val is not None}
+        reports.append(chains[inequality].report(row, alpha, v, p))
     result = [r.to_json() for r in reports]
     _emit(args, "refine", cfg, result, t0,
           csv_rows=[r.csv_row() for r in reports])

@@ -40,17 +40,17 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden bracket shrink factor
 # ---------------------------------------------------------------------------
 
 def gap(f: ScalarFunction, h: ScalarFunction, v: float, u: float,
-        lam: float) -> float:
-    """Signed convexity gap F(u, lam); nonnegative iff the inequality holds."""
-    v, u, lam = float(v), float(u), float(lam)
+        lam: float, ev=evaluate, num=float) -> float:
+    """Signed convexity gap F(u, lam); nonnegative iff the inequality holds.
+    ``ev`` and ``num`` are the arithmetic: doubles, or highprec's 60 digits."""
+    v, u, lam = num(v), num(u), num(lam)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"lambda={lam!r} outside [0, 1]")
-    w = lam * u + (1.0 - lam) * v
+    w = lam * u + (1 - lam) * v
     # float drift can push the combination a hair outside [u, v]
     lo, hi = (u, v) if u <= v else (v, u)
     w = min(max(w, lo), hi)
-    return evaluate(h, lam) * evaluate(f, u) \
-        + evaluate(h, 1.0 - lam) * evaluate(f, v) - evaluate(f, w)
+    return ev(h, lam) * ev(f, u) + ev(h, 1 - lam) * ev(f, v) - ev(f, w)
 
 
 def _gap_grid(f: ScalarFunction, h: ScalarFunction, v: float,

@@ -40,8 +40,10 @@ Targets
                     lhs <= rhs margin)
   certificates      grid certification of the conditional-convexity gap
                     for one built-in triple at sampled parameters
-A target's rules (region defaults and checks, sampler, double evaluator,
-feasibility rule, error bound, 60-digit confirmer) are its RULES record.
+A target's rules (region defaults and checks, sampler, margin function,
+feasibility rule, error bound) are its RULES record.  The margin function
+takes its arithmetic as an argument: campaigns and replay run it in
+doubles, and confirm runs the same terms at 60 digits.
 """
 
 from __future__ import annotations
@@ -49,11 +51,13 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from mpmath import mp
 from numpy.random import Generator, Philox
 
 from .convexity import JensenCoefficient, certify
@@ -63,11 +67,11 @@ from .funclib import (
     triple_beta_range,
 )
 from .highprec import (
-    closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
+    DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
 )
 from .opcalc import SymmetricMatrix, UnitVector, jensen_verify, spectrum_in
 from .refined import (
-    WeightedSample, _overall, amgm_chain, chrystal_chain, hm_chain,
+    CHAINS, WeightedSample, _overall, amgm_chain, chrystal_chain, hm_chain,
     kyfan_chain,
 )
 
@@ -333,7 +337,8 @@ def draw_instance(rng: Generator, target: str, region: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-target evaluation (doubles); shared by campaigns and replay
+# Per-target margin functions: doubles, or with hp the same terms at 60
+# digits; shared by campaigns, replay and confirm
 # ---------------------------------------------------------------------------
 
 def _sample(data) -> WeightedSample:
@@ -355,7 +360,12 @@ def chain_report(inst: dict):
                                         inst.get("p"))
 
 
-def _evaluate_chain(inst: dict, margin_kind: str, setup):
+def _evaluate_chain(inst: dict, margin_kind: str, setup, hp=False):
+    if hp:
+        chain = RULES[inst["target"]].chain
+        m1, m2 = hp_chain_margins(chain, inst, _matrix(inst).entries
+                                  if CHAINS[chain].spectral else None)
+        return (m1 + m2) if margin_kind == "outer" else min(m1, m2), None, {}
     rep = chain_report(inst)
     margin = (rep.chain[2] - rep.chain[0]) if margin_kind == "outer" \
         else min(rep.margins)
@@ -392,10 +402,13 @@ def _operator_flags(inst: dict, triple, A, gi=None) -> dict:
     }
 
 
-def _evaluate_operator(inst: dict, margin_kind: str, setup):
+def _evaluate_operator(inst: dict, margin_kind: str, setup, hp=False):
     triple, gi = setup or (None, None)
     triple, h, A, x = _operator_parts(inst, triple)
     mode = RULES[inst["target"]].mode
+    if hp:
+        return hp_jensen_margin(triple.f, h, A.entries, x.components, mode,
+                                lam=inst.get("lam")), None, {}
     # the closed form is the infimum's boundary limit (t -> 1 or t -> 0)
     coeff = JensenCoefficient(closed_form_jcoeff(h), None, True) \
         if mode == "infimum" else None
@@ -408,16 +421,16 @@ def _evaluate_operator(inst: dict, margin_kind: str, setup):
         "expectation": verdict.expectation}
 
 
-def _best_possible_terms(a, beta, lam, ops=math):
-    """(lhs, factor, reduced and full expectation); ops = math or mpmath."""
-    return (ops.exp(-a / 2), lam ** (beta - 1), ops.exp(-a) / 2,
-            (1 + ops.exp(-a)) / 2)
-
-
-def _evaluate_best_possible(inst: dict, margin_kind: str, setup):
-    a, beta, lam = inst["a"], inst["beta"], inst["lam"]
-    lhs, factor, reduced, full = _best_possible_terms(a, beta, lam)
-    margin = factor * reduced - lhs
+def _evaluate_best_possible(inst: dict, margin_kind: str, setup, hp=False):
+    ops, num = (mp, mp.mpf) if hp else (math, float)
+    with mp.workdps(DPS) if hp else nullcontext():
+        a, beta, lam = (num(inst[k]) for k in ("a", "beta", "lam"))
+        lhs, factor = ops.exp(-a / 2), lam ** (beta - 1)
+        reduced, full = ops.exp(-a) / 2, (1 + ops.exp(-a)) / 2
+        margin, full_margin = factor * reduced - lhs, factor * full - lhs
+    if hp:
+        return margin, None, {
+            "functional_calculus_margin_confirmed": digits(full_margin)}
     flags = {"lambda_in_range": 0.5 < lam < 1.0,
              "exponent_in_range": 0.0 < beta < 1.0,
              "scale_in_range": a > 0.0,
@@ -425,14 +438,16 @@ def _evaluate_best_possible(inst: dict, margin_kind: str, setup):
     return margin, flags, {
         "lhs": lhs, "rhs_factor": factor,
         "reduced_expectation": reduced,
-        "functional_calculus_margin": factor * full - lhs}
+        "functional_calculus_margin": full_margin}
 
 
-def _evaluate_certificates(inst: dict, margin_kind: str, setup):
+def _evaluate_certificates(inst: dict, margin_kind: str, setup, hp=False):
     triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
                          p=inst.get("p"))
     cert = certify(triple.f, triple.g, triple.h, inst["v"],
                    grid=tuple(inst["grid"]))
+    if hp:  # min_value is already the 60-digit gap at the arg-min
+        return cert.min_value, None, {}
     flags = {"params_in_range": True, "gate_feasible": True}
     return cert.min_value, flags, {
         "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
@@ -457,48 +472,20 @@ def _evaluate(inst: dict, margin_kind: str, setup):
 # Extended-precision confirmation
 # ---------------------------------------------------------------------------
 
-def _confirm_chain(candidate: dict):
-    inst = candidate["inputs"]
-    m1, m2 = hp_chain_margins(
-        RULES[inst["target"]].chain, inst.get("a"), inst.get("q"),
-        inst["alpha"], b=inst.get("b"), p=inst.get("p"),
-        entries=np.diag(inst["diag"]) if "diag" in inst else None,
-        x=inst.get("x"))
-    return (m1 + m2) if candidate.get("margin_kind") == "outer" \
-        else min(m1, m2)
-
-
-def _confirm_operator(candidate: dict):
-    inst = candidate["inputs"]
-    triple, h, A, x = _operator_parts(inst)
-    return hp_jensen_margin(triple.f, h, A.entries, x.components,
-                            RULES[inst["target"]].mode, lam=inst.get("lam"))
-
-
-def _confirm_best_possible(candidate: dict):
-    from mpmath import mp
-    inst = candidate["inputs"]
-    with mp.workdps(60):
-        lhs, factor, reduced, full = _best_possible_terms(
-            *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), ops=mp)
-        candidate.setdefault("extras", {})[
-            "functional_calculus_margin_confirmed"] = digits(
-                factor * full - lhs)
-        return factor * reduced - lhs
-
-
 def confirm(candidate: dict) -> dict:
-    """Re-evaluate a candidate witness at 60 digits and set its status.
+    """Re-run the candidate's margin function at 60 digits; set its status.
 
     confirmed requires margin_confirmed < -1e-6 with all flags true and a
     sign agreeing with the double margin; otherwise the candidate is
     demoted as "float-noise" (sign mismatch) or "below-threshold".
     """
     rules = RULES[candidate["inputs"]["target"]]
-    hp_margin = rules.confirm(candidate)
+    hp_margin, _, hp_extras = rules.evaluate(
+        candidate["inputs"], candidate.get("margin_kind", "refined"), None,
+        hp=True)
     margin_f = float(hp_margin)
     sign_agrees = (margin_f < 0.0) == (candidate["margin_double"] < 0.0)
-    out = dict(candidate)
+    out = dict(candidate, extras={**candidate.get("extras", {}), **hp_extras})
     out["margin_confirmed"] = digits(hp_margin)
     out["margin_confirmed_double"] = margin_f
     out["confirmed"], out["demotion"] = \
@@ -707,8 +694,9 @@ class TargetRules:
     # (rng, target, region) -> (instance, setup), where setup holds what
     # the draw built that evaluate can reuse, or None
     draw: Callable
-    evaluate: Callable  # (inst, margin_kind, setup) -> (margin, flags, extras)
-    confirm: Callable  # candidate -> its margin at 60 digits
+    # (inst, margin_kind, setup, hp=False) -> (margin, flags, extras); hp
+    # gives the 60-digit margin, flags None and the extras confirm adds
+    evaluate: Callable
     bound: Callable | None = None  # candidate -> margin_bound's B or None
     chain: str | None = None  # the refined chain (and funclib triple) name
     report: Callable | None = None  # (data, alpha, v, p) -> ChainReport
@@ -725,8 +713,8 @@ def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
     return TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0], "dim": [2, 8],
          "triple": "amgm", "weight": "exp_weight", **region},
-        _draw_operator, _evaluate_operator, _confirm_operator,
-        _operator_bound, mode=mode, pinned=pinned)
+        _draw_operator, _evaluate_operator, _operator_bound, mode=mode,
+        pinned=pinned)
 
 
 RULES = {
@@ -736,35 +724,30 @@ RULES = {
     "best-possible": TargetRules(
         {"a": [1e-3, 10.0], "beta": [1e-6, 1.0 - 1e-6],
          "lam": [0.5 + 1e-12, 1.0 - 1e-12]},
-        _draw_best_possible, _evaluate_best_possible,
-        _confirm_best_possible, lam_floor=0.5),
+        _draw_best_possible, _evaluate_best_possible, lam_floor=0.5),
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-        _draw_mean_chain, _evaluate_chain, _confirm_chain, _kyfan_bound,
-        chain="kyfan",
+        _draw_mean_chain, _evaluate_chain, _kyfan_bound, chain="kyfan",
         report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-        _draw_mean_chain, _evaluate_chain, _confirm_chain, _amgm_bound,
-        chain="amgm",
+        _draw_mean_chain, _evaluate_chain, _amgm_bound, chain="amgm",
         report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]}, _draw_chrystal,
-        _evaluate_chain, _confirm_chain, _chrystal_bound, chain="chrystal",
+        _evaluate_chain, _chrystal_bound, chain="chrystal",
         report=lambda d, alpha, v, p: chrystal_chain(_sample(d), alpha, v)),
     "holder-mccarthy": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
          "p": [1.000001, 4.0]},
-        _draw_holder_mccarthy, _evaluate_chain, _confirm_chain,
-        _holder_mccarthy_bound, chain="holder_mccarthy",
+        _draw_holder_mccarthy, _evaluate_chain, _holder_mccarthy_bound,
+        chain="holder_mccarthy",
         report=lambda d, alpha, v, p: hm_chain(
             _matrix(d), UnitVector(d["x"]), float(p), alpha, v)),
     "certificates": TargetRules(
         {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
          "grid": [256, 256]},
-        _draw_certificates, _evaluate_certificates,
-        # min_value is already the hp-corrected gap value
-        lambda candidate: candidate["margin_double"]),
+        _draw_certificates, _evaluate_certificates),
 }
 TARGETS = tuple(RULES)
 

@@ -200,9 +200,30 @@ def _chrystal_core(p, t, ops):
         # L + log(1 - e^-L), which is L once the power is beyond the doubles
         log_power = expo * (t + math.log1p(math.exp(-t)))
         return log_power + ops.log(-math.expm1(-log_power))
+    if ops is not _NP_OPS:
+        return ops.log(arg)
     # beta == alpha makes arg identically 0; log(0) -> -inf by convention
     with np.errstate(divide="ignore"):
         return ops.log(arg)
+
+
+def _kyfan_gate_core(p, t, ops):
+    alpha = p["alpha"]
+    try:
+        return ops.power(t, alpha) / (ops.power(t, alpha)
+                                      + ops.power(1.0 - t, alpha))
+    except ZeroDivisionError:
+        # only _MathOps raise, once both powers underflow: the value is
+        # 1/(1 + e^r), r = alpha log((1-t)/t), written in e^-|r| <= 1
+        e = math.exp(-abs(alpha * math.log((1.0 - t) / t)))
+        return e / (1.0 + e) if t < 0.5 else 1.0 / (1.0 + e)
+
+
+def _power_gate_core(p, t, ops):
+    try:
+        return ops.power(t, p["alpha"])
+    except OverflowError:
+        return math.inf  # only _MathOps raise, at t > 1
 
 
 _FAMILIES: dict[str, _Family] = {}
@@ -225,12 +246,11 @@ _register("identity_weight", (), lambda p: None,
           lambda p, t, ops: t * 1.0, interval(*REAL_LINE), UNIT_CLOSED)
 
 _register("kyfan_gate", ("alpha",), lambda p: _positive("alpha", p["alpha"]),
-          lambda p, t, ops: ops.power(t, p["alpha"])
-          / (ops.power(t, p["alpha"]) + ops.power(1.0 - t, p["alpha"])),
+          _kyfan_gate_core,
           interval(0.0, 1.0, lo_open=True, hi_open=True),
           interval(0.0, 0.5, lo_open=True))
 _register("power_gate", ("alpha",), lambda p: _positive("alpha", p["alpha"]),
-          lambda p, t, ops: ops.power(t, p["alpha"]),
+          _power_gate_core,
           interval(0.0, math.inf, lo_open=True),
           interval(0.0, 1.0, lo_open=True))
 _register("chrystal_gate", ("alpha", "beta"), _check_order, _chrystal_core,

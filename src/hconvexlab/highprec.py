@@ -2,12 +2,12 @@
 
 Everything here runs at 60 significant digits via mpmath and exists to
 answer one question about a candidate violation found in doubles: is the
-negative margin real, or single-rounding noise?  The closed forms are the
-same ones the double-precision path uses (funclib cores and the refined
-chain terms), driven through an mpmath operation set, so the two routes
-differ only in arithmetic.
+negative margin real, or single-rounding noise?  The funclib cores, the
+convexity gap, the refined chain terms and opcalc's mode -> factor rule
+are driven through mpmath numbers, so the two routes differ only in
+arithmetic; the 60-digit spectral step is this module's own.
 
-Jensen coefficients are reproduced here from their closed forms — the
+Jensen coefficients are reproduced from their closed forms — the
 infimum of h(t)/t over (0,1) is alpha/beta for the exponential weight, 1
 for the identity, and 0 or 1 for pure powers — because re-running a grid
 infimum at high precision would inherit the grid's resolution rather than
@@ -16,35 +16,25 @@ remove it.  Weights without a closed form raise PrecisionUnavailable.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from mpmath import mp
 
+from .convexity import gap
 from .errors import PrecisionUnavailable
 from .funclib import ScalarFunction, family_core
+from .opcalc import jensen_factor
 from .refined import chain_rule
 
 DPS = 60
 WITNESS_DIGITS = 50
 
 
-class _MPOps:
-    """mpmath counterparts of the numpy ops used by funclib cores."""
-
-    exp = staticmethod(mp.exp)
-    log = staticmethod(mp.log)
-    cos = staticmethod(mp.cos)
-    power = staticmethod(mp.power)
-
-    @staticmethod
-    def where(cond, a, b):
-        return a if cond else b
-
-    @property
-    def pi(self):
-        return +mp.pi
-
-
-_MP_OPS = _MPOps()
+# mpmath counterparts of the numpy ops used by funclib cores; mp.pi takes
+# the working precision of the expression it enters
+_MP_OPS = SimpleNamespace(exp=mp.exp, log=mp.log, cos=mp.cos, power=mp.power,
+                          pi=mp.pi, where=lambda cond, a, b: a if cond else b)
 
 
 def hp_eval(fn: ScalarFunction, t) -> mp.mpf:
@@ -57,13 +47,9 @@ def hp_eval(fn: ScalarFunction, t) -> mp.mpf:
 
 
 def hp_gap(f: ScalarFunction, h: ScalarFunction, v, u, lam) -> mp.mpf:
-    """The convexity gap h(l)f(u) + h(1-l)f(v) - f(lu + (1-l)v) at 60 digits."""
+    """The convexity gap of convexity.gap at 60 digits."""
     with mp.workdps(DPS):
-        u, v, lam = mp.mpf(u), mp.mpf(v), mp.mpf(lam)
-        w = lam * u + (1 - lam) * v
-        w = min(max(w, min(u, v)), max(u, v))
-        return (hp_eval(h, lam) * hp_eval(f, u)
-                + hp_eval(h, 1 - lam) * hp_eval(f, v) - hp_eval(f, w))
+        return gap(f, h, v, u, lam, hp_eval, mp.mpf)
 
 
 def closed_form_jcoeff(h: ScalarFunction, num=float):
@@ -82,15 +68,11 @@ def closed_form_jcoeff(h: ScalarFunction, num=float):
         f"no closed-form Jensen coefficient for family {h.family!r}")
 
 
-def hp_jcoeff(h: ScalarFunction) -> mp.mpf:
-    """Closed-form M_(0,1)(h) = inf h(t)/t for the weight families."""
-    with mp.workdps(DPS):
-        return closed_form_jcoeff(h, mp.mpf)
-
-
-def _hp_spectral_weights(entries, x):
-    """Eigenvalues, the weights <x, q_i>^2 / |x|^2 and <Ax,x>/|x|^2
-    (clamped to the spectrum) at working precision."""
+def _hp_spectral_forms(value, entries, x):
+    """(eigenvalues, <Ax,x>, <value(A)x,x>) with the weights <x, q_i>^2
+    normalised by |x|^2, at working precision; <Ax,x> is clamped to the
+    spectrum.  A diagonal matrix takes the exact route, a dense one
+    mpmath's symmetric eigensolver."""
     entries, x = np.asarray(entries, float), np.asarray(x, float)
     n = entries.shape[0]
     offdiag = entries - np.diag(np.diag(entries))
@@ -100,56 +82,44 @@ def _hp_spectral_weights(entries, x):
     else:
         E, Q = mp.eigsy(mp.matrix(entries.tolist()))
         xs = [mp.mpf(t) for t in x]
-        eigs, weights = [], []
-        for j in range(n):
-            dot = mp.fsum(Q[i, j] * xs[i] for i in range(n))
-            eigs.append(E[j])
-            weights.append(dot ** 2)
+        eigs = [E[j] for j in range(n)]
+        weights = [mp.fsum(Q[i, j] * xs[i] for i in range(n)) ** 2
+                   for j in range(n)]
     total = mp.fsum(weights)
     weights = [w / total for w in weights]
     qf = mp.fsum(m * w for m, w in zip(eigs, weights))
-    return eigs, weights, min(max(qf, min(eigs)), max(eigs))
+    return (eigs, min(max(qf, min(eigs)), max(eigs)),
+            mp.fsum(value(m) * w for m, w in zip(eigs, weights)))
 
 
 def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
                      entries: np.ndarray, x: np.ndarray, mode: str,
                      lam: float | None = None) -> mp.mpf:
-    """Margin factor*<f(A)x,x> - f(<Ax,x>) at 60 digits.
-
-    Diagonal matrices take the exact route; dense ones go through
-    mpmath's symmetric eigensolver.
-    """
+    """Margin factor*<f(A)x,x> - f(<Ax,x>) at 60 digits, with the factor
+    rule of opcalc.jensen_verify."""
     with mp.workdps(DPS):
-        eigs, weights, qf = _hp_spectral_weights(entries, x)
-        expectation = mp.fsum(hp_eval(f, m) * w for m, w in zip(eigs, weights))
-        if mode == "classical":
-            factor = mp.mpf(1)
-        elif mode == "per-lambda":
-            factor = hp_eval(h, lam) / mp.mpf(lam)
-        elif mode == "infimum":
-            factor = hp_jcoeff(h)
-        elif mode == "half-bound":
-            factor = 2 * hp_eval(h, mp.mpf(0.5))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+        _, qf, expectation = _hp_spectral_forms(
+            lambda m: hp_eval(f, m), entries, x)
+        factor = jensen_factor(mode, h, lam, hp_eval, mp.mpf,
+                               lambda: closed_form_jcoeff(h, mp.mpf))
         return factor * expectation - hp_eval(f, qf)
 
 
-def hp_chain_margins(inequality: str, a, q, alpha: float, b=None,
-                     p: float | None = None, entries=None, x=None):
-    """(mid - lhs, rhs - mid) for one chain instance at 60 digits."""
+def hp_chain_margins(inequality: str, inst: dict, entries=None):
+    """(mid - lhs, rhs - mid) at 60 digits for a chain instance's alpha and
+    a, q (and b), or p, x and the matrix ``entries``."""
     chain = chain_rule(inequality)
     with mp.workdps(DPS):
         if chain.spectral:
-            eigs, weights, qf = _hp_spectral_weights(entries, x)
-            p = mp.mpf(p)
-            apx = mp.fsum((m ** p) * w for m, w in zip(eigs, weights))
+            p = mp.mpf(inst["p"])
+            eigs, qf, apx = _hp_spectral_forms(lambda m: m ** p, entries,
+                                               inst["x"])
             inputs, values = (qf, apx, p), eigs
         else:
             inputs, values = chain.inputs(
-                *(None if col is None else [mp.mpf(t) for t in col]
-                  for col in (a, b, q)))
-        lhs, mid, rhs = chain.terms(*inputs, mp.mpf(alpha),
+                *(None if inst.get(k) is None else [mp.mpf(t) for t in inst[k]]
+                  for k in ("a", "b", "q")))
+        lhs, mid, rhs = chain.terms(*inputs, mp.mpf(inst["alpha"]),
                                     max(values) - min(values), ops=mp)
         return mid - lhs, rhs - mid
 

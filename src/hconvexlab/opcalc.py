@@ -22,9 +22,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from .convexity import jcoeff
 from .errors import (
     ConvergenceError, DimensionMismatch, SpectrumDomainError,
 )
@@ -313,6 +315,33 @@ class JensenVerdict:
                 "lambda": self.lam, "expectation": self.expectation}
 
 
+def spectral_forms(f: ScalarFunction, A: SymmetricMatrix, x: UnitVector):
+    """(<Ax,x> clamped to the spectrum it leaves by roundoff, <f(A)x,x>)."""
+    qf = quadratic_form(A, x)
+    eigs = A.decomposition().eigenvalues
+    qf = min(max(qf, float(eigs[0])), float(eigs[-1]))
+    return qf, quadratic_form(apply_function(f, A), x)
+
+
+def jensen_factor(mode: str, h: ScalarFunction | None, lam, ev, num,
+                  infimum: Callable):
+    """The factor of <f(A)x,x> in ``mode`` in the number type ``num`` of an
+    arithmetic whose ``ev(h, t)`` evaluates h; ``infimum()`` is M_(0,1)(h)."""
+    if mode not in JENSEN_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {JENSEN_MODES}")
+    if mode != "classical" and h is None:
+        raise ValueError(f"mode {mode!r} requires a weight function h")
+    if mode == "classical":
+        return num(1)
+    if mode == "per-lambda":
+        if lam is None or not 0.0 < lam < 1.0:
+            raise ValueError(f"per-lambda mode requires lambda in (0,1), got {lam!r}")
+        return ev(h, lam) / num(lam)
+    if mode == "infimum":
+        return num(infimum())
+    return 2 * ev(h, num(0.5))  # half-bound
+
+
 def jensen_verify(f: ScalarFunction, h: ScalarFunction | None,
                   A: SymmetricMatrix, x: UnitVector, mode: str,
                   lam: float | None = None,
@@ -322,37 +351,15 @@ def jensen_verify(f: ScalarFunction, h: ScalarFunction | None,
     ``coefficient`` may carry a precomputed JensenCoefficient for the
     infimum mode; otherwise M_(0,1)(h) is computed here.
     """
-    if mode not in JENSEN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {JENSEN_MODES}")
-    if mode != "classical" and h is None:
-        raise ValueError(f"mode {mode!r} requires a weight function h")
-
-    qf = quadratic_form(A, x)
-    dec = A.decomposition()
-    # <Ax,x> lives in [eig_min, eig_max] up to roundoff; clamp the drift
-    qf = min(max(qf, float(dec.eigenvalues[0])), float(dec.eigenvalues[-1]))
+    factor = jensen_factor(mode, h, lam, evaluate, float, lambda: (
+        coefficient or jcoeff(h, Interval(0.0, 1.0, True, True))).value)
+    qf, expectation = spectral_forms(f, A, x)
     clamped, offenders = _clamped_spectrum(f, np.array([qf]))
     if offenders.size:
         raise SpectrumDomainError(
             f"{f.label()}: <Ax,x>={qf!r} outside domain {f.domain}",
             offending=(qf,))
     lhs = evaluate(f, float(clamped[0]))
-    expectation = quadratic_form(apply_function(f, A), x)
-
-    if mode == "classical":
-        factor = 1.0
-    elif mode == "per-lambda":
-        if lam is None or not 0.0 < lam < 1.0:
-            raise ValueError(f"per-lambda mode requires lambda in (0,1), got {lam!r}")
-        factor = evaluate(h, lam) / lam
-    elif mode == "infimum":
-        if coefficient is None:
-            from .convexity import jcoeff
-            coefficient = jcoeff(h, Interval(0.0, 1.0, True, True))
-        factor = float(coefficient.value)
-    else:  # half-bound
-        factor = 2.0 * evaluate(h, 0.5)
-
     rhs = factor * expectation
     return JensenVerdict(lhs, factor, rhs, rhs - lhs, mode,
                          lam if mode == "per-lambda" else None, expectation)

@@ -34,7 +34,7 @@ from typing import Callable
 
 from .errors import DomainError, SpectrumDomainError
 from .funclib import TRIPLES, Interval, interval, scalar_function
-from .opcalc import SymmetricMatrix, UnitVector, apply_function, quadratic_form
+from .opcalc import SymmetricMatrix, UnitVector, spectral_forms
 
 N_CAP = 10_000
 MEMBERSHIP_SLACK = 1e-12
@@ -323,9 +323,7 @@ def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
             f"spectrum must be positive, found {bad.tolist()}",
             offending=tuple(float(t) for t in bad))
     g = float(eigs[-1] - eigs[0])  # the spectrum is sorted ascending
-    qf = quadratic_form(A, x)
-    qf = min(max(qf, float(eigs[0])), float(eigs[-1]))
-    apx = quadratic_form(apply_function(scalar_function("power", p=p), A), x)
+    qf, apx = spectral_forms(scalar_function("power", p=p), A, x)
     lhs, mid, rhs = hm_terms(qf, apx, p, alpha, g)
     flags = _flags("holder_mccarthy", eigs.tolist(), g, alpha, v, p)
     return _report("holder_mccarthy", lhs, mid, rhs, g, alpha, v, A.dim,

@@ -225,6 +225,19 @@ def test_refine_missing_input_is_an_error(tmp_path, capsys, config, missing):
     assert f"missing key {missing}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [
+    {"inequality": "amgm", "alpha": [2.0], "v": 0.8,
+     "samples": [{"a": [0.64, 0.8], "q": [0.5, 0.5]}]},
+    {"inequality": "amgm", "alpha": 2.0, "v": 0.8, "samples": 5},
+    {"inequality": "amgm", "alpha": 2.0, "v": 0.8,
+     "samples": [{"a": 5, "q": [1.0]}]},
+])
+def test_refine_wrongly_typed_value_is_an_error(tmp_path, capsys, config):
+    cfg = _write(tmp_path, "r.json", config)
+    assert main(["refine", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: refine.")
+
+
 def test_refine_chrystal_far_anchor_is_data_not_overflow(tmp_path):
     # (1 + e^v)^expo is beyond the doubles here; the gate value is its log
     cfg = _write(tmp_path, "r.json", {

@@ -467,6 +467,16 @@ def test_replay_reproduces_witness_bits():
     assert again["confirmed"] == w["confirmed"]
 
 
+def test_dense_holder_mccarthy_witness_replays_like_its_diagonal_form():
+    w = run_campaign(Campaign("holder-mccarthy", 20, 7))["witnesses"][0]
+    inputs = {k: v for k, v in w["inputs"].items() if k != "diag"}
+    inputs["entries"] = np.diag(w["inputs"]["diag"]).tolist()
+    diagonal, dense = replay_witness(w), replay_witness(dict(w, inputs=inputs))
+    assert (dense["margin_double"], dense["margin_confirmed"]) \
+        == (diagonal["margin_double"], diagonal["margin_confirmed"]) \
+        == (w["margin_double"], w["margin_confirmed"])
+
+
 def test_certificates_campaign_supports_the_inequalities():
     rep = run_campaign(Campaign("certificates", 5, 2,
                                 region={"grid": [64, 64]}))

@@ -1,6 +1,7 @@
 """Interval algebra, the scalar function registry, and gate intervals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -260,3 +261,14 @@ def test_chrystal_gate_value_past_the_double_range():
     assert rule.gate_value(800.0, 1.0, 1.00001) == pytest.approx(
         math.log(math.expm1(800.0 * (1.00001 - 1.0))), rel=1e-12)
     assert rule.gate_value(800.0, 1.0, 1.0) == -math.inf
+
+
+def test_chrystal_gate_at_beta_equal_alpha_is_minus_inf_without_warning():
+    # log(0) by convention, on the float route and on both numpy routes
+    g = scalar_function("chrystal_gate", alpha=1.5, beta=1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert TRIPLES["chrystal"].gate_value(0.7, 1.5, 1.5) == -math.inf
+        assert evaluate(g, 0.7) == -math.inf
+        assert evaluate_array(g, np.array([0.7, 2.0])).tolist() \
+            == [-math.inf, -math.inf]

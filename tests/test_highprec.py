@@ -9,8 +9,8 @@ from mpmath import mp
 from hconvexlab import PrecisionUnavailable, interval
 from hconvexlab.funclib import scalar_function
 from hconvexlab.highprec import (
-    DPS, WITNESS_DIGITS, digits, hp_chain_margins, hp_eval, hp_gap,
-    hp_jcoeff, hp_jensen_margin,
+    DPS, WITNESS_DIGITS, closed_form_jcoeff, digits, hp_chain_margins,
+    hp_eval, hp_gap, hp_jensen_margin,
 )
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector, jensen_verify
 from hconvexlab.refined import WeightedSample, amgm_chain, hm_chain
@@ -42,6 +42,11 @@ def test_hp_gap_frozen_50_digits():
         "0.46739035374299329971369577346213167122667355368344")
     # the double-precision gap sits within one ulp of the true value
     assert abs(float(g) - 0.46739035374299315) < 5e-16
+
+
+def hp_jcoeff(h):
+    with mp.workdps(DPS):
+        return closed_form_jcoeff(h, mp.mpf)
 
 
 def test_hp_jcoeff_closed_forms():
@@ -91,7 +96,7 @@ def test_hp_jensen_margin_half_bound_positive():
 def test_hp_chain_margins_match_double_chain():
     s = WeightedSample((0.64, 0.8), (0.5, 0.5))
     r = amgm_chain(s, 2.0, 0.8)
-    m1, m2 = hp_chain_margins("amgm", s.a, s.q, 2.0)
+    m1, m2 = hp_chain_margins("amgm", {"a": s.a, "q": s.q, "alpha": 2.0})
     assert abs(float(m1) - r.margins[0]) < 1e-15
     assert abs(float(m2) - r.margins[1]) < 1e-15
     assert digits(m2)[:21] == "-0.013504461418457078"
@@ -101,8 +106,9 @@ def test_hp_chain_margins_hm_route():
     A = SymmetricMatrix.diagonal([0.64, 0.8])
     x = UnitVector([1.0, 1.0])
     r = hm_chain(A, x, 2.0, 2.0, 0.8)
-    m1, m2 = hp_chain_margins("holder_mccarthy", None, None, 2.0, p=2.0,
-                              entries=A.entries, x=x.components)
+    m1, m2 = hp_chain_margins("holder_mccarthy",
+                              {"alpha": 2.0, "p": 2.0, "x": x.components},
+                              A.entries)
     assert abs(float(m1) - r.margins[0]) < 2e-15
     assert abs(float(m2) - r.margins[1]) < 2e-15
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hconvexlab import DomainError, SpectrumDomainError, interval
-from hconvexlab.funclib import make_triple, scalar_function
+from hconvexlab.funclib import TRIPLES, make_triple, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
@@ -248,6 +248,18 @@ def test_feasible_flags_keys_per_inequality():
     assert set(feasible(s, 2.0, 0.8, "holder_mccarthy", p=2.0)) == {
         "alpha_in_range", "gamma_in_range", "anchor_in_range",
         "exponent_in_range", "spectrum_in_interval"}
+
+
+@pytest.mark.parametrize("inequality, v, alpha, gate, member", [
+    ("amgm", 1e200, 2.0, math.inf, False),  # v ** alpha overflows
+    ("kyfan", 0.4, 2000.0, 0.0, True),  # both powers underflow
+    ("kyfan", 0.5, 2000.0, 0.5, False),
+])
+def test_extreme_gate_values_are_data(inequality, v, alpha, gate, member):
+    assert TRIPLES[inequality].gate_value(v, alpha) == gate
+    flags = feasible(WeightedSample((0.3, 0.35), (0.5, 0.5)), alpha, v,
+                     inequality)
+    assert flags["values_in_interval"] is member
 
 
 def test_chrystal_feasibility_ignores_raw_value_reading():
