@@ -2,11 +2,15 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hconvexlab import DimensionMismatch, Interval, SpectrumDomainError, interval
+from hconvexlab import (
+    ConvergenceError, DimensionMismatch, Interval, SpectrumDomainError,
+    interval, opcalc,
+)
 from hconvexlab.convexity import JensenCoefficient
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import (
@@ -120,7 +124,8 @@ def test_jacobi_matches_lapack_on_random_matrices():
 
 # sha256 over repr((eigenvalues, eigenvectors)) as Python float lists of the
 # 1,000 dense matrices of acceptance criterion 2, drawn in its order from its
-# seed.  Pins the bits of the n <= 8 Jacobi path (x86-64, numpy 2.4).
+# seed.  Pins the bits of the cyclic Jacobi path at dims 2-8 (x86-64,
+# numpy 2.4).
 CRITERION_2_JACOBI_DIGEST = (
     "33dc02e264b3e9683f528ebd6e780f77cffba00477d75dbc178b59c143252f2f")
 
@@ -137,6 +142,60 @@ def test_jacobi_bits_match_digest_on_criterion_2_matrices():
             digest.update(repr((dec.eigenvalues.tolist(),
                                 dec.eigenvectors.tolist())).encode())
     assert digest.hexdigest() == CRITERION_2_JACOBI_DIGEST
+
+
+def _repeated_spectrum(rng, dim):
+    lam = rng.choice([-1.0, 0.5, 2.0], size=dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    a = (q * lam) @ q.T
+    return SymmetricMatrix(0.5 * (a + a.T))
+
+
+def _block_diagonal(rng, dim):
+    # stored dense, so Jacobi runs and meets exactly zero pairs to skip
+    a = np.zeros((dim, dim))
+    k = dim // 2
+    a[:k, :k] = _random_symmetric(rng, k).entries
+    a[k:, k:] = _random_symmetric(rng, dim - k).entries
+    return SymmetricMatrix(a)
+
+
+def _tiny_off_diagonals(rng, dim):
+    # one O(1) pair keeps the first sweep going; the 1e-13 pairs against
+    # diagonal gaps >= 1 have |theta| > 1e10
+    noise = 1e-13 * rng.standard_normal((dim, dim))
+    a = np.diag(np.arange(1.0, dim + 1.0)) + noise + noise.T
+    a[0, 1] = a[1, 0] = 0.5
+    return SymmetricMatrix(a)
+
+
+@pytest.mark.parametrize("dim", [9, 16, 33, 64])
+@pytest.mark.parametrize("draw", [_random_symmetric, _repeated_spectrum,
+                                  _block_diagonal, _tiny_off_diagonals])
+def test_round_robin_jacobi_matches_lapack(monkeypatch, dim, draw):
+    # with the cyclic path ended at 8, every dim here runs round-robin
+    monkeypatch.setattr(opcalc, "_CYCLIC_MAX_DIM", 8)
+    A = draw(np.random.default_rng(dim), dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = spectral_decompose(A)
+    scale = max(1.0, float(np.linalg.norm(A.entries)))
+    expected = np.linalg.eigvalsh(A.entries)
+    assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-10 * scale
+    q = dec.eigenvectors
+    assert np.max(np.abs(q.T @ q - np.eye(dim))) < 1e-12
+    assert np.max(np.abs(dec.reconstruct() - A.entries)) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("dim", [6, 20])  # cyclic and round-robin paths
+def test_sweep_cap_counts_full_sweeps(monkeypatch, dim):
+    monkeypatch.setattr(opcalc, "JACOBI_MAX_SWEEPS", 1)
+    A = _random_symmetric(np.random.default_rng(dim), dim)
+    with pytest.raises(ConvergenceError, match="Jacobi sweep cap 1 hit"):
+        spectral_decompose(A)
+    # a 2x2 matrix is diagonal after its one rotation, within the cap
+    dec = spectral_decompose(SymmetricMatrix([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(dec.eigenvalues, [1.0, 3.0], atol=1e-14)
 
 
 def test_decomposition_is_cached():
