@@ -56,6 +56,17 @@ def parse_number(value, context: str) -> float:
             from None
 
 
+def parse_integer(value, context: str) -> int:
+    """An int, kept exact (seeds reach 2**64), or a number with an integral
+    value such as 256.0."""
+    if isinstance(value, int):
+        return int(value)
+    number = parse_number(value, context)
+    if not number.is_integer():
+        raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def parse_numbers(value, context: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{context}: expected a list of numbers, "
@@ -154,12 +165,17 @@ def cmd_certify(args) -> int:
     f = parse_function(cfg["f"], "f")
     g = parse_function(cfg["g"], "g")
     h = parse_function(cfg["h"], "h")
-    grid = tuple(cfg.get("grid", DEFAULT_GRID))
+    v = parse_number(cfg["v"], "certify.v")
+    grid = cfg.get("grid", list(DEFAULT_GRID))
+    if not (isinstance(grid, list) and len(grid) == 2):
+        raise ConfigError(f"certify.grid: expected [n_u, n_lambda], "
+                          f"got {grid!r}")
+    grid = tuple(parse_integer(n, "certify.grid") for n in grid)
     ambient = parse_interval(cfg["ambient"], "ambient") \
         if cfg.get("ambient") else None
-    cert = certify(f, g, h, float(cfg["v"]), grid=grid, ambient=ambient)
+    cert = certify(f, g, h, v, grid=grid, ambient=ambient)
     resolved = {"f": f.to_json(), "g": g.to_json(), "h": h.to_json(),
-                "v": float(cfg["v"]), "grid": list(grid),
+                "v": v, "grid": list(grid),
                 "ambient": ambient.to_json() if ambient else None}
     _emit(args, "certify", resolved, cert.to_json(), t0,
           tolerances={"violation_tolerance": VIOLATION_TOLERANCE})
@@ -173,7 +189,7 @@ def cmd_jcoeff(args) -> int:
                   required=("h", "interval"))
     h = parse_function(cfg["h"], "h")
     K = parse_interval(cfg["interval"], "interval")
-    samples = int(cfg.get("samples", 4096))
+    samples = parse_integer(cfg.get("samples", 4096), "jcoeff.samples")
     coeff = jcoeff(h, K, samples)
     resolved = {"h": h.to_json(), "interval": K.to_json(),
                 "samples": samples}
@@ -192,7 +208,8 @@ def cmd_jensen(args) -> int:
     h = parse_function(cfg["h"], "h") if cfg.get("h") else None
     A = parse_matrix(cfg["matrix"])
     x = UnitVector(cfg["x"])
-    lam = float(cfg["lam"]) if cfg.get("lam") is not None else None
+    lam = None if cfg.get("lam") is None \
+        else parse_number(cfg["lam"], "jensen.lam")
     verdict = jensen_verify(f, h, A, x, cfg["mode"], lam=lam)
     resolved = {"f": f.to_json(), "h": h.to_json() if h else None,
                 "matrix": {"entries": A.entries.tolist()},
@@ -247,10 +264,13 @@ def cmd_falsify(args) -> int:
     _require_keys(cfg, ("target", "samples", "seed", "region", "margin_kind",
                         "witness_cap"), "falsify",
                   required=("target", "samples", "seed"))
-    campaign = Campaign(cfg["target"], cfg["samples"], cfg["seed"],
+    campaign = Campaign(cfg["target"],
+                        parse_integer(cfg["samples"], "falsify.samples"),
+                        parse_integer(cfg["seed"], "falsify.seed"),
                         region=cfg.get("region", {}),
                         margin_kind=cfg.get("margin_kind", "refined"),
-                        witness_cap=int(cfg.get("witness_cap", 32)))
+                        witness_cap=parse_integer(cfg.get("witness_cap", 32),
+                                                  "falsify.witness_cap"))
     report = run_campaign(campaign)
     csv_rows = None
     if RULES[campaign.target].chain and args.format == "csv":
@@ -278,7 +298,7 @@ def cmd_replay(args) -> int:
         with open(cfg["report"], "r", encoding="utf-8") as fh:
             rep = json.load(fh)
         witnesses = rep.get("result", rep).get("witnesses", [])
-        idx = int(cfg.get("index", 0))
+        idx = parse_integer(cfg.get("index", 0), "replay.index")
         hits = [w for w in witnesses if w.get("index") == idx]
         if not hits and not 0 <= idx < len(witnesses):
             raise ConfigError(f"replay: no witness with index {idx}")
@@ -306,7 +326,7 @@ def cmd_sweep(args) -> int:
     h = parse_function(cfg["h"], "h")
     A = parse_matrix(cfg["matrix"])
     x = UnitVector(cfg["x"])
-    grid = int(cfg.get("grid", 257))
+    grid = parse_integer(cfg.get("grid", 257), "sweep.grid")
     profile = lambda_profile(f, h, A, x, grid=grid)
     resolved = {"f": f.to_json(), "h": h.to_json(),
                 "matrix": {"entries": A.entries.tolist()},

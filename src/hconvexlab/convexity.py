@@ -31,6 +31,12 @@ from .funclib import (
 
 VIOLATION_TOLERANCE = 1e-10
 DEFAULT_GRID = (256, 256)
+# Requests past these caps are refused before anything is allocated; each is
+# 64x its default (cf. opcalc.DIM_CAP).  A certify cell or jcoeff sample is a
+# few float64 array entries; a lambda_profile point is one jensen_verify call.
+GRID_CELL_CAP = 2 ** 22  # certify's n_u * n_lam; default 256 * 256 = 65,536
+JCOEFF_SAMPLE_CAP = 2 ** 18  # jcoeff's samples; default 4,096
+SWEEP_GRID_CAP = 2 ** 14  # falsify.lambda_profile's grid; default 257
 REFINE_ROUNDS = 40
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden bracket shrink factor
 
@@ -147,6 +153,9 @@ def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
     n_u, n_lam = int(grid[0]), int(grid[1])
     if n_u < 2 or n_lam < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
+    if n_u * n_lam > GRID_CELL_CAP:
+        raise ValueError(f"grid {n_u}x{n_lam} has {n_u * n_lam} cells, "
+                         f"above the cap {GRID_CELL_CAP}")
     gi = gate_interval(g, v, ambient if ambient is not None else f.domain)
     lo, hi = gi.interval.lo, gi.interval.hi
 
@@ -237,6 +246,8 @@ def jcoeff(h: ScalarFunction, K: Interval, samples: int = 4096) -> JensenCoeffic
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if samples > JCOEFF_SAMPLE_CAP:
+        raise ValueError(f"samples {samples} exceeds cap {JCOEFF_SAMPLE_CAP}")
     if not (K.issubset(h.domain) or K == h.domain):
         raise DomainError(f"K={K} not contained in h.domain={h.domain}")
     if K.contains(0.0):

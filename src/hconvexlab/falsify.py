@@ -60,7 +60,7 @@ import numpy as np
 from mpmath import mp
 from numpy.random import Generator, Philox
 
-from .convexity import JensenCoefficient, certify
+from .convexity import SWEEP_GRID_CAP, JensenCoefficient, certify
 from .errors import ConfigError, EmptyRegion, HConvexLabError
 from .funclib import (
     TRIPLE_NAMES, TRIPLES, gate_interval, make_triple, scalar_function,
@@ -135,7 +135,10 @@ class Campaign:
         if self.margin_kind not in ("refined", "outer"):
             raise ConfigError(f"margin_kind must be refined|outer, "
                               f"got {self.margin_kind!r}")
+        if not 0 <= int(self.witness_cap):
+            raise ConfigError("witness_cap must be a nonnegative count")
         object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "witness_cap", int(self.witness_cap))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "region",
                            _resolve_region(self.target, self.region))
@@ -933,6 +936,9 @@ def lambda_profile(f, h, A: SymmetricMatrix, x: UnitVector,
     Also reports whether h(lam)/lam is nonincreasing across the grid — the
     hypothesis under which the half-bound factor is claimed optimal.
     """
+    if not 1 <= grid <= SWEEP_GRID_CAP:
+        raise ValueError(f"grid must be between 1 and {SWEEP_GRID_CAP}, "
+                         f"got {grid}")
     lams = np.linspace(0.0, 1.0, grid + 2)[1:-1]
     pts = []
     factors = []

@@ -1,12 +1,16 @@
 """Real symmetric operator calculus on small dense matrices.
 
-Spectral decomposition is a hand-rolled cyclic Jacobi sweep (dimension is
-capped at 64, where Jacobi's orthogonality guarantees beat any speed
-argument).  A matrix built with SymmetricMatrix.diagonal needs no sweep:
-its spectrum is its diagonal, and f(A) is again diagonal.  On top of the
-decomposition sit the functional calculus f(A) = Q f(L) Q^T,
-quadratic forms <Ax, x>, spectrum containment checks, and the operator
-Jensen verifiers
+Spectral decomposition is a hand-rolled Jacobi solver (dimension is capped
+at 64, where Jacobi's orthogonality guarantees beat any speed argument).
+Up to dimension 14 it runs cyclic sweeps on Python lists, one rotation at a
+time in row-major (p, r) order; above it, round-robin sweeps apply n // 2
+disjoint rotations per numpy step, the parallel ordering of Brent and Luk
+(SIAM J. Sci. Stat. Comput. 6(1), 1985).  The cutover is where the two
+measured per-call times cross.  A matrix built with
+SymmetricMatrix.diagonal needs no sweep: its spectrum is its diagonal, and
+f(A) is again diagonal.  On top of the decomposition sit the functional
+calculus f(A) = Q f(L) Q^T, quadratic forms <Ax, x>, spectrum containment
+checks, and the operator Jensen verifiers
 
     classical    f(<Ax,x>) <= <f(A)x,x>
     per-lambda   f(<Ax,x>) <= (h(lam)/lam) <f(A)x,x>
@@ -173,9 +177,9 @@ class UnitVector:
 # ---------------------------------------------------------------------------
 
 # Largest dimension that runs cyclic sweeps on Python lists.  Per call on
-# x86-64 (CPython 3.11, numpy 2.4), the list sweeps take 0.3-0.5x the time
-# of the round-robin numpy sweeps at dims 8-12, tie at 14 and take 1.2-1.5x
-# at 15-16; the round-robin sweeps win from there on (5x at dim 64).
+# x86-64 (CPython 3.11, numpy 2.4), the list sweeps take 0.3-0.8x the time
+# of the round-robin numpy sweeps at dims 8-13, 0.75-1.0x at 14, 1.1-1.5x
+# at 15-16, 3x at 32 and 6x at 64.
 _CYCLIC_MAX_DIM = 14
 
 
@@ -196,7 +200,8 @@ def spectral_decompose(A: SymmetricMatrix) -> SpectralDecomposition:
     """
     a = np.array(A.entries, dtype=float)
     tol = JACOBI_REL_TOL * float(np.linalg.norm(a))
-    jacobi = _cyclic_jacobi if A.dim <= _CYCLIC_MAX_DIM else _round_robin_jacobi
+    jacobi = _cyclic_jacobi if A.dim <= _CYCLIC_MAX_DIM \
+        else _round_robin_jacobi
     a, q = jacobi(a, tol)
     eigs = np.diag(a).copy()
     order = np.argsort(eigs, kind="stable")

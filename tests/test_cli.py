@@ -261,6 +261,43 @@ def test_refine_unknown_inequality_is_an_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# typed config values
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, config, key", [
+    ("certify", dict(CERT_CONFIG, v=[0.45]), "certify.v"),
+    ("certify", dict(CERT_CONFIG, grid=64), "certify.grid"),
+    ("certify", dict(CERT_CONFIG, grid=[64, 64.5]), "certify.grid"),
+    ("jcoeff", {"h": PINNED_JENSEN["h"], "samples": [4096],
+                "interval": {"lo": 0.0, "hi": 1.0}}, "jcoeff.samples"),
+    ("jensen", dict(PINNED_JENSEN, mode="per-lambda", lam=[0.5]),
+     "jensen.lam"),
+    ("sweep", dict(PINNED_JENSEN, grid="many"), "sweep.grid"),
+    ("falsify", {"target": "amgm", "samples": 10, "seed": 1,
+                 "witness_cap": [8]}, "falsify.witness_cap"),
+    ("falsify", {"target": "amgm", "samples": [10], "seed": 1},
+     "falsify.samples"),
+    ("falsify", {"target": "amgm", "samples": 10, "seed": 1.5},
+     "falsify.seed"),
+    ("replay", {"index": [0]}, "replay.index"),
+])
+def test_wrongly_typed_value_is_an_error(tmp_path, capsys, command, config,
+                                         key):
+    if command == "replay":
+        config = dict(config, report=_write(
+            tmp_path, "report.json", {"result": {"witnesses": []}}))
+    cfg = _write(tmp_path, "c.json", config)
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+
+
+def test_certify_grid_past_the_cap_is_an_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", dict(CERT_CONFIG, grid=[2049, 2049]))
+    assert main(["certify", "--config", cfg]) == 1
+    assert "above the cap" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
 # falsify / replay
 # ---------------------------------------------------------------------------
 

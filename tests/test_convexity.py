@@ -1,6 +1,7 @@
 """Gap certification and the Jensen coefficient."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,10 @@ from hconvexlab import (
     DomainError, Interval, SingularQuotient, interval, make_triple,
     scalar_function,
 )
-from hconvexlab.convexity import VIOLATION_TOLERANCE, certify, gap, jcoeff
+from hconvexlab.convexity import (
+    GRID_CELL_CAP, JCOEFF_SAMPLE_CAP, VIOLATION_TOLERANCE, certify, gap,
+    jcoeff,
+)
 
 NEGLOG = scalar_function("neglog")
 EXPW = scalar_function("exp_weight", alpha=2.0, beta=2.16)
@@ -114,6 +118,22 @@ def test_certify_rejects_silly_grid():
     tr = make_triple("kyfan", 2.0, 2.16)
     with pytest.raises(ValueError):
         certify(tr.f, tr.g, tr.h, 0.45, grid=(1, 64))
+
+
+def test_work_past_its_cap_is_refused_before_allocating():
+    tr = make_triple("kyfan", 2.0, 2.16)
+    tracemalloc.start()
+    try:
+        side = 2 ** 11  # side * (side + 1) is one row past the cell cap
+        with pytest.raises(ValueError, match="cap"):
+            certify(tr.f, tr.g, tr.h, 0.45, grid=(side, side + 1))
+        with pytest.raises(ValueError, match="cap"):
+            jcoeff(EXPW, UNIT_OPEN, JCOEFF_SAMPLE_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert side * (side + 1) == GRID_CELL_CAP + side
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hconvexlab import ConfigError, EmptyRegion, HConvexLabError
+from hconvexlab.convexity import SWEEP_GRID_CAP
 from hconvexlab.falsify import (
     CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES, Campaign,
     PINNED_INSTANCE, TARGETS, WITNESS_CAP, bound_status, confirm,
@@ -37,6 +38,8 @@ def test_campaign_validation():
         Campaign("amgm", 10, -1)
     with pytest.raises(ConfigError):
         Campaign("amgm", 10, 1, margin_kind="sideways")
+    with pytest.raises(ConfigError):
+        Campaign("amgm", 10, 1, witness_cap=-1)
     with pytest.raises(ConfigError):
         Campaign("amgm", 10, 1, region={"nonsense": [0, 1]})
     with pytest.raises(ConfigError):
@@ -505,3 +508,13 @@ def test_lambda_profile_matches_frozen_crossing():
     signs = [margins[t] > 0 for t in lams]
     assert signs[0] and not signs[-1]
     assert sum(1 for a, b in zip(signs, signs[1:]) if a != b) == 1
+
+
+def test_lambda_profile_refuses_a_grid_past_its_cap():
+    f = scalar_function("neglog")
+    h = scalar_function("exp_weight", alpha=2.0, beta=2.16)
+    A = SymmetricMatrix.diagonal(PINNED_INSTANCE["diag"])
+    x = UnitVector(PINNED_INSTANCE["x"])
+    for grid in (0, SWEEP_GRID_CAP + 1):
+        with pytest.raises(ValueError, match="grid"):
+            lambda_profile(f, h, A, x, grid=grid)
