@@ -74,6 +74,20 @@ def parse_numbers(value, context: str) -> list:
     return [parse_number(t, context) for t in value]
 
 
+def parse_text(value, context: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
+def parse_vector(value, context: str) -> UnitVector:
+    """A list of numbers as a UnitVector (normalized if it is not one)."""
+    try:
+        return UnitVector(parse_numbers(value, context))
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
 def parse_function(obj, context: str = "function") -> ScalarFunction:
     """{"family": name, "params": {...}, "domain": {...}?}"""
     if not isinstance(obj, dict):
@@ -207,7 +221,7 @@ def cmd_jensen(args) -> int:
     f = parse_function(cfg["f"], "f")
     h = parse_function(cfg["h"], "h") if cfg.get("h") else None
     A = parse_matrix(cfg["matrix"])
-    x = UnitVector(cfg["x"])
+    x = parse_vector(cfg["x"], "jensen.x")
     lam = None if cfg.get("lam") is None \
         else parse_number(cfg["lam"], "jensen.lam")
     verdict = jensen_verify(f, h, A, x, cfg["mode"], lam=lam)
@@ -264,11 +278,17 @@ def cmd_falsify(args) -> int:
     _require_keys(cfg, ("target", "samples", "seed", "region", "margin_kind",
                         "witness_cap"), "falsify",
                   required=("target", "samples", "seed"))
-    campaign = Campaign(cfg["target"],
+    region = cfg.get("region", {})
+    if not isinstance(region, dict):
+        raise ConfigError(f"falsify.region: expected an object, "
+                          f"got {region!r}")
+    campaign = Campaign(parse_text(cfg["target"], "falsify.target"),
                         parse_integer(cfg["samples"], "falsify.samples"),
                         parse_integer(cfg["seed"], "falsify.seed"),
-                        region=cfg.get("region", {}),
-                        margin_kind=cfg.get("margin_kind", "refined"),
+                        region=region,
+                        margin_kind=parse_text(cfg.get("margin_kind",
+                                                       "refined"),
+                                               "falsify.margin_kind"),
                         witness_cap=parse_integer(cfg.get("witness_cap", 32),
                                                   "falsify.witness_cap"))
     report = run_campaign(campaign)
@@ -291,11 +311,15 @@ def cmd_replay(args) -> int:
     _require_keys(cfg, ("report", "index", "witness"), "replay")
     if cfg.get("witness"):
         original = cfg["witness"]
+        if not isinstance(original, dict):
+            raise ConfigError(f"replay.witness: expected an object, "
+                              f"got {original!r}")
     else:
         if "report" not in cfg:
             raise ConfigError("replay: need 'witness' or 'report' (+index)")
         import json
-        with open(cfg["report"], "r", encoding="utf-8") as fh:
+        with open(parse_text(cfg["report"], "replay.report"), "r",
+                  encoding="utf-8") as fh:
             rep = json.load(fh)
         witnesses = rep.get("result", rep).get("witnesses", [])
         idx = parse_integer(cfg.get("index", 0), "replay.index")
@@ -325,7 +349,7 @@ def cmd_sweep(args) -> int:
     f = parse_function(cfg["f"], "f")
     h = parse_function(cfg["h"], "h")
     A = parse_matrix(cfg["matrix"])
-    x = UnitVector(cfg["x"])
+    x = parse_vector(cfg["x"], "sweep.x")
     grid = parse_integer(cfg.get("grid", 257), "sweep.grid")
     profile = lambda_profile(f, h, A, x, grid=grid)
     resolved = {"f": f.to_json(), "h": h.to_json(),

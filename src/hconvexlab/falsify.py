@@ -25,6 +25,24 @@ draw with smaller actual spread stays feasible); the post-hoc flags remain
 the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
+Block evaluation: drawing stays scalar, one stream per sample, but a
+campaign draws BLOCK_SIZE samples and then evaluates them at once.  The
+double margin function of an operator or chain target is an array kernel
+over such a block (rows grouped by sample size or matrix dimension, so
+nothing is padded); best-possible and certificates evaluate its rows one
+at a time.  Either returns a Block: margins and acceptance as arrays,
+with a row's flags and extras dicts built only when asked for, which the
+run loop does for candidates and the arg-min alone.  The kernels keep the
+bits of the scalar arithmetic: each numpy operation matches its
+Python-float counterpart element by element, math's log and exp are
+mapped over columns, Python's ** runs on object arrays, and a row the
+arrays cannot take (dense matrix, unusual value, an operation that raises
+in Python) is evaluated on its own by the scalar code, which raises what
+it raised.  evaluate_instance is the kernel on a block of one.  A sample
+whose first draw raises, fails to evaluate or is infeasible is replayed
+from its stream by the per-sample retry loop, which counts all of its
+draws; any other sample counts one.
+
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
   per-lambda        (h(lam)/lam) <f(A)x,x>  vs  f(<Ax,x>)
@@ -48,12 +66,14 @@ doubles, and confirm runs the same terms at 60 digits.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import time
-from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -62,22 +82,32 @@ from numpy.random import Generator, Philox
 
 from .convexity import SWEEP_GRID_CAP, JensenCoefficient, certify
 from .errors import ConfigError, EmptyRegion, HConvexLabError
-from .funclib import (
-    TRIPLE_NAMES, TRIPLES, gate_interval, make_triple, scalar_function,
-    triple_beta_range,
+# gate_interval, like the chain functions, is imported for the benchmark's
+# trace points (perfbench/jobs.py SPAN_POINTS), which look it up here
+from .funclib import (  # noqa: F401
+    TRIPLE_NAMES, TRIPLES, ScalarFunction, check_triple, core_array,
+    gate_interval, make_triple, scalar_function, triple_beta_range,
 )
 from .highprec import (
     DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
 )
-from .opcalc import SymmetricMatrix, UnitVector, jensen_verify, spectrum_in
+from .opcalc import (
+    DIM_CAP, SymmetricMatrix, UnitVector, clamped_spectrum, diagonal_rows,
+    jensen_factor, jensen_verify, unit_rows, within_slack,
+)
 from .refined import (
-    CHAINS, WeightedSample, _overall, amgm_chain, chrystal_chain, hm_chain,
-    kyfan_chain,
+    CHAINS, N_CAP, WeightedSample, _overall, amgm_chain, chrystal_chain,
+    flag_rows, hm_chain, kyfan_chain, sample_checks,
 )
 
 CANDIDATE_THRESHOLD = -1e-10
 CONFIRM_THRESHOLD = -1e-6
 RETRY_CAP = 512
+# samples drawn, then evaluated by the target's kernel at once; one block
+# of instances and their arrays is held at a time
+BLOCK_SIZE = 256
+# the largest campaign: its report, candidates and wall time stay bounded
+SAMPLES_CAP = 2 ** 20
 WITNESS_CAP = 32
 THREADS_ENV = "HCONVEXLAB_THREADS"
 
@@ -128,8 +158,9 @@ class Campaign:
         if self.target not in RULES:
             raise ConfigError(f"unknown target {self.target!r}; "
                               f"expected one of {TARGETS}")
-        if not 1 <= int(self.samples):
-            raise ConfigError("samples must be a positive count")
+        if not 1 <= int(self.samples) <= SAMPLES_CAP:
+            raise ConfigError(f"samples must be a count from 1 to "
+                              f"{SAMPLES_CAP}, got {self.samples!r}")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if self.margin_kind not in ("refined", "outer"):
@@ -218,11 +249,11 @@ class _Streams:
     def __init__(self, seed: int):
         self._bits = Philox(key=seed)
         self._state = self._bits.state  # counter 0, buffer empty
+        self._counter = self._state["state"]["counter"]
         self._generator = Generator(self._bits)
 
     def at(self, index: int) -> Generator:
-        self._state["state"]["counter"] = np.array([0, 0, index, 0],
-                                                   dtype=np.uint64)
+        self._counter[2] = index  # the setter copies the state
         self._bits.state = self._state
         return self._generator
 
@@ -232,19 +263,28 @@ class _Streams:
 # ---------------------------------------------------------------------------
 
 def _log_uniform(rng: Generator, lo: float, hi: float) -> float:
-    return float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
 
-def _weights(rng: Generator, n: int):
-    return [float(t) for t in rng.dirichlet(np.ones(n))]
+def _weights(rng: Generator, n: int) -> list:
+    """rng.dirichlet(np.ones(n)) as a list, bit for bit, leaving the stream
+    where dirichlet leaves it: numpy draws one standard exponential per
+    entry (a gamma of shape 1), sums them left to right from 0.0 and scales
+    each by the reciprocal of the sum."""
+    e = rng.standard_exponential(n).tolist()
+    acc = 0.0
+    for t in e:
+        acc += t
+    inv = 1.0 / acc
+    return [t * inv for t in e]
 
 
-def _unit_vector(rng: Generator, dim: int):
+def _unit_vector(rng: Generator, dim: int) -> list:
     while True:
         x = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
         if norm > 1e-6:
-            return [float(t) for t in x / norm]
+            return (x / norm).tolist()
 
 
 def _draw_mean_chain(rng: Generator, target: str, region: dict):
@@ -254,9 +294,8 @@ def _draw_mean_chain(rng: Generator, target: str, region: dict):
     n = int(rng.integers(region["n"][0], region["n"][1] + 1))
     gv = TRIPLES[RULES[target].chain].gate_value(v, alpha)
     lo = min(max(gv, 5e-324), v)
-    a = [float(t) for t in rng.uniform(lo, v, n)]
     return {"target": target, "alpha": alpha, "v": v, "n": n,
-            "a": a, "q": _weights(rng, n)}, None
+            "a": rng.uniform(lo, v, n).tolist(), "q": _weights(rng, n)}, None
 
 
 def _draw_chrystal(rng: Generator, target: str, region: dict):
@@ -270,11 +309,9 @@ def _draw_chrystal(rng: Generator, target: str, region: dict):
         / math.log1p(math.exp(v))
     delta = _log_uniform(rng, 1e-6, max(cap, 2e-6))
     base = delta / (0.5 * v)
-    vals = rng.uniform(base, base + delta, 2 * n)
+    vals = rng.uniform(base, base + delta, 2 * n).tolist()
     return {"target": target, "alpha": alpha, "v": v, "n": n,
-            "a": [float(t) for t in vals[:n]],
-            "b": [float(t) for t in vals[n:]],
-            "q": _weights(rng, n)}, None
+            "a": vals[:n], "b": vals[n:], "q": _weights(rng, n)}, None
 
 
 def _draw_holder_mccarthy(rng: Generator, target: str, region: dict):
@@ -284,9 +321,9 @@ def _draw_holder_mccarthy(rng: Generator, target: str, region: dict):
     dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
     gtarget = _log_uniform(rng, 1e-6, alpha)
     lo = max(v * (gtarget / alpha) ** (1.0 / p), v - gtarget)
-    eigs = [float(t) for t in rng.uniform(min(lo, v), v, dim)]
     return {"target": target, "alpha": alpha, "v": v, "p": p, "dim": dim,
-            "diag": eigs, "x": _unit_vector(rng, dim)}, None
+            "diag": rng.uniform(min(lo, v), v, dim).tolist(),
+            "x": _unit_vector(rng, dim)}, None
 
 
 def _draw_triple_params(rng: Generator, region: dict):
@@ -298,19 +335,18 @@ def _draw_triple_params(rng: Generator, region: dict):
 
 
 def _draw_operator(rng: Generator, target: str, region: dict):
-    """The setup is (triple, gate interval)."""
+    """The setup is the (lo, hi) of the closed gate interval [g(v), v]
+    that holds the spectrum."""
     alpha, beta, v_hi = _draw_triple_params(rng, region)
     v = _log_uniform(rng, region["v"][0], v_hi)
     dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
-    t = _operator_triple(region["triple"], alpha, beta)
-    gi = gate_interval(t.g, v, t.f.domain)
-    eigs = [float(u) for u in rng.uniform(gi.interval.lo, gi.interval.hi, dim)]
+    gate = _operator_gate(region["triple"], alpha, beta, v)
     inst = {"target": target, "triple": region["triple"], "alpha": alpha,
-            "beta": beta, "v": v, "diag": eigs, "x": _unit_vector(rng, dim),
-            "weight": region["weight"]}
+            "beta": beta, "v": v, "diag": rng.uniform(*gate, dim).tolist(),
+            "x": _unit_vector(rng, dim), "weight": region["weight"]}
     if "lam" in region:
         inst["lam"] = float(rng.uniform(*region["lam"]))
-    return inst, (t, gi)
+    return inst, gate
 
 
 def _draw_best_possible(rng: Generator, target: str, region: dict):
@@ -340,9 +376,175 @@ def draw_instance(rng: Generator, target: str, region: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Per-target margin functions: doubles, or with hp the same terms at 60
-# digits; shared by campaigns, replay and confirm
+# Per-target margin functions.  In doubles each is an array kernel over a
+# block of instances; with hp it gives the same terms at 60 digits, one
+# instance at a time.  Campaigns, replay and confirm all run them.
 # ---------------------------------------------------------------------------
+
+# what a draw or an evaluation may raise for an instance that is data
+_REJECTED = (ValueError, ArithmeticError, HConvexLabError)
+
+
+class Block:
+    """The double evaluation of a block of instances of one target.
+
+    ``margin`` and ``accepted`` (evaluated, and feasible) are arrays over
+    the rows.  ``row(k)`` is what evaluate_instance returns for row k: the
+    flags and extras dicts are built only then, and it raises what
+    evaluating the row raised.  A kernel fills rows from arrays (``fill``)
+    or evaluates odd rows one at a time (``run``).
+    """
+
+    def __init__(self, size: int, extras: Callable | None = None):
+        self.margin = np.full(size, math.nan)
+        self.accepted = np.zeros(size, dtype=bool)
+        self.flags = {}  # flag name -> bool array over the rows
+        self.columns = {}  # what ``extras(columns, k)`` reads
+        self._extras = extras
+        self._single = {}  # row -> (margin, flags, extras) or exception
+
+    @classmethod
+    def single(cls, insts: list, evaluate: Callable,
+               feasible: Callable | None = None) -> "Block":
+        """Every row by ``evaluate(inst)``, one at a time."""
+        block = cls(len(insts))
+        for k, inst in enumerate(insts):
+            block.run(k, lambda: evaluate(inst), feasible)
+        return block
+
+    def fill(self, ks, margin, flags: dict, accepted, **columns) -> None:
+        """Rows ks (an index array) from arrays over those rows."""
+        size = self.margin.size
+        self.margin[ks] = margin
+        self.accepted[ks] = accepted
+        for name, col in flags.items():
+            self.flags.setdefault(name, np.zeros(size, dtype=bool))[ks] = col
+        for name, col in columns.items():
+            self.columns.setdefault(name, np.full(size, math.nan))[ks] = col
+
+    def run(self, k: int, evaluate: Callable,
+            feasible: Callable | None = None) -> None:
+        """Row k by ``evaluate()``, which returns (margin, flags, extras);
+        with ``feasible`` (flags -> bool) the row also enters the arrays."""
+        try:
+            result = self._single[k] = evaluate()
+        except _REJECTED as exc:
+            self._single[k] = exc
+            return
+        if feasible is not None:
+            # a complex margin (best-possible at lam < 0) stays out of the
+            # float array; row(k) still returns it
+            if isinstance(result[0], float):
+                self.margin[k] = result[0]
+            self.accepted[k] = feasible(result[1])
+
+    def row(self, k: int):
+        if k in self._single:
+            result = self._single[k]
+            if isinstance(result, BaseException):
+                raise result
+            return result
+        return (float(self.margin[k]),
+                {name: bool(col[k]) for name, col in self.flags.items()},
+                self._extras(self.columns, k))
+
+
+class _ElementwiseMath:
+    """math.log and math.exp mapped over a column.  Chain terms run on
+    columns with these keep the bits of their scalar evaluation, where
+    numpy's log and exp can differ from math's in the last place; they
+    raise where math raises."""
+
+    @staticmethod
+    def log(x: np.ndarray) -> np.ndarray:
+        return np.array(list(map(math.log, x.tolist())))
+
+    @staticmethod
+    def exp(x: np.ndarray) -> np.ndarray:
+        return np.array(list(map(math.exp, x.tolist())))
+
+
+# raise where the scalar arithmetic raises (x/0, 0/0, and inf - inf, which
+# the rows evaluated one at a time then give as Python does); over- and
+# underflow give inf and 0 in both
+_AS_PYTHON = {"divide": "raise", "invalid": "raise", "over": "ignore",
+              "under": "ignore"}
+
+
+def _plain(x) -> bool:
+    """A number whose float array entry holds it exactly."""
+    return type(x) is float or (type(x) is int and abs(x) <= 2 ** 53)
+
+
+def _groups(insts: list, lists: tuple, numbers: tuple, cap: int, key):
+    """({(key(inst), n): row indices}, rows to evaluate one at a time).
+
+    A row goes to an array group when its ``lists`` are lists of one length
+    n in [1, cap], its ``numbers`` are plain and ``key(inst)`` (which
+    splits the groups further) is not None.
+    """
+    fetch = operator.itemgetter(*lists, *numbers)
+    usual = (list,) * len(lists) + (float,) * len(numbers)
+    m = len(lists)
+    groups, single = {}, []
+    for k, inst in enumerate(insts):
+        try:
+            values = fetch(inst)
+        except KeyError:
+            single.append(k)
+            continue
+        group = key(inst)
+        if group is not None and (tuple(map(type, values)) == usual or (
+                all([type(t) is list for t in values[:m]])
+                and all([_plain(t) for t in values[m:]]))):
+            lengths = set(map(len, values[:m]))
+            n = lengths.pop()
+            if not lengths and 1 <= n <= cap:
+                groups.setdefault((group, n), []).append(k)
+                continue
+        single.append(k)
+    return groups, single
+
+
+def _array(rows: list, name: str) -> np.ndarray | None:
+    """The float matrix of the rows' ``name`` lists; None where they do
+    not all convert."""
+    try:
+        out = np.array([row[name] for row in rows], dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return out if out.ndim == 2 else None
+
+
+def _column(rows: list, name: str) -> np.ndarray:
+    return np.array([row[name] for row in rows], dtype=float)
+
+
+def _spectral_rows(rows: list):
+    """(ok, eigenvalues D, unit vectors X) of rows with diagonal operators,
+    as SymmetricMatrix.diagonal and UnitVector build them; ok is False on
+    a row they refuse (D and X are None if a list does not convert)."""
+    d, x = _array(rows, "diag"), _array(rows, "x")
+    if d is None or x is None:
+        return np.zeros(len(rows), dtype=bool), None, None
+    finite, d = diagonal_rows(d)
+    with np.errstate(all="ignore"):
+        norm = np.sqrt(_dots(x, x))  # np.linalg.norm of each row
+    unit, _, x = unit_rows(x, norm)
+    return finite & unit, d, x
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x_k . y_k by the BLAS dot of each pair, so each equals
+    float(x_k @ y_k); x @ diag(d) @ x is _dots(x * d, x)."""
+    return np.matmul(x[:, None, :], y[:, :, None]).ravel()
+
+
+def _clamp_rows(t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """min(max(t, lo), hi) of each row, as Python's min and max pick."""
+    t = np.where(lo > t, lo, t)
+    return np.where(hi < t, hi, t)
+
 
 def _sample(data) -> WeightedSample:
     return WeightedSample(tuple(data["a"]), tuple(data["q"]),
@@ -358,17 +560,12 @@ def _matrix(data) -> SymmetricMatrix:
 
 
 def chain_report(inst: dict):
-    """The ChainReport of a chain target's instance."""
+    """The ChainReport of a chain target's instance, evaluated on its own."""
     return RULES[inst["target"]].report(inst, inst["alpha"], inst["v"],
                                         inst.get("p"))
 
 
-def _evaluate_chain(inst: dict, margin_kind: str, setup, hp=False):
-    if hp:
-        chain = RULES[inst["target"]].chain
-        m1, m2 = hp_chain_margins(chain, inst, _matrix(inst).entries
-                                  if CHAINS[chain].spectral else None)
-        return (m1 + m2) if margin_kind == "outer" else min(m1, m2), None, {}
+def _chain_row(inst: dict, margin_kind: str):
     rep = chain_report(inst)
     margin = (rep.chain[2] - rep.chain[0]) if margin_kind == "outer" \
         else min(rep.margins)
@@ -377,98 +574,340 @@ def _evaluate_chain(inst: dict, margin_kind: str, setup, hp=False):
         "gamma": rep.gamma, "beta": rep.beta, "feasible": rep.feasible}
 
 
-def _operator_triple(name: str, alpha: float, beta: float):
-    return make_triple(name, alpha, beta,
-                       p=2.0 if TRIPLES[name].needs_p else None)
+def _chain_extras(c: dict, k: int) -> dict:
+    return {"chain": [float(c["lhs"][k]), float(c["mid"][k]),
+                      float(c["rhs"][k])],
+            "margins": [float(c["m1"][k]), float(c["m2"][k])],
+            "gamma": float(c["gamma"][k]), "beta": float(c["beta"][k]),
+            "feasible": bool(c["feasible"][k])}
 
 
-def _operator_parts(inst: dict, triple=None):
-    """(triple, h, A, x); the triple is rebuilt unless the draw's is given."""
-    triple = triple or _operator_triple(inst["triple"], inst["alpha"],
-                                        inst["beta"])
+def _evaluate_chain(insts: list, margin_kind: str, setups, hp=False):
+    name = RULES[insts[0]["target"]].chain
+    chain = CHAINS[name]
+    if hp:
+        def hp_margin(inst):
+            m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
+                                      if chain.spectral else None)
+            return (m1 + m2) if margin_kind == "outer" else min(m1, m2), \
+                None, {}
+        return Block.single(insts, hp_margin)
+    feasible = RULES[insts[0]["target"]].feasible
+    block = Block(len(insts), _chain_extras)
+    if chain.spectral:  # a diagonal operator's spectrum and p
+        groups, single = _groups(insts, ("diag", "x"), ("alpha", "v", "p"),
+                                 DIM_CAP, lambda inst: None
+                                 if "matrix" in inst else ())
+    else:
+        keys = ("a", "b", "q") if chain.paired else ("a", "q")
+        groups, single = _groups(insts, keys, ("alpha", "v"), N_CAP,
+                                 lambda inst: None if not chain.paired
+                                 and inst.get("b") else ())
+    for ks in groups.values():
+        single += _chain_group(name, insts, np.array(ks), margin_kind, block)
+    for k in single:
+        block.run(k, lambda: _chain_row(insts[k], margin_kind), feasible)
+    return block
+
+
+def _chain_group(name: str, insts: list, ks: np.ndarray, margin_kind: str,
+                 block: Block) -> list:
+    """Fill the rows ks (one n) of the block from arrays, as chain_report
+    evaluates each; return the rows to evaluate one at a time."""
+    chain = CHAINS[name]
+    rows = [insts[k] for k in ks]
+    c = {"alpha": _column(rows, "alpha"), "v": _column(rows, "v")}
+    with np.errstate(all="ignore"):
+        if chain.spectral:  # hm_chain on diag(values) and x, f(A) = A^p
+            ok, values, c["x"] = _spectral_rows(rows)
+            if values is None:
+                return ks.tolist()
+            c["p"] = _column(rows, "p")
+            # row by row: numpy takes other paths for a scalar exponent
+            # (2.0 squares) than for an array of exponents
+            c["fd"] = np.array([np.power(t, e) for t, e in
+                                zip(values, c["p"].tolist())]) + 0.0
+            ok &= (c["p"] > 1.0) & (values > 0.0).all(1) \
+                & np.isfinite(c["fd"]).all(1)
+        else:  # _sample_chain on the WeightedSample of a, q (and b)
+            for key in ("a", "b", "q") if chain.paired else ("a", "q"):
+                c[key] = _array(rows, key)
+                if c[key] is None:
+                    return ks.tolist()
+            values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
+            ok = sample_checks(values, c["q"])[-1]
+        c["lo"], c["hi"] = values.min(1), values.max(1)
+        if not chain.spectral:
+            ok &= chain.domain.contains_array(c["lo"]) \
+                & chain.domain.contains_array(c["hi"])
+        c["values"] = values
+    single = ks[~ok].tolist()
+    if not ok.any():
+        return single
+    if not ok.all():
+        ks, c = ks[ok], {key: t[ok] for key, t in c.items()}
+    alpha, g = c["alpha"], c["hi"] - c["lo"]
+    try:
+        with np.errstate(**_AS_PYTHON):
+            if chain.spectral:
+                x = c["x"]
+                qf = _clamp_rows(_dots(x * c["values"], x), c["lo"], c["hi"])
+                # Python floats, so that hm_terms' qf ** p is Python's pow
+                lhs, mid, rhs = chain.terms(
+                    np.array(qf.tolist(), dtype=object), _dots(x * c["fd"], x),
+                    np.array(c["p"].tolist(), dtype=object), alpha, g)
+                lhs = lhs.astype(float)
+            else:
+                inputs, _ = chain.inputs(
+                    list(c["a"].T), list(c["b"].T) if chain.paired else None,
+                    list(c["q"].T))
+                lhs, mid, rhs = chain.terms(*inputs, alpha, g,
+                                            ops=_ElementwiseMath)
+        flags = flag_rows(name, c["lo"], c["hi"], g, alpha, c["v"],
+                          c.get("p"), (c["a"], c["b"]) if chain.paired
+                          else None)
+    except (ValueError, ArithmeticError):
+        return single + ks.tolist()
+    with np.errstate(all="ignore"):
+        m1, m2 = mid - lhs, rhs - mid
+        margin = rhs - lhs if margin_kind == "outer" \
+            else np.where(m2 < m1, m2, m1)
+        beta = alpha + g
+    fine = np.logical_and.reduce([t for key, t in flags.items()
+                                  if key not in chain.advisory])
+    block.fill(ks, margin, flags, fine, lhs=lhs, mid=mid, rhs=rhs, m1=m1,
+               m2=m2, gamma=g, beta=beta, feasible=fine)
+    return single
+
+
+@functools.lru_cache(maxsize=None)
+def _operator_f(name: str) -> ScalarFunction:
+    """f of the operator triple: it depends on the triple alone."""
+    rule = TRIPLES[name]
+    return ScalarFunction(rule.target, {"p": 2.0} if rule.needs_p else {})
+
+
+def _operator_p(name: str) -> float | None:
+    return 2.0 if TRIPLES[name].needs_p else None
+
+
+def _operator_gate(name: str, alpha: float, beta: float, v: float,
+                   check: bool = True):
+    """(lo, hi) of the closed gate interval [g(v), v] of the operator
+    triple at (alpha, beta); with ``check``, ValueError where make_triple
+    would refuse them."""
+    p = _operator_p(name)
+    rule = check_triple(name, alpha, beta, p) if check else TRIPLES[name]
+    return rule.gate_bounds(v, alpha, beta, p)
+
+
+def _operator_functions(inst: dict, check: bool = True):
+    """(f, h) of the instance's operator triple without building it; with
+    ``check``, ValueError where make_triple would refuse its parameters."""
+    name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
+    if check:
+        check_triple(name, alpha, beta, _operator_p(name))
     h = scalar_function("identity_weight") \
-        if inst.get("weight") == "identity_weight" else triple.h
-    return triple, h, _matrix(inst), UnitVector(inst["x"])
+        if inst.get("weight") == "identity_weight" \
+        else ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
+    return _operator_f(name), h
 
 
-def _operator_flags(inst: dict, triple, A, gi=None) -> dict:
-    if gi is None:
-        gi = gate_interval(triple.g, inst["v"], triple.f.domain)
-    inside, _ = spectrum_in(A, gi.interval)
-    rule, alpha = TRIPLES[inst["triple"]], inst["alpha"]
+def _operator_flag_rows(name: str, alpha, beta, v, eigs,
+                        gates: list) -> dict:
+    """The operator hypothesis flags of rows, as bool arrays: alpha, beta,
+    the anchor, and each row's eigenvalues ``eigs`` inside its closed gate
+    interval (lo, hi), as opcalc.spectrum_in decides it."""
+    rule = TRIPLES[name]
+    lo, hi = np.array(gates).T
     return {
         "alpha_in_range": alpha > rule.alpha_floor,
-        "beta_in_range": alpha <= inst["beta"]
-                         <= alpha + rule.gamma_max(alpha) + 1e-12,
-        "anchor_in_range": rule.anchors.contains(inst["v"]),
-        "spectrum_in_gate": inside,
+        "beta_in_range": (alpha <= beta)
+                         & (beta <= alpha + rule.gamma_max(alpha) + 1e-12),
+        "anchor_in_range": rule.anchors.contains_array(v),
+        "spectrum_in_gate": within_slack(eigs, lo[:, None],
+                                         hi[:, None]).all(1),
     }
 
 
-def _evaluate_operator(inst: dict, margin_kind: str, setup, hp=False):
-    triple, gi = setup or (None, None)
-    triple, h, A, x = _operator_parts(inst, triple)
+def _operator_row(inst: dict, gate=None):
+    """One operator instance through jensen_verify (dense matrices and the
+    rows the arrays leave out); ``gate`` is the draw's gate bounds."""
+    f, h = _operator_functions(inst, check=gate is None)
+    A, x = _matrix(inst), UnitVector(inst["x"])
     mode = RULES[inst["target"]].mode
-    if hp:
-        return hp_jensen_margin(triple.f, h, A.entries, x.components, mode,
-                                lam=inst.get("lam")), None, {}
     # the closed form is the infimum's boundary limit (t -> 1 or t -> 0)
     coeff = JensenCoefficient(closed_form_jcoeff(h), None, True) \
         if mode == "infimum" else None
-    verdict = jensen_verify(triple.f, h, A, x, mode,
+    verdict = jensen_verify(f, h, A, x, mode,
                             lam=inst.get("lam"), coefficient=coeff)
-    flags = _operator_flags(inst, triple, A, gi)
-    return verdict.margin, flags, {
+    name = inst["triple"]
+    if gate is None:
+        gate = _operator_gate(name, inst["alpha"], inst["beta"], inst["v"],
+                              check=False)
+    flags = _operator_flag_rows(name, *(np.array([inst[k]]) for k in
+                                        ("alpha", "beta", "v")),
+                                A.decomposition().eigenvalues[None, :],
+                                [gate])
+    return verdict.margin, {k: bool(t[0]) for k, t in flags.items()}, {
         "lhs": verdict.lhs, "rhs": verdict.rhs,
         "rhs_factor": verdict.rhs_factor,
         "expectation": verdict.expectation}
 
 
-def _evaluate_best_possible(inst: dict, margin_kind: str, setup, hp=False):
-    ops, num = (mp, mp.mpf) if hp else (math, float)
-    with mp.workdps(DPS) if hp else nullcontext():
-        a, beta, lam = (num(inst[k]) for k in ("a", "beta", "lam"))
-        lhs, factor = ops.exp(-a / 2), lam ** (beta - 1)
-        reduced, full = ops.exp(-a) / 2, (1 + ops.exp(-a)) / 2
-        margin, full_margin = factor * reduced - lhs, factor * full - lhs
+def _operator_extras(c: dict, k: int) -> dict:
+    return {key: float(c[key][k])
+            for key in ("lhs", "rhs", "rhs_factor", "expectation")}
+
+
+def _operator_key(inst: dict):
+    """The array group of an operator row (its triple and whether h is the
+    identity), or None for a row evaluated on its own."""
+    name = inst.get("triple")
+    if "matrix" in inst or type(name) is not str or name not in TRIPLES:
+        return None
+    return name, inst.get("weight") == "identity_weight"
+
+
+def _evaluate_operator(insts: list, margin_kind: str, setups, hp=False):
+    mode = RULES[insts[0]["target"]].mode
     if hp:
-        return margin, None, {
-            "functional_calculus_margin_confirmed": digits(full_margin)}
+        def hp_margin(inst):
+            f, h = _operator_functions(inst)
+            A, x = _matrix(inst), UnitVector(inst["x"])
+            return hp_jensen_margin(f, h, A.entries, x.components, mode,
+                                    lam=inst.get("lam")), None, {}
+        return Block.single(insts, hp_margin)
+    feasible = RULES[insts[0]["target"]].feasible
+    block = Block(len(insts), _operator_extras)
+    numbers = ("alpha", "beta", "v") + (("lam",) if mode == "per-lambda"
+                                        else ())
+    groups, single = _groups(insts, ("diag", "x"), numbers, DIM_CAP,
+                             _operator_key)
+    for (key, _), ks in groups.items():
+        single += _operator_group(key, insts, setups, np.array(ks), mode,
+                                  block)
+    for k in single:
+        block.run(k, lambda: _operator_row(insts[k], setups[k]), feasible)
+    return block
+
+
+def _operator_group(key: tuple, insts: list, setups: list, ks: np.ndarray,
+                    mode: str, block: Block) -> list:
+    """Fill the rows ks (one triple, weight and dim) of the block from
+    arrays, as jensen_verify evaluates each; return the rows to evaluate
+    one at a time."""
+    name, identity = key
+    f = _operator_f(name)
+    rows = [insts[k] for k in ks]
+    alpha, beta, v = (_column(rows, k) for k in ("alpha", "beta", "v"))
+    lam = _column(rows, "lam") if mode == "per-lambda" else None
+    ok, d, x = _spectral_rows(rows)
+    if d is None:
+        return ks.tolist()
+    gates = []
+    for j, k in enumerate(ks.tolist()):
+        gates.append(setups[k])
+        if setups[k] is None:
+            try:
+                gates[j] = _operator_gate(name, rows[j]["alpha"],
+                                          rows[j]["beta"], rows[j]["v"])
+            except _REJECTED:
+                ok[j] = False
+    if lam is not None:
+        ok &= (0.0 < lam) & (lam < 1.0)
+    low, high = d.min(1), d.max(1)
+    with np.errstate(all="ignore"):
+        eigs, inside = clamped_spectrum(f, d)
+        fd = core_array(f.family, f.params, eigs) + 0.0  # f(A)'s diagonal
+        qf, qf_inside = clamped_spectrum(
+            f, _clamp_rows(_dots(x * d, x), low, high))
+        ok &= inside.all(1) & qf_inside & np.isfinite(fd).all(1)
+        single = ks[~ok].tolist()
+        if not ok.all():
+            ks, alpha, beta, v, d, x, fd, qf = (
+                t[ok] for t in (ks, alpha, beta, v, d, x, fd, qf))
+            lam = None if lam is None else lam[ok]
+            gates = [g for g, keep in zip(gates, ok.tolist()) if keep]
+        if not ks.size:
+            return single
+        h = SimpleNamespace(
+            family="identity_weight" if identity else "exp_weight",
+            params={"alpha": alpha, "beta": beta})
+        factor = jensen_factor(
+            mode, h, lam, lambda h, t: core_array(h.family, h.params, t),
+            np.asarray, lambda: closed_form_jcoeff(h, np.asarray))
+        expectation = _dots(x * fd, x)
+        lhs = core_array(f.family, f.params, qf)
+        rhs = factor * expectation
+        flags = _operator_flag_rows(name, alpha, beta, v, d, gates)
+        fine = np.logical_and.reduce(list(flags.values()))
+        block.fill(ks, rhs - lhs, flags, fine, lhs=lhs, rhs=rhs,
+                   rhs_factor=np.broadcast_to(factor, rhs.shape),
+                   expectation=expectation)
+    return single
+
+
+def _best_possible_terms(a, beta, lam, ops):
+    """(lhs, factor, reduced, full) of the diag(0, a) construction: f(a)/2
+    is the reduced expectation, (f(0) + f(a))/2 the full one."""
+    return (ops.exp(-a / 2), lam ** (beta - 1), ops.exp(-a) / 2,
+            (1 + ops.exp(-a)) / 2)
+
+
+def _best_possible_row(inst: dict):
+    a, beta, lam = (float(inst[k]) for k in ("a", "beta", "lam"))
+    lhs, factor, reduced, full = _best_possible_terms(a, beta, lam, math)
     flags = {"lambda_in_range": 0.5 < lam < 1.0,
              "exponent_in_range": 0.0 < beta < 1.0,
              "scale_in_range": a > 0.0,
              "factor_decreasing": True}
-    return margin, flags, {
-        "lhs": lhs, "rhs_factor": factor,
-        "reduced_expectation": reduced,
-        "functional_calculus_margin": full_margin}
+    return factor * reduced - lhs, flags, {
+        "lhs": lhs, "rhs_factor": factor, "reduced_expectation": reduced,
+        "functional_calculus_margin": factor * full - lhs}
 
 
-def _evaluate_certificates(inst: dict, margin_kind: str, setup, hp=False):
-    triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
-                         p=inst.get("p"))
-    cert = certify(triple.f, triple.g, triple.h, inst["v"],
-                   grid=tuple(inst["grid"]))
-    if hp:  # min_value is already the 60-digit gap at the arg-min
-        return cert.min_value, None, {}
-    flags = {"params_in_range": True, "gate_feasible": True}
-    return cert.min_value, flags, {
-        "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
-        "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
+def _evaluate_best_possible(insts: list, margin_kind: str, setups, hp=False):
+    """Rows one at a time: each is a few scalar operations."""
+    if hp:
+        def hp_margin(inst):
+            with mp.workdps(DPS):
+                lhs, factor, reduced, full = _best_possible_terms(
+                    *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), mp)
+                margin, full_margin = factor * reduced - lhs, \
+                    factor * full - lhs
+            return margin, None, {
+                "functional_calculus_margin_confirmed": digits(full_margin)}
+        return Block.single(insts, hp_margin)
+    return Block.single(insts, _best_possible_row,
+                        RULES["best-possible"].feasible)
+
+
+def _evaluate_certificates(insts: list, margin_kind: str, setups, hp=False):
+    """Rows one at a time: each is a grid certification already."""
+    def certificate(inst):
+        triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
+                             p=inst.get("p"))
+        cert = certify(triple.f, triple.g, triple.h, inst["v"],
+                       grid=tuple(inst["grid"]))
+        if hp:  # min_value is already the 60-digit gap at the arg-min
+            return cert.min_value, None, {}
+        flags = {"params_in_range": True, "gate_feasible": True}
+        return cert.min_value, flags, {
+            "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
+            "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
+    return Block.single(insts, certificate,
+                        None if hp else RULES["certificates"].feasible)
 
 
 def evaluate_instance(inst: dict, margin_kind: str = "refined"):
     """(margin, flags, extras) for one serialized instance.
 
-    This is the single evaluation path: campaigns, replay, and tests all
-    reach it, so a replayed witness reproduces margin_double bit for bit.
+    This is the target's kernel on a block of one: campaigns, replay and
+    tests all reach the same kernel, so a replayed witness reproduces
+    margin_double bit for bit.
     """
-    return _evaluate(inst, margin_kind, None)
-
-
-def _evaluate(inst: dict, margin_kind: str, setup):
-    """evaluate_instance, reusing the draw's setup when given."""
-    return RULES[inst["target"]].evaluate(inst, margin_kind, setup)
+    return RULES[inst["target"]].evaluate([inst], margin_kind, [None]).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +923,8 @@ def confirm(candidate: dict) -> dict:
     """
     rules = RULES[candidate["inputs"]["target"]]
     hp_margin, _, hp_extras = rules.evaluate(
-        candidate["inputs"], candidate.get("margin_kind", "refined"), None,
-        hp=True)
+        [candidate["inputs"]], candidate.get("margin_kind", "refined"),
+        [None], hp=True).row(0)
     margin_f = float(hp_margin)
     sign_agrees = (margin_f < 0.0) == (candidate["margin_double"] < 0.0)
     out = dict(candidate, extras={**candidate.get("extras", {}), **hp_extras})
@@ -697,8 +1136,10 @@ class TargetRules:
     # (rng, target, region) -> (instance, setup), where setup holds what
     # the draw built that evaluate can reuse, or None
     draw: Callable
-    # (inst, margin_kind, setup, hp=False) -> (margin, flags, extras); hp
-    # gives the 60-digit margin, flags None and the extras confirm adds
+    # (instances, margin_kind, setups, hp=False) -> Block: in doubles an
+    # array kernel over the block (setup None: evaluate from the instance
+    # alone); hp gives each row's 60-digit margin, flags None and the
+    # extras confirm adds
     evaluate: Callable
     bound: Callable | None = None  # candidate -> margin_bound's B or None
     chain: str | None = None  # the refined chain (and funclib triple) name
@@ -760,46 +1201,94 @@ TARGETS = tuple(RULES)
 # ---------------------------------------------------------------------------
 
 def _run_range(campaign_json: dict, start: int, stop: int):
-    """Evaluate sample indices [start, stop); returns chunk aggregates."""
+    """Evaluate sample indices [start, stop); returns chunk aggregates.
+
+    Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
+    each block is evaluated by the target's kernel at once.  A sample whose
+    first draw raises, fails to evaluate or is infeasible is replayed from
+    its stream by _retry, the per-sample loop, which counts all its draws;
+    the others count one draw each.
+    """
     c = Campaign(**campaign_json)
-    feasible = RULES[c.target].feasible
+    evaluate = RULES[c.target].evaluate
+    streams = _Streams(c.seed)
     drawn = rejected = 0
     min_margin = math.inf
     argmin = None
     candidates = []
-    streams = _Streams(c.seed)
-    for i in range(start, stop):
-        rng = streams.at(i)
-        accepted = None
-        for _ in range(RETRY_CAP):
-            drawn += 1
+    for lo in range(start, stop, BLOCK_SIZE):
+        hi = min(lo + BLOCK_SIZE, stop)
+        index, insts, setups = [], [], []
+        for i in range(lo, hi):
             try:
-                inst, setup = _draw(rng, c.target, c.region)
-                margin, flags, extras = _evaluate(inst, c.margin_kind, setup)
-            except (ValueError, ArithmeticError, HConvexLabError):
-                rejected += 1
+                inst, setup = _draw(streams.at(i), c.target, c.region)
+            except _REJECTED:
                 continue
-            if not feasible(flags):
-                rejected += 1
-                continue
-            accepted = (inst, margin, flags, extras)
-            break
-        if accepted is None:
-            raise EmptyRegion(
-                f"{c.target}: no feasible draw after {RETRY_CAP} tries at "
-                f"sample {i}", drawn=drawn, rejected=rejected)
-        inst, margin, flags, extras = accepted
-        if margin < min_margin:
-            min_margin = margin
-            argmin = (i, inst)
-        if margin < CANDIDATE_THRESHOLD:
-            candidates.append({"index": i, "inputs": inst,
+            index.append(i)
+            insts.append(inst)
+            setups.append(setup)
+        block = evaluate(insts, c.margin_kind, setups) if insts else Block(0)
+        kept = np.array(index, dtype=np.int64)[block.accepted]
+        row_of = dict(zip(kept.tolist(),
+                          np.flatnonzero(block.accepted).tolist()))
+        margins = np.full(hi - lo, math.nan)
+        margins[kept - lo] = block.margin[block.accepted]
+        replayed = {}
+        missing = np.ones(hi - lo, dtype=bool)
+        missing[kept - lo] = False
+        for i in (np.flatnonzero(missing) + lo).tolist():
+            tries, found = _retry(streams, c, i)
+            drawn += tries
+            rejected += tries - (found is not None)
+            if found is None:
+                raise EmptyRegion(
+                    f"{c.target}: no feasible draw after {RETRY_CAP} tries "
+                    f"at sample {i}",
+                    drawn=drawn + int(np.searchsorted(kept, i)),
+                    rejected=rejected)
+            replayed[i] = found
+            margins[i - lo] = found[1]
+        drawn += kept.size
+
+        def row(i):
+            """(inst, margin, flags, extras) of sample i; dicts built here."""
+            if i in replayed:
+                return replayed[i]
+            k = row_of[i]
+            return (insts[k], *block.row(k))
+        # NaN margins are never a candidate or the arg-min
+        for j in np.flatnonzero(margins < CANDIDATE_THRESHOLD).tolist():
+            inst, margin, flags, extras = row(lo + j)
+            candidates.append({"index": lo + j, "inputs": inst,
                                "margin_double": margin, "flags": flags,
                                "extras": extras,
                                "margin_kind": c.margin_kind})
+        if not np.isnan(margins).all():
+            j = int(np.nanargmin(margins))  # the first of equal minima
+            if margins[j] < min_margin:
+                min_margin = float(margins[j])
+                argmin = (lo + j, row(lo + j)[0])
     return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
             "argmin": argmin, "candidates": candidates,
             "counted": stop - start}
+
+
+def _retry(streams: _Streams, c: Campaign, i: int):
+    """The per-sample loop: (draws made, (inst, margin, flags, extras) of
+    sample i's first feasible draw), or (RETRY_CAP, None) when none of
+    RETRY_CAP draws is."""
+    rng = streams.at(i)
+    evaluate = RULES[c.target].evaluate
+    for tries in range(1, RETRY_CAP + 1):
+        try:
+            inst, setup = _draw(rng, c.target, c.region)
+            block = evaluate([inst], c.margin_kind, [setup])
+            result = block.row(0)
+        except _REJECTED:
+            continue
+        if block.accepted[0]:
+            return tries, (inst, *result)
+    return RETRY_CAP, None
 
 
 def _chunks(n: int, workers: int):

@@ -348,8 +348,12 @@ class ScalarFunction:
                 "domain": self.domain.to_json()}
 
     def label(self) -> str:
-        ps = ", ".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
-        return f"{self.family}({ps})"
+        return _label(self.family, self.params)
+
+
+def _label(family: str, params: Mapping[str, float]) -> str:
+    ps = ", ".join(f"{k}={v:g}" for k, v in sorted(params.items()))
+    return f"{family}({ps})"
 
 
 def scalar_function(family: str, domain: Interval | None = None,
@@ -374,7 +378,14 @@ def evaluate_array(fn: ScalarFunction, ts: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"{fn.label()}: {int((~inside).sum())} points outside domain "
             f"{fn.domain}, e.g. {bad}")
-    return np.asarray(_FAMILIES[fn.family].core(fn.params, ts, _NP_OPS), dtype=float)
+    return np.asarray(core_array(fn.family, fn.params, ts), dtype=float)
+
+
+def core_array(family: str, params: Mapping, ts):
+    """A family's closed form in numpy ops with no domain check; params may
+    hold arrays, one value per row of ts.  Each element gets the bits that
+    evaluate gives it."""
+    return _FAMILIES[family].core(params, ts, _NP_OPS)
 
 
 def family_core(name: str):
@@ -419,27 +430,40 @@ def gate_interval(g: ScalarFunction, v: float, ambient: Interval,
     if not ambient.contains(v):
         raise DomainError(f"anchor v={v!r} outside ambient {ambient}")
     gv = evaluate(g, v)
-    if gv > v:
-        raise InfeasibleGate(f"{g.label()}: g(v)={gv!r} exceeds v={v!r}")
+    lo, clamped = _gate_lower_end(gv, v, ambient, clamp_eps, g.label)
     if gv == v:
-        return GateInterval(Interval(v, v), v, gv, degenerate=True, clamped=False)
+        return GateInterval(Interval(v, v), v, gv, degenerate=True,
+                            clamped=False)
+    return GateInterval(Interval(lo, v), v, gv, degenerate=(lo == v),
+                        clamped=clamped)
 
+
+def _gate_lower_end(gv: float, v: float, ambient: Interval, clamp_eps: float,
+                    label: Callable[[], str]):
+    """(lower end, clamped) of gate_interval's closed interval [lo, v] once
+    g(v) is known, raising as gate_interval does (an end that Interval
+    refuses as its ValueError); ``label()`` names g in the errors."""
+    if gv > v:
+        raise InfeasibleGate(f"{label()}: g(v)={gv!r} exceeds v={v!r}")
+    if gv == v:
+        return v, False
     lo = max(gv, ambient.lo)
     lo_open = ambient.lo_open if lo == ambient.lo and gv <= ambient.lo else False
     clamped = False
     if lo_open:
         lo = ambient.lo + clamp_eps
-        lo_open = False
         clamped = True
     if lo > v:
         raise InfeasibleGate(
-            f"{g.label()}: restricted interval empty after intersection "
+            f"{label()}: restricted interval empty after intersection "
             f"(lo={lo!r} > v={v!r})")
-    hi_open = ambient.hi_open and v == ambient.hi
-    if hi_open:
+    if ambient.hi_open and v == ambient.hi:
         raise DomainError(f"anchor v={v!r} sits on the open upper end of {ambient}")
-    return GateInterval(Interval(lo, v), v, gv,
-                        degenerate=(lo == v), clamped=clamped)
+    if math.isnan(lo):
+        raise ValueError("interval endpoints must not be NaN")
+    if math.isinf(lo):
+        raise ValueError("infinite lower endpoint must be open")
+    return lo, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +510,30 @@ class TripleRule:
         # a core reads only the parameters its family names
         return family.core({"alpha": alpha, "beta": beta, "p": p}, v, _MathOps)
 
+    def gate_bounds(self, v: float, alpha: float, beta: float,
+                    p: float | None = None) -> tuple[float, float]:
+        """The ends (lo, v) of the closed interval gate_interval(t.g, v,
+        t.f.domain) of t = make_triple(..., alpha, beta, p), raising as it
+        does, without building t: g(v) comes from the gate family's core in
+        numpy ops, as evaluate computes it.  The parameters are taken as
+        make_triple accepted them (see check_triple)."""
+        family = _FAMILIES[self.gate]
+        ambient = _FAMILIES[self.target].default_domain
+        v = float(v)
+        if not ambient.contains(v):
+            raise DomainError(f"anchor v={v!r} outside ambient {ambient}")
+        params = {k: float(x) for k, x in
+                  (("alpha", alpha), ("beta", beta), ("p", p))
+                  if k in family.param_names}
+
+        def label():
+            return _label(self.gate, params)
+        if not family.default_domain.contains(v):
+            raise DomainError(f"{label()}: point {v!r} outside domain "
+                              f"{family.default_domain}")
+        gv = float(family.core(params, v, _NP_OPS))
+        return _gate_lower_end(gv, v, ambient, 1e-9, label)[0], v
+
 
 TRIPLES = {
     "kyfan": TripleRule(1.0, lambda a: 1.0, "kyfan_gate", "logit",
@@ -509,9 +557,10 @@ def triple_beta_range(name: str, alpha: float) -> tuple[float, float]:
     return alpha, alpha + rule.gamma_max(alpha)
 
 
-def make_triple(name: str, alpha: float, beta: float,
-                p: float | None = None) -> Triple:
-    """Instantiate one of the built-in triples, enforcing its stated ranges."""
+def check_triple(name: str, alpha: float, beta: float,
+                 p: float | None = None) -> TripleRule:
+    """The rule of a built-in triple whose stated ranges hold; ValueError
+    where make_triple would refuse the parameters."""
     rule = TRIPLES.get(name)
     if rule is None:
         raise ValueError(f"unknown triple {name!r}; known: {TRIPLE_NAMES}")
@@ -520,6 +569,13 @@ def make_triple(name: str, alpha: float, beta: float,
         raise ValueError(f"{name}: beta={beta} outside [{blo}, {bhi}]")
     if rule.needs_p and (p is None or not p > 1):
         raise ValueError(f"{name}: requires exponent p > 1")
+    return rule
+
+
+def make_triple(name: str, alpha: float, beta: float,
+                p: float | None = None) -> Triple:
+    """Instantiate one of the built-in triples, enforcing its stated ranges."""
+    rule = check_triple(name, alpha, beta, p)
     # h, g and f each take the parameters their families name
     values = {"alpha": alpha, "beta": beta, "p": p}
     h, g, f = (ScalarFunction(family, {k: values[k]

@@ -91,9 +91,12 @@ class SymmetricMatrix:
         if d.ndim != 1:
             raise ValueError(f"expected a vector of diagonal values, got "
                              f"shape {d.shape}")
-        _check_size_and_values(d)
+        _check_size(d.shape[0])
+        finite, (d,) = diagonal_rows(d[None, :])
+        if not finite[0]:
+            raise ValueError("matrix entries must be finite")
         out = cls.__new__(cls)
-        out._init(np.diag(d + 0.0), diagonal=True)
+        out._init(np.diag(d), diagonal=True)
         return out
 
     @property
@@ -119,12 +122,23 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(dim={self.dim})"
 
 
-def _check_size_and_values(a: np.ndarray) -> None:
-    n = a.shape[0]
+def diagonal_rows(d: np.ndarray):
+    """SymmetricMatrix.diagonal's rule over rows of diagonal values:
+    (finite, rows), finite False on a row with an entry that is not.
+    Adding 0.0 turns a -0.0 value into +0.0, as the dense constructor's
+    mirroring does."""
+    return np.isfinite(d).all(-1), d + 0.0
+
+
+def _check_size(n: int) -> None:
     if n < 1:
         raise ValueError("matrix dimension must be at least 1")
     if n > DIM_CAP:
         raise ValueError(f"dimension {n} exceeds cap {DIM_CAP}")
+
+
+def _check_size_and_values(a: np.ndarray) -> None:
+    _check_size(a.shape[0])
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
 
@@ -153,13 +167,13 @@ class UnitVector:
         if not np.isfinite(x).all():
             raise ValueError("vector components must be finite")
         norm = float(np.linalg.norm(x))
-        if norm == 0.0:
+        ok, renormalized, (x,) = unit_rows(x[None, :], np.array([norm]))
+        if not ok[0]:
             raise ValueError("cannot normalize the zero vector")
-        self.renormalized = abs(norm - 1.0) > 1e-12
+        self.renormalized = bool(renormalized[0])
         if self.renormalized:
             logger.debug("renormalizing input vector (norm deviation %.3e)",
                          norm - 1.0)
-            x = x / norm
         x.flags.writeable = False
         self._x = x
 
@@ -170,6 +184,17 @@ class UnitVector:
     @property
     def components(self) -> np.ndarray:
         return self._x
+
+
+def unit_rows(x: np.ndarray, norm: np.ndarray):
+    """UnitVector's rule over rows of x, given each row's Euclidean norm:
+    (ok, renormalized, rows).  A row is ok when its entries are finite and
+    its norm is nonzero; it is divided by its norm when that lies more
+    than 1e-12 from 1."""
+    renormalized = np.abs(norm - 1.0) > 1e-12
+    with np.errstate(all="ignore"):
+        rows = np.where(renormalized[:, None], x / norm[:, None], x)
+    return np.isfinite(x).all(1) & (norm != 0.0), renormalized, rows
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +360,11 @@ def _diagonal_decomposition(a: np.ndarray) -> SpectralDecomposition:
 # Functional calculus and forms
 # ---------------------------------------------------------------------------
 
-def _clamped_spectrum(f: ScalarFunction, eigs: np.ndarray):
+def clamped_spectrum(f: ScalarFunction, eigs: np.ndarray):
     """Pull eigenvalues within slack of a closed endpoint onto it.
 
-    Returns (clamped eigenvalues, offenders beyond slack).
+    eigs may be one spectrum or an array of them.  Returns (clamped
+    eigenvalues, which of them lie in f's domain).
     """
     dom = f.domain
     out = eigs.copy()
@@ -348,8 +374,7 @@ def _clamped_spectrum(f: ScalarFunction, eigs: np.ndarray):
     if math.isfinite(dom.hi) and not dom.hi_open:
         near = (out > dom.hi) & (out <= dom.hi + SPECTRUM_SLACK)
         out[near] = dom.hi
-    offenders = out[~dom.contains_array(out)]
-    return out, offenders
+    return out, dom.contains_array(out)
 
 
 def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
@@ -359,7 +384,8 @@ def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
     the same entries as the dense product, without forming it.
     """
     dec = A.decomposition()
-    eigs, offenders = _clamped_spectrum(f, dec.eigenvalues)
+    eigs, inside = clamped_spectrum(f, dec.eigenvalues)
+    offenders = eigs[~inside]
     if offenders.size:
         raise SpectrumDomainError(
             f"{f.label()}: {offenders.size} eigenvalue(s) outside domain "
@@ -384,10 +410,16 @@ def quadratic_form(A: SymmetricMatrix, x: UnitVector) -> float:
 def spectrum_in(A: SymmetricMatrix, I: Interval):
     """(contained, offending eigenvalues); 1e-12 slack at closed endpoints."""
     eigs = A.decomposition().eigenvalues
-    lo_ok = (eigs > I.lo) if I.lo_open else (eigs >= I.lo - SPECTRUM_SLACK)
-    hi_ok = (eigs < I.hi) if I.hi_open else (eigs <= I.hi + SPECTRUM_SLACK)
-    bad = eigs[~(lo_ok & hi_ok)]
+    bad = eigs[~within_slack(eigs, I.lo, I.hi, I.lo_open, I.hi_open)]
     return bad.size == 0, tuple(float(t) for t in bad)
+
+
+def within_slack(t, lo, hi, lo_open=False, hi_open=False):
+    """Which of t lie between lo and hi, with SPECTRUM_SLACK at a closed
+    end; lo and hi may be arrays that broadcast against t."""
+    lo_ok = (t > lo) if lo_open else (t >= lo - SPECTRUM_SLACK)
+    hi_ok = (t < hi) if hi_open else (t <= hi + SPECTRUM_SLACK)
+    return lo_ok & hi_ok
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +458,8 @@ def spectral_forms(f: ScalarFunction, A: SymmetricMatrix, x: UnitVector):
 def jensen_factor(mode: str, h: ScalarFunction | None, lam, ev, num,
                   infimum: Callable):
     """The factor of <f(A)x,x> in ``mode`` in the number type ``num`` of an
-    arithmetic whose ``ev(h, t)`` evaluates h; ``infimum()`` is M_(0,1)(h)."""
+    arithmetic whose ``ev(h, t)`` evaluates h; ``infimum()`` is M_(0,1)(h).
+    lam may be an array of rows, whose factors are then an array."""
     if mode not in JENSEN_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {JENSEN_MODES}")
     if mode != "classical" and h is None:
@@ -434,7 +467,7 @@ def jensen_factor(mode: str, h: ScalarFunction | None, lam, ev, num,
     if mode == "classical":
         return num(1)
     if mode == "per-lambda":
-        if lam is None or not 0.0 < lam < 1.0:
+        if lam is None or not np.all((0.0 < lam) & (lam < 1.0)):
             raise ValueError(f"per-lambda mode requires lambda in (0,1), got {lam!r}")
         return ev(h, lam) / num(lam)
     if mode == "infimum":
@@ -454,8 +487,8 @@ def jensen_verify(f: ScalarFunction, h: ScalarFunction | None,
     factor = jensen_factor(mode, h, lam, evaluate, float, lambda: (
         coefficient or jcoeff(h, Interval(0.0, 1.0, True, True))).value)
     qf, expectation = spectral_forms(f, A, x)
-    clamped, offenders = _clamped_spectrum(f, np.array([qf]))
-    if offenders.size:
+    clamped, inside = clamped_spectrum(f, np.array([qf]))
+    if not inside[0]:
         raise SpectrumDomainError(
             f"{f.label()}: <Ax,x>={qf!r} outside domain {f.domain}",
             offending=(qf,))

@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, SpectrumDomainError
 from .funclib import TRIPLES, Interval, interval, scalar_function
 from .opcalc import SymmetricMatrix, UnitVector, spectral_forms
@@ -67,12 +69,13 @@ class WeightedSample:
             raise ValueError(f"sample size {n} exceeds cap {N_CAP}")
         if len(q) != n or (b is not None and len(b) != n):
             raise ValueError("value and weight lists must have equal length")
-        for lst in (a, q) if b is None else (a, b, q):
-            if not all(math.isfinite(t) for t in lst):
-                raise ValueError("sample entries must be finite")
-        if not all(0.0 < w <= 1.0 for w in q):
+        finite, in_range, summed = sample_checks(
+            np.array([a if b is None else a + b]), np.array([q]))
+        if not finite[0]:
+            raise ValueError("sample entries must be finite")
+        if not in_range[0]:
             raise ValueError(f"weights must lie in (0, 1], got {q}")
-        if abs(math.fsum(q) - 1.0) > 1e-12:
+        if not summed[0]:
             raise ValueError(f"weights must sum to 1, got {math.fsum(q)!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "q", q)
@@ -81,6 +84,19 @@ class WeightedSample:
     @property
     def n(self) -> int:
         return len(self.a)
+
+
+def sample_checks(values: np.ndarray, q: np.ndarray):
+    """WeightedSample's checks over rows of values (a, or a and b side by
+    side) and weights q: (entries finite, weights in (0, 1], weights
+    summing to 1 within 1e-12), each a bool per row.  A check reads False
+    on a row where an earlier one does."""
+    finite = np.isfinite(values).all(-1) & np.isfinite(q).all(-1)
+    in_range = finite & ((q > 0.0) & (q <= 1.0)).all(-1)
+    summed = np.array([ok and abs(math.fsum(w) - 1.0) <= 1e-12
+                       for ok, w in zip(in_range.tolist(), q.tolist())],
+                      dtype=bool)
+    return finite, in_range, summed
 
 
 def gamma(sample: WeightedSample, inequality: str) -> float:
@@ -100,11 +116,6 @@ def gamma(sample: WeightedSample, inequality: str) -> float:
 # Feasibility (post hoc)
 # ---------------------------------------------------------------------------
 
-def _within(values, lo: float, hi: float) -> bool:
-    return all(lo - MEMBERSHIP_SLACK <= t <= hi + MEMBERSHIP_SLACK
-               for t in values)
-
-
 def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
              p: float | None = None) -> dict:
     """Per-hypothesis flags for one inequality instance.
@@ -120,18 +131,50 @@ def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
 
 def _flags(name: str, values, g: float, alpha: float, v: float, p,
            sample=None) -> dict:
+    """flag_rows of one instance, as Python bools."""
+    pairs = None if sample is None or sample.b is None \
+        else (np.array([sample.a]), np.array([sample.b]))
+    rows = flag_rows(name, np.array([min(values)]), np.array([max(values)]),
+                     np.array([g]), np.array([alpha]), np.array([v]),
+                     None if p is None else np.array([p]), pairs)
+    return {key: bool(t[0]) for key, t in rows.items()}
+
+
+def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None) -> dict:
+    """The hypothesis flags of rows of chain instances, as bool arrays.
+
+    Each row is given by the smallest and largest of its values (``low``,
+    ``high``), its spread g, alpha, v and p (None: no exponent); ``pairs``
+    holds the (rows, n) arrays a and b of a chain whose clauses read them.
+    The gate value g(v) is computed row by row in Python floats.
+    """
     rule, chain = TRIPLES[name], CHAINS[name]
-    flags = {"alpha_in_range": alpha > rule.alpha_floor,
-             "gamma_in_range": g <= rule.gamma_max(alpha) + MEMBERSHIP_SLACK,
-             "anchor_in_range": rule.anchors.contains(v)}
-    if rule.needs_p:
-        flags["exponent_in_range"] = p is not None and p > 1.0
-    lo = rule.gate_value(v, alpha, alpha + g, p) \
-        if all(flags[k] for k in chain.gated_by) else math.nan
-    flags[chain.member] = _within(values, lo, v)
+    with np.errstate(all="ignore"):  # inf and nan pass quietly, as in Python
+        flags = {"alpha_in_range": alpha > rule.alpha_floor,
+                 "gamma_in_range":
+                     g <= rule.gamma_max(alpha) + MEMBERSHIP_SLACK,
+                 "anchor_in_range": rule.anchors.contains_array(v)}
+        if rule.needs_p:
+            flags["exponent_in_range"] = np.zeros(v.shape, dtype=bool) \
+                if p is None else p > 1.0
+        gated = np.logical_and.reduce(
+            [np.ones(v.shape, dtype=bool)]
+            + [flags[k] for k in chain.gated_by])
+        ps = [None] * v.size if p is None else p.tolist()
+        lo = np.array([rule.gate_value(*args) if ok else math.nan
+                       for ok, *args in zip(gated.tolist(), v.tolist(),
+                                            alpha.tolist(),
+                                            (alpha + g).tolist(), ps)])
+        flags[chain.member] = _within(low, high, lo, v)
     if chain.clauses is not None:
-        flags.update(chain.clauses(sample, lo, v))
+        flags.update(chain.clauses(*pairs, lo, v))
     return flags
+
+
+def _within(low, high, lo, hi):
+    """Each row's values, from their smallest ``low`` and largest ``high``,
+    inside [lo, hi] up to MEMBERSHIP_SLACK."""
+    return (low >= lo - MEMBERSHIP_SLACK) & (high <= hi + MEMBERSHIP_SLACK)
 
 
 def _overall(inequality: str | None, flags: dict) -> bool:
@@ -143,28 +186,38 @@ def _overall(inequality: str | None, flags: dict) -> bool:
 # Chain terms (shared closed forms; ops = math for doubles, mpmath for hp)
 # ---------------------------------------------------------------------------
 
+def _lsum(terms):
+    """The terms added left to right from 0.0.  Floats, mpmath numbers and
+    numpy columns all add alike here, where the builtin sum compensates
+    float sums from Python 3.12 on."""
+    total = 0.0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def kyfan_terms(a, q, alpha, g, ops=math):
     beta = alpha + g
-    num = sum(qi * (1.0 - ai) for ai, qi in zip(a, q))
-    den = sum(qi * ai for ai, qi in zip(a, q))
+    num = _lsum(qi * (1.0 - ai) for ai, qi in zip(a, q))
+    den = _lsum(qi * ai for ai, qi in zip(a, q))
     lhs = num / den
-    logsum = sum(qi * ops.log((1.0 - ai) / ai) for ai, qi in zip(a, q))
+    logsum = _lsum(qi * ops.log((1.0 - ai) / ai) for ai, qi in zip(a, q))
     return lhs, ops.exp((alpha / beta) * logsum), ops.exp(logsum)
 
 
 def amgm_terms(a, q, alpha, g, ops=math):
     beta = alpha + g
-    logsum = sum(qi * ops.log(ai) for ai, qi in zip(a, q))
-    rhs = sum(qi * ai for ai, qi in zip(a, q))
+    logsum = _lsum(qi * ops.log(ai) for ai, qi in zip(a, q))
+    rhs = _lsum(qi * ai for ai, qi in zip(a, q))
     return ops.exp(logsum), ops.exp((alpha / beta) * logsum), rhs
 
 
 def chrystal_terms(a, b, q, alpha, g, ops=math):
     beta = alpha + g
     r = alpha / beta
-    log_a = sum(qi * ops.log(ai) for ai, qi in zip(a, q))
-    log_b = sum(qi * ops.log(bi) for bi, qi in zip(b, q))
-    log_ab = sum(qi * ops.log(ai + bi) for ai, bi, qi in zip(a, b, q))
+    log_a = _lsum(qi * ops.log(ai) for ai, qi in zip(a, q))
+    log_b = _lsum(qi * ops.log(bi) for bi, qi in zip(b, q))
+    log_ab = _lsum(qi * ops.log(ai + bi) for ai, bi, qi in zip(a, b, q))
     lhs = ops.exp(log_a) + ops.exp(log_b)
     mid = ops.exp(r * log_ab - (r - 1.0) * log_b)
     return lhs, mid, ops.exp(log_ab)
@@ -190,7 +243,8 @@ class ChainRule:
     spectral: bool = False  # the values are the spectrum of a matrix
     member: str = "values_in_interval"  # flag of the values in [g(v), v]
     gated_by: tuple = ()  # flags g(v) needs; nan (no membership) otherwise
-    clauses: Callable | None = None  # (sample, g(v), v) -> more flags
+    # (a, b, g(v), v) over rows of (rows, n) arrays -> more flag arrays
+    clauses: Callable | None = None
     advisory: tuple = ()  # flags that travel without deciding feasibility
 
     def inputs(self, a, b, q):
@@ -198,11 +252,16 @@ class ChainRule:
         return ((a, b, q), a + b) if self.paired else ((a, q), a)
 
 
-def _logratio_clause(sample, lo: float, v: float) -> dict:
-    ratios = [math.log(ai / bi) for ai, bi in zip(sample.a, sample.b)
-              if ai > 0.0 and bi > 0.0]
-    return {"logratios_in_interval":
-            len(ratios) == sample.n and _within(ratios, lo, v)}
+def _logratio_clause(a, b, lo, v) -> dict:
+    """Each row's log(a_i/b_i) inside [g(v), v]; False unless every a_i and
+    b_i is positive."""
+    positive = (a > 0.0) & (b > 0.0)
+    with np.errstate(over="ignore", under="ignore"):  # inf and 0, as a/b
+        ratios = np.divide(a, b, out=np.ones_like(a), where=positive)
+    ratios = np.reshape(list(map(math.log, ratios.ravel().tolist())),
+                        ratios.shape)
+    return {"logratios_in_interval": positive.all(1) & _within(
+        ratios.min(1), ratios.max(1), lo, v)}
 
 
 _POSITIVE = interval(0.0, math.inf, lo_open=True)

@@ -280,6 +280,11 @@ def test_refine_unknown_inequality_is_an_error(tmp_path, capsys):
     ("falsify", {"target": "amgm", "samples": 10, "seed": 1.5},
      "falsify.seed"),
     ("replay", {"index": [0]}, "replay.index"),
+    ("jensen", dict(PINNED_JENSEN, mode="classical", x={"a": 1}),
+     "jensen.x"),
+    ("sweep", dict(PINNED_JENSEN, x={"a": 1}), "sweep.x"),
+    ("falsify", {"target": ["amgm"], "samples": 10, "seed": 1},
+     "falsify.target"),
 ])
 def test_wrongly_typed_value_is_an_error(tmp_path, capsys, command, config,
                                          key):
@@ -289,6 +294,13 @@ def test_wrongly_typed_value_is_an_error(tmp_path, capsys, command, config,
     cfg = _write(tmp_path, "c.json", config)
     assert main([command, "--config", cfg]) == 1
     assert capsys.readouterr().err.startswith(f"error: {key}: expected ")
+
+
+def test_replay_report_must_be_a_path(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", {"report": ["x"]})
+    assert main(["replay", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: replay.report: expected ")
 
 
 def test_certify_grid_past_the_cap_is_an_error(tmp_path, capsys):

@@ -1,24 +1,33 @@
 """Seeded falsification campaigns: sampling, confirmation, determinism."""
 
+import dataclasses
 import hashlib
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hconvexlab import ConfigError, EmptyRegion, HConvexLabError
+from hconvexlab import (
+    ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
+)
 from hconvexlab.convexity import SWEEP_GRID_CAP
 from hconvexlab.falsify import (
-    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES, Campaign,
-    PINNED_INSTANCE, TARGETS, WITNESS_CAP, bound_status, confirm,
-    draw_instance, evaluate_instance, lambda_profile, margin_bound,
-    replay_witness, run_campaign,
+    BLOCK_SIZE, CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES,
+    SAMPLES_CAP, Campaign, PINNED_INSTANCE, TARGETS, WITNESS_CAP,
+    bound_status, confirm, draw_instance, evaluate_instance, lambda_profile,
+    margin_bound, replay_witness, run_campaign,
 )
-from hconvexlab.falsify import _Streams, _stream, _worker_count
+from hconvexlab.falsify import (
+    _Streams, _draw, _run_range, _stream, _weights, _worker_count,
+)
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.reporting import canonical_json, strip_wall_time
+
+REJECTED = (ValueError, ArithmeticError, HConvexLabError)
 
 
 def _report_bytes(report: dict) -> str:
@@ -51,6 +60,14 @@ def test_campaign_validation():
     assert c.region["v"] == RULES["amgm"].region["v"]  # defaults merged
 
 
+def test_campaign_refuses_samples_past_the_cap():
+    # checked when the campaign is built: nothing is drawn here
+    assert Campaign("amgm", SAMPLES_CAP, 1).samples == SAMPLES_CAP
+    for samples in (SAMPLES_CAP + 1, 10 ** 12):
+        with pytest.raises(ConfigError, match="samples"):
+            Campaign("amgm", samples, 1)
+
+
 def test_targets_constant():
     assert TARGETS == ("operator-jensen", "per-lambda", "half-bound",
                        "best-possible", "kyfan", "amgm", "chrystal",
@@ -81,6 +98,16 @@ def test_reused_generator_gives_each_sample_its_own_stream():
         assert fresh.integers(2, 9) == reused.integers(2, 9)
         assert fresh.dirichlet(np.ones(3)).tolist() \
             == reused.dirichlet(np.ones(3)).tolist()
+
+
+def test_weights_match_dirichlet_bit_for_bit():
+    # the same bits as rng.dirichlet(np.ones(n)), and the stream left where
+    # dirichlet leaves it
+    for n in range(1, 9):
+        for i in range(2000):
+            ours, numpy_s = _stream(29, i), _stream(29, i)
+            assert _weights(ours, n) == numpy_s.dirichlet(np.ones(n)).tolist()
+            assert ours.random() == numpy_s.random()
 
 
 def test_draw_is_deterministic_per_seed_and_index():
@@ -393,6 +420,238 @@ def test_kernel_bits_match_digests(target, margin_kind):
             confirmed.update(out["margin_confirmed"].encode())
     assert (doubles.hexdigest(), confirmed.hexdigest()) \
         == KERNEL_DIGESTS[target, margin_kind]
+
+
+@pytest.mark.parametrize("target, margin_kind", list(GOLDEN_DIGESTS),
+                         ids=[f"{t}/{k}" for t, k in GOLDEN_DIGESTS])
+def test_golden_digests_with_two_workers(monkeypatch, target, margin_kind):
+    # on two CPUs, two chunks of 100 samples: blocks start at other
+    # indices, and each worker evaluates its own blocks
+    monkeypatch.setenv("HCONVEXLAB_THREADS", "2")
+    rep = run_campaign(Campaign(target, 200, GOLDEN_SEED,
+                                margin_kind=margin_kind))
+    digest = hashlib.sha256(_report_bytes(rep).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[target, margin_kind]
+
+
+# rows of a block get odd values here, so that some rows raise, some are
+# infeasible and some leave the arrays for the one-at-a-time evaluation
+_ODD_VALUES = (0.0, -0.0, -1.0, 1, 2, 0.5, 0.75, 1e308, -1e308, 5e-324,
+               1e-300, math.inf, math.nan)
+
+
+def _outcome(evaluate):
+    try:
+        return repr(evaluate())
+    except REJECTED as exc:
+        return type(exc).__name__
+
+
+def _odd_block(target, start, size, edits):
+    """(instances, setups) of draws start, start+1, ... (size of them
+    drawn, rejected draws left out), with ``edits`` written into them; an
+    edited row loses its setup, which described the draw."""
+    region = Campaign(target, 1, 1,
+                      region={"grid": [16, 16]} if target == "certificates"
+                      else {}).region
+    insts, setups = [], []
+    for i in range(start, start + size):
+        try:
+            inst, setup = _draw(_stream(GOLDEN_SEED, i), target, region)
+        except REJECTED:
+            continue
+        insts.append(inst)
+        setups.append(setup)
+    for row, field, place, value in edits:
+        if not insts:
+            break
+        k = row % len(insts)
+        inst = insts[k]
+        fields = sorted(key for key, t in inst.items()
+                        if key not in ("n", "dim", "grid")
+                        and type(t) in (float, int, list))
+        key = fields[field % len(fields)]
+        if isinstance(inst[key], list):
+            inst[key] = list(inst[key])
+            inst[key][place % len(inst[key])] = value
+        else:
+            inst[key] = value
+        setups[k] = None
+    return insts, setups
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(KERNEL_DIGESTS)), st.integers(0, 2 ** 40),
+       st.integers(1, 300),
+       st.lists(st.tuples(st.integers(0, 299), st.integers(0, 7),
+                          st.integers(0, 63), st.sampled_from(_ODD_VALUES)),
+                max_size=12))
+def test_block_kernel_matches_evaluate_instance(case, start, size, edits):
+    target, margin_kind = case
+    if target == "certificates":
+        size = 1 + size % 4
+    insts, setups = _odd_block(target, start, size, edits)
+    if not insts:
+        return
+    evaluate = RULES[target].evaluate
+    block = evaluate(insts, margin_kind, setups)
+    # the same rows, each evaluated on its own (no array groups)
+    with mock.patch.object(falsify, "_groups",
+                           lambda insts, *args: ({}, list(range(len(insts))))):
+        single = evaluate(insts, margin_kind, setups)
+    for k, inst in enumerate(insts):
+        want = _outcome(lambda: evaluate_instance(inst, margin_kind))
+        assert _outcome(lambda: block.row(k)) == want, (k, inst)
+        assert _outcome(lambda: single.row(k)) == want, (k, inst)
+        if want[0] == "(":
+            margin, flags, _ = evaluate_instance(inst, margin_kind)
+            assert block.accepted[k] == RULES[target].feasible(flags)
+            if block.accepted[k]:
+                assert repr(float(block.margin[k])) == repr(margin)
+        else:
+            assert not block.accepted[k]
+
+
+def test_square_exponent_rows_match_their_own_evaluation():
+    # numpy squares for a scalar exponent 2.0 but not for an array of
+    # exponents, whose pow can differ in the last place: each holder-
+    # mccarthy row's A^p must take its own exponent
+    region = RULES["holder-mccarthy"].region
+    insts = [dict(draw_instance(_stream(GOLDEN_SEED, i), "holder-mccarthy",
+                                region), p=2.0, dim=7) for i in range(40)]
+    for k, inst in enumerate(insts):
+        inst["diag"] = _stream(5, k).uniform(0.5, 3.0, 7).tolist()
+        inst["x"] = np.eye(7)[k % 7].tolist()  # <A^p x, x> is one entry
+    block = RULES["holder-mccarthy"].evaluate(insts, "outer",
+                                              [None] * len(insts))
+    for k, inst in enumerate(insts):
+        assert repr(block.row(k)) == repr(evaluate_instance(inst, "outer"))
+
+
+def test_operator_draws_evaluations_and_confirms_build_no_triple():
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return funclib.make_triple(*args, **kwargs)
+    with mock.patch.object(falsify, "make_triple", counting):
+        for target in ("operator-jensen", "per-lambda", "half-bound"):
+            run_campaign(Campaign(target, 40, 3))
+        inst = dict(PINNED_INSTANCE)
+        margin, flags, extras = evaluate_instance(inst)
+        out = confirm({"index": 0, "inputs": inst, "margin_double": margin,
+                       "flags": flags, "extras": extras})
+    assert calls == []
+    assert out["margin_confirmed"] == (
+        "-0.018582467924522522954008998445822332074251394191259")
+
+
+def _reference_range(campaign, start, stop):
+    """What _run_range gives, from the per-sample loop: every sample drawn
+    until feasible and evaluated on its own."""
+    drawn = rejected = 0
+    min_margin, argmin, candidates = math.inf, None, []
+    for i in range(start, stop):
+        rng = _stream(campaign.seed, i)
+        for _ in range(RETRY_CAP):
+            drawn += 1
+            try:
+                inst = draw_instance(rng, campaign.target, campaign.region)
+                margin, flags, extras = evaluate_instance(
+                    inst, campaign.margin_kind)
+            except REJECTED:
+                rejected += 1
+                continue
+            if RULES[campaign.target].feasible(flags):
+                break
+            rejected += 1
+        if margin < min_margin:
+            min_margin, argmin = margin, (i, inst)
+        if margin < CANDIDATE_THRESHOLD:
+            candidates.append({"index": i, "inputs": inst,
+                               "margin_double": margin, "flags": flags,
+                               "extras": extras,
+                               "margin_kind": campaign.margin_kind})
+    return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
+            "argmin": argmin, "candidates": candidates,
+            "counted": stop - start}
+
+
+@pytest.mark.parametrize("target, region, margin_kind", [
+    ("kyfan", {"v": [0.3, 0.9]}, "refined"),  # rows failing to evaluate
+    ("amgm", {"v": [0.5, 3.0]}, "refined"),  # infeasible rows
+    ("chrystal", {"v": [690.0, 720.0]}, "outer"),  # draws that raise
+    ("operator-jensen", {"dim": [1, 12]}, "refined"),
+])
+def test_blocks_with_rejections_match_the_per_sample_loop(target, region,
+                                                          margin_kind):
+    campaign = Campaign(target, 1, 5, region=region,
+                        margin_kind=margin_kind)
+    start, stop = 3, 3 + BLOCK_SIZE + 41
+    got = _run_range(campaign.to_json(), start, stop)
+    want = _reference_range(campaign, start, stop)
+    assert repr(got) == repr(want)
+    assert got["rejected"] > 0 or target == "operator-jensen"
+
+
+def test_nan_margins_are_neither_candidates_nor_the_argmin():
+    # best-possible margins are all negative: every sample is a candidate
+    # unless its margin reads NaN, which this kernel gives half the rows
+    rules = RULES["best-possible"]
+
+    def some_nan(insts, margin_kind, setups, hp=False):
+        block = rules.evaluate(insts, margin_kind, setups, hp)
+        for k, inst in enumerate(insts):
+            if not hp and inst["lam"] < 0.75:
+                _, flags, extras = block.row(k)
+                block.run(k, lambda: (math.nan, flags, extras), rules.feasible)
+        return block
+    patched = dataclasses.replace(rules, evaluate=some_nan)
+    with mock.patch.dict(falsify.RULES, {"best-possible": patched}):
+        campaign = Campaign("best-possible", 1, 4)
+        got = _run_range(campaign.to_json(), 0, BLOCK_SIZE + 9)
+        want = _reference_range(campaign, 0, BLOCK_SIZE + 9)
+    assert repr(got) == repr(want)
+    assert 0 < len(got["candidates"]) < BLOCK_SIZE + 9
+    assert not any(math.isnan(c["margin_double"]) for c in got["candidates"])
+    assert got["argmin"][1]["lam"] >= 0.75
+
+
+def test_blocks_split_alike_with_one_and_two_workers(monkeypatch):
+    # 2 * BLOCK_SIZE + 37 samples: one worker ends on a partial block, two
+    # split the range where no block boundary lies
+    campaign = Campaign("kyfan", 2 * BLOCK_SIZE + 37, 8,
+                        region={"v": [0.3, 0.9]})
+    one = run_campaign(campaign)
+    monkeypatch.setenv("HCONVEXLAB_THREADS", "2")
+    two = run_campaign(campaign)
+    assert _report_bytes(one) == _report_bytes(two)
+    assert one["counts"]["rejected"] > 0
+
+
+def test_empty_region_counts_every_earlier_sample():
+    # sample 300 (inside the second block, after replayed and accepted
+    # rows) gets no draw at all; its 512 failed draws come after every
+    # earlier sample's draws
+    campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
+    at, draw, current = falsify._Streams.at, falsify._draw, []
+
+    def recording_at(self, index):
+        current.append(index)
+        return at(self, index)
+
+    def failing_draw(rng, target, region):
+        if current[-1] == 300:
+            raise ValueError("no draw for this sample")
+        return draw(rng, target, region)
+    with mock.patch.object(falsify._Streams, "at", recording_at), \
+            mock.patch.object(falsify, "_draw", failing_draw):
+        with pytest.raises(EmptyRegion) as exc:
+            _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
+    before = _reference_range(campaign, 0, 300)
+    assert before["rejected"] > 0
+    assert (exc.value.drawn, exc.value.rejected) \
+        == (before["drawn"] + RETRY_CAP, before["rejected"] + RETRY_CAP)
 
 
 def test_campaign_reports_are_byte_deterministic():

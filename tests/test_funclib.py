@@ -12,8 +12,8 @@ from hconvexlab import (
     gate_interval, make_triple, scalar_function,
 )
 from hconvexlab.funclib import (
-    FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, evaluate,
-    evaluate_array, triple_beta_range,
+    FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, check_triple,
+    evaluate, evaluate_array, triple_beta_range,
 )
 
 
@@ -188,6 +188,38 @@ def test_gate_interval_clamps_at_open_ambient_floor():
     assert gi.clamped
     assert gi.interval.lo == ambient.lo + 1e-9
     assert gi.gate_value < 0.0  # the raw value is still reported
+
+
+def _gate_outcome(evaluate):
+    try:
+        return evaluate()
+    except (ValueError, ArithmeticError, DomainError, InfeasibleGate) as exc:
+        return type(exc).__name__
+
+
+@given(st.sampled_from(TRIPLE_NAMES), st.floats(0.0, 4.0),
+       st.floats(0.0, 2.0), st.one_of(st.floats(-1.0, 800.0),
+                                      st.sampled_from([0.0, 0.5, 1.0, 5e-324,
+                                                       math.inf, math.nan])))
+def test_gate_bounds_match_the_built_triple(name, alpha, spread, v):
+    # the ends gate_interval gives on make_triple's g and f domain, raising
+    # the same errors, with no triple built
+    p = 2.0 if TRIPLES[name].needs_p else None
+    beta = alpha + spread
+    try:
+        t = make_triple(name, alpha, beta, p=p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            check_triple(name, alpha, beta, p)
+        return
+    assert check_triple(name, alpha, beta, p) is TRIPLES[name]
+
+    def built():
+        gi = gate_interval(t.g, v, t.f.domain)
+        return gi.interval.lo, gi.interval.hi
+    assert repr(_gate_outcome(
+        lambda: TRIPLES[name].gate_bounds(v, alpha, beta, p))) \
+        == repr(_gate_outcome(built))
 
 
 def test_gate_interval_degenerate():

@@ -5,12 +5,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hconvexlab import DomainError, SpectrumDomainError, interval
+from hconvexlab import DomainError, SpectrumDomainError, interval, refined
 from hconvexlab.funclib import TRIPLES, make_triple, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
-    chrystal_chain, chrystal_terms, feasible, gamma, hm_chain, kyfan_chain,
+    amgm_terms, chrystal_chain, chrystal_terms, feasible, gamma, hm_chain,
+    kyfan_chain,
 )
 
 
@@ -57,6 +58,18 @@ def test_gamma_chrystal_spans_both_value_lists():
 # ---------------------------------------------------------------------------
 # Frozen chain values
 # ---------------------------------------------------------------------------
+
+def test_chain_sums_add_left_to_right(monkeypatch):
+    # 1e16 + 1 rounds back to 1e16 at each step, where a compensated sum
+    # carries the ones.  The builtin sum compensates float sums from Python
+    # 3.12 on, and is made to here; the terms must add floats as they add
+    # the campaigns' numpy columns, left to right.
+    monkeypatch.setattr(refined, "sum", math.fsum, raising=False)
+    a, q = (4e16, 4.0, 4.0, 4.0), (0.25,) * 4
+    assert amgm_terms(a, q, 2.0, 0.0)[2] == 1e16
+    assert sum(ai * qi for ai, qi in zip(a, q)) == 1e16
+    assert refined.sum(ai * qi for ai, qi in zip(a, q)) != 1e16
+
 
 def test_amgm_frozen_chain():
     s = WeightedSample((0.64, 0.8), (0.5, 0.5))
