@@ -422,6 +422,129 @@ def test_kernel_bits_match_digests(target, margin_kind):
         == KERNEL_DIGESTS[target, margin_kind]
 
 
+# (target, region, streams, draws from each, digest): sha256 over, draw
+# after draw, repr((inst, setup)) of the draw or the exception class name
+# it raised, then repr(rng.random()) taken right after it, which pins where
+# the draw left its stream.  One draw from each of 1,000 (or 2,000) fresh
+# streams, and 50 draws from each of 40 streams, as the retry loop draws.
+# The regions are the defaults, those of
+# test_blocks_with_rejections_match_the_per_sample_loop and regions whose
+# draws raise on data (NaN gates, InfeasibleGate, logs and uniforms that
+# numpy refuses).  Same platform as the golden digests.
+DRAW_DIGESTS = [
+    ('operator-jensen', {}, 1000, 1,
+     "3741ca48e0b37dd523f7fbdec4ed3de1c8e00ee87c47f9f9779be22a11ad2e92"),
+    ('operator-jensen', {}, 40, 50,
+     "a4d9144df4c3ee118af10618bdb6515c2719950387cc9e77612804e3dd119f10"),
+    ('per-lambda', {}, 1000, 1,
+     "97f4994f328afc7e4536d99c8a4a2c5d0959101a7ed0b436caa6513078a78afb"),
+    ('per-lambda', {}, 40, 50,
+     "cac2dbc95cbb5795c7239e1e3bb3c827543529ecf0067a31ca31442af5a6ba28"),
+    ('half-bound', {}, 1000, 1,
+     "980c9bb3db35939f5538db424016fd4e32436a9cd0218b378e5317639667e6ec"),
+    ('half-bound', {}, 40, 50,
+     "eab7801ad3dd136a4e178fbef0aee48db690e66ca6815cbc6189bd57e3d6d39b"),
+    ('best-possible', {}, 1000, 1,
+     "abed6a219ddc7d88902e3e698f7f27cbb57d766c315bc9c41d53a4cc4db61f32"),
+    ('best-possible', {}, 40, 50,
+     "71f4d708751e77120d8b324bf36a7e5b735bc705621a5577c3078c774b160e0e"),
+    ('kyfan', {}, 1000, 1,
+     "90d66766354cd6438505f8e120a90c557ecc358a29e42d89400ae6a869057bd5"),
+    ('kyfan', {}, 40, 50,
+     "04271787aef6fe83486c988c5c1f795d6d88c0014b8a0c211572b667201f39b4"),
+    ('amgm', {}, 1000, 1,
+     "406e4d76cff771b5171affa550633cffff859ea6d09d88dfc948eb08f1daf434"),
+    ('amgm', {}, 40, 50,
+     "a911122ef2c75f7e20a2ea32b9f899c29f6114565608e2b104c67ba69ca63eae"),
+    ('chrystal', {}, 1000, 1,
+     "4a31ad88d11092962746667b3ef0b0d68269e6080f41492418d11de1f7b6bb23"),
+    ('chrystal', {}, 40, 50,
+     "eaae6f8e4da69a6f9e9637da7fa43888e872f4971d53d7d46f2b4f9f59ebd323"),
+    ('holder-mccarthy', {}, 1000, 1,
+     "2e9200cefb987e8e5de90bc458369552069fdee3686feee9f0084359e653b967"),
+    ('holder-mccarthy', {}, 40, 50,
+     "3d187d9657ce4de2a9ce8f16de50c998294a3be05aee8983bf7dff701fa2f050"),
+    ('certificates', {}, 1000, 1,
+     "20437c9f30d5d347394c28a09fa97702a3d76a50361f4efb9385dead6affbc33"),
+    ('certificates', {}, 40, 50,
+     "2fcff53c6684d61f561a9c6563c9d4291eaaff88a59fb26636de6501334851b5"),
+    ('kyfan', {'v': [0.3, 0.9]}, 1000, 1,
+     "492b1bdf34e9eb3bf51321de374a2cf0d3be59b4c6c7fe0200aaaa65823729fd"),
+    ('kyfan', {'v': [0.3, 0.9]}, 40, 50,
+     "b7c96c54e8fae39f3f0f39fa2e87c2d351978ebf18dddac7cca38f3c663eb530"),
+    ('amgm', {'v': [0.5, 3.0]}, 1000, 1,
+     "c9e7a44babe76bbf9f4cab56f2d7d88ef40eea89c3072133fda2f7990db49129"),
+    ('amgm', {'v': [0.5, 3.0]}, 40, 50,
+     "cb220f4a1f5505ded6473ddedc65ace65c0cac7d76b3173174f8d11a0afab42a"),
+    ('chrystal', {'v': [690.0, 720.0]}, 1000, 1,
+     "9cbfcb533556baf7a9250857216587936ec84a1dad00edd7b1abddb9602cc446"),
+    ('chrystal', {'v': [690.0, 720.0]}, 40, 50,
+     "f5128ba5770364ca3ff82d1705e2876ad7722bfd80c34b3aeda67d3179ef55f6"),
+    ('operator-jensen', {'dim': [1, 12]}, 1000, 1,
+     "330f329075a5297e45783cb031e177abf1746b5a9155aaf1e3f4a2ed8287739d"),
+    ('operator-jensen', {'dim': [1, 12]}, 40, 50,
+     "fbed15b26703371b1a44314e75b73e654a7d508208e997b1a95ddb590d3dc57b"),
+    ('kyfan', {'v': [0.3, 3.0]}, 1000, 1,
+     "59942d05e97b5a13bbf512ac0d58c6e679013044884aec2002fb64bb92d4a477"),
+    ('kyfan', {'v': [0.3, 3.0]}, 40, 50,
+     "df3e8185efbd3fe119e39c905e0af1dfb268e5abcec23c217d79e6b6b120664d"),
+    ('holder-mccarthy', {'alpha': [1e-09, 1e-05]}, 1000, 1,
+     "f8542740d88d8267eff2a6ea1955d189fb1d31a4e109457dfc4401246edab69e"),
+    ('holder-mccarthy', {'alpha': [1e-09, 1e-05]}, 40, 50,
+     "7e85d38f52ee4f5fbd8c167f1ee49fbe587142fc8120ffee6109e8739891747b"),
+    ('operator-jensen',
+     {'triple': 'chrystal', 'alpha': [0.01, 3.0], 'v': [1e-300, 1e+300]},
+     2000, 1,
+     "0a464a33513fc9a8af5d3b97c36682614aa464d322f69f6c41664ac3ab37ea11"),
+    ('operator-jensen',
+     {'triple': 'chrystal', 'alpha': [0.01, 3.0], 'v': [1e-300, 1e+300]},
+     40, 50,
+     "87c674efa2f164b6749d78a739c39be82864cf2e56d8c6cfce62241bddde4d76"),
+    ('operator-jensen',
+     {'triple': 'kyfan', 'alpha': [1.000001, 3000.0], 'v': [1e-300, 0.5]},
+     2000, 1,
+     "487c57e554b93cc65369b63a9bec2744e885d8e022a30e1f501f8f133b89dfae"),
+    ('operator-jensen',
+     {'triple': 'kyfan', 'alpha': [1.000001, 3000.0], 'v': [1e-300, 0.5]},
+     40, 50,
+     "835ec34216894d0c391e1d292cafa281610d31d6416e04cb9ef996ce0178fe0e"),
+    ('amgm', {'v': [1e-300, 1e+300]}, 1000, 1,
+     "6aced32c1ffa98700aea4585c1e62f5857c899bfbf0f7cc9e8835ca20a02aed9"),
+    ('chrystal', {'v': [1e-300, 1e-290]}, 1000, 1,
+     "a82d1cb0b90bfbc08ba105522626dd004ad0826a0fb03a5582723bbd9fa2711f"),
+    ('holder-mccarthy', {'v': [1e-300, 1e+300], 'p': [1.000001, 1000000.0]},
+     1000, 1,
+     "530ee0d6109e4595dd589c393189f8e7eb64378677b138858d956d2c91502f77"),
+    ('best-possible', {'a': [1e-300, 1e+300]}, 1000, 1,
+     "634723743d1d021c5bb36a8a705adb6ecd1832904c1fe88460526df7e679c521"),
+    ('per-lambda',
+     {'triple': 'holder_mccarthy', 'alpha': [1e-300, 1e+300],
+      'v': [1e-300, 1e+300]},
+     1000, 1,
+     "ff4a19176e86a39ed001e9e011ccde677eafad45cdb949802bcb7cbecf56cfc7"),
+    ('certificates', {'triple': 'holder_mccarthy'}, 1000, 1,
+     "bf28933462924cfbf43cbe3d0c617fe9b1022a1643fe278e245a01799feba14b"),
+]
+
+
+@pytest.mark.parametrize("target, region, streams, draws, digest",
+                         DRAW_DIGESTS,
+                         ids=[f"{c[0]}-{k}" for k, c in
+                              enumerate(DRAW_DIGESTS)])
+def test_draw_bits_match_digests(target, region, streams, draws, digest):
+    region = Campaign(target, 1, 1, region=region).region
+    bits = hashlib.sha256()
+    for i in range(streams):
+        rng = _stream(GOLDEN_SEED, i)
+        for _ in range(draws):
+            try:
+                bits.update(repr(_draw(rng, target, region)).encode())
+            except REJECTED as exc:
+                bits.update(type(exc).__name__.encode())
+            bits.update(repr(rng.random()).encode())
+    assert bits.hexdigest() == digest
+
+
 @pytest.mark.parametrize("target, margin_kind", list(GOLDEN_DIGESTS),
                          ids=[f"{t}/{k}" for t, k in GOLDEN_DIGESTS])
 def test_golden_digests_with_two_workers(monkeypatch, target, margin_kind):
