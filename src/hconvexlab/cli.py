@@ -22,7 +22,7 @@ from .convexity import DEFAULT_GRID, VIOLATION_TOLERANCE, certify, jcoeff
 from .errors import ConfigError, HConvexLabError
 from .falsify import (
     CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RULES, Campaign, chain_report,
-    lambda_profile, replay_witness, run_campaign,
+    instance_template, lambda_profile, replay_witness, run_campaign,
 )
 from .funclib import TRIPLES, Interval, ScalarFunction
 from .opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector, jensen_verify
@@ -88,16 +88,81 @@ def parse_vector(value, context: str) -> UnitVector:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
+def parse_witness(value, context: str) -> dict:
+    """A serialized witness: its inputs as parse_instance reads them and a
+    margin_kind of refined|outer; other keys pass through."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected an object, got {value!r}")
+    _require_keys(value, value, context, required=("inputs",))
+    if value.get("margin_kind", "refined") not in ("refined", "outer"):
+        raise ConfigError(f"{context}.margin_kind: expected refined|outer, "
+                          f"got {value['margin_kind']!r}")
+    return dict(value, inputs=parse_instance(value["inputs"],
+                                             f"{context}.inputs"))
+
+
+# keys an instance may hold beyond those its target's draws hold, with a
+# value of the type each takes: a dense operator gives "entries" in place
+# of "diag"
+_OPTIONAL_INSTANCE_KEYS = {"n": 0, "dim": 0, "lam": 0.0, "p": 0.0,
+                           "entries": [[0.0]]}
+
+
+def parse_instance(value, context: str) -> dict:
+    """A serialized campaign instance: a known target and the keys that
+    its draws hold (see falsify.instance_template), each of the type they
+    hold it in; n and dim may be left out."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context}: expected an object, got {value!r}")
+    target = parse_text(value.get("target"), f"{context}.target")
+    if target not in RULES:
+        raise ConfigError(f"{context}.target: unknown target {target!r}")
+    template = instance_template(target)
+    like = {**_OPTIONAL_INSTANCE_KEYS, **template}
+    _require_keys(value, like, context, required=[
+        k for k in template if k not in ("n", "dim")
+        and not (k == "diag" and "entries" in value)])
+    return {k: _parse_like(t, like[k], f"{context}.{k}")
+            for k, t in value.items()}
+
+
+def _parse_like(value, like, context: str):
+    """value as the type of ``like``: text, an integer, a number, a grid
+    (two integers), a list of numbers or a list of such lists."""
+    if isinstance(like, str):
+        return parse_text(value, context)
+    if isinstance(like, int):
+        return parse_integer(value, context)
+    if isinstance(like, float):
+        return parse_number(value, context)
+    if not isinstance(value, list) or (isinstance(like[0], int)
+                                       and len(value) != len(like)):
+        raise ConfigError(f"{context}: expected a list like {like!r}, "
+                          f"got {value!r}")
+    if isinstance(like[0], int):
+        return [parse_integer(t, context) for t in value]
+    if isinstance(like[0], list):
+        return [parse_numbers(t, context) for t in value]
+    return parse_numbers(value, context)
+
+
 def parse_function(obj, context: str = "function") -> ScalarFunction:
     """{"family": name, "params": {...}, "domain": {...}?}"""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object, got {obj!r}")
     _require_keys(obj, ("family", "params", "domain"), context,
                   required=("family",))
+    family = parse_text(obj["family"], f"{context}.family")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"{context}.params: expected an object, "
+                          f"got {params!r}")
+    params = {k: parse_number(t, f"{context}.params.{k}")
+              for k, t in params.items()}
     domain = parse_interval(obj["domain"], f"{context}.domain") \
         if obj.get("domain") else None
     try:
-        return ScalarFunction(obj["family"], obj.get("params", {}), domain)
+        return ScalarFunction(family, params, domain)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -121,6 +186,7 @@ def parse_matrix(obj, context: str = "matrix") -> SymmetricMatrix:
             _require_keys(obj, ("diagonal", "entries"), context)
             if "diagonal" in obj:
                 return SymmetricMatrix.diagonal(obj["diagonal"])
+            _require_keys(obj, ("entries",), context, required=("entries",))
             return SymmetricMatrix(obj["entries"])
         return SymmetricMatrix(obj)
     except (TypeError, ValueError) as exc:
@@ -239,7 +305,7 @@ def cmd_refine(args) -> int:
     _require_keys(cfg, keys, "refine",
                   required=("inequality", "alpha", "v", "samples"))
     chains = {r.chain: r for r in RULES.values() if r.chain}
-    inequality = cfg["inequality"]
+    inequality = parse_text(cfg["inequality"], "refine.inequality")
     if inequality not in chains:
         raise ConfigError(f"refine: unknown inequality {inequality!r}")
     if TRIPLES[inequality].needs_p:
@@ -310,10 +376,7 @@ def cmd_replay(args) -> int:
     cfg = _merged(args, _load_config(args), ("report", "index"))
     _require_keys(cfg, ("report", "index", "witness"), "replay")
     if cfg.get("witness"):
-        original = cfg["witness"]
-        if not isinstance(original, dict):
-            raise ConfigError(f"replay.witness: expected an object, "
-                              f"got {original!r}")
+        original = parse_witness(cfg["witness"], "replay.witness")
     else:
         if "report" not in cfg:
             raise ConfigError("replay: need 'witness' or 'report' (+index)")
@@ -321,12 +384,18 @@ def cmd_replay(args) -> int:
         with open(parse_text(cfg["report"], "replay.report"), "r",
                   encoding="utf-8") as fh:
             rep = json.load(fh)
-        witnesses = rep.get("result", rep).get("witnesses", [])
+        result = rep.get("result", rep) if isinstance(rep, dict) else None
+        witnesses = result.get("witnesses", []) \
+            if isinstance(result, dict) else None
+        if not isinstance(witnesses, list):
+            raise ConfigError("replay.report: expected a campaign report")
         idx = parse_integer(cfg.get("index", 0), "replay.index")
-        hits = [w for w in witnesses if w.get("index") == idx]
+        hits = [w for w in witnesses
+                if isinstance(w, dict) and w.get("index") == idx]
         if not hits and not 0 <= idx < len(witnesses):
             raise ConfigError(f"replay: no witness with index {idx}")
-        original = hits[0] if hits else witnesses[idx]
+        original = parse_witness(hits[0] if hits else witnesses[idx],
+                                 "replay.witness")
     replayed = replay_witness(original)
     matches = {
         "margin_double": replayed["margin_double"]
@@ -431,6 +500,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except ArithmeticError as exc:  # data that does not evaluate, e.g. 0/0
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -25,12 +25,27 @@ draw with smaller actual spread stays feasible); the post-hoc flags remain
 the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
-Block evaluation: drawing stays scalar, one stream per sample, but a
-campaign draws BLOCK_SIZE samples and then evaluates them at once.  The
-double margin function of an operator or chain target is an array kernel
-over such a block (rows grouped by sample size or matrix dimension, so
-nothing is padded); best-possible and certificates evaluate its rows one
-at a time.  Either returns a Block: margins and acceptance as arrays,
+Block drawing: a campaign draws BLOCK_SIZE samples at a time.  A target's
+sampler is a sequence of steps, each one Generator call and the
+transforms around it.  Per sample only the Generator calls run, from the
+sample's own stream and in its order: rng.random(k) for the scalar
+uniforms, rng.integers for the size n (or dim), then the vector uniforms
+and the standard exponentials or normals.  The transforms then run once
+over the block, as arrays grouped by n: lo + (hi - lo) * u as
+Generator.uniform computes it, math's exp, log and log1p mapped element
+by element, the gate interval (the gate family's core in numpy ops, as
+TripleRule.gate_bounds computes it), Dirichlet weights and unit vectors.
+A row is refused where drawing the sample on its own would raise (numpy's
+uniform refuses a negative, -0.0 or non-finite hi - lo) or draw a unit
+vector again.  On a block of one the steps run stage by stage: a step's
+Generator call is made only once the row passed the step's check, so a
+refused row raises what the draw on its own raised, with the stream where
+it left it.  _draw and draw_instance are that block of one.
+
+Block evaluation: the double margin function of an operator or chain
+target is an array kernel over such a block (rows grouped by sample size
+or matrix dimension, so nothing is padded); best-possible and
+certificates evaluate its rows one at a time.  Either returns a Block: margins and acceptance as arrays,
 with a row's flags and extras dicts built only when asked for, which the
 run loop does for candidates and the arg-min alone.  The kernels keep the
 bits of the scalar arithmetic: each numpy operation matches its
@@ -39,9 +54,9 @@ mapped over columns, Python's ** runs on object arrays, and a row the
 arrays cannot take (dense matrix, unusual value, an operation that raises
 in Python) is evaluated on its own by the scalar code, which raises what
 it raised.  evaluate_instance is the kernel on a block of one.  A sample
-whose first draw raises, fails to evaluate or is infeasible is replayed
-from its stream by the per-sample retry loop, which counts all of its
-draws; any other sample counts one.
+whose first draw is refused, fails to evaluate or is infeasible is
+replayed from its stream by the per-sample retry loop, which draws on
+blocks of one and counts all of its draws; any other sample counts one.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -86,7 +101,7 @@ from .errors import ConfigError, EmptyRegion, HConvexLabError
 # trace points (perfbench/jobs.py SPAN_POINTS), which look it up here
 from .funclib import (  # noqa: F401
     TRIPLE_NAMES, TRIPLES, ScalarFunction, check_triple, core_array,
-    gate_interval, make_triple, scalar_function, triple_beta_range,
+    gate_interval, make_triple, scalar_function, triple_rows,
 )
 from .highprec import (
     DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
@@ -241,14 +256,18 @@ class _Streams:
     """The streams of _stream from one reused generator.
 
     Resetting a Philox state to (key=seed, counter=index << 128) with an
-    empty buffer yields the same draws as a new Philox and costs a fifth
-    as much.  ``at`` returns the shared generator, so each stream must be
-    used up before the next one is asked for.
+    empty buffer yields the same draws as a new Philox and costs a tenth
+    as much: the state holds Python ints, which the setter reads faster
+    than numpy's.  ``at`` returns the shared generator, so each stream must
+    be used up before the next one is asked for.
     """
 
     def __init__(self, seed: int):
         self._bits = Philox(key=seed)
-        self._state = self._bits.state  # counter 0, buffer empty
+        state = self._bits.state  # counter 0, buffer empty
+        self._state = {**state, "buffer": state["buffer"].tolist(),
+                       "state": {k: t.tolist()
+                                 for k, t in state["state"].items()}}
         self._counter = self._state["state"]["counter"]
         self._generator = Generator(self._bits)
 
@@ -257,122 +276,477 @@ class _Streams:
         self._bits.state = self._state
         return self._generator
 
+    def each(self, indices, draw: Callable) -> list:
+        """[draw(stream i) for i in indices], each stream used up in turn."""
+        at = self.at
+        return [draw(at(i)) for i in indices]
+
 
 # ---------------------------------------------------------------------------
 # Per-target samplers (constructive: draws land inside the feasible set)
 # ---------------------------------------------------------------------------
 
-def _log_uniform(rng: Generator, lo: float, hi: float) -> float:
-    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+@dataclass(frozen=True)
+class _Step:
+    """One Generator call of a draw and the transforms around it.
+
+    ``call`` names the Generator method: "random" for uniforms,
+    "integers" for the size n drawn from region[key], or
+    "standard_exponential" and "standard_normal".  The step draws per_n * n
+    values of a sample, or one (a scalar) when per_n is 0.  check(rows,
+    region) runs before the call and apply(rows, region, variates) after
+    it; either refuses the rows where the scalar draw raised.  A refused
+    row of a ``redraw`` step draws again instead.
+    """
+
+    call: str
+    per_n: int = 0
+    check: Callable | None = None
+    apply: Callable | None = None
+    key: str | None = None
+    redraw: bool = False
 
 
-def _weights(rng: Generator, n: int) -> list:
-    """rng.dirichlet(np.ones(n)) as a list, bit for bit, leaving the stream
-    where dirichlet leaves it: numpy draws one standard exponential per
-    entry (a gamma of shape 1), sums them left to right from 0.0 and scales
-    each by the reciprocal of the sum."""
-    e = rng.standard_exponential(n).tolist()
-    acc = 0.0
-    for t in e:
-        acc += t
-    inv = 1.0 / acc
-    return [t * inv for t in e]
+class _Rows:
+    """The values of a block of draws by name: a scalar value is an array
+    over the rows, a vector value a list of (rows, n, matrix) groups of one
+    size n.  ``refused`` marks the rows the scalar draw raised for, and
+    ``errors`` holds what it raised (None: a row that draws again)."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.values = {}
+        self.ends = {}  # a uniform's (lo, hi - lo), from its check
+        self.sizes = None  # each row's n
+        self.refused = np.zeros(size, dtype=bool)
+        self.errors = {}
+
+    def __getitem__(self, name):
+        return self.values[name]
+
+    def __setitem__(self, name, value):
+        self.values[name] = value
+
+    def refuse(self, mask, error: Callable | None, ks=None) -> None:
+        """Refuse the rows of ``mask`` (over the rows ``ks``, or all rows)
+        that are not refused yet; error(j) is what the scalar draw raised
+        at entry j of the mask."""
+        if np.count_nonzero(mask):
+            mask = np.broadcast_to(mask, (self.size,) if ks is None
+                                   else np.shape(ks))
+            for j in np.flatnonzero(mask).tolist():
+                self._refuse_row(j if ks is None else int(ks[j]),
+                                 error and error(j))
+
+    def _refuse_row(self, k: int, exc) -> None:
+        if not self.refused[k]:
+            self.refused[k] = True
+            self.errors[k] = exc
+
+    def raise_refused(self) -> None:
+        """In a block of one: raise what the scalar draw raised."""
+        if self.refused[0]:
+            raise self.errors[0]
+
+    def map(self, fn: Callable, *args):
+        """fn over the rows in Python floats, as the scalar draw calls it
+        (math's exp, log and log1p, a chain's gate_value, **).  A row where
+        it raises is refused and reads nan; region constants (Python
+        floats) are mapped once."""
+        if not any(isinstance(t, np.ndarray) for t in args):
+            try:
+                return fn(*args)
+            except _REJECTED as exc:
+                self.refuse(True, lambda j: exc)
+                return math.nan
+        columns = [np.broadcast_to(t, (self.size,)).tolist() for t in args]
+        try:
+            return np.array(list(map(fn, *columns)), dtype=float)
+        except _REJECTED:
+            pass
+        out = []
+        for k, xs in enumerate(zip(*columns)):
+            try:
+                out.append(fn(*xs))
+            except _REJECTED as exc:
+                out.append(math.nan)
+                self._refuse_row(k, exc)
+        return np.array(out, dtype=float)
+
+    def divide(self, a, b):
+        """a / b, refusing the rows where Python's float division raises."""
+        self.refuse(b == 0.0, lambda j: ZeroDivisionError(
+            "float division by zero"))
+        return np.divide(a, b)
+
+    def uniform_ends(self, lo, hi):
+        """(lo, hi - lo) of rng.uniform(lo, hi), refusing the rows where
+        numpy raises: OverflowError where hi - lo is not finite, ValueError
+        where it is negative or -0.0.  uniform draws lo + (hi - lo) * u."""
+        span = hi - lo
+        self.refuse(~np.isfinite(span), lambda j: OverflowError(
+            "high - low range exceeds valid bounds"))
+        self.refuse(np.signbit(span), lambda j: ValueError("high - low < 0"))
+        return lo, span
 
 
-def _unit_vector(rng: Generator, dim: int) -> list:
-    while True:
-        x = rng.standard_normal(dim)
-        norm = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
-        if norm > 1e-6:
-            return (x / norm).tolist()
+def _at(x, ks):
+    """A value of rows ks as a column against their vectors."""
+    return x[ks, None] if isinstance(x, np.ndarray) else x
 
 
-def _draw_mean_chain(rng: Generator, target: str, region: dict):
+def _region(key: str) -> Callable:
+    return lambda rows, region: region[key]
+
+
+def _uniform(name, ends: Callable, per_n: int = 0) -> _Step:
+    """rng.uniform(lo, hi[, per_n * n]), (lo, hi) = ends(rows, region).  A
+    tuple of names splits each row's values evenly among them."""
+    def check(rows, region):
+        rows.ends[name] = rows.uniform_ends(*ends(rows, region))
+
+    def apply(rows, region, u):
+        lo, span = rows.ends[name]
+        if not per_n:
+            rows[name] = lo + span * u
+            return
+        parts = (name,) if isinstance(name, str) else name
+        for j, part in enumerate(parts):
+            rows[part] = [(ks, n, _at(lo, ks) + _at(span, ks)
+                           * m[:, j * n:(j + 1) * n]) for ks, n, m in u]
+    return _Step("random", per_n, check, apply)
+
+
+def _log_uniform(name: str, ends: Callable) -> _Step:
+    """math.exp(rng.uniform(math.log(lo), math.log(hi)))."""
+    def check(rows, region):
+        lo, hi = ends(rows, region)
+        rows.ends[name] = rows.uniform_ends(rows.map(math.log, lo),
+                                           rows.map(math.log, hi))
+
+    def apply(rows, region, u):
+        lo, span = rows.ends[name]
+        rows[name] = rows.map(math.exp, lo + span * u)
+    return _Step("random", 0, check, apply)
+
+
+def _size(key: str) -> _Step:
+    """rng.integers(lo, hi + 1) over region[key]: the row's n."""
+    def apply(rows, region, sizes):
+        rows.sizes = rows[key] = sizes
+    return _Step("integers", apply=apply, key=key)
+
+
+def _weights(name: str) -> _Step:
+    """rng.dirichlet(np.ones(n)), bit for bit, leaving the stream where
+    dirichlet leaves it: numpy draws one standard exponential per entry (a
+    gamma of shape 1), sums them left to right from 0.0 and scales each by
+    the reciprocal of the sum."""
+    def apply(rows, region, exponentials):
+        weights = []
+        for ks, n, e in exponentials:
+            acc = 0.0
+            for j in range(n):
+                acc = acc + e[:, j]
+            rows.refuse(acc == 0.0, lambda j: ZeroDivisionError(
+                "float division by zero"), ks)
+            weights.append((ks, n, e * (1.0 / acc)[:, None]))
+        rows[name] = weights
+    return _Step("standard_exponential", 1, apply=apply)
+
+
+def _unit_vector(name: str) -> _Step:
+    """standard_normal(dim) over its norm, drawn again while the norm is at
+    most 1e-6; the norm is np.linalg.norm's, math.sqrt(x.dot(x))."""
+    def apply(rows, region, normals):
+        units = []
+        for ks, n, x in normals:
+            norm = np.sqrt(_dots(x, x))
+            rows.refuse(~(norm > 1e-6), None, ks)
+            units.append((ks, n, x / norm[:, None]))
+        rows[name] = units
+    return _Step("standard_normal", 1, apply=apply, redraw=True)
+
+
+def _clamp_rows(t, lo, hi):
+    """min(max(t, lo), hi) of each row, as Python's min and max pick."""
+    t = np.where(lo > t, lo, t)
+    return np.where(hi < t, hi, t)
+
+
+def _mean_chain_sampler(chain: str) -> Sampler:
     """kyfan and amgm: values uniform on the gate interval [g(v), v]."""
-    alpha = float(rng.uniform(*region["alpha"]))
-    v = _log_uniform(rng, *region["v"])
-    n = int(rng.integers(region["n"][0], region["n"][1] + 1))
-    gv = TRIPLES[RULES[target].chain].gate_value(v, alpha)
-    lo = min(max(gv, 5e-324), v)
-    return {"target": target, "alpha": alpha, "v": v, "n": n,
-            "a": rng.uniform(lo, v, n).tolist(), "q": _weights(rng, n)}, None
+    gate = TRIPLES[chain].gate_value
+
+    def ends(rows, region):
+        gv = rows.map(gate, rows["v"], rows["alpha"])
+        return _clamp_rows(gv, 5e-324, rows["v"]), rows["v"]
+    steps = (_uniform("alpha", _region("alpha")),
+             _log_uniform("v", _region("v")), _size("n"),
+             _uniform("a", ends, 1), _weights("q"))
+    return Sampler(lambda region: steps,
+                   ("target", "alpha", "v", "n", "a", "q"))
 
 
-def _draw_chrystal(rng: Generator, target: str, region: dict):
-    alpha = float(rng.uniform(*region["alpha"]))
-    v = _log_uniform(rng, *region["v"])
-    n = int(rng.integers(region["n"][0], region["n"][1] + 1))
-    # spread target delta keeps the data's log-ratios above the
-    # beta-dependent lower gate: the gate value is monotone in the
-    # spread, so actual spread <= delta preserves membership
-    cap = 0.3 * alpha * math.log1p(math.exp(-v / 2.0)) \
-        / math.log1p(math.exp(v))
-    delta = _log_uniform(rng, 1e-6, max(cap, 2e-6))
-    base = delta / (0.5 * v)
-    vals = rng.uniform(base, base + delta, 2 * n).tolist()
-    return {"target": target, "alpha": alpha, "v": v, "n": n,
-            "a": vals[:n], "b": vals[n:], "q": _weights(rng, n)}, None
+def _chrystal_delta_ends(rows, region):
+    """The spread target delta keeps the data's log-ratios above the
+    beta-dependent lower gate: the gate value is monotone in the spread, so
+    actual spread <= delta preserves membership.  delta is log-uniform on
+    [1e-6, max(cap, 2e-6)]."""
+    alpha, v = rows["alpha"], rows["v"]
+    cap = rows.divide(
+        0.3 * alpha * rows.map(math.log1p, rows.map(math.exp, -v / 2.0)),
+        rows.map(math.log1p, rows.map(math.exp, v)))
+    return 1e-6, np.where(2e-6 > cap, 2e-6, cap)
 
 
-def _draw_holder_mccarthy(rng: Generator, target: str, region: dict):
-    alpha = float(rng.uniform(*region["alpha"]))
-    v = _log_uniform(rng, *region["v"])
-    p = float(rng.uniform(*region["p"]))
-    dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
-    gtarget = _log_uniform(rng, 1e-6, alpha)
-    lo = max(v * (gtarget / alpha) ** (1.0 / p), v - gtarget)
-    return {"target": target, "alpha": alpha, "v": v, "p": p, "dim": dim,
-            "diag": rng.uniform(min(lo, v), v, dim).tolist(),
-            "x": _unit_vector(rng, dim)}, None
+def _chrystal_ends(rows, region):
+    """The 2n values a, b are uniform on [base, base + delta)."""
+    base = rows.divide(rows["delta"], 0.5 * rows["v"])
+    return base, base + rows["delta"]
 
 
-def _draw_triple_params(rng: Generator, region: dict):
-    """alpha, beta in the region triple's stated range, and the top of v."""
-    triple = region["triple"]
-    alpha = float(rng.uniform(*region["alpha"]))
-    beta = float(rng.uniform(*triple_beta_range(triple, alpha)))
-    return alpha, beta, min(region["v"][1], TRIPLES[triple].anchors.hi)
+_CHRYSTAL_STEPS = (
+    _uniform("alpha", _region("alpha")), _log_uniform("v", _region("v")),
+    _size("n"), _log_uniform("delta", _chrystal_delta_ends),
+    _uniform(("a", "b"), _chrystal_ends, 2), _weights("q"))
 
 
-def _draw_operator(rng: Generator, target: str, region: dict):
-    """The setup is the (lo, hi) of the closed gate interval [g(v), v]
-    that holds the spectrum."""
-    alpha, beta, v_hi = _draw_triple_params(rng, region)
-    v = _log_uniform(rng, region["v"][0], v_hi)
-    dim = int(rng.integers(region["dim"][0], region["dim"][1] + 1))
-    gate = _operator_gate(region["triple"], alpha, beta, v)
-    inst = {"target": target, "triple": region["triple"], "alpha": alpha,
-            "beta": beta, "v": v, "diag": rng.uniform(*gate, dim).tolist(),
-            "x": _unit_vector(rng, dim), "weight": region["weight"]}
-    if "lam" in region:
-        inst["lam"] = float(rng.uniform(*region["lam"]))
-    return inst, gate
+def _holder_mccarthy_ends(rows, region):
+    """The spectrum is uniform on [min(lo, v), v), lo = max(v (gtarget /
+    alpha) ** (1/p), v - gtarget)."""
+    v, g = rows["v"], rows["gtarget"]
+    lo = v * rows.map(operator.pow, rows.divide(g, rows["alpha"]),
+                      rows.divide(1.0, rows["p"]))
+    lo = np.where(v - g > lo, v - g, lo)
+    return np.where(v < lo, v, lo), v
 
 
-def _draw_best_possible(rng: Generator, target: str, region: dict):
-    return {"target": target,
-            "a": _log_uniform(rng, *region["a"]),
-            "beta": float(rng.uniform(*region["beta"])),
-            "lam": float(rng.uniform(*region["lam"]))}, None
+_HOLDER_MCCARTHY_STEPS = (
+    _uniform("alpha", _region("alpha")), _log_uniform("v", _region("v")),
+    _uniform("p", _region("p")), _size("dim"),
+    _log_uniform("gtarget", lambda rows, region: (1e-6, rows["alpha"])),
+    _uniform("diag", _holder_mccarthy_ends, 1), _unit_vector("x"))
 
 
-def _draw_certificates(rng: Generator, target: str, region: dict):
-    alpha, beta, v_hi = _draw_triple_params(rng, region)
-    v = float(rng.uniform(min(region["v"][0], v_hi), v_hi))
-    inst = {"target": target, "triple": region["triple"], "alpha": alpha,
-            "beta": beta, "v": v, "grid": list(region["grid"])}
-    if TRIPLES[region["triple"]].needs_p:
-        inst["p"] = float(rng.uniform(1.5, 4.0))
-    return inst, None
+def _beta_range(rows, region):
+    """beta is uniform on the region triple's stated range at alpha."""
+    return triple_rows(region["triple"], rows["alpha"], None, None,
+                       rows.refuse)
+
+
+def _v_top(region) -> float:
+    return min(region["v"][1], TRIPLES[region["triple"]].anchors.hi)
+
+
+def _operator_gate_ends(rows, region):
+    """The closed gate interval [g(v), v] that holds the spectrum, as
+    _operator_gate gives it; it is the draw's setup."""
+    name = region["triple"]
+    alpha, beta, v = rows["alpha"], rows["beta"], rows["v"]
+    triple_rows(name, alpha, beta, _OPERATOR_P, rows.refuse)
+    rows["gate"] = TRIPLES[name].gate_rows(v, alpha, beta, _OPERATOR_P,
+                                          rows.refuse)
+    return rows["gate"], v
+
+
+_LAM = _uniform("lam", _region("lam"))
+_OPERATOR_STEPS = (
+    _uniform("alpha", _region("alpha")), _uniform("beta", _beta_range),
+    _log_uniform("v", lambda rows, region: (region["v"][0], _v_top(region))),
+    _size("dim"), _uniform("diag", _operator_gate_ends, 1), _unit_vector("x"))
+_BEST_POSSIBLE_STEPS = (_log_uniform("a", _region("a")),
+                        _uniform("beta", _region("beta")), _LAM)
+_CERTIFICATES_STEPS = (
+    _uniform("alpha", _region("alpha")), _uniform("beta", _beta_range),
+    _uniform("v", lambda rows, region: (min(region["v"][0], _v_top(region)),
+                                        _v_top(region))))
+_CERTIFICATES_P = _uniform("p", lambda rows, region: (1.5, 4.0))
+
+
+# instance keys taken from the region rather than drawn
+_REGION_FIELDS = ("triple", "weight", "grid")
+
+
+@dataclass(frozen=True)
+class Sampler:
+    """A target's draw: steps(region) in stream order, and the instance's
+    keys in order.  A key is a drawn value, the target, or one of the
+    region's _REGION_FIELDS; any other key not drawn is left out.
+    setup(rows) gives the rows' setups, or every setup is None."""
+
+    steps: Callable
+    fields: tuple
+    setup: Callable | None = None
+
+    def build(self, rows: _Rows, target: str, region: dict):
+        """(instances, setups) of every row, refused ones included."""
+        names, columns = [], []
+        for name in self.fields:
+            if name in rows.values:
+                columns.append(_listed(rows[name], rows.size))
+            elif name == "target":
+                columns.append([target] * rows.size)
+            elif name in _REGION_FIELDS and name in region:
+                value = region[name]
+                columns.append([list(value) if isinstance(value, list)
+                                else value for _ in range(rows.size)])
+            else:
+                continue
+            names.append(name)
+        insts = [dict(zip(names, values)) for values in zip(*columns)]
+        setups = [None] * rows.size if self.setup is None \
+            else self.setup(rows)
+        return insts, setups
+
+
+def _listed(value, size: int) -> list:
+    """A value of the rows as Python floats and ints, a list per row for a
+    vector."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    out = [None] * size
+    for ks, _, m in value:
+        for k, row in zip(ks.tolist(), m.tolist()):
+            out[k] = row
+    return out
+
+
+def _plan(steps: tuple, region: dict):
+    """One sample's Generator calls, in stream order, with consecutive
+    uniforms in one rng.random call: (draw, calls).  draw(rng) makes them
+    and returns (n, [variates of each call]), n 0 for a target without a
+    size; calls lists each call's (method, steps)."""
+    calls = []
+    for step in steps:
+        if step.call == "random" and calls and calls[-1][0] == "random":
+            calls[-1][1].append(step)
+        else:
+            calls.append((step.call, [step]))
+    # (None, lo, hi) draws the size n from [lo, hi); (method, a, b) draws
+    # a + b * n values
+    makers = [(None, region[group[0].key][0], region[group[0].key][1] + 1)
+              if method == "integers" else
+              (getattr(Generator, method),
+               sum(step.per_n == 0 for step in group),
+               sum(step.per_n for step in group))
+              for method, group in calls]
+
+    def draw(rng):
+        n, drawn = 0, []
+        for method, a, b in makers:
+            if method is None:
+                n = int(rng.integers(a, b))
+                drawn.append(n)
+            else:
+                drawn.append(method(rng, a + b * n))
+        return n, drawn
+    return draw, calls
+
+
+def _draw_rows(streams: _Streams, indices, steps: tuple,
+               region: dict) -> _Rows:
+    """The steps over a block: samples ``indices``, each drawn from its own
+    stream by the Generator calls alone, then every transform at once over
+    the block, vectors grouped by n."""
+    draw, calls = _plan(steps, region)
+    samples = streams.each(indices, draw)
+    rows = _Rows(len(samples))
+    sizes = np.array([n for n, _ in samples], dtype=np.int64)
+    groups = [(np.flatnonzero(sizes == n), n) for n in
+              np.unique(sizes).tolist()]
+    with np.errstate(all="ignore"):
+        for j, (method, group) in enumerate(calls):
+            if method == "integers":
+                _run_step(group[0], rows, region, sizes)
+                continue
+            drawn = [(ks, n, np.array([samples[k][1][j] for k in ks]))
+                     for ks, n in groups]
+            ones = multiples = 0  # the call's values before the step
+            for step in group:
+                parts = [(ks, n, m[:, ones + multiples * n:][
+                    :, :max(step.per_n * n, 1)]) for ks, n, m in drawn]
+                ones, multiples = ones + (not step.per_n), \
+                    multiples + step.per_n
+                _run_step(step, rows, region, parts if step.per_n
+                          else _scalar(parts, rows.size))
+    return rows
+
+
+def _scalar(parts: list, size: int) -> np.ndarray:
+    """A scalar's (rows, n, values) groups as one array over the rows."""
+    out = np.empty(size)
+    for ks, _, m in parts:
+        out[ks] = m[:, 0]
+    return out
+
+
+def _run_step(step: _Step, rows: _Rows, region: dict, variates) -> None:
+    if step.check is not None:
+        step.check(rows, region)
+    if step.apply is not None:
+        step.apply(rows, region, variates)
+
+
+def _draw_one(rng: Generator, steps: tuple, region: dict) -> _Rows:
+    """The steps on a block of one, stage by stage: a step's Generator call
+    is made only once the row passed its check, and a refused row raises
+    what the scalar draw raised there, so the stream is left where that
+    draw left it.  A refused unit vector is drawn again."""
+    rows = _Rows(1)
+    one = np.zeros(1, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        for step in steps:
+            if step.check is not None:
+                step.check(rows, region)
+                rows.raise_refused()
+            while True:
+                if step.call == "integers":
+                    lo, hi = region[step.key]
+                    variates = np.array([int(rng.integers(lo, hi + 1))])
+                elif not step.per_n:
+                    variates = rng.random(1)
+                else:
+                    n = int(rows.sizes[0])
+                    variates = [(one, n, getattr(rng, step.call)(
+                        step.per_n * n)[None, :])]
+                step.apply(rows, region, variates)
+                if not (step.redraw and rows.refused[0]):
+                    break
+                rows.refused[0] = False
+            rows.raise_refused()
+    return rows
+
+
+def _draw_block(streams: _Streams, indices, target: str, region: dict):
+    """(indices, instances, setups) of the draws of samples ``indices``,
+    each from its own stream, leaving out the rows the sampler refuses."""
+    sampler = RULES[target].draw
+    rows = _draw_rows(streams, indices, sampler.steps(region), region)
+    insts, setups = sampler.build(rows, target, region)
+    keep = np.flatnonzero(~rows.refused).tolist()
+    return [indices[k] for k in keep], [insts[k] for k in keep], \
+        [setups[k] for k in keep]
 
 
 def _draw(rng: Generator, target: str, region: dict):
-    """(instance, setup) from the target's sampler."""
-    return RULES[target].draw(rng, target, region)
+    """(instance, setup): the target's sampler on a block of one."""
+    sampler = RULES[target].draw
+    rows = _draw_one(rng, sampler.steps(region), region)
+    insts, setups = sampler.build(rows, target, region)
+    return insts[0], setups[0]
 
 
 def draw_instance(rng: Generator, target: str, region: dict) -> dict:
     return _draw(rng, target, region)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def instance_template(target: str) -> dict:
+    """An instance of the target as its sampler draws it at the default
+    region: the keys its instances hold, each with a value of its type.
+    It is cached, so callers must not change it."""
+    return draw_instance(_stream(0, 0), target, RULES[target].region)
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +914,6 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], y[:, :, None]).ravel()
 
 
-def _clamp_rows(t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """min(max(t, lo), hi) of each row, as Python's min and max pick."""
-    t = np.where(lo > t, lo, t)
-    return np.where(hi < t, hi, t)
-
-
 def _sample(data) -> WeightedSample:
     return WeightedSample(tuple(data["a"]), tuple(data["q"]),
                           b=tuple(data["b"]) if data.get("b") else None)
@@ -680,15 +1048,17 @@ def _chain_group(name: str, insts: list, ks: np.ndarray, margin_kind: str,
     return single
 
 
+# the exponent p of an operator triple whose f is a power (holder_mccarthy);
+# the other triples read no p
+_OPERATOR_P = 2.0
+
+
 @functools.lru_cache(maxsize=None)
 def _operator_f(name: str) -> ScalarFunction:
     """f of the operator triple: it depends on the triple alone."""
     rule = TRIPLES[name]
-    return ScalarFunction(rule.target, {"p": 2.0} if rule.needs_p else {})
-
-
-def _operator_p(name: str) -> float | None:
-    return 2.0 if TRIPLES[name].needs_p else None
+    return ScalarFunction(rule.target,
+                          {"p": _OPERATOR_P} if rule.needs_p else {})
 
 
 def _operator_gate(name: str, alpha: float, beta: float, v: float,
@@ -696,9 +1066,9 @@ def _operator_gate(name: str, alpha: float, beta: float, v: float,
     """(lo, hi) of the closed gate interval [g(v), v] of the operator
     triple at (alpha, beta); with ``check``, ValueError where make_triple
     would refuse them."""
-    p = _operator_p(name)
-    rule = check_triple(name, alpha, beta, p) if check else TRIPLES[name]
-    return rule.gate_bounds(v, alpha, beta, p)
+    rule = check_triple(name, alpha, beta, _OPERATOR_P) if check \
+        else TRIPLES[name]
+    return rule.gate_bounds(v, alpha, beta, _OPERATOR_P)
 
 
 def _operator_functions(inst: dict, check: bool = True):
@@ -706,7 +1076,7 @@ def _operator_functions(inst: dict, check: bool = True):
     ``check``, ValueError where make_triple would refuse its parameters."""
     name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
     if check:
-        check_triple(name, alpha, beta, _operator_p(name))
+        check_triple(name, alpha, beta, _OPERATOR_P)
     h = scalar_function("identity_weight") \
         if inst.get("weight") == "identity_weight" \
         else ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
@@ -1133,9 +1503,9 @@ class TargetRules:
     look up the layers they call (make_triple, the chains...) at call time."""
 
     region: dict  # region defaults; any other key is an error
-    # (rng, target, region) -> (instance, setup), where setup holds what
-    # the draw built that evaluate can reuse, or None
-    draw: Callable
+    # draws (instance, setup) pairs, where setup holds what the draw built
+    # that evaluate can reuse, or None
+    draw: Sampler
     # (instances, margin_kind, setups, hp=False) -> Block: in doubles an
     # array kernel over the block (setup None: evaluate from the instance
     # alone); hp gives each row's 60-digit margin, flags None and the
@@ -1157,7 +1527,13 @@ def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
     return TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-2, 1.0], "dim": [2, 8],
          "triple": "amgm", "weight": "exp_weight", **region},
-        _draw_operator, _evaluate_operator, _operator_bound, mode=mode,
+        Sampler(lambda region: _OPERATOR_STEPS + ((_LAM,) if "lam" in region
+                                                  else ()),
+                ("target", "triple", "alpha", "beta", "v", "diag", "x",
+                 "weight", "lam"),
+                lambda rows: list(zip(rows["gate"].tolist(),
+                                      rows["v"].tolist()))),
+        _evaluate_operator, _operator_bound, mode=mode,
         pinned=pinned)
 
 
@@ -1168,30 +1544,41 @@ RULES = {
     "best-possible": TargetRules(
         {"a": [1e-3, 10.0], "beta": [1e-6, 1.0 - 1e-6],
          "lam": [0.5 + 1e-12, 1.0 - 1e-12]},
-        _draw_best_possible, _evaluate_best_possible, lam_floor=0.5),
+        Sampler(lambda region: _BEST_POSSIBLE_STEPS,
+                ("target", "a", "beta", "lam")),
+        _evaluate_best_possible, lam_floor=0.5),
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-        _draw_mean_chain, _evaluate_chain, _kyfan_bound, chain="kyfan",
+        _mean_chain_sampler("kyfan"), _evaluate_chain, _kyfan_bound,
+        chain="kyfan",
         report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-        _draw_mean_chain, _evaluate_chain, _amgm_bound, chain="amgm",
+        _mean_chain_sampler("amgm"), _evaluate_chain, _amgm_bound,
+        chain="amgm",
         report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
     "chrystal": TargetRules(
-        {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]}, _draw_chrystal,
+        {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
+        Sampler(lambda region: _CHRYSTAL_STEPS,
+                ("target", "alpha", "v", "n", "a", "b", "q")),
         _evaluate_chain, _chrystal_bound, chain="chrystal",
         report=lambda d, alpha, v, p: chrystal_chain(_sample(d), alpha, v)),
     "holder-mccarthy": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
          "p": [1.000001, 4.0]},
-        _draw_holder_mccarthy, _evaluate_chain, _holder_mccarthy_bound,
+        Sampler(lambda region: _HOLDER_MCCARTHY_STEPS,
+                ("target", "alpha", "v", "p", "dim", "diag", "x")),
+        _evaluate_chain, _holder_mccarthy_bound,
         chain="holder_mccarthy",
         report=lambda d, alpha, v, p: hm_chain(
             _matrix(d), UnitVector(d["x"]), float(p), alpha, v)),
     "certificates": TargetRules(
         {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
          "grid": [256, 256]},
-        _draw_certificates, _evaluate_certificates),
+        Sampler(lambda region: _CERTIFICATES_STEPS + (
+            (_CERTIFICATES_P,) if TRIPLES[region["triple"]].needs_p else ()),
+            ("target", "triple", "alpha", "beta", "v", "grid", "p")),
+        _evaluate_certificates),
 }
 TARGETS = tuple(RULES)
 
@@ -1205,9 +1592,9 @@ def _run_range(campaign_json: dict, start: int, stop: int):
 
     Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
     each block is evaluated by the target's kernel at once.  A sample whose
-    first draw raises, fails to evaluate or is infeasible is replayed from
-    its stream by _retry, the per-sample loop, which counts all its draws;
-    the others count one draw each.
+    first draw is refused, fails to evaluate or is infeasible is replayed
+    from its stream by _retry, the per-sample loop, which counts all its
+    draws; the others count one draw each.
     """
     c = Campaign(**campaign_json)
     evaluate = RULES[c.target].evaluate
@@ -1218,15 +1605,8 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     candidates = []
     for lo in range(start, stop, BLOCK_SIZE):
         hi = min(lo + BLOCK_SIZE, stop)
-        index, insts, setups = [], [], []
-        for i in range(lo, hi):
-            try:
-                inst, setup = _draw(streams.at(i), c.target, c.region)
-            except _REJECTED:
-                continue
-            index.append(i)
-            insts.append(inst)
-            setups.append(setup)
+        index, insts, setups = _draw_block(streams, range(lo, hi), c.target,
+                                           c.region)
         block = evaluate(insts, c.margin_kind, setups) if insts else Block(0)
         kept = np.array(index, dtype=np.int64)[block.accepted]
         row_of = dict(zip(kept.tolist(),

@@ -438,32 +438,58 @@ def gate_interval(g: ScalarFunction, v: float, ambient: Interval,
                         clamped=clamped)
 
 
+def _one_row(rows):
+    """rows(refuse) on a block of one row, raising the first error that
+    refuse(mask, error) is called with for it (error(0) builds it)."""
+    errors = []
+
+    def refuse(mask, error):
+        if mask[0] and not errors:
+            errors.append(error(0))
+    out = rows(refuse)
+    if errors:
+        raise errors[0]
+    return out
+
+
 def _gate_lower_end(gv: float, v: float, ambient: Interval, clamp_eps: float,
                     label: Callable[[], str]):
     """(lower end, clamped) of gate_interval's closed interval [lo, v] once
-    g(v) is known, raising as gate_interval does (an end that Interval
-    refuses as its ValueError); ``label()`` names g in the errors."""
-    if gv > v:
-        raise InfeasibleGate(f"{label()}: g(v)={gv!r} exceeds v={v!r}")
-    if gv == v:
-        return v, False
-    lo = max(gv, ambient.lo)
-    lo_open = ambient.lo_open if lo == ambient.lo and gv <= ambient.lo else False
-    clamped = False
-    if lo_open:
-        lo = ambient.lo + clamp_eps
-        clamped = True
-    if lo > v:
-        raise InfeasibleGate(
-            f"{label()}: restricted interval empty after intersection "
-            f"(lo={lo!r} > v={v!r})")
-    if ambient.hi_open and v == ambient.hi:
-        raise DomainError(f"anchor v={v!r} sits on the open upper end of {ambient}")
-    if math.isnan(lo):
-        raise ValueError("interval endpoints must not be NaN")
-    if math.isinf(lo):
-        raise ValueError("infinite lower endpoint must be open")
-    return lo, clamped
+    g(v) is known, raising as gate_interval does; ``label()`` names g in
+    the errors."""
+    lo, clamped = _one_row(lambda refuse: _gate_lower_rows(
+        np.array([gv]), np.array([v]), ambient, clamp_eps,
+        lambda k: label(), refuse))
+    return float(lo[0]), bool(clamped[0])
+
+
+def _gate_lower_rows(gv: np.ndarray, v: np.ndarray, ambient: Interval,
+                     clamp_eps: float, label: Callable[[int], str],
+                     refuse: Callable):
+    """_gate_lower_end over rows: (lower ends, clamped).  For the rows where
+    it raises, refuse(mask, error) is called in the order it checks them,
+    with error(k) what it raises for row k (an end that Interval refuses as
+    its ValueError); ``label(k)`` names row k's g."""
+    refuse(gv > v, lambda k: InfeasibleGate(
+        f"{label(k)}: g(v)={float(gv[k])!r} exceeds v={float(v[k])!r}"))
+    inside = gv != v  # g(v) == v gives the degenerate interval [v, v]
+    with np.errstate(invalid="ignore"):
+        lo = np.where(ambient.lo > gv, ambient.lo, gv)  # max(gv, ambient.lo)
+    clamped = inside & ambient.lo_open & (lo == ambient.lo) \
+        & (gv <= ambient.lo)
+    lo = np.where(clamped, ambient.lo + clamp_eps, lo)
+    refuse(inside & (lo > v), lambda k: InfeasibleGate(
+        f"{label(k)}: restricted interval empty after intersection "
+        f"(lo={float(lo[k])!r} > v={float(v[k])!r})"))
+    if ambient.hi_open:
+        refuse(inside & (v == ambient.hi), lambda k: DomainError(
+            f"anchor v={float(v[k])!r} sits on the open upper end of "
+            f"{ambient}"))
+    refuse(inside & np.isnan(lo),
+           lambda k: ValueError("interval endpoints must not be NaN"))
+    refuse(inside & np.isinf(lo),
+           lambda k: ValueError("infinite lower endpoint must be open"))
+    return np.where(inside, lo, v), clamped
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +540,36 @@ class TripleRule:
                     p: float | None = None) -> tuple[float, float]:
         """The ends (lo, v) of the closed interval gate_interval(t.g, v,
         t.f.domain) of t = make_triple(..., alpha, beta, p), raising as it
-        does, without building t: g(v) comes from the gate family's core in
-        numpy ops, as evaluate computes it.  The parameters are taken as
-        make_triple accepted them (see check_triple)."""
+        does, without building t.  The parameters are taken as make_triple
+        accepted them (see check_triple)."""
+        lo = _one_row(lambda refuse: self.gate_rows(
+            *(np.array([x], dtype=float) for x in (v, alpha, beta)), p,
+            refuse))
+        return float(lo[0]), float(v)
+
+    def gate_rows(self, v: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                  p: float | None, refuse: Callable) -> np.ndarray:
+        """gate_bounds over rows: the lower ends.  For the rows where it
+        raises, refuse(mask, error) is called in the order it checks them,
+        with error(k) what it raises for row k.  g(v) comes from the gate
+        family's core in numpy ops, as evaluate computes it."""
         family = _FAMILIES[self.gate]
         ambient = _FAMILIES[self.target].default_domain
-        v = float(v)
-        if not ambient.contains(v):
-            raise DomainError(f"anchor v={v!r} outside ambient {ambient}")
-        params = {k: float(x) for k, x in
-                  (("alpha", alpha), ("beta", beta), ("p", p))
-                  if k in family.param_names}
+        params = {k: x for k, x in (("alpha", alpha), ("beta", beta),
+                                    ("p", p)) if k in family.param_names}
 
-        def label():
-            return _label(self.gate, params)
-        if not family.default_domain.contains(v):
-            raise DomainError(f"{label()}: point {v!r} outside domain "
-                              f"{family.default_domain}")
-        gv = float(family.core(params, v, _NP_OPS))
-        return _gate_lower_end(gv, v, ambient, 1e-9, label)[0], v
+        def label(k):
+            return _label(self.gate, {
+                name: float(np.broadcast_to(x, v.shape)[k])
+                for name, x in params.items()})
+        refuse(~ambient.contains_array(v), lambda k: DomainError(
+            f"anchor v={float(v[k])!r} outside ambient {ambient}"))
+        refuse(~family.default_domain.contains_array(v), lambda k: DomainError(
+            f"{label(k)}: point {float(v[k])!r} outside domain "
+            f"{family.default_domain}"))
+        with np.errstate(all="ignore"):
+            gv = family.core(params, v, _NP_OPS)
+            return _gate_lower_rows(gv, v, ambient, 1e-9, label, refuse)[0]
 
 
 TRIPLES = {
@@ -550,11 +587,9 @@ TRIPLE_NAMES = tuple(TRIPLES)
 
 def triple_beta_range(name: str, alpha: float) -> tuple[float, float]:
     """Admissible [beta_lo, beta_hi] for a triple at the given alpha."""
-    rule = TRIPLES[name]
-    if not alpha > rule.alpha_floor:
-        raise ValueError(f"{name}: alpha must exceed {rule.alpha_floor}, "
-                         f"got {alpha}")
-    return alpha, alpha + rule.gamma_max(alpha)
+    lo, hi = _one_row(lambda refuse: triple_rows(
+        name, np.array([alpha], dtype=float), None, None, refuse))
+    return float(lo[0]), float(hi[0])
 
 
 def check_triple(name: str, alpha: float, beta: float,
@@ -564,12 +599,29 @@ def check_triple(name: str, alpha: float, beta: float,
     rule = TRIPLES.get(name)
     if rule is None:
         raise ValueError(f"unknown triple {name!r}; known: {TRIPLE_NAMES}")
-    blo, bhi = triple_beta_range(name, alpha)
-    if not blo <= beta <= bhi:
-        raise ValueError(f"{name}: beta={beta} outside [{blo}, {bhi}]")
-    if rule.needs_p and (p is None or not p > 1):
-        raise ValueError(f"{name}: requires exponent p > 1")
+    _one_row(lambda refuse: triple_rows(
+        name, np.array([alpha], dtype=float), np.array([beta], dtype=float),
+        p, refuse))
     return rule
+
+
+def triple_rows(name: str, alpha: np.ndarray, beta: np.ndarray | None,
+                p: float | None, refuse: Callable):
+    """check_triple over rows of alpha and beta (beta None: alpha alone, as
+    triple_beta_range checks it): the rows' admissible beta ranges (lo, hi).
+    For the rows it refuses, refuse(mask, error) is called in the order it
+    checks them, with error(k) the ValueError for row k."""
+    rule = TRIPLES[name]
+    refuse(~(alpha > rule.alpha_floor), lambda k: ValueError(
+        f"{name}: alpha must exceed {rule.alpha_floor}, got {alpha[k]}"))
+    lo, hi = alpha, alpha + rule.gamma_max(alpha)
+    if beta is not None:
+        refuse(~((lo <= beta) & (beta <= hi)), lambda k: ValueError(
+            f"{name}: beta={beta[k]} outside [{lo[k]}, {hi[k]}]"))
+        if rule.needs_p and (p is None or not p > 1):
+            refuse(np.ones(alpha.shape, dtype=bool), lambda k: ValueError(
+                f"{name}: requires exponent p > 1"))
+    return lo, hi
 
 
 def make_triple(name: str, alpha: float, beta: float,

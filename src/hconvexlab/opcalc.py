@@ -166,10 +166,11 @@ class UnitVector:
             raise ValueError("vector must have at least one component")
         if not np.isfinite(x).all():
             raise ValueError("vector components must be finite")
-        norm = float(np.linalg.norm(x))
+        with np.errstate(over="ignore"):  # an overflowed norm is refused
+            norm = float(np.linalg.norm(x))
         ok, renormalized, (x,) = unit_rows(x[None, :], np.array([norm]))
         if not ok[0]:
-            raise ValueError("cannot normalize the zero vector")
+            raise ValueError(f"cannot normalize a vector of norm {norm}")
         self.renormalized = bool(renormalized[0])
         if self.renormalized:
             logger.debug("renormalizing input vector (norm deviation %.3e)",
@@ -189,12 +190,14 @@ class UnitVector:
 def unit_rows(x: np.ndarray, norm: np.ndarray):
     """UnitVector's rule over rows of x, given each row's Euclidean norm:
     (ok, renormalized, rows).  A row is ok when its entries are finite and
-    its norm is nonzero; it is divided by its norm when that lies more
-    than 1e-12 from 1."""
+    its norm is finite (it overflows past about 1.3e154 per entry) and
+    nonzero; it is divided by its norm when that lies more than 1e-12 from
+    1."""
     renormalized = np.abs(norm - 1.0) > 1e-12
     with np.errstate(all="ignore"):
         rows = np.where(renormalized[:, None], x / norm[:, None], x)
-    return np.isfinite(x).all(1) & (norm != 0.0), renormalized, rows
+    return np.isfinite(x).all(1) & np.isfinite(norm) & (norm != 0.0), \
+        renormalized, rows
 
 
 # ---------------------------------------------------------------------------

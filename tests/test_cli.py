@@ -2,12 +2,17 @@
 
 import csv
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from hconvexlab import funclib
 from hconvexlab.cli import main
-from hconvexlab.opcalc import SymmetricMatrix, UnitVector
-from hconvexlab.refined import hm_chain
+from hconvexlab.falsify import RULES, TARGETS, _stream, draw_instance
+from hconvexlab.funclib import TRIPLE_NAMES, TRIPLES
+from hconvexlab.opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector
+from hconvexlab.refined import CHAINS, hm_chain
 
 CERT_CONFIG = {
     "f": {"family": "neglog", "params": {}},
@@ -145,6 +150,14 @@ def test_jensen_classical_exits_zero(tmp_path):
     code, report = _run(tmp_path, "jensen", "--config", cfg)
     assert code == 0
     assert report["result"]["margin"] >= 0.0
+
+
+def test_jensen_vector_whose_norm_overflowed_is_an_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "j.json", dict(PINNED_JENSEN, mode="infimum",
+                                          x=[1e308, 1e308]))
+    code, report = _run(tmp_path, "jensen", "--config", cfg)
+    assert (code, report) == (1, None)
+    assert capsys.readouterr().err.startswith("error: jensen.x: ")
 
 
 def test_jensen_unknown_mode_is_an_error(tmp_path, capsys):
@@ -408,3 +421,164 @@ def test_replay_inline_witness(tmp_path):
     code, report = _run(tmp_path, "replay", "--config", cfg)
     assert code == 2
     assert report["result"]["matches"]["margin_double"]
+
+
+# ---------------------------------------------------------------------------
+# Contract: every config is a result, an error line or a refusal
+# ---------------------------------------------------------------------------
+
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                            math.inf, -math.inf, math.nan])
+_POSITIVE = st.floats(0.05, 3.0)
+_NUMBER = st.one_of(_EXTREME, _POSITIVE, st.floats(-3.0, 3.0),
+                    st.integers(-1, 6))
+_WRONG = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                   st.just([]), st.just({}), st.just([[]]), st.just([None]))
+_NUMBERS = st.lists(_NUMBER, min_size=1, max_size=3)
+# sizes stay small: a grid, sample count or dim is at most 6 unless an odd
+# value replaces it, which the caps refuse before anything is allocated
+_SMALL = st.integers(1, 6)
+_GRID = st.lists(st.integers(1, 6), min_size=2, max_size=2)
+_INTERVAL = st.one_of(
+    st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2).map(sorted),
+    st.lists(_NUMBER, min_size=2, max_size=2)).flatmap(
+        lambda ends: st.fixed_dictionaries(
+            {"lo": st.just(ends[0]), "hi": st.just(ends[1])}, optional={
+                "lo_open": st.booleans(), "hi_open": st.booleans()}))
+
+
+def _function(families):
+    return st.sampled_from(families).flatmap(lambda family: st.fixed_dictionaries({
+        "family": st.just(family),
+        "params": st.fixed_dictionaries({
+            name: st.one_of(_POSITIVE, _NUMBER)
+            for name in funclib._FAMILIES[family].param_names})},
+        optional={"domain": _INTERVAL}))
+
+
+_WEIGHT = _function(["exp_weight", "power_weight", "identity_weight"])
+_GATE = _function(["kyfan_gate", "power_gate", "chrystal_gate", "root_gate",
+                   "constant_gate", "cosine_gate", "piecewise_gate"])
+_TARGET = _function(["logit", "neglog", "softplus", "power", "cubic",
+                     "expdecay", "square", "exp", "abs", "affine"])
+_MATRIX = st.one_of(
+    st.fixed_dictionaries({"diagonal": _NUMBERS}),
+    st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(_NUMBER, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@st.composite
+def _refine(draw):
+    """A refine config whose rows hold the chain's keys, n values each."""
+    inequality = draw(st.sampled_from(list(CHAINS)))
+    n = draw(st.integers(1, 3))
+    values = st.lists(st.one_of(st.floats(0.01, 0.5), _NUMBER), min_size=n,
+                      max_size=n)
+    keys = {"a": values, "b": values, "x": values, "matrix": st.builds(
+        lambda d: {"diagonal": d}, values), "q": st.one_of(
+            st.just([1.0 / n] * n), values)}
+    rows = st.fixed_dictionaries({key: keys[key] for key in
+                                  CHAINS[inequality].row_keys})
+    config = {"inequality": inequality, "alpha": draw(_NUMBER),
+              "v": draw(_NUMBER), "samples": draw(st.one_of(
+                  rows, st.lists(rows, min_size=1, max_size=2)))}
+    if TRIPLES[inequality].needs_p:
+        config["p"] = draw(_NUMBER)
+    return config
+
+
+
+@st.composite
+def _region(draw, target):
+    """Some of the target's region keys, each an ordered pair (or a name)."""
+    out = {}
+    for key in draw(st.sets(st.sampled_from(sorted(RULES[target].region)))):
+        if key == "triple":
+            out[key] = draw(st.sampled_from(TRIPLE_NAMES))
+        elif key == "weight":
+            out[key] = draw(st.sampled_from(["exp_weight",
+                                             "identity_weight"]))
+        else:
+            out[key] = sorted(draw(_GRID if key in ("n", "dim", "grid")
+                                   else st.lists(_NUMBER, min_size=2,
+                                                 max_size=2)))
+    return out
+
+
+@st.composite
+def _falsify(draw):
+    target = draw(st.sampled_from(TARGETS))
+    config = {"target": target, "samples": draw(_SMALL),
+              "seed": draw(st.integers(0, 6)), "region": draw(_region(target))}
+    config.update(draw(st.fixed_dictionaries({}, optional={
+        "margin_kind": st.sampled_from(["refined", "outer"]),
+        "witness_cap": st.integers(0, 6)})))
+    return config
+
+
+@st.composite
+def _witness(draw):
+    """A drawn instance, one of whose values may be odd or of a wrong
+    type, as a witness."""
+    target = draw(st.sampled_from([t for t in TARGETS
+                                   if t != "certificates"]))
+    inputs = draw_instance(_stream(1, draw(st.integers(0, 40))), target,
+                           RULES[target].region)
+    key = draw(st.sampled_from(sorted(inputs)))
+    inputs[key] = draw(st.one_of(st.just(inputs[key]), _WRONG, _NUMBER,
+                                 _NUMBERS))
+    return {"inputs": inputs, **draw(st.fixed_dictionaries({}, optional={
+        "margin_kind": st.sampled_from(["refined", "outer"]),
+        "margin_double": _NUMBER, "index": _SMALL}))}
+
+
+CONFIGS = {
+    "certify": st.one_of(st.fixed_dictionaries(
+        {"f": _TARGET, "g": _GATE, "h": _WEIGHT, "v": _NUMBER},
+        optional={"grid": _GRID, "ambient": _INTERVAL}), st.builds(
+            lambda config, v, grid: dict(config, v=v, grid=grid),
+            st.sampled_from([CERT_CONFIG, CUBIC_GATED]),
+            st.one_of(st.floats(0.0, 2.0), _NUMBER), _GRID)),
+    "jcoeff": st.fixed_dictionaries({"h": _WEIGHT, "interval": _INTERVAL},
+                                    optional={"samples": _SMALL}),
+    "jensen": st.fixed_dictionaries(
+        {"f": st.one_of(st.just(PINNED_JENSEN["f"]), _TARGET),
+         "matrix": _MATRIX, "x": _NUMBERS,
+         "mode": st.sampled_from(JENSEN_MODES)},
+        optional={"h": st.one_of(st.just(PINNED_JENSEN["h"]), _WEIGHT),
+                  "lam": _NUMBER}),
+    "refine": _refine(),
+    "falsify": _falsify(),
+    "replay": st.fixed_dictionaries({"witness": _witness()}),
+    "sweep": st.fixed_dictionaries(
+        {"f": st.one_of(st.just(PINNED_JENSEN["f"]), _TARGET),
+         "h": st.one_of(st.just(PINNED_JENSEN["h"]), _WEIGHT),
+         "matrix": _MATRIX, "x": _NUMBERS}, optional={"grid": _SMALL}),
+}
+
+
+@st.composite
+def _config(draw, command):
+    """A config of the command's keys; in half of them one value is
+    replaced by a value of a wrong type or an odd number (None: missing)."""
+    config = draw(CONFIGS[command])
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(config)))
+        config[key] = draw(st.one_of(_WRONG, _EXTREME))
+    return config
+
+
+# odd values overflow in numpy on purpose here; what the test checks is
+# the exit code
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", list(CONFIGS))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_config_exits_with_a_code(tmp_path, capsys, monkeypatch,
+                                        command, data):
+    # in-process, one worker: no config may raise out of main
+    monkeypatch.delenv("HCONVEXLAB_THREADS", raising=False)
+    cfg = _write(tmp_path, "c.json", data.draw(_config(command)))
+    assert main([command, "--config", cfg]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -21,7 +21,8 @@ from hconvexlab.falsify import (
     margin_bound, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Streams, _draw, _run_range, _stream, _weights, _worker_count,
+    _Rows, _Streams, _draw, _draw_block, _draw_one, _draw_rows, _listed,
+    _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
@@ -90,24 +91,62 @@ def test_worker_count_parsing():
 # ---------------------------------------------------------------------------
 
 def test_reused_generator_gives_each_sample_its_own_stream():
-    streams = _Streams(123)
-    for i in (7, 0, 5, 2 ** 40):
-        fresh, reused = _stream(123, i), streams.at(i)
-        assert fresh.standard_normal(3).tolist() \
-            == reused.standard_normal(3).tolist()
-        assert fresh.integers(2, 9) == reused.integers(2, 9)
-        assert fresh.dirichlet(np.ones(3)).tolist() \
-            == reused.dirichlet(np.ones(3)).tolist()
+    indices = (7, 0, 5, 2 ** 40)
+    reused = _Streams(123).each(indices, lambda rng: (
+        rng.standard_normal(3), rng.integers(2, 9), rng.dirichlet(np.ones(3))))
+    for i, (normal, integer, dirichlet) in zip(indices, reused):
+        fresh = _stream(123, i)
+        assert fresh.standard_normal(3).tolist() == normal.tolist()
+        assert fresh.integers(2, 9) == integer
+        assert fresh.dirichlet(np.ones(3)).tolist() == dirichlet.tolist()
 
 
 def test_weights_match_dirichlet_bit_for_bit():
     # the same bits as rng.dirichlet(np.ones(n)), and the stream left where
-    # dirichlet leaves it
+    # dirichlet leaves it, over a block and on a block of one (n is drawn
+    # from [n, n], which numpy does without using the stream)
+    steps = (_size("n"), _weights("q"))
     for n in range(1, 9):
+        region = {"n": [n, n]}
+        block = _listed(_draw_rows(_Streams(29), range(2000), steps,
+                                   region)["q"], 2000)
         for i in range(2000):
             ours, numpy_s = _stream(29, i), _stream(29, i)
-            assert _weights(ours, n) == numpy_s.dirichlet(np.ones(n)).tolist()
+            weights = _listed(_draw_one(ours, steps, region)["q"], 1)[0]
+            assert block[i] == weights \
+                == numpy_s.dirichlet(np.ones(n)).tolist()
             assert ours.random() == numpy_s.random()
+
+
+def test_a_unit_vector_near_zero_is_drawn_again():
+    # a draw of one draws the normals again, as a loop on their norm does;
+    # a block refuses the row instead, and its retry draws it on its own
+    class FirstTiny:
+        """A stream whose first normals are scaled to norm 1e-7."""
+
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, n):
+            self.calls += 1
+            x = self.rng.standard_normal(n)
+            return x * (1e-7 / math.sqrt(x.dot(x))) if self.calls == 1 else x
+    steps, region = (_size("dim"), _unit_vector("x")), {"dim": [3, 3]}
+    rng = FirstTiny(_stream(5, 0))
+    x = _listed(_draw_one(rng, steps, region)["x"], 1)[0]
+    fresh = _stream(5, 0)
+    fresh.standard_normal(3)
+    y = fresh.standard_normal(3)
+    assert rng.calls == 2
+    assert x == (y / math.sqrt(y.dot(y))).tolist()
+    rows = _Rows(2)
+    _unit_vector("x").apply(rows, region, [(np.arange(2), 3, np.array(
+        [[1e-7, 0.0, 0.0], [0.0, 3.0, 4.0]]))])
+    assert rows.refused.tolist() == [True, False]
+    assert _listed(rows["x"], 2)[1] == [0.0, 0.6, 0.8]
 
 
 def test_draw_is_deterministic_per_seed_and_index():
@@ -138,6 +177,19 @@ def test_evaluate_pinned_instance_frozen_margin():
     assert margin == -0.018582467924522228
     assert all(flags.values())
     assert extras["rhs_factor"] == pytest.approx(2.0 / 2.16, rel=1e-15)
+
+
+def test_evaluate_refuses_a_vector_whose_norm_overflowed():
+    # the kernel's rows refuse it as UnitVector does, on their own or in a
+    # block with rows that evaluate
+    inst = dict(PINNED_INSTANCE, x=[1e308, 1e308])
+    with pytest.raises(ValueError, match="norm inf"):
+        evaluate_instance(inst)
+    block = RULES["operator-jensen"].evaluate(
+        [PINNED_INSTANCE, inst], "refined", [None, None])
+    assert block.accepted.tolist() == [True, False]
+    with pytest.raises(ValueError, match="norm inf"):
+        block.row(1)
 
 
 def test_evaluate_best_possible_reduced_vs_functional_margins():
@@ -557,6 +609,27 @@ def test_golden_digests_with_two_workers(monkeypatch, target, margin_kind):
     assert digest == GOLDEN_DIGESTS[target, margin_kind]
 
 
+_DRAW_REGIONS = list({(c[0], repr(c[1])): c[:2] for c in DRAW_DIGESTS}
+                     .values())
+
+
+@pytest.mark.parametrize("target, region", _DRAW_REGIONS)
+def test_block_draws_match_draws_of_one(target, region):
+    # a block refuses the rows whose draw of one raises, and gives the
+    # others' instances and setups bit for bit
+    region = Campaign(target, 1, 1, region=region).region
+    indices = range(3, 3 + BLOCK_SIZE + 41)
+    kept, insts, setups = _draw_block(_Streams(GOLDEN_SEED), indices,
+                                      target, region)
+    block = dict(zip(kept, map(repr, zip(insts, setups))))
+    for i in indices:
+        try:
+            one = repr(_draw(_stream(GOLDEN_SEED, i), target, region))
+        except REJECTED:
+            one = "refused"
+        assert block.get(i, "refused") == one, i
+
+
 # rows of a block get odd values here, so that some rows raise, some are
 # infeasible and some leave the arrays for the one-at-a-time evaluation
 _ODD_VALUES = (0.0, -0.0, -1.0, 1, 2, 0.5, 0.75, 1e308, -1e308, 5e-324,
@@ -758,6 +831,7 @@ def test_empty_region_counts_every_earlier_sample():
     # earlier sample's draws
     campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
     at, draw, current = falsify._Streams.at, falsify._draw, []
+    draw_block = falsify._draw_block
 
     def recording_at(self, index):
         current.append(index)
@@ -767,8 +841,14 @@ def test_empty_region_counts_every_earlier_sample():
         if current[-1] == 300:
             raise ValueError("no draw for this sample")
         return draw(rng, target, region)
+
+    def failing_block(streams, indices, target, region):
+        drawn = draw_block(streams, indices, target, region)
+        return [[t for i, t in zip(drawn[0], part) if i != 300]
+                for part in drawn]
     with mock.patch.object(falsify._Streams, "at", recording_at), \
-            mock.patch.object(falsify, "_draw", failing_draw):
+            mock.patch.object(falsify, "_draw", failing_draw), \
+            mock.patch.object(falsify, "_draw_block", failing_block):
         with pytest.raises(EmptyRegion) as exc:
             _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
     before = _reference_range(campaign, 0, 300)

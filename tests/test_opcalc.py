@@ -66,6 +66,16 @@ def test_unit_vector_renormalizes():
         UnitVector([0.0, 0.0])
 
 
+def test_unit_vector_refuses_a_norm_that_overflowed():
+    # the sum of squares overflows: dividing by an infinite norm would keep
+    # the zero vector as a unit vector
+    for x in ([1e308, 1e308], [1e200, 1.0], [-1e155, 1e155, 0.0]):
+        with pytest.raises(ValueError, match="norm inf"):
+            UnitVector(x)
+    assert UnitVector([1e150, 1e150]).components.tolist() \
+        == [0.7071067811865476, 0.7071067811865476]
+
+
 # ---------------------------------------------------------------------------
 # Eigensolver vs the numpy oracle
 # ---------------------------------------------------------------------------
