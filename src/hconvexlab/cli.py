@@ -93,7 +93,8 @@ def parse_witness(value, context: str) -> dict:
     margin_kind of refined|outer; other keys pass through."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: expected an object, got {value!r}")
-    _require_keys(value, value, context, required=("inputs",))
+    if value.get("inputs") is None:
+        raise ConfigError(f"{context}: missing key 'inputs'")
     if value.get("margin_kind", "refined") not in ("refined", "outer"):
         raise ConfigError(f"{context}.margin_kind: expected refined|outer, "
                           f"got {value['margin_kind']!r}")

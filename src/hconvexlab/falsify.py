@@ -95,7 +95,9 @@ import numpy as np
 from mpmath import mp
 from numpy.random import Generator, Philox
 
-from .convexity import SWEEP_GRID_CAP, JensenCoefficient, certify
+from .convexity import (
+    GRID_CELL_CAP, SWEEP_GRID_CAP, JensenCoefficient, certify,
+)
 from .errors import ConfigError, EmptyRegion, HConvexLabError
 # gate_interval, like the chain functions, is imported for the benchmark's
 # trace points (perfbench/jobs.py SPAN_POINTS), which look it up here
@@ -141,12 +143,19 @@ PINNED_INSTANCE = {
 # Campaign configuration
 # ---------------------------------------------------------------------------
 
-def _check_range(name, pair, lo=None, hi=None, lo_strict=False):
+def _pair(name, pair) -> list:
+    """A region key's two numbers."""
     try:
-        a, b = float(pair[0]), float(pair[1])
-    except (TypeError, ValueError, IndexError):
-        raise ConfigError(f"region key {name!r} must be a [lo, hi] pair, "
-                          f"got {pair!r}") from None
+        if isinstance(pair, (list, tuple)) and len(pair) == 2:
+            return [float(pair[0]), float(pair[1])]
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"region key {name!r} must be a pair of numbers, "
+                      f"got {pair!r}")
+
+
+def _check_range(name, pair, lo=None, hi=None, lo_strict=False):
+    a, b = _pair(name, pair)
     if not a <= b:
         raise ConfigError(f"region key {name!r} out of order: {pair!r}")
     if lo is not None and (a < lo or (lo_strict and a <= lo)):
@@ -156,6 +165,18 @@ def _check_range(name, pair, lo=None, hi=None, lo_strict=False):
         raise ConfigError(f"region key {name!r} must stay below {hi}, "
                           f"got {pair!r}")
     return [a, b]
+
+
+def _check_grid(pair) -> list:
+    """certify's [n_u, n_lambda]: two integers of at least 2, within its
+    cell cap."""
+    sizes = _pair("grid", pair)
+    if not (all(t.is_integer() and t >= 2 for t in sizes)
+            and sizes[0] * sizes[1] <= GRID_CELL_CAP):
+        raise ConfigError(f"region key 'grid' must be two integers of at "
+                          f"least 2 with at most {GRID_CELL_CAP} cells, "
+                          f"got {pair!r}")
+    return [int(t) for t in sizes]
 
 
 @dataclass(frozen=True)
@@ -213,7 +234,7 @@ def _resolve_region(target: str, region: dict) -> dict:
         out["alpha"] = _check_range("alpha", out["alpha"], lo=floor,
                                     lo_strict=True)
     if "grid" in out:
-        out["grid"] = [int(out["grid"][0]), int(out["grid"][1])]
+        out["grid"] = _check_grid(out["grid"])
     # (key, lower end, upper end): both ends are strict
     for key, lo, hi in (("v", 0.0, None), ("a", 0.0, None),
                         ("lam", rules.lam_floor, 1.0), ("beta", 0.0, 1.0),
@@ -653,8 +674,9 @@ def _draw_rows(streams: _Streams, indices, steps: tuple,
     samples = streams.each(indices, draw)
     rows = _Rows(len(samples))
     sizes = np.array([n for n, _ in samples], dtype=np.int64)
-    groups = [(np.flatnonzero(sizes == n), n) for n in
-              np.unique(sizes).tolist()]
+    # not np.unique, which imports numpy.ma on its first call
+    groups = [(np.flatnonzero(sizes == n), n)
+              for n in sorted({n for n, _ in samples})]
     with np.errstate(all="ignore"):
         for j, (method, group) in enumerate(calls):
             if method == "integers":

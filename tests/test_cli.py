@@ -490,18 +490,19 @@ def _refine(draw):
 
 @st.composite
 def _region(draw, target):
-    """Some of the target's region keys, each an ordered pair (or a name)."""
+    """Some of the target's region keys, each an ordered pair or a name,
+    or else a value of a wrong type or an odd number."""
     out = {}
     for key in draw(st.sets(st.sampled_from(sorted(RULES[target].region)))):
         if key == "triple":
-            out[key] = draw(st.sampled_from(TRIPLE_NAMES))
+            valid = st.sampled_from(TRIPLE_NAMES)
         elif key == "weight":
-            out[key] = draw(st.sampled_from(["exp_weight",
-                                             "identity_weight"]))
+            valid = st.sampled_from(["exp_weight", "identity_weight"])
         else:
-            out[key] = sorted(draw(_GRID if key in ("n", "dim", "grid")
-                                   else st.lists(_NUMBER, min_size=2,
-                                                 max_size=2)))
+            valid = (_GRID if key in ("n", "dim", "grid") else st.lists(
+                _NUMBER, min_size=2, max_size=2)).map(sorted)
+        out[key] = draw(st.one_of(valid, valid, _WRONG, _EXTREME,
+                                  st.lists(_NUMBER, max_size=3)))
     return out
 
 

@@ -61,6 +61,18 @@ def test_campaign_validation():
     assert c.region["v"] == RULES["amgm"].region["v"]  # defaults merged
 
 
+def test_region_pairs_and_grids_are_checked():
+    for target, region in (("chrystal", {"n": {}}), ("amgm", {"v": [0.5]}),
+                           ("certificates", {"grid": [2]}),
+                           ("certificates", {"grid": [math.inf, 2]}),
+                           ("certificates", {"grid": [1, 16]}),
+                           ("certificates", {"grid": [2 ** 12, 2 ** 11]})):
+        with pytest.raises(ConfigError, match="region key"):
+            Campaign(target, 10, 1, region=region)
+    assert Campaign("certificates", 10, 1,
+                    region={"grid": [64.0, 16]}).region["grid"] == [64, 16]
+
+
 def test_campaign_refuses_samples_past_the_cap():
     # checked when the campaign is built: nothing is drawn here
     assert Campaign("amgm", SAMPLES_CAP, 1).samples == SAMPLES_CAP
