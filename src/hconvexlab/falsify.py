@@ -321,9 +321,9 @@ class _Step:
     """
 
     call: str
+    apply: Callable
     per_n: int = 0
     check: Callable | None = None
-    apply: Callable | None = None
     key: str | None = None
     redraw: bool = False
 
@@ -435,7 +435,7 @@ def _uniform(name, ends: Callable, per_n: int = 0) -> _Step:
         for j, part in enumerate(parts):
             rows[part] = [(ks, n, _at(lo, ks) + _at(span, ks)
                            * m[:, j * n:(j + 1) * n]) for ks, n, m in u]
-    return _Step("random", per_n, check, apply)
+    return _Step("random", apply, per_n, check)
 
 
 def _log_uniform(name: str, ends: Callable) -> _Step:
@@ -448,14 +448,14 @@ def _log_uniform(name: str, ends: Callable) -> _Step:
     def apply(rows, region, u):
         lo, span = rows.ends[name]
         rows[name] = rows.map(math.exp, lo + span * u)
-    return _Step("random", 0, check, apply)
+    return _Step("random", apply, 0, check)
 
 
 def _size(key: str) -> _Step:
     """rng.integers(lo, hi + 1) over region[key]: the row's n."""
     def apply(rows, region, sizes):
         rows.sizes = rows[key] = sizes
-    return _Step("integers", apply=apply, key=key)
+    return _Step("integers", apply, key=key)
 
 
 def _weights(name: str) -> _Step:
@@ -473,7 +473,7 @@ def _weights(name: str) -> _Step:
                 "float division by zero"), ks)
             weights.append((ks, n, e * (1.0 / acc)[:, None]))
         rows[name] = weights
-    return _Step("standard_exponential", 1, apply=apply)
+    return _Step("standard_exponential", apply, 1)
 
 
 def _unit_vector(name: str) -> _Step:
@@ -486,7 +486,7 @@ def _unit_vector(name: str) -> _Step:
             rows.refuse(~(norm > 1e-6), None, ks)
             units.append((ks, n, x / norm[:, None]))
         rows[name] = units
-    return _Step("standard_normal", 1, apply=apply, redraw=True)
+    return _Step("standard_normal", apply, 1, redraw=True)
 
 
 def _clamp_rows(t, lo, hi):
@@ -680,7 +680,7 @@ def _draw_rows(streams: _Streams, indices, steps: tuple,
     with np.errstate(all="ignore"):
         for j, (method, group) in enumerate(calls):
             if method == "integers":
-                _run_step(group[0], rows, region, sizes)
+                group[0].apply(rows, region, sizes)
                 continue
             drawn = [(ks, n, np.array([samples[k][1][j] for k in ks]))
                      for ks, n in groups]
@@ -690,8 +690,10 @@ def _draw_rows(streams: _Streams, indices, steps: tuple,
                     :, :max(step.per_n * n, 1)]) for ks, n, m in drawn]
                 ones, multiples = ones + (not step.per_n), \
                     multiples + step.per_n
-                _run_step(step, rows, region, parts if step.per_n
-                          else _scalar(parts, rows.size))
+                if step.check is not None:
+                    step.check(rows, region)
+                step.apply(rows, region, parts if step.per_n
+                           else _scalar(parts, rows.size))
     return rows
 
 
@@ -701,13 +703,6 @@ def _scalar(parts: list, size: int) -> np.ndarray:
     for ks, _, m in parts:
         out[ks] = m[:, 0]
     return out
-
-
-def _run_step(step: _Step, rows: _Rows, region: dict, variates) -> None:
-    if step.check is not None:
-        step.check(rows, region)
-    if step.apply is not None:
-        step.apply(rows, region, variates)
 
 
 def _draw_one(rng: Generator, steps: tuple, region: dict) -> _Rows:
