@@ -102,27 +102,18 @@ def parse_witness(value, context: str) -> dict:
                                              f"{context}.inputs"))
 
 
-# keys an instance may hold beyond those its target's draws hold, with a
-# value of the type each takes: a dense operator gives "entries" in place
-# of "diag"
-_OPTIONAL_INSTANCE_KEYS = {"n": 0, "dim": 0, "lam": 0.0, "p": 0.0,
-                           "entries": [[0.0]]}
-
-
 def parse_instance(value, context: str) -> dict:
-    """A serialized campaign instance: a known target and the keys that
-    its draws hold (see falsify.instance_template), each of the type they
-    hold it in; n and dim may be left out."""
+    """A serialized campaign instance: a known target and the keys of
+    falsify.instance_template, each of the type it is drawn in ("entries"
+    may stand in place of "diag")."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context}: expected an object, got {value!r}")
     target = parse_text(value.get("target"), f"{context}.target")
     if target not in RULES:
         raise ConfigError(f"{context}.target: unknown target {target!r}")
-    template = instance_template(target)
-    like = {**_OPTIONAL_INSTANCE_KEYS, **template}
+    like, required = instance_template(target)
     _require_keys(value, like, context, required=[
-        k for k in template if k not in ("n", "dim")
-        and not (k == "diag" and "entries" in value)])
+        k for k in required if k != "diag" or "entries" not in value])
     return {k: _parse_like(t, like[k], f"{context}.{k}")
             for k, t in value.items()}
 

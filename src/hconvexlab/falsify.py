@@ -37,26 +37,30 @@ by element, the gate interval (the gate family's core in numpy ops, as
 TripleRule.gate_bounds computes it), Dirichlet weights and unit vectors.
 A row is refused where drawing the sample on its own would raise (numpy's
 uniform refuses a negative, -0.0 or non-finite hi - lo) or draw a unit
-vector again.  On a block of one the steps run stage by stage: a step's
-Generator call is made only once the row passed the step's check, so a
-refused row raises what the draw on its own raised, with the stream where
-it left it.  _draw and draw_instance are that block of one.
+vector again.  A staged block runs the steps stage by stage, each row
+from a generator of its own: a step's Generator call is made only for
+the rows that passed the step's check, so a refused row's stream is left
+where its draw on its own left it when it raised, and a unit vector is
+drawn again in place.  _draw and draw_instance are a staged block of one,
+which raises what refused its row.
 
 Block evaluation: the double margin function of an operator or chain
 target is an array kernel over such a block (rows grouped by sample size
 or matrix dimension, so nothing is padded); best-possible and
-certificates evaluate its rows one at a time.  Either returns a Block: margins and acceptance as arrays,
-with a row's flags and extras dicts built only when asked for, which the
-run loop does for candidates and the arg-min alone.  The kernels keep the
-bits of the scalar arithmetic: each numpy operation matches its
-Python-float counterpart element by element, math's log and exp are
-mapped over columns, Python's ** runs on object arrays, and a row the
-arrays cannot take (dense matrix, unusual value, an operation that raises
-in Python) is evaluated on its own by the scalar code, which raises what
-it raised.  evaluate_instance is the kernel on a block of one.  A sample
+certificates evaluate its rows one at a time.  Either returns a Block:
+margins and acceptance as arrays, with a row's flags and extras dicts
+built only when asked for, which the run loop does for candidates and the
+arg-min alone.  The kernels keep the bits of the scalar arithmetic: each
+numpy operation matches its Python-float counterpart element by element,
+math's log and exp are mapped over columns, Python's ** runs on object
+arrays, and a row the arrays cannot take (dense matrix, unusual value, an
+operation that raises in Python) is evaluated on its own by the scalar
+code, which raises what it raised.  evaluate_instance is the kernel on a block of one.  A sample
 whose first draw is refused, fails to evaluate or is infeasible is
-replayed from its stream by the per-sample retry loop, which draws on
-blocks of one and counts all of its draws; any other sample counts one.
+replayed from its stream by the per-sample retry loop, run over all such
+samples of a block at once: each round draws the samples still open as a
+staged block and evaluates their draws as one.  It counts all of their
+draws; any other sample counts one.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -280,7 +284,8 @@ class _Streams:
     empty buffer yields the same draws as a new Philox and costs a tenth
     as much: the state holds Python ints, which the setter reads faster
     than numpy's.  ``at`` returns the shared generator, so each stream must
-    be used up before the next one is asked for.
+    be used up before the next one is asked for; ``many`` gives streams to
+    draw from side by side.
     """
 
     def __init__(self, seed: int):
@@ -291,16 +296,24 @@ class _Streams:
                                  for k, t in state["state"].items()}}
         self._counter = self._state["state"]["counter"]
         self._generator = Generator(self._bits)
+        self._seed = seed
+        self._own = []  # the generators of ``many``
 
     def at(self, index: int) -> Generator:
         self._counter[2] = index  # the setter copies the state
         self._bits.state = self._state
         return self._generator
 
-    def each(self, indices, draw: Callable) -> list:
-        """[draw(stream i) for i in indices], each stream used up in turn."""
-        at = self.at
-        return [draw(at(i)) for i in indices]
+    def many(self, indices) -> list:
+        """A generator for each of the streams ``indices``, at its start:
+        each is a Philox of its own, so they can be used side by side.  The
+        next call resets them."""
+        while len(self._own) < len(indices):
+            self._own.append(Generator(Philox(key=self._seed)))
+        for rng, index in zip(self._own, indices):
+            self._counter[2] = index
+            rng.bit_generator.state = self._state
+        return self._own[:len(indices)]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +329,8 @@ class _Step:
     "standard_exponential" and "standard_normal".  The step draws per_n * n
     values of a sample, or one (a scalar) when per_n is 0.  check(rows,
     region) runs before the call and apply(rows, region, variates) after
-    it; either refuses the rows where the scalar draw raised.  A refused
-    row of a ``redraw`` step draws again instead.
+    it; either refuses the rows where the draw on its own raises.  A
+    refused row of a ``redraw`` step draws again instead.
     """
 
     call: str
@@ -331,8 +344,8 @@ class _Step:
 class _Rows:
     """The values of a block of draws by name: a scalar value is an array
     over the rows, a vector value a list of (rows, n, matrix) groups of one
-    size n.  ``refused`` marks the rows the scalar draw raised for, and
-    ``errors`` holds what it raised (None: a row that draws again)."""
+    size n.  ``refused`` marks the rows whose draw on its own raises, and
+    ``errors`` holds what it raises (None: a row that draws again)."""
 
     def __init__(self, size: int):
         self.size = size
@@ -350,14 +363,14 @@ class _Rows:
 
     def refuse(self, mask, error: Callable | None, ks=None) -> None:
         """Refuse the rows of ``mask`` (over the rows ``ks``, or all rows)
-        that are not refused yet; error(j) is what the scalar draw raised
-        at entry j of the mask."""
+        that are not refused yet; error(j) is what the draw on its own
+        raises at entry j of the mask."""
         if np.count_nonzero(mask):
-            mask = np.broadcast_to(mask, (self.size,) if ks is None
-                                   else np.shape(ks))
-            for j in np.flatnonzero(mask).tolist():
-                self._refuse_row(j if ks is None else int(ks[j]),
-                                 error and error(j))
+            refused = self.refused if ks is None else self.refused[ks]
+            for j in np.flatnonzero(mask & ~refused).tolist():
+                k = j if ks is None else int(ks[j])
+                self.refused[k] = True
+                self.errors[k] = error and error(j)
 
     def _refuse_row(self, k: int, exc) -> None:
         if not self.refused[k]:
@@ -365,12 +378,12 @@ class _Rows:
             self.errors[k] = exc
 
     def raise_refused(self) -> None:
-        """In a block of one: raise what the scalar draw raised."""
+        """In a block of one: raise what refused the row."""
         if self.refused[0]:
             raise self.errors[0]
 
     def map(self, fn: Callable, *args):
-        """fn over the rows in Python floats, as the scalar draw calls it
+        """fn over the rows in Python floats, as a draw on its own calls it
         (math's exp, log and log1p, a chain's gate_value, **).  A row where
         it raises is refused and reads nan; region constants (Python
         floats) are mapped once."""
@@ -478,14 +491,15 @@ def _weights(name: str) -> _Step:
 
 def _unit_vector(name: str) -> _Step:
     """standard_normal(dim) over its norm, drawn again while the norm is at
-    most 1e-6; the norm is np.linalg.norm's, math.sqrt(x.dot(x))."""
+    most 1e-6; the norm is np.linalg.norm's, math.sqrt(x.dot(x)).  A row
+    drawn again adds a later group, which _listed reads over the earlier."""
     def apply(rows, region, normals):
         units = []
         for ks, n, x in normals:
             norm = np.sqrt(_dots(x, x))
             rows.refuse(~(norm > 1e-6), None, ks)
             units.append((ks, n, x / norm[:, None]))
-        rows[name] = units
+        rows[name] = rows.values.get(name, []) + units
     return _Step("standard_normal", apply, 1, redraw=True)
 
 
@@ -671,7 +685,8 @@ def _draw_rows(streams: _Streams, indices, steps: tuple,
     stream by the Generator calls alone, then every transform at once over
     the block, vectors grouped by n."""
     draw, calls = _plan(steps, region)
-    samples = streams.each(indices, draw)
+    at = streams.at
+    samples = [draw(at(i)) for i in indices]
     rows = _Rows(len(samples))
     sizes = np.array([n for n, _ in samples], dtype=np.int64)
     # not np.unique, which imports numpy.ma on its first call
@@ -705,34 +720,49 @@ def _scalar(parts: list, size: int) -> np.ndarray:
     return out
 
 
-def _draw_one(rng: Generator, steps: tuple, region: dict) -> _Rows:
-    """The steps on a block of one, stage by stage: a step's Generator call
-    is made only once the row passed its check, and a refused row raises
-    what the scalar draw raised there, so the stream is left where that
-    draw left it.  A refused unit vector is drawn again."""
-    rows = _Rows(1)
-    one = np.zeros(1, dtype=np.int64)
+def _draw_staged(rngs: list, steps: tuple, region: dict) -> _Rows:
+    """The steps over a block whose row k draws from rngs[k], stage by
+    stage: a step's Generator call is made only for the rows that passed
+    its check and every earlier step, so a refused row's stream is left
+    where its draw on its own left it when it raised.  A unit vector a row
+    refuses is drawn again."""
+    rows = _Rows(len(rngs))
     with np.errstate(all="ignore"):
         for step in steps:
             if step.check is not None:
                 step.check(rows, region)
-                rows.raise_refused()
+            live = np.flatnonzero(~rows.refused)
             while True:
-                if step.call == "integers":
-                    lo, hi = region[step.key]
-                    variates = np.array([int(rng.integers(lo, hi + 1))])
-                elif not step.per_n:
-                    variates = rng.random(1)
-                else:
-                    n = int(rows.sizes[0])
-                    variates = [(one, n, getattr(rng, step.call)(
-                        step.per_n * n)[None, :])]
-                step.apply(rows, region, variates)
-                if not (step.redraw and rows.refused[0]):
+                step.apply(rows, region, _call(step, rngs, live, rows, region))
+                if not step.redraw:
                     break
-                rows.refused[0] = False
-            rows.raise_refused()
+                live = live[rows.refused[live]]
+                if not live.size:
+                    break
+                rows.refused[live] = False
     return rows
+
+
+def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
+          region: dict):
+    """The variates of the step's Generator call, made from rngs[k] for
+    the rows ``live``, in the form its apply takes; other rows read nan
+    (size: the smallest n) and are left out of the vectors' groups."""
+    if step.call == "integers":
+        lo, hi = region[step.key]
+        sizes = np.full(rows.size, lo, dtype=np.int64)
+        sizes[live] = [int(rngs[k].integers(lo, hi + 1))
+                       for k in live.tolist()]
+        return sizes
+    if not step.per_n:
+        u = np.full(rows.size, math.nan)
+        u[live] = [rngs[k].random() for k in live.tolist()]
+        return u
+    sizes = rows.sizes[live]
+    return [(ks, n, np.array([getattr(rngs[k], step.call)(step.per_n * n)
+                              for k in ks.tolist()]))
+            for n in sorted(set(sizes.tolist()))
+            for ks in (live[sizes == n],)]
 
 
 def _draw_block(streams: _Streams, indices, target: str, region: dict):
@@ -747,9 +777,11 @@ def _draw_block(streams: _Streams, indices, target: str, region: dict):
 
 
 def _draw(rng: Generator, target: str, region: dict):
-    """(instance, setup): the target's sampler on a block of one."""
+    """(instance, setup): the target's sampler on a block of one; it raises
+    what refused the row."""
     sampler = RULES[target].draw
-    rows = _draw_one(rng, sampler.steps(region), region)
+    rows = _draw_staged([rng], sampler.steps(region), region)
+    rows.raise_refused()
     insts, setups = sampler.build(rows, target, region)
     return insts[0], setups[0]
 
@@ -759,11 +791,18 @@ def draw_instance(rng: Generator, target: str, region: dict) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def instance_template(target: str) -> dict:
-    """An instance of the target as its sampler draws it at the default
-    region: the keys its instances hold, each with a value of its type.
-    It is cached, so callers must not change it."""
-    return draw_instance(_stream(0, 0), target, RULES[target].region)
+def instance_template(target: str) -> tuple[dict, tuple]:
+    """(like, required): every key an instance of the target may hold, each
+    with a value of the type it is drawn in, and the keys it must hold.
+    They are the keys of a draw at the default region, which it must hold
+    but for its size n or dim; the sampler's fields that region does not
+    draw (lam, p: numbers); and with "diag", "entries", a dense operator's
+    rows in its place.  It is cached, so callers must not change it."""
+    drawn = draw_instance(_stream(0, 0), target, RULES[target].region)
+    like = {**dict.fromkeys(RULES[target].draw.fields, 0.0), **drawn}
+    if "diag" in drawn:
+        like["entries"] = [[0.0]]
+    return like, tuple(k for k in drawn if k not in ("n", "dim"))
 
 
 # ---------------------------------------------------------------------------
@@ -823,10 +862,7 @@ class Block:
             self._single[k] = exc
             return
         if feasible is not None:
-            # a complex margin (best-possible at lam < 0) stays out of the
-            # float array; row(k) still returns it
-            if isinstance(result[0], float):
-                self.margin[k] = result[0]
+            self.margin[k] = result[0]
             self.accepted[k] = feasible(result[1])
 
     def row(self, k: int):
@@ -1244,6 +1280,8 @@ def _best_possible_terms(a, beta, lam, ops):
 
 def _best_possible_row(inst: dict):
     a, beta, lam = (float(inst[k]) for k in ("a", "beta", "lam"))
+    if lam < 0.0:  # lam ** (beta - 1) would be complex
+        raise ValueError(f"best-possible: lam={lam!r} is negative")
     lhs, factor, reduced, full = _best_possible_terms(a, beta, lam, math)
     flags = {"lambda_in_range": 0.5 < lam < 1.0,
              "exponent_in_range": 0.0 < beta < 1.0,
@@ -1608,10 +1646,11 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     """Evaluate sample indices [start, stop); returns chunk aggregates.
 
     Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
-    each block is evaluated by the target's kernel at once.  A sample whose
-    first draw is refused, fails to evaluate or is infeasible is replayed
-    from its stream by _retry, the per-sample loop, which counts all its
-    draws; the others count one draw each.
+    each block is evaluated by the target's kernel at once.  The samples
+    whose first draw is refused, fails to evaluate or is infeasible are
+    replayed from their streams by _retry, the per-sample loop run over
+    them together, which counts all their draws; the others count one draw
+    each.
     """
     c = Campaign(**campaign_json)
     evaluate = RULES[c.target].evaluate
@@ -1633,8 +1672,8 @@ def _run_range(campaign_json: dict, start: int, stop: int):
         replayed = {}
         missing = np.ones(hi - lo, dtype=bool)
         missing[kept - lo] = False
-        for i in (np.flatnonzero(missing) + lo).tolist():
-            tries, found = _retry(streams, c, i)
+        missing = (np.flatnonzero(missing) + lo).tolist()
+        for i, (tries, found) in zip(missing, _retry(streams, c, missing)):
             drawn += tries
             rejected += tries - (found is not None)
             if found is None:
@@ -1670,22 +1709,32 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _retry(streams: _Streams, c: Campaign, i: int):
-    """The per-sample loop: (draws made, (inst, margin, flags, extras) of
-    sample i's first feasible draw), or (RETRY_CAP, None) when none of
-    RETRY_CAP draws is."""
-    rng = streams.at(i)
-    evaluate = RULES[c.target].evaluate
+def _retry(streams: _Streams, c: Campaign, indices: list) -> list:
+    """The per-sample loop over samples ``indices`` at once: for each,
+    (draws made, (inst, margin, flags, extras) of its first feasible
+    draw), or (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each
+    round draws the samples still open stage by stage, each from its own
+    stream, and evaluates the draws that were not refused as one block."""
+    sampler, evaluate = RULES[c.target].draw, RULES[c.target].evaluate
+    steps = sampler.steps(c.region)
+    rngs = streams.many(indices)
+    found = [(RETRY_CAP, None)] * len(indices)
+    open_ = list(range(len(indices)))
     for tries in range(1, RETRY_CAP + 1):
-        try:
-            inst, setup = _draw(rng, c.target, c.region)
-            block = evaluate([inst], c.margin_kind, [setup])
-            result = block.row(0)
-        except _REJECTED:
-            continue
-        if block.accepted[0]:
-            return tries, (inst, *result)
-    return RETRY_CAP, None
+        if not open_:
+            break
+        rows = _draw_staged([rngs[j] for j in open_], steps, c.region)
+        insts, setups = sampler.build(rows, c.target, c.region)
+        ks = np.flatnonzero(~rows.refused).tolist()
+        block = evaluate([insts[k] for k in ks], c.margin_kind,
+                         [setups[k] for k in ks]) if ks else Block(0)
+        done = set()
+        for row in np.flatnonzero(block.accepted).tolist():
+            k = ks[row]
+            found[open_[k]] = tries, (insts[k], *block.row(row))
+            done.add(k)
+        open_ = [j for k, j in enumerate(open_) if k not in done]
+    return found
 
 
 def _chunks(n: int, workers: int):

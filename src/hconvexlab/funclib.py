@@ -559,9 +559,8 @@ class TripleRule:
                                     ("p", p)) if k in family.param_names}
 
         def label(k):
-            return _label(self.gate, {
-                name: float(np.broadcast_to(x, v.shape)[k])
-                for name, x in params.items()})
+            return _label(self.gate, {name: float(x[k] if np.ndim(x) else x)
+                                      for name, x in params.items()})
         refuse(~ambient.contains_array(v), lambda k: DomainError(
             f"anchor v={float(v[k])!r} outside ambient {ambient}"))
         refuse(~family.default_domain.contains_array(v), lambda k: DomainError(

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hconvexlab import funclib
-from hconvexlab.cli import main
+from hconvexlab.cli import main, parse_instance
+from hconvexlab.errors import ConfigError
 from hconvexlab.falsify import RULES, TARGETS, _stream, draw_instance
 from hconvexlab.funclib import TRIPLE_NAMES, TRIPLES
 from hconvexlab.opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector
@@ -421,6 +422,34 @@ def test_replay_inline_witness(tmp_path):
     code, report = _run(tmp_path, "replay", "--config", cfg)
     assert code == 2
     assert report["result"]["matches"]["margin_double"]
+
+
+def test_replay_of_best_possible_at_negative_lam_is_an_error(tmp_path,
+                                                             capsys):
+    # lam ** (beta - 1) would be a complex margin
+    cfg = _write(tmp_path, "w.json", {"witness": {"inputs": {
+        "target": "best-possible", "a": 0.5, "beta": 0.5, "lam": -1.0}}})
+    assert main(["replay", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: best-possible: lam=-1.0 is negative")
+
+
+def test_instance_keys_follow_the_target():
+    # lam and p are the only keys a region may leave undrawn, "entries"
+    # stands in for "diag", and the sizes may be left out
+    kyfan = draw_instance(_stream(1, 0), "kyfan", RULES["kyfan"].region)
+    operator = draw_instance(_stream(1, 0), "half-bound",
+                             RULES["half-bound"].region)
+    dense = dict(operator, entries=[[0.5, 0.0], [0.0, 0.25]])
+    del dense["diag"]
+    for inputs in ({k: t for k, t in kyfan.items() if k != "n"},
+                   dict(operator, lam=0.5), dense):
+        assert parse_instance(inputs, "w") == inputs
+    for key, value in (("lam", 0.5), ("dim", 3), ("entries", [[1.0]])):
+        with pytest.raises(ConfigError, match=f"w: unknown keys .'{key}'"):
+            parse_instance(dict(kyfan, **{key: value}), "w")
+    with pytest.raises(ConfigError, match="w: missing key 'x'"):
+        parse_instance({k: t for k, t in operator.items() if k != "x"}, "w")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from hconvexlab.falsify import (
     margin_bound, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Rows, _Streams, _draw, _draw_block, _draw_one, _draw_rows, _listed,
+    _Rows, _Streams, _draw, _draw_block, _draw_rows, _draw_staged, _listed,
     _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
@@ -103,14 +103,28 @@ def test_worker_count_parsing():
 # ---------------------------------------------------------------------------
 
 def test_reused_generator_gives_each_sample_its_own_stream():
+    streams = _Streams(123)
+    for i in (7, 0, 5, 2 ** 40):
+        fresh, reused = _stream(123, i), streams.at(i)
+        assert fresh.standard_normal(3).tolist() \
+            == reused.standard_normal(3).tolist()
+        assert fresh.integers(2, 9) == reused.integers(2, 9)
+        assert fresh.dirichlet(np.ones(3)).tolist() \
+            == reused.dirichlet(np.ones(3)).tolist()
+
+
+def test_streams_side_by_side_are_each_samples_own():
+    # the generators of ``many`` are drawn from in turn; a second call
+    # starts the reused generators at their new streams
+    streams = _Streams(123)
+    streams.many([3, 4, 5])[2].random(7)
     indices = (7, 0, 5, 2 ** 40)
-    reused = _Streams(123).each(indices, lambda rng: (
-        rng.standard_normal(3), rng.integers(2, 9), rng.dirichlet(np.ones(3))))
-    for i, (normal, integer, dirichlet) in zip(indices, reused):
-        fresh = _stream(123, i)
-        assert fresh.standard_normal(3).tolist() == normal.tolist()
-        assert fresh.integers(2, 9) == integer
-        assert fresh.dirichlet(np.ones(3)).tolist() == dirichlet.tolist()
+    reused, fresh = streams.many(indices), [_stream(123, i) for i in indices]
+    for _ in range(3):
+        for a, b in zip(fresh, reused):
+            assert a.standard_normal(3).tolist() \
+                == b.standard_normal(3).tolist()
+            assert a.integers(2, 9) == b.integers(2, 9)
 
 
 def test_weights_match_dirichlet_bit_for_bit():
@@ -124,15 +138,16 @@ def test_weights_match_dirichlet_bit_for_bit():
                                    region)["q"], 2000)
         for i in range(2000):
             ours, numpy_s = _stream(29, i), _stream(29, i)
-            weights = _listed(_draw_one(ours, steps, region)["q"], 1)[0]
+            weights = _listed(_draw_staged([ours], steps, region)["q"],
+                              1)[0]
             assert block[i] == weights \
                 == numpy_s.dirichlet(np.ones(n)).tolist()
             assert ours.random() == numpy_s.random()
 
 
 def test_a_unit_vector_near_zero_is_drawn_again():
-    # a draw of one draws the normals again, as a loop on their norm does;
-    # a block refuses the row instead, and its retry draws it on its own
+    # a staged draw draws the normals again, as a loop on their norm does;
+    # a block refuses the row instead, and its retry draws it staged
     class FirstTiny:
         """A stream whose first normals are scaled to norm 1e-7."""
 
@@ -148,7 +163,7 @@ def test_a_unit_vector_near_zero_is_drawn_again():
             return x * (1e-7 / math.sqrt(x.dot(x))) if self.calls == 1 else x
     steps, region = (_size("dim"), _unit_vector("x")), {"dim": [3, 3]}
     rng = FirstTiny(_stream(5, 0))
-    x = _listed(_draw_one(rng, steps, region)["x"], 1)[0]
+    x = _listed(_draw_staged([rng], steps, region)["x"], 1)[0]
     fresh = _stream(5, 0)
     fresh.standard_normal(3)
     y = fresh.standard_normal(3)
@@ -642,6 +657,28 @@ def test_block_draws_match_draws_of_one(target, region):
         assert block.get(i, "refused") == one, i
 
 
+@pytest.mark.parametrize("target, region", _DRAW_REGIONS)
+def test_staged_draws_match_draws_of_one(target, region):
+    # rows drawn side by side, stage by stage, are refused where a draw of
+    # one raises, and leave each stream where that draw left it
+    region = Campaign(target, 1, 1, region=region).region
+    sampler = RULES[target].draw
+    indices = range(40)
+    rngs = _Streams(GOLDEN_SEED).many(indices)
+    ones = [_stream(GOLDEN_SEED, i) for i in indices]
+    for _ in range(12):
+        rows = _draw_staged(rngs, sampler.steps(region), region)
+        insts, setups = sampler.build(rows, target, region)
+        for k, rng in enumerate(ones):
+            try:
+                one = repr(_draw(rng, target, region))
+            except REJECTED as exc:
+                one = type(exc).__name__
+            assert (type(rows.errors[k]).__name__ if rows.refused[k]
+                    else repr((insts[k], setups[k]))) == one
+    assert [rng.random() for rng in rngs] == [rng.random() for rng in ones]
+
+
 # rows of a block get odd values here, so that some rows raise, some are
 # infeasible and some leave the arrays for the one-at-a-time evaluation
 _ODD_VALUES = (0.0, -0.0, -1.0, 1, 2, 0.5, 0.75, 1e308, -1e308, 5e-324,
@@ -842,24 +879,26 @@ def test_empty_region_counts_every_earlier_sample():
     # rows) gets no draw at all; its 512 failed draws come after every
     # earlier sample's draws
     campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
-    at, draw, current = falsify._Streams.at, falsify._draw, []
+    many, staged, failing = falsify._Streams.many, falsify._draw_staged, []
     draw_block = falsify._draw_block
 
-    def recording_at(self, index):
-        current.append(index)
-        return at(self, index)
+    def recording_many(self, indices):
+        rngs = many(self, indices)
+        failing[:] = [rng for i, rng in zip(indices, rngs) if i == 300]
+        return rngs
 
-    def failing_draw(rng, target, region):
-        if current[-1] == 300:
-            raise ValueError("no draw for this sample")
-        return draw(rng, target, region)
+    def failing_staged(rngs, steps, region):
+        rows = staged(rngs, steps, region)
+        rows.refuse(np.array([rng in failing for rng in rngs]),
+                    lambda j: ValueError("no draw for this sample"))
+        return rows
 
     def failing_block(streams, indices, target, region):
         drawn = draw_block(streams, indices, target, region)
         return [[t for i, t in zip(drawn[0], part) if i != 300]
                 for part in drawn]
-    with mock.patch.object(falsify._Streams, "at", recording_at), \
-            mock.patch.object(falsify, "_draw", failing_draw), \
+    with mock.patch.object(falsify._Streams, "many", recording_many), \
+            mock.patch.object(falsify, "_draw_staged", failing_staged), \
             mock.patch.object(falsify, "_draw_block", failing_block):
         with pytest.raises(EmptyRegion) as exc:
             _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
