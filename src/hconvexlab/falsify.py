@@ -296,7 +296,6 @@ class _Streams:
                                  for k, t in state["state"].items()}}
         self._counter = self._state["state"]["counter"]
         self._generator = Generator(self._bits)
-        self._seed = seed
         self._own = []  # the generators of ``many``
 
     def at(self, index: int) -> Generator:
@@ -309,7 +308,7 @@ class _Streams:
         each is a Philox of its own, so they can be used side by side.  The
         next call resets them."""
         while len(self._own) < len(indices):
-            self._own.append(Generator(Philox(key=self._seed)))
+            self._own.append(Generator(Philox(key=0)))  # state set below
         for rng, index in zip(self._own, indices):
             self._counter[2] = index
             rng.bit_generator.state = self._state
