@@ -45,22 +45,22 @@ drawn again in place.  _draw and draw_instance are a staged block of one,
 which raises what refused its row.
 
 Block evaluation: the double margin function of an operator or chain
-target is an array kernel over such a block (rows grouped by sample size
-or matrix dimension, so nothing is padded); best-possible and
-certificates evaluate its rows one at a time.  Either returns a Block:
-margins and acceptance as arrays, with a row's flags and extras dicts
-built only when asked for, which the run loop does for candidates and the
-arg-min alone.  The kernels keep the bits of the scalar arithmetic: each
+target is an array kernel over such a block's columns as the draw left
+them, skipping refused rows; best-possible and certificates evaluate its
+rows one at a time.  Either returns a Block: margins and acceptance as
+arrays, with a row's flags and extras dicts built only when asked for.
+The run loop asks, and builds instance dicts, for candidates and a new
+arg-min alone.  Instance dicts reach the same kernel through
+_instance_rows.  The kernels keep the bits of the scalar arithmetic: each
 numpy operation matches its Python-float counterpart element by element,
 math's log and exp are mapped over columns, Python's ** runs on object
 arrays, and a row the arrays cannot take (dense matrix, unusual value, an
 operation that raises in Python) is evaluated on its own by the scalar
-code, which raises what it raised.  evaluate_instance is the kernel on a block of one.  A sample
-whose first draw is refused, fails to evaluate or is infeasible is
-replayed from its stream by the per-sample retry loop, run over all such
-samples of a block at once: each round draws the samples still open as a
-staged block and evaluates their draws as one.  It counts all of their
-draws; any other sample counts one.
+code, which raises what it raised.  A sample whose first draw is refused,
+fails to evaluate or is infeasible is replayed from its stream by the
+per-sample retry loop, run over all such samples of a block at once: each
+round draws the samples still open as a staged block and evaluates their
+draws as one.  It counts all of their draws; any other sample counts one.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -341,18 +341,26 @@ class _Step:
 
 
 class _Rows:
-    """The values of a block of draws by name: a scalar value is an array
-    over the rows, a vector value a list of (rows, n, matrix) groups of one
-    size n.  ``refused`` marks the rows whose draw on its own raises, and
-    ``errors`` holds what it raises (None: a row that draws again)."""
+    """A block of rows of one target by name, as a draw leaves them and a
+    kernel takes them: a scalar value is an array over the rows, a vector
+    value a list of (rows, n, matrix) groups of one size n (a later group
+    holds a row over an earlier one), and ``region`` the values all rows
+    share.  ``refused`` marks the rows whose draw on its own raises, and
+    ``errors`` holds what it raises (None: a row that draws again).  Rows
+    read from instance dicts keep them in ``insts``; ``single`` lists those
+    the arrays do not hold."""
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, region: dict | None = None):
         self.size = size
         self.values = {}
         self.ends = {}  # a uniform's (lo, hi - lo), from its check
         self.sizes = None  # each row's n
         self.refused = np.zeros(size, dtype=bool)
         self.errors = {}
+        self.target = None
+        self.region = region or {}
+        self.insts = None
+        self.single = []
 
     def __getitem__(self, name):
         return self.values[name]
@@ -375,6 +383,32 @@ class _Rows:
         if not self.refused[k]:
             self.refused[k] = True
             self.errors[k] = exc
+
+    def groups(self) -> list:
+        """(rows, n) of the rows the arrays hold, neither refused nor
+        single, by their size n."""
+        live = ~self.refused
+        live[self.single] = False
+        return [(np.flatnonzero(live & (self.sizes == n)), n)
+                for n in sorted(set(self.sizes[live].tolist()))]
+
+    def vectors(self, name: str, ks: np.ndarray, n: int) -> np.ndarray:
+        """The (rows ks, n) matrix of the vector value ``name``; rows ks
+        are all of size n."""
+        out = np.empty((self.size, n))
+        for group, size, m in self.values[name]:
+            if size == n:
+                out[group] = m
+        return out[ks]
+
+    def instances(self, ks) -> list:
+        """The instance dicts of rows ks: those the rows were read from, or
+        built from the drawn values."""
+        if not len(ks):
+            return []
+        if self.insts is not None:
+            return [self.insts[k] for k in ks]
+        return RULES[self.target].draw.build(self, ks)
 
     def raise_refused(self) -> None:
         """In a block of one: raise what refused the row."""
@@ -513,8 +547,9 @@ def _mean_chain_sampler(chain: str) -> Sampler:
     gate = TRIPLES[chain].gate_value
 
     def ends(rows, region):
-        gv = rows.map(gate, rows["v"], rows["alpha"])
-        return _clamp_rows(gv, 5e-324, rows["v"]), rows["v"]
+        # g(v), which the kernel's flags read again
+        rows["gv"] = rows.map(gate, rows["v"], rows["alpha"])
+        return _clamp_rows(rows["gv"], 5e-324, rows["v"]), rows["v"]
     steps = (_uniform("alpha", _region("alpha")),
              _log_uniform("v", _region("v")), _size("n"),
              _uniform("a", ends, 1), _weights("q"))
@@ -606,43 +641,43 @@ _REGION_FIELDS = ("triple", "weight", "grid")
 class Sampler:
     """A target's draw: steps(region) in stream order, and the instance's
     keys in order.  A key is a drawn value, the target, or one of the
-    region's _REGION_FIELDS; any other key not drawn is left out.
-    setup(rows) gives the rows' setups, or every setup is None."""
+    region's _REGION_FIELDS; any other key not drawn is left out."""
 
     steps: Callable
     fields: tuple
-    setup: Callable | None = None
 
-    def build(self, rows: _Rows, target: str, region: dict):
-        """(instances, setups) of every row, refused ones included."""
+    def build(self, rows: _Rows, ks) -> list:
+        """The instance dicts of rows ks."""
         names, columns = [], []
         for name in self.fields:
             if name in rows.values:
-                columns.append(_listed(rows[name], rows.size))
+                columns.append(_listed(rows[name], ks))
             elif name == "target":
-                columns.append([target] * rows.size)
-            elif name in _REGION_FIELDS and name in region:
-                value = region[name]
+                columns.append([rows.target] * len(ks))
+            elif name in _REGION_FIELDS and name in rows.region:
+                value = rows.region[name]
                 columns.append([list(value) if isinstance(value, list)
-                                else value for _ in range(rows.size)])
+                                else value for _ in ks])
             else:
                 continue
             names.append(name)
-        insts = [dict(zip(names, values)) for values in zip(*columns)]
-        setups = [None] * rows.size if self.setup is None \
-            else self.setup(rows)
-        return insts, setups
+        return [dict(zip(names, values)) for values in zip(*columns)]
 
 
-def _listed(value, size: int) -> list:
-    """A value of the rows as Python floats and ints, a list per row for a
-    vector."""
+def _listed(value, ks) -> list:
+    """A value at rows ks as Python floats and ints, a list per row for a
+    vector; a vector's groups list their rows in increasing order."""
+    ks = np.asarray(ks, dtype=np.int64)
     if isinstance(value, np.ndarray):
-        return value.tolist()
-    out = [None] * size
-    for ks, _, m in value:
-        for k, row in zip(ks.tolist(), m.tolist()):
-            out[k] = row
+        return value[ks].tolist()
+    out = [None] * ks.size
+    for group, _, m in value:
+        if not group.size:
+            continue
+        at = np.minimum(np.searchsorted(group, ks), group.size - 1)
+        hit = group[at] == ks
+        for j, row in zip(np.flatnonzero(hit).tolist(), m[at[hit]].tolist()):
+            out[j] = row
     return out
 
 
@@ -686,7 +721,7 @@ def _draw_rows(streams: _Streams, indices, steps: tuple,
     draw, calls = _plan(steps, region)
     at = streams.at
     samples = [draw(at(i)) for i in indices]
-    rows = _Rows(len(samples))
+    rows = _Rows(len(samples), region)
     sizes = np.array([n for n, _ in samples], dtype=np.int64)
     # not np.unique, which imports numpy.ma on its first call
     groups = [(np.flatnonzero(sizes == n), n)
@@ -725,7 +760,7 @@ def _draw_staged(rngs: list, steps: tuple, region: dict) -> _Rows:
     its check and every earlier step, so a refused row's stream is left
     where its draw on its own left it when it raised.  A unit vector a row
     refuses is drawn again."""
-    rows = _Rows(len(rngs))
+    rows = _Rows(len(rngs), region)
     with np.errstate(all="ignore"):
         for step in steps:
             if step.check is not None:
@@ -764,25 +799,31 @@ def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
             for ks in (live[sizes == n],)]
 
 
-def _draw_block(streams: _Streams, indices, target: str, region: dict):
-    """(indices, instances, setups) of the draws of samples ``indices``,
-    each from its own stream, leaving out the rows the sampler refuses."""
-    sampler = RULES[target].draw
-    rows = _draw_rows(streams, indices, sampler.steps(region), region)
-    insts, setups = sampler.build(rows, target, region)
-    keep = np.flatnonzero(~rows.refused).tolist()
-    return [indices[k] for k in keep], [insts[k] for k in keep], \
-        [setups[k] for k in keep]
+def _draw_block(streams: _Streams, indices, target: str,
+                region: dict) -> _Rows:
+    """The rows of samples ``indices``, each drawn from its own stream; the
+    sampler refuses some."""
+    rows = _draw_rows(streams, indices, RULES[target].draw.steps(region),
+                      region)
+    rows.target = target
+    return rows
+
+
+def _drawn(rows: _Rows, ks) -> list:
+    """(instance, gate) of rows ks: gate is the closed gate interval
+    (g(v), v) an operator draw drew the spectrum in, else None."""
+    gates = list(zip(rows["gate"][ks].tolist(), rows["v"][ks].tolist())) \
+        if "gate" in rows.values else [None] * len(ks)
+    return list(zip(rows.instances(ks), gates))
 
 
 def _draw(rng: Generator, target: str, region: dict):
-    """(instance, setup): the target's sampler on a block of one; it raises
-    what refused the row."""
-    sampler = RULES[target].draw
-    rows = _draw_staged([rng], sampler.steps(region), region)
+    """(instance, gate) of _drawn: the target's sampler on a block of one;
+    it raises what refused the row."""
+    rows = _draw_staged([rng], RULES[target].draw.steps(region), region)
     rows.raise_refused()
-    insts, setups = sampler.build(rows, target, region)
-    return insts[0], setups[0]
+    rows.target = target
+    return _drawn(rows, [0])[0]
 
 
 def draw_instance(rng: Generator, target: str, region: dict) -> dict:
@@ -806,8 +847,10 @@ def instance_template(target: str) -> tuple[dict, tuple]:
 
 # ---------------------------------------------------------------------------
 # Per-target margin functions.  In doubles each is an array kernel over a
-# block of instances; with hp it gives the same terms at 60 digits, one
-# instance at a time.  Campaigns, replay and confirm all run them.
+# block of rows (_Rows): a campaign's drawn block as the draw left it, or
+# instance dicts read by _instance_rows.  With hp it gives the same terms
+# at 60 digits, one instance at a time.  Campaigns, replay and confirm all
+# run them.
 # ---------------------------------------------------------------------------
 
 # what a draw or an evaluation may raise for an instance that is data
@@ -833,13 +876,19 @@ class Block:
         self._single = {}  # row -> (margin, flags, extras) or exception
 
     @classmethod
-    def single(cls, insts: list, evaluate: Callable,
+    def single(cls, rows: _Rows, evaluate: Callable,
                feasible: Callable | None = None) -> "Block":
-        """Every row by ``evaluate(inst)``, one at a time."""
-        block = cls(len(insts))
-        for k, inst in enumerate(insts):
-            block.run(k, lambda: evaluate(inst), feasible)
-        return block
+        """Every row that is not refused by ``evaluate(inst)``, one at a
+        time."""
+        return cls(rows.size).each(
+            rows, np.flatnonzero(~rows.refused).tolist(), evaluate, feasible)
+
+    def each(self, rows: _Rows, ks: list, evaluate: Callable,
+             feasible: Callable | None = None) -> "Block":
+        """Rows ks by ``evaluate(inst)``, one at a time (see run)."""
+        for k, inst in zip(ks, rows.instances(ks)):
+            self.run(k, lambda: evaluate(inst), feasible)
+        return self
 
     def fill(self, ks, margin, flags: dict, accepted, **columns) -> None:
         """Rows ks (an index array) from arrays over those rows."""
@@ -942,17 +991,10 @@ def _array(rows: list, name: str) -> np.ndarray | None:
     return out if out.ndim == 2 else None
 
 
-def _column(rows: list, name: str) -> np.ndarray:
-    return np.array([row[name] for row in rows], dtype=float)
-
-
-def _spectral_rows(rows: list):
+def _spectral_rows(d: np.ndarray, x: np.ndarray):
     """(ok, eigenvalues D, unit vectors X) of rows with diagonal operators,
     as SymmetricMatrix.diagonal and UnitVector build them; ok is False on
-    a row they refuse (D and X are None if a list does not convert)."""
-    d, x = _array(rows, "diag"), _array(rows, "x")
-    if d is None or x is None:
-        return np.zeros(len(rows), dtype=bool), None, None
+    a row they refuse."""
     finite, d = diagonal_rows(d)
     with np.errstate(all="ignore"):
         norm = np.sqrt(_dots(x, x))  # np.linalg.norm of each row
@@ -1002,47 +1044,36 @@ def _chain_extras(c: dict, k: int) -> dict:
             "feasible": bool(c["feasible"][k])}
 
 
-def _evaluate_chain(insts: list, margin_kind: str, setups, hp=False):
-    name = RULES[insts[0]["target"]].chain
-    chain = CHAINS[name]
+def _evaluate_chain(rows: _Rows, margin_kind: str, hp=False):
+    rules = RULES[rows.target]
+    name, chain = rules.chain, CHAINS[rules.chain]
     if hp:
         def hp_margin(inst):
             m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
                                       if chain.spectral else None)
             return (m1 + m2) if margin_kind == "outer" else min(m1, m2), \
                 None, {}
-        return Block.single(insts, hp_margin)
-    feasible = RULES[insts[0]["target"]].feasible
-    block = Block(len(insts), _chain_extras)
-    if chain.spectral:  # a diagonal operator's spectrum and p
-        groups, single = _groups(insts, ("diag", "x"), ("alpha", "v", "p"),
-                                 DIM_CAP, lambda inst: None
-                                 if "matrix" in inst else ())
-    else:
-        keys = ("a", "b", "q") if chain.paired else ("a", "q")
-        groups, single = _groups(insts, keys, ("alpha", "v"), N_CAP,
-                                 lambda inst: None if not chain.paired
-                                 and inst.get("b") else ())
-    for ks in groups.values():
-        single += _chain_group(name, insts, np.array(ks), margin_kind, block)
-    for k in single:
-        block.run(k, lambda: _chain_row(insts[k], margin_kind), feasible)
-    return block
+        return Block.single(rows, hp_margin)
+    block = Block(rows.size, _chain_extras)
+    single = list(rows.single)
+    for ks, n in rows.groups():
+        single += _chain_group(name, rows, ks, n, margin_kind, block)
+    return block.each(rows, single, lambda inst: _chain_row(inst, margin_kind),
+                      rules.feasible)
 
 
-def _chain_group(name: str, insts: list, ks: np.ndarray, margin_kind: str,
-                 block: Block) -> list:
-    """Fill the rows ks (one n) of the block from arrays, as chain_report
-    evaluates each; return the rows to evaluate one at a time."""
+def _chain_group(name: str, rows: _Rows, ks: np.ndarray, n: int,
+                 margin_kind: str, block: Block) -> list:
+    """Fill the rows ks (all of size n) of the block from arrays, as
+    chain_report evaluates each; return the rows to evaluate one at a
+    time."""
     chain = CHAINS[name]
-    rows = [insts[k] for k in ks]
-    c = {"alpha": _column(rows, "alpha"), "v": _column(rows, "v")}
+    c = {key: rows[key][ks] for key in ("alpha", "v", "gv", "p")
+         if key in rows.values}
     with np.errstate(all="ignore"):
         if chain.spectral:  # hm_chain on diag(values) and x, f(A) = A^p
-            ok, values, c["x"] = _spectral_rows(rows)
-            if values is None:
-                return ks.tolist()
-            c["p"] = _column(rows, "p")
+            ok, values, c["x"] = _spectral_rows(rows.vectors("diag", ks, n),
+                                                rows.vectors("x", ks, n))
             # row by row: numpy takes other paths for a scalar exponent
             # (2.0 squares) than for an array of exponents
             c["fd"] = np.array([np.power(t, e) for t, e in
@@ -1051,9 +1082,7 @@ def _chain_group(name: str, insts: list, ks: np.ndarray, margin_kind: str,
                 & np.isfinite(c["fd"]).all(1)
         else:  # _sample_chain on the WeightedSample of a, q (and b)
             for key in ("a", "b", "q") if chain.paired else ("a", "q"):
-                c[key] = _array(rows, key)
-                if c[key] is None:
-                    return ks.tolist()
+                c[key] = rows.vectors(key, ks, n)
             values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
             ok = sample_checks(values, c["q"])[-1]
         c["lo"], c["hi"] = values.min(1), values.max(1)
@@ -1085,7 +1114,7 @@ def _chain_group(name: str, insts: list, ks: np.ndarray, margin_kind: str,
                                             ops=_ElementwiseMath)
         flags = flag_rows(name, c["lo"], c["hi"], g, alpha, c["v"],
                           c.get("p"), (c["a"], c["b"]) if chain.paired
-                          else None)
+                          else None, c.get("gv"))
     except (ValueError, ArithmeticError):
         return single + ks.tolist()
     with np.errstate(all="ignore"):
@@ -1113,35 +1142,22 @@ def _operator_f(name: str) -> ScalarFunction:
                           {"p": _OPERATOR_P} if rule.needs_p else {})
 
 
-def _operator_gate(name: str, alpha: float, beta: float, v: float,
-                   check: bool = True):
-    """(lo, hi) of the closed gate interval [g(v), v] of the operator
-    triple at (alpha, beta); with ``check``, ValueError where make_triple
-    would refuse them."""
-    rule = check_triple(name, alpha, beta, _OPERATOR_P) if check \
-        else TRIPLES[name]
-    return rule.gate_bounds(v, alpha, beta, _OPERATOR_P)
-
-
-def _operator_functions(inst: dict, check: bool = True):
-    """(f, h) of the instance's operator triple without building it; with
-    ``check``, ValueError where make_triple would refuse its parameters."""
+def _operator_functions(inst: dict):
+    """(f, h) of the instance's operator triple without building it;
+    ValueError where make_triple would refuse its parameters."""
     name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
-    if check:
-        check_triple(name, alpha, beta, _OPERATOR_P)
+    check_triple(name, alpha, beta, _OPERATOR_P)
     h = scalar_function("identity_weight") \
         if inst.get("weight") == "identity_weight" \
         else ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
     return _operator_f(name), h
 
 
-def _operator_flag_rows(name: str, alpha, beta, v, eigs,
-                        gates: list) -> dict:
+def _operator_flag_rows(name: str, alpha, beta, v, eigs, lo, hi) -> dict:
     """The operator hypothesis flags of rows, as bool arrays: alpha, beta,
     the anchor, and each row's eigenvalues ``eigs`` inside its closed gate
-    interval (lo, hi), as opcalc.spectrum_in decides it."""
+    interval [lo, hi], as opcalc.spectrum_in decides it."""
     rule = TRIPLES[name]
-    lo, hi = np.array(gates).T
     return {
         "alpha_in_range": alpha > rule.alpha_floor,
         "beta_in_range": (alpha <= beta)
@@ -1152,10 +1168,10 @@ def _operator_flag_rows(name: str, alpha, beta, v, eigs,
     }
 
 
-def _operator_row(inst: dict, gate=None):
+def _operator_row(inst: dict):
     """One operator instance through jensen_verify (dense matrices and the
-    rows the arrays leave out); ``gate`` is the draw's gate bounds."""
-    f, h = _operator_functions(inst, check=gate is None)
+    rows the arrays leave out)."""
+    f, h = _operator_functions(inst)
     A, x = _matrix(inst), UnitVector(inst["x"])
     mode = RULES[inst["target"]].mode
     # the closed form is the infimum's boundary limit (t -> 1 or t -> 0)
@@ -1164,13 +1180,12 @@ def _operator_row(inst: dict, gate=None):
     verdict = jensen_verify(f, h, A, x, mode,
                             lam=inst.get("lam"), coefficient=coeff)
     name = inst["triple"]
-    if gate is None:
-        gate = _operator_gate(name, inst["alpha"], inst["beta"], inst["v"],
-                              check=False)
+    gate = TRIPLES[name].gate_bounds(inst["v"], inst["alpha"], inst["beta"],
+                                     _OPERATOR_P)
     flags = _operator_flag_rows(name, *(np.array([inst[k]]) for k in
                                         ("alpha", "beta", "v")),
                                 A.decomposition().eigenvalues[None, :],
-                                [gate])
+                                *(np.array([t]) for t in gate))
     return verdict.margin, {k: bool(t[0]) for k, t in flags.items()}, {
         "lhs": verdict.lhs, "rhs": verdict.rhs,
         "rhs_factor": verdict.rhs_factor,
@@ -1183,59 +1198,50 @@ def _operator_extras(c: dict, k: int) -> dict:
 
 
 def _operator_key(inst: dict):
-    """The array group of an operator row (its triple and whether h is the
-    identity), or None for a row evaluated on its own."""
+    """The region of an operator row's array group (its triple, and its
+    weight as the kernel reads it), or None for a row evaluated on its
+    own."""
     name = inst.get("triple")
     if "matrix" in inst or type(name) is not str or name not in TRIPLES:
         return None
-    return name, inst.get("weight") == "identity_weight"
+    return ("triple", name), ("weight", "identity_weight" if inst.get(
+        "weight") == "identity_weight" else "exp_weight")
 
 
-def _evaluate_operator(insts: list, margin_kind: str, setups, hp=False):
-    mode = RULES[insts[0]["target"]].mode
+def _evaluate_operator(rows: _Rows, margin_kind: str, hp=False):
+    rules = RULES[rows.target]
     if hp:
         def hp_margin(inst):
             f, h = _operator_functions(inst)
             A, x = _matrix(inst), UnitVector(inst["x"])
-            return hp_jensen_margin(f, h, A.entries, x.components, mode,
-                                    lam=inst.get("lam")), None, {}
-        return Block.single(insts, hp_margin)
-    feasible = RULES[insts[0]["target"]].feasible
-    block = Block(len(insts), _operator_extras)
-    numbers = ("alpha", "beta", "v") + (("lam",) if mode == "per-lambda"
-                                        else ())
-    groups, single = _groups(insts, ("diag", "x"), numbers, DIM_CAP,
-                             _operator_key)
-    for (key, _), ks in groups.items():
-        single += _operator_group(key, insts, setups, np.array(ks), mode,
-                                  block)
-    for k in single:
-        block.run(k, lambda: _operator_row(insts[k], setups[k]), feasible)
-    return block
+            return hp_jensen_margin(f, h, A.entries, x.components,
+                                    rules.mode, lam=inst.get("lam")), None, {}
+        return Block.single(rows, hp_margin)
+    block = Block(rows.size, _operator_extras)
+    single = list(rows.single)
+    for ks, n in rows.groups():
+        single += _operator_group(rows, ks, n, rules.mode, block)
+    return block.each(rows, single, _operator_row, rules.feasible)
 
 
-def _operator_group(key: tuple, insts: list, setups: list, ks: np.ndarray,
-                    mode: str, block: Block) -> list:
-    """Fill the rows ks (one triple, weight and dim) of the block from
-    arrays, as jensen_verify evaluates each; return the rows to evaluate
-    one at a time."""
-    name, identity = key
+def _operator_group(rows: _Rows, ks: np.ndarray, n: int, mode: str,
+                    block: Block) -> list:
+    """Fill the rows ks (of the region's triple and weight, all of dim n)
+    of the block from arrays, as jensen_verify evaluates each; return the
+    rows to evaluate one at a time."""
+    name = rows.region["triple"]
     f = _operator_f(name)
-    rows = [insts[k] for k in ks]
-    alpha, beta, v = (_column(rows, k) for k in ("alpha", "beta", "v"))
-    lam = _column(rows, "lam") if mode == "per-lambda" else None
-    ok, d, x = _spectral_rows(rows)
-    if d is None:
-        return ks.tolist()
-    gates = []
-    for j, k in enumerate(ks.tolist()):
-        gates.append(setups[k])
-        if setups[k] is None:
-            try:
-                gates[j] = _operator_gate(name, rows[j]["alpha"],
-                                          rows[j]["beta"], rows[j]["v"])
-            except _REJECTED:
-                ok[j] = False
+    alpha, beta, v = (rows[k][ks] for k in ("alpha", "beta", "v"))
+    lam = rows["lam"][ks] if mode == "per-lambda" else None
+    ok, d, x = _spectral_rows(rows.vectors("diag", ks, n),
+                              rows.vectors("x", ks, n))
+    if "gate" in rows.values:
+        gate = rows["gate"][ks]
+    else:  # rows read from dicts: the draw's checks and gate
+        def refuse(mask, error):
+            ok[mask & ok] = False
+        triple_rows(name, alpha, beta, _OPERATOR_P, refuse)
+        gate = TRIPLES[name].gate_rows(v, alpha, beta, _OPERATOR_P, refuse)
     if lam is not None:
         ok &= (0.0 < lam) & (lam < 1.0)
     low, high = d.min(1), d.max(1)
@@ -1247,22 +1253,22 @@ def _operator_group(key: tuple, insts: list, setups: list, ks: np.ndarray,
         ok &= inside.all(1) & qf_inside & np.isfinite(fd).all(1)
         single = ks[~ok].tolist()
         if not ok.all():
-            ks, alpha, beta, v, d, x, fd, qf = (
-                t[ok] for t in (ks, alpha, beta, v, d, x, fd, qf))
+            ks, alpha, beta, v, d, x, fd, qf, gate = (
+                t[ok] for t in (ks, alpha, beta, v, d, x, fd, qf, gate))
             lam = None if lam is None else lam[ok]
-            gates = [g for g, keep in zip(gates, ok.tolist()) if keep]
         if not ks.size:
             return single
         h = SimpleNamespace(
-            family="identity_weight" if identity else "exp_weight",
-            params={"alpha": alpha, "beta": beta})
+            family="identity_weight"
+            if rows.region.get("weight") == "identity_weight"
+            else "exp_weight", params={"alpha": alpha, "beta": beta})
         factor = jensen_factor(
             mode, h, lam, lambda h, t: core_array(h.family, h.params, t),
             np.asarray, lambda: closed_form_jcoeff(h, np.asarray))
         expectation = _dots(x * fd, x)
         lhs = core_array(f.family, f.params, qf)
         rhs = factor * expectation
-        flags = _operator_flag_rows(name, alpha, beta, v, d, gates)
+        flags = _operator_flag_rows(name, alpha, beta, v, d, gate, v)
         fine = np.logical_and.reduce(list(flags.values()))
         block.fill(ks, rhs - lhs, flags, fine, lhs=lhs, rhs=rhs,
                    rhs_factor=np.broadcast_to(factor, rhs.shape),
@@ -1291,7 +1297,7 @@ def _best_possible_row(inst: dict):
         "functional_calculus_margin": factor * full - lhs}
 
 
-def _evaluate_best_possible(insts: list, margin_kind: str, setups, hp=False):
+def _evaluate_best_possible(rows: _Rows, margin_kind: str, hp=False):
     """Rows one at a time: each is a few scalar operations."""
     if hp:
         def hp_margin(inst):
@@ -1302,12 +1308,12 @@ def _evaluate_best_possible(insts: list, margin_kind: str, setups, hp=False):
                     factor * full - lhs
             return margin, None, {
                 "functional_calculus_margin_confirmed": digits(full_margin)}
-        return Block.single(insts, hp_margin)
-    return Block.single(insts, _best_possible_row,
+        return Block.single(rows, hp_margin)
+    return Block.single(rows, _best_possible_row,
                         RULES["best-possible"].feasible)
 
 
-def _evaluate_certificates(insts: list, margin_kind: str, setups, hp=False):
+def _evaluate_certificates(rows: _Rows, margin_kind: str, hp=False):
     """Rows one at a time: each is a grid certification already."""
     def certificate(inst):
         triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
@@ -1320,8 +1326,52 @@ def _evaluate_certificates(insts: list, margin_kind: str, setups, hp=False):
         return cert.min_value, flags, {
             "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
             "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
-    return Block.single(insts, certificate,
+    return Block.single(rows, certificate,
                         None if hp else RULES["certificates"].feasible)
+
+
+def _chain_layout(name: str) -> tuple:
+    """The layout (see TargetRules) of a chain's instances."""
+    chain = CHAINS[name]
+    if chain.spectral:  # a diagonal operator's spectrum and p
+        return ("diag", "x"), ("alpha", "v", "p"), DIM_CAP, \
+            lambda inst: None if "matrix" in inst else ()
+    return ("a", "b", "q") if chain.paired else ("a", "q"), \
+        ("alpha", "v"), N_CAP, \
+        lambda inst: None if not chain.paired and inst.get("b") else ()
+
+
+def _instance_rows(insts: list) -> _Rows:
+    """Instance dicts of one target as the rows its kernel takes: the
+    values of the rows of the first region's array groups (see _groups)
+    whose lists convert to floats, in the columns a draw leaves.  The other
+    rows are ``single``, evaluated one at a time from their dicts."""
+    rows = _Rows(len(insts))
+    rows.target, rows.insts = insts[0]["target"], insts
+    if RULES[rows.target].layout is None:
+        return rows
+    vectors, numbers, cap, key = RULES[rows.target].layout
+    groups, rows.single = _groups(insts, vectors, numbers, cap, key)
+    rows.sizes = np.zeros(rows.size, dtype=np.int64)
+    for name in numbers:
+        rows[name] = np.full(rows.size, math.nan)
+    for name in vectors:
+        rows[name] = []
+    region = None
+    for (group, n), ks in groups.items():
+        part = [insts[k] for k in ks]
+        matrices = [_array(part, name) for name in vectors]
+        if region not in (None, group) or any(m is None for m in matrices):
+            rows.single += ks
+            continue
+        region, ks = group, np.array(ks)
+        rows.sizes[ks] = n
+        for name, m in zip(vectors, matrices):
+            rows[name].append((ks, n, m))
+        for name in numbers:
+            rows[name][ks] = [inst[name] for inst in part]
+    rows.region = dict(region or ())
+    return rows
 
 
 def evaluate_instance(inst: dict, margin_kind: str = "refined"):
@@ -1331,7 +1381,8 @@ def evaluate_instance(inst: dict, margin_kind: str = "refined"):
     tests all reach the same kernel, so a replayed witness reproduces
     margin_double bit for bit.
     """
-    return RULES[inst["target"]].evaluate([inst], margin_kind, [None]).row(0)
+    return RULES[inst["target"]].evaluate(_instance_rows([inst]),
+                                          margin_kind).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -1347,8 +1398,8 @@ def confirm(candidate: dict) -> dict:
     """
     rules = RULES[candidate["inputs"]["target"]]
     hp_margin, _, hp_extras = rules.evaluate(
-        [candidate["inputs"]], candidate.get("margin_kind", "refined"),
-        [None], hp=True).row(0)
+        _instance_rows([candidate["inputs"]]),
+        candidate.get("margin_kind", "refined"), hp=True).row(0)
     margin_f = float(hp_margin)
     sign_agrees = (margin_f < 0.0) == (candidate["margin_double"] < 0.0)
     out = dict(candidate, extras={**candidate.get("extras", {}), **hp_extras})
@@ -1557,15 +1608,17 @@ class TargetRules:
     look up the layers they call (make_triple, the chains...) at call time."""
 
     region: dict  # region defaults; any other key is an error
-    # draws (instance, setup) pairs, where setup holds what the draw built
-    # that evaluate can reuse, or None
     draw: Sampler
-    # (instances, margin_kind, setups, hp=False) -> Block: in doubles an
-    # array kernel over the block (setup None: evaluate from the instance
-    # alone); hp gives each row's 60-digit margin, flags None and the
+    # (rows, margin_kind, hp=False) -> Block: in doubles an array kernel
+    # over the _Rows' columns, refused rows skipped, single ones evaluated
+    # on their own; hp gives each row's 60-digit margin, flags None and the
     # extras confirm adds
     evaluate: Callable
     bound: Callable | None = None  # candidate -> margin_bound's B or None
+    # the _groups arguments (lists, numbers, cap, key) by which
+    # _instance_rows reads instance dicts into the arrays; None: every row
+    # one at a time.  key(inst) gives the region a row's group shares
+    layout: tuple | None = None
     chain: str | None = None  # the refined chain (and funclib triple) name
     report: Callable | None = None  # (data, alpha, v, p) -> ChainReport
     mode: str | None = None  # the operator targets' jensen_verify mode
@@ -1584,11 +1637,11 @@ def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
         Sampler(lambda region: _OPERATOR_STEPS + ((_LAM,) if "lam" in region
                                                   else ()),
                 ("target", "triple", "alpha", "beta", "v", "diag", "x",
-                 "weight", "lam"),
-                lambda rows: list(zip(rows["gate"].tolist(),
-                                      rows["v"].tolist()))),
-        _evaluate_operator, _operator_bound, mode=mode,
-        pinned=pinned)
+                 "weight", "lam")),
+        _evaluate_operator, _operator_bound,
+        (("diag", "x"), ("alpha", "beta", "v") + (
+            ("lam",) if mode == "per-lambda" else ()), DIM_CAP, _operator_key),
+        mode=mode, pinned=pinned)
 
 
 RULES = {
@@ -1604,18 +1657,19 @@ RULES = {
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
         _mean_chain_sampler("kyfan"), _evaluate_chain, _kyfan_bound,
-        chain="kyfan",
+        _chain_layout("kyfan"), chain="kyfan",
         report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
         _mean_chain_sampler("amgm"), _evaluate_chain, _amgm_bound,
-        chain="amgm",
+        _chain_layout("amgm"), chain="amgm",
         report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
         Sampler(lambda region: _CHRYSTAL_STEPS,
                 ("target", "alpha", "v", "n", "a", "b", "q")),
-        _evaluate_chain, _chrystal_bound, chain="chrystal",
+        _evaluate_chain, _chrystal_bound, _chain_layout("chrystal"),
+        chain="chrystal",
         report=lambda d, alpha, v, p: chrystal_chain(_sample(d), alpha, v)),
     "holder-mccarthy": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
@@ -1623,7 +1677,7 @@ RULES = {
         Sampler(lambda region: _HOLDER_MCCARTHY_STEPS,
                 ("target", "alpha", "v", "p", "dim", "diag", "x")),
         _evaluate_chain, _holder_mccarthy_bound,
-        chain="holder_mccarthy",
+        _chain_layout("holder_mccarthy"), chain="holder_mccarthy",
         report=lambda d, alpha, v, p: hm_chain(
             _matrix(d), UnitVector(d["x"]), float(p), alpha, v)),
     "certificates": TargetRules(
@@ -1645,11 +1699,12 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     """Evaluate sample indices [start, stop); returns chunk aggregates.
 
     Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
-    each block is evaluated by the target's kernel at once.  The samples
-    whose first draw is refused, fails to evaluate or is infeasible are
-    replayed from their streams by _retry, the per-sample loop run over
-    them together, which counts all their draws; the others count one draw
-    each.
+    each block is evaluated by the target's kernel at once, from the
+    drawn columns.  The samples whose first draw is refused, fails to
+    evaluate or is infeasible are replayed from their streams by _retry,
+    the per-sample loop run over them together, which counts all their
+    draws; the others count one draw each.  Instance dicts are built only
+    for the rows a report keeps: candidates and a new arg-min.
     """
     c = Campaign(**campaign_json)
     evaluate = RULES[c.target].evaluate
@@ -1659,50 +1714,45 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     argmin = None
     candidates = []
     for lo in range(start, stop, BLOCK_SIZE):
-        hi = min(lo + BLOCK_SIZE, stop)
-        index, insts, setups = _draw_block(streams, range(lo, hi), c.target,
-                                           c.region)
-        block = evaluate(insts, c.margin_kind, setups) if insts else Block(0)
-        kept = np.array(index, dtype=np.int64)[block.accepted]
-        row_of = dict(zip(kept.tolist(),
-                          np.flatnonzero(block.accepted).tolist()))
-        margins = np.full(hi - lo, math.nan)
-        margins[kept - lo] = block.margin[block.accepted]
+        rows = _draw_block(streams, range(lo, min(lo + BLOCK_SIZE, stop)),
+                           c.target, c.region)
+        block = evaluate(rows, c.margin_kind)
+        margins = np.where(block.accepted, block.margin, math.nan)
         replayed = {}
-        missing = np.ones(hi - lo, dtype=bool)
-        missing[kept - lo] = False
-        missing = (np.flatnonzero(missing) + lo).tolist()
-        for i, (tries, found) in zip(missing, _retry(streams, c, missing)):
+        missing = np.flatnonzero(~block.accepted).tolist()
+        for j, (tries, found) in zip(
+                missing, _retry(streams, c, [lo + j for j in missing])):
             drawn += tries
             rejected += tries - (found is not None)
             if found is None:
                 raise EmptyRegion(
                     f"{c.target}: no feasible draw after {RETRY_CAP} tries "
-                    f"at sample {i}",
-                    drawn=drawn + int(np.searchsorted(kept, i)),
+                    f"at sample {lo + j}",
+                    drawn=drawn + int(np.count_nonzero(block.accepted[:j])),
                     rejected=rejected)
-            replayed[i] = found
-            margins[i - lo] = found[1]
-        drawn += kept.size
-
-        def row(i):
-            """(inst, margin, flags, extras) of sample i; dicts built here."""
-            if i in replayed:
-                return replayed[i]
-            k = row_of[i]
-            return (insts[k], *block.row(k))
+            replayed[j] = found
+            margins[j] = found[1]
+        drawn += int(np.count_nonzero(block.accepted))
         # NaN margins are never a candidate or the arg-min
-        for j in np.flatnonzero(margins < CANDIDATE_THRESHOLD).tolist():
-            inst, margin, flags, extras = row(lo + j)
-            candidates.append({"index": lo + j, "inputs": inst,
-                               "margin_double": margin, "flags": flags,
-                               "extras": extras,
-                               "margin_kind": c.margin_kind})
+        leaving = np.flatnonzero(margins < CANDIDATE_THRESHOLD).tolist()
+        best = None
         if not np.isnan(margins).all():
-            j = int(np.nanargmin(margins))  # the first of equal minima
-            if margins[j] < min_margin:
-                min_margin = float(margins[j])
-                argmin = (lo + j, row(lo + j)[0])
+            best = int(np.nanargmin(margins))  # the first of equal minima
+            if margins[best] < min_margin:
+                leaving = sorted({*leaving, best})
+            else:
+                best = None
+        built = [j for j in leaving if j not in replayed]
+        insts = dict(zip(built, rows.instances(built)))
+        for j in leaving:
+            found = replayed.get(j) or (insts[j], *block.row(j))
+            if margins[j] < CANDIDATE_THRESHOLD:
+                candidates.append({"index": lo + j, "inputs": found[0],
+                                   "margin_double": found[1],
+                                   "flags": found[2], "extras": found[3],
+                                   "margin_kind": c.margin_kind})
+            if j == best:
+                min_margin, argmin = float(margins[j]), (lo + j, found[0])
     return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
             "argmin": argmin, "candidates": candidates,
             "counted": stop - start}
@@ -1714,8 +1764,8 @@ def _retry(streams: _Streams, c: Campaign, indices: list) -> list:
     draw), or (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each
     round draws the samples still open stage by stage, each from its own
     stream, and evaluates the draws that were not refused as one block."""
-    sampler, evaluate = RULES[c.target].draw, RULES[c.target].evaluate
-    steps = sampler.steps(c.region)
+    steps = RULES[c.target].draw.steps(c.region)
+    evaluate = RULES[c.target].evaluate
     rngs = streams.many(indices)
     found = [(RETRY_CAP, None)] * len(indices)
     open_ = list(range(len(indices)))
@@ -1723,15 +1773,12 @@ def _retry(streams: _Streams, c: Campaign, indices: list) -> list:
         if not open_:
             break
         rows = _draw_staged([rngs[j] for j in open_], steps, c.region)
-        insts, setups = sampler.build(rows, c.target, c.region)
-        ks = np.flatnonzero(~rows.refused).tolist()
-        block = evaluate([insts[k] for k in ks], c.margin_kind,
-                         [setups[k] for k in ks]) if ks else Block(0)
-        done = set()
-        for row in np.flatnonzero(block.accepted).tolist():
-            k = ks[row]
-            found[open_[k]] = tries, (insts[k], *block.row(row))
-            done.add(k)
+        rows.target = c.target
+        block = evaluate(rows, c.margin_kind)
+        done = np.flatnonzero(block.accepted).tolist()
+        for k, inst in zip(done, rows.instances(done)):
+            found[open_[k]] = tries, (inst, *block.row(k))
+        done = set(done)
         open_ = [j for k, j in enumerate(open_) if k not in done]
     return found
 

@@ -140,13 +140,16 @@ def _flags(name: str, values, g: float, alpha: float, v: float, p,
     return {key: bool(t[0]) for key, t in rows.items()}
 
 
-def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None) -> dict:
+def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None,
+              gate=None) -> dict:
     """The hypothesis flags of rows of chain instances, as bool arrays.
 
     Each row is given by the smallest and largest of its values (``low``,
     ``high``), its spread g, alpha, v and p (None: no exponent); ``pairs``
     holds the (rows, n) arrays a and b of a chain whose clauses read them.
-    The gate value g(v) is computed row by row in Python floats.
+    The gate value g(v) is computed row by row in Python floats, unless
+    ``gate`` holds it already, as a draw computes it for a gate that reads
+    alpha alone (kyfan, amgm).
     """
     rule, chain = TRIPLES[name], CHAINS[name]
     with np.errstate(all="ignore"):  # inf and nan pass quietly, as in Python
@@ -164,7 +167,8 @@ def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None) -> dict:
         lo = np.array([rule.gate_value(*args) if ok else math.nan
                        for ok, *args in zip(gated.tolist(), v.tolist(),
                                             alpha.tolist(),
-                                            (alpha + g).tolist(), ps)])
+                                            (alpha + g).tolist(), ps)]) \
+            if gate is None else np.where(gated, gate, math.nan)
         flags[chain.member] = _within(low, high, lo, v)
     if chain.clauses is not None:
         flags.update(chain.clauses(*pairs, lo, v))

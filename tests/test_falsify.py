@@ -21,8 +21,9 @@ from hconvexlab.falsify import (
     margin_bound, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Rows, _Streams, _draw, _draw_block, _draw_rows, _draw_staged, _listed,
-    _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
+    _Rows, _Streams, _draw, _draw_block, _draw_rows, _draw_staged, _drawn,
+    _instance_rows, _listed, _run_range, _size, _stream, _unit_vector,
+    _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
@@ -135,11 +136,11 @@ def test_weights_match_dirichlet_bit_for_bit():
     for n in range(1, 9):
         region = {"n": [n, n]}
         block = _listed(_draw_rows(_Streams(29), range(2000), steps,
-                                   region)["q"], 2000)
+                                   region)["q"], range(2000))
         for i in range(2000):
             ours, numpy_s = _stream(29, i), _stream(29, i)
             weights = _listed(_draw_staged([ours], steps, region)["q"],
-                              1)[0]
+                              [0])[0]
             assert block[i] == weights \
                 == numpy_s.dirichlet(np.ones(n)).tolist()
             assert ours.random() == numpy_s.random()
@@ -163,7 +164,7 @@ def test_a_unit_vector_near_zero_is_drawn_again():
             return x * (1e-7 / math.sqrt(x.dot(x))) if self.calls == 1 else x
     steps, region = (_size("dim"), _unit_vector("x")), {"dim": [3, 3]}
     rng = FirstTiny(_stream(5, 0))
-    x = _listed(_draw_staged([rng], steps, region)["x"], 1)[0]
+    x = _listed(_draw_staged([rng], steps, region)["x"], [0])[0]
     fresh = _stream(5, 0)
     fresh.standard_normal(3)
     y = fresh.standard_normal(3)
@@ -173,7 +174,7 @@ def test_a_unit_vector_near_zero_is_drawn_again():
     _unit_vector("x").apply(rows, region, [(np.arange(2), 3, np.array(
         [[1e-7, 0.0, 0.0], [0.0, 3.0, 4.0]]))])
     assert rows.refused.tolist() == [True, False]
-    assert _listed(rows["x"], 2)[1] == [0.0, 0.6, 0.8]
+    assert _listed(rows["x"], [0, 1])[1] == [0.0, 0.6, 0.8]
 
 
 def test_draw_is_deterministic_per_seed_and_index():
@@ -213,7 +214,7 @@ def test_evaluate_refuses_a_vector_whose_norm_overflowed():
     with pytest.raises(ValueError, match="norm inf"):
         evaluate_instance(inst)
     block = RULES["operator-jensen"].evaluate(
-        [PINNED_INSTANCE, inst], "refined", [None, None])
+        _instance_rows([PINNED_INSTANCE, inst]), "refined")
     assert block.accepted.tolist() == [True, False]
     with pytest.raises(ValueError, match="norm inf"):
         block.row(1)
@@ -643,12 +644,13 @@ _DRAW_REGIONS = list({(c[0], repr(c[1])): c[:2] for c in DRAW_DIGESTS}
 @pytest.mark.parametrize("target, region", _DRAW_REGIONS)
 def test_block_draws_match_draws_of_one(target, region):
     # a block refuses the rows whose draw of one raises, and gives the
-    # others' instances and setups bit for bit
+    # others' instances and gates bit for bit
     region = Campaign(target, 1, 1, region=region).region
     indices = range(3, 3 + BLOCK_SIZE + 41)
-    kept, insts, setups = _draw_block(_Streams(GOLDEN_SEED), indices,
-                                      target, region)
-    block = dict(zip(kept, map(repr, zip(insts, setups))))
+    rows = _draw_block(_Streams(GOLDEN_SEED), indices, target, region)
+    kept = np.flatnonzero(~rows.refused).tolist()
+    block = {indices[k]: repr(one)
+             for k, one in zip(kept, _drawn(rows, kept))}
     for i in indices:
         try:
             one = repr(_draw(_stream(GOLDEN_SEED, i), target, region))
@@ -668,15 +670,62 @@ def test_staged_draws_match_draws_of_one(target, region):
     ones = [_stream(GOLDEN_SEED, i) for i in indices]
     for _ in range(12):
         rows = _draw_staged(rngs, sampler.steps(region), region)
-        insts, setups = sampler.build(rows, target, region)
+        rows.target = target
+        drawn = _drawn(rows, range(rows.size))
         for k, rng in enumerate(ones):
             try:
                 one = repr(_draw(rng, target, region))
             except REJECTED as exc:
                 one = type(exc).__name__
             assert (type(rows.errors[k]).__name__ if rows.refused[k]
-                    else repr((insts[k], setups[k]))) == one
+                    else repr(drawn[k])) == one
     assert [rng.random() for rng in rngs] == [rng.random() for rng in ones]
+
+
+@pytest.mark.parametrize("target, region, margin_kind", [
+    (target, region, kind) for target, region in _DRAW_REGIONS
+    for kind in (("refined", "outer") if RULES[target].chain
+                 else ("refined",))])
+def test_drawn_columns_and_instance_dicts_agree(target, region, margin_kind):
+    # a kernel fed a drawn block's columns gives each row what
+    # evaluate_instance gives for the row's built dict: a first draw of a
+    # block and a staged draw (the retry's), whose groups leave refused
+    # rows out
+    size = BLOCK_SIZE
+    if target == "certificates":
+        region, size = {**region, "grid": [16, 16]}, 6
+    region = Campaign(target, 1, 1, region=region).region
+    first = _draw_block(_Streams(GOLDEN_SEED), range(3, 3 + size), target,
+                        region)
+    staged = _draw_staged(_Streams(GOLDEN_SEED).many(range(size)),
+                          RULES[target].draw.steps(region), region)
+    staged.target = target
+    for rows in (first, staged):
+        block = RULES[target].evaluate(rows, margin_kind)
+        kept = np.flatnonzero(~rows.refused).tolist()
+        assert not block.accepted[rows.refused].any()
+        for k, inst in zip(kept, rows.instances(kept)):
+            want = _outcome(lambda: evaluate_instance(inst, margin_kind))
+            assert _outcome(lambda: block.row(k)) == want, (k, inst)
+            accepted = want[0] == "(" and RULES[target].feasible(
+                evaluate_instance(inst, margin_kind)[1])
+            assert repr(bool(block.accepted[k])) == repr(accepted), k
+
+
+def test_only_the_rows_a_report_keeps_are_built():
+    # a kyfan/outer campaign finds no candidate: a block builds the dict of
+    # its arg-min at most, and only when the arg-min is new
+    built, build = [], falsify.Sampler.build
+
+    def counting(self, rows, ks):
+        built.append(len(ks))
+        return build(self, rows, ks)
+    campaign = Campaign("kyfan", 1, 99, margin_kind="outer")
+    with mock.patch.object(falsify.Sampler, "build", counting):
+        got = _run_range(campaign.to_json(), 0, 3 * BLOCK_SIZE)
+    assert got["candidates"] == [] and got["rejected"] == 0
+    assert len(built) <= 3 and all(n <= 1 for n in built), built
+    assert got["argmin"] is not None
 
 
 # rows of a block get odd values here, so that some rows raise, some are
@@ -693,20 +742,18 @@ def _outcome(evaluate):
 
 
 def _odd_block(target, start, size, edits):
-    """(instances, setups) of draws start, start+1, ... (size of them
-    drawn, rejected draws left out), with ``edits`` written into them; an
-    edited row loses its setup, which described the draw."""
+    """The instances of draws start, start+1, ... (size of them drawn,
+    rejected draws left out), with ``edits`` written into them."""
     region = Campaign(target, 1, 1,
                       region={"grid": [16, 16]} if target == "certificates"
                       else {}).region
-    insts, setups = [], []
+    insts = []
     for i in range(start, start + size):
         try:
-            inst, setup = _draw(_stream(GOLDEN_SEED, i), target, region)
+            insts.append(draw_instance(_stream(GOLDEN_SEED, i), target,
+                                       region))
         except REJECTED:
             continue
-        insts.append(inst)
-        setups.append(setup)
     for row, field, place, value in edits:
         if not insts:
             break
@@ -721,8 +768,7 @@ def _odd_block(target, start, size, edits):
             inst[key][place % len(inst[key])] = value
         else:
             inst[key] = value
-        setups[k] = None
-    return insts, setups
+    return insts
 
 
 @settings(max_examples=60, deadline=None)
@@ -735,15 +781,15 @@ def test_block_kernel_matches_evaluate_instance(case, start, size, edits):
     target, margin_kind = case
     if target == "certificates":
         size = 1 + size % 4
-    insts, setups = _odd_block(target, start, size, edits)
+    insts = _odd_block(target, start, size, edits)
     if not insts:
         return
     evaluate = RULES[target].evaluate
-    block = evaluate(insts, margin_kind, setups)
+    block = evaluate(_instance_rows(insts), margin_kind)
     # the same rows, each evaluated on its own (no array groups)
     with mock.patch.object(falsify, "_groups",
                            lambda insts, *args: ({}, list(range(len(insts))))):
-        single = evaluate(insts, margin_kind, setups)
+        single = evaluate(_instance_rows(insts), margin_kind)
     for k, inst in enumerate(insts):
         want = _outcome(lambda: evaluate_instance(inst, margin_kind))
         assert _outcome(lambda: block.row(k)) == want, (k, inst)
@@ -767,8 +813,7 @@ def test_square_exponent_rows_match_their_own_evaluation():
     for k, inst in enumerate(insts):
         inst["diag"] = _stream(5, k).uniform(0.5, 3.0, 7).tolist()
         inst["x"] = np.eye(7)[k % 7].tolist()  # <A^p x, x> is one entry
-    block = RULES["holder-mccarthy"].evaluate(insts, "outer",
-                                              [None] * len(insts))
+    block = RULES["holder-mccarthy"].evaluate(_instance_rows(insts), "outer")
     for k, inst in enumerate(insts):
         assert repr(block.row(k)) == repr(evaluate_instance(inst, "outer"))
 
@@ -844,9 +889,10 @@ def test_nan_margins_are_neither_candidates_nor_the_argmin():
     # unless its margin reads NaN, which this kernel gives half the rows
     rules = RULES["best-possible"]
 
-    def some_nan(insts, margin_kind, setups, hp=False):
-        block = rules.evaluate(insts, margin_kind, setups, hp)
-        for k, inst in enumerate(insts):
+    def some_nan(rows, margin_kind, hp=False):
+        block = rules.evaluate(rows, margin_kind, hp)
+        ks = np.flatnonzero(~rows.refused).tolist()
+        for k, inst in zip(ks, rows.instances(ks)):
             if not hp and inst["lam"] < 0.75:
                 _, flags, extras = block.row(k)
                 block.run(k, lambda: (math.nan, flags, extras), rules.feasible)
@@ -894,9 +940,10 @@ def test_empty_region_counts_every_earlier_sample():
         return rows
 
     def failing_block(streams, indices, target, region):
-        drawn = draw_block(streams, indices, target, region)
-        return [[t for i, t in zip(drawn[0], part) if i != 300]
-                for part in drawn]
+        rows = draw_block(streams, indices, target, region)
+        rows.refuse(np.array([i == 300 for i in indices]),
+                    lambda j: ValueError("no draw for this sample"))
+        return rows
     with mock.patch.object(falsify._Streams, "many", recording_many), \
             mock.patch.object(falsify, "_draw_staged", failing_staged), \
             mock.patch.object(falsify, "_draw_block", failing_block):
