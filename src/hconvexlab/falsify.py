@@ -346,9 +346,10 @@ class _Rows:
     value a list of (rows, n, matrix) groups of one size n (a later group
     holds a row over an earlier one), and ``region`` the values all rows
     share.  ``refused`` marks the rows whose draw on its own raises, and
-    ``errors`` holds what it raises (None: a row that draws again).  Rows
-    read from instance dicts keep them in ``insts``; ``single`` lists those
-    the arrays do not hold."""
+    ``errors`` holds what it raises (None: a row that draws again).
+    ``insts`` holds the rows' instance dicts by row: all of them for rows
+    read from dicts, of which ``single`` lists those the arrays do not
+    hold, and those built so far for drawn rows."""
 
     def __init__(self, size: int, region: dict | None = None):
         self.size = size
@@ -359,7 +360,7 @@ class _Rows:
         self.errors = {}
         self.target = None
         self.region = region or {}
-        self.insts = None
+        self.insts = {}
         self.single = []
 
     def __getitem__(self, name):
@@ -402,13 +403,13 @@ class _Rows:
         return out[ks]
 
     def instances(self, ks) -> list:
-        """The instance dicts of rows ks: those the rows were read from, or
-        built from the drawn values."""
-        if not len(ks):
-            return []
-        if self.insts is not None:
-            return [self.insts[k] for k in ks]
-        return RULES[self.target].draw.build(self, ks)
+        """The instance dicts of rows ks; those of drawn rows are built from
+        the drawn values once."""
+        new = [k for k in ks if k not in self.insts]
+        if new:
+            build = RULES[self.target].draw.build
+            self.insts.update(zip(new, build(self, new)))
+        return [self.insts[k] for k in ks]
 
     def raise_refused(self) -> None:
         """In a block of one: raise what refused the row."""
@@ -671,9 +672,7 @@ def _listed(value, ks) -> list:
     if isinstance(value, np.ndarray):
         return value[ks].tolist()
     out = [None] * ks.size
-    for group, _, m in value:
-        if not group.size:
-            continue
+    for group, _, m in value:  # none is empty
         at = np.minimum(np.searchsorted(group, ks), group.size - 1)
         hit = group[at] == ks
         for j, row in zip(np.flatnonzero(hit).tolist(), m[at[hit]].tolist()):
@@ -1347,7 +1346,7 @@ def _instance_rows(insts: list) -> _Rows:
     whose lists convert to floats, in the columns a draw leaves.  The other
     rows are ``single``, evaluated one at a time from their dicts."""
     rows = _Rows(len(insts))
-    rows.target, rows.insts = insts[0]["target"], insts
+    rows.target, rows.insts = insts[0]["target"], dict(enumerate(insts))
     if RULES[rows.target].layout is None:
         return rows
     vectors, numbers, cap, key = RULES[rows.target].layout
@@ -1742,10 +1741,9 @@ def _run_range(campaign_json: dict, start: int, stop: int):
                 leaving = sorted({*leaving, best})
             else:
                 best = None
-        built = [j for j in leaving if j not in replayed]
-        insts = dict(zip(built, rows.instances(built)))
+        rows.instances([j for j in leaving if j not in replayed])
         for j in leaving:
-            found = replayed.get(j) or (insts[j], *block.row(j))
+            found = replayed.get(j) or (rows.insts[j], *block.row(j))
             if margins[j] < CANDIDATE_THRESHOLD:
                 candidates.append({"index": lo + j, "inputs": found[0],
                                    "margin_double": found[1],
