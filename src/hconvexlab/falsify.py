@@ -857,7 +857,7 @@ _REJECTED = (ValueError, ArithmeticError, HConvexLabError)
 
 
 class Block:
-    """The double evaluation of a block of instances of one target.
+    """The double evaluation of a block of rows (_Rows) of one target.
 
     ``margin`` and ``accepted`` (evaluated, and feasible) are arrays over
     the rows.  ``row(k)`` is what evaluate_instance returns for row k: the
