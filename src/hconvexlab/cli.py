@@ -21,7 +21,7 @@ import time
 from .convexity import DEFAULT_GRID, VIOLATION_TOLERANCE, certify, jcoeff
 from .errors import ConfigError, HConvexLabError
 from .falsify import (
-    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RULES, Campaign, chain_report,
+    CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RULES, Campaign, chain_reports,
     instance_template, lambda_profile, replay_witness, run_campaign,
 )
 from .funclib import TRIPLES, Interval, ScalarFunction
@@ -296,9 +296,9 @@ def cmd_refine(args) -> int:
     keys = ("inequality", "alpha", "v", "p", "samples")
     _require_keys(cfg, keys, "refine",
                   required=("inequality", "alpha", "v", "samples"))
-    chains = {r.chain: r for r in RULES.values() if r.chain}
+    targets = {r.chain: t for t, r in RULES.items() if r.chain}
     inequality = parse_text(cfg["inequality"], "refine.inequality")
-    if inequality not in chains:
+    if inequality not in targets:
         raise ConfigError(f"refine: unknown inequality {inequality!r}")
     if TRIPLES[inequality].needs_p:
         _require_keys(cfg, keys, "refine", required=("p",))
@@ -312,14 +312,16 @@ def cmd_refine(args) -> int:
         raise ConfigError(f"refine.samples: expected an object or a list of "
                           f"objects, got {rows!r}")
     allowed = ("a", "q", "b", "matrix", "x")
-    reports = []
+    insts = []
     for i, row in enumerate(rows):
         _require_keys(row, allowed, f"refine.samples[{i}]",
                       required=CHAINS[inequality].row_keys)
-        row = {k: parse_matrix(val) if k == "matrix"
-               else parse_numbers(val, f"refine.samples[{i}].{k}")
-               for k, val in row.items() if val is not None}
-        reports.append(chains[inequality].report(row, alpha, v, p))
+        insts.append({"target": targets[inequality], "alpha": alpha, "v": v,
+                      "p": p, **{k: parse_matrix(val) if k == "matrix"
+                                 else parse_numbers(
+                                     val, f"refine.samples[{i}].{k}")
+                                 for k, val in row.items() if val is not None}})
+    reports = chain_reports(insts)
     result = [r.to_json() for r in reports]
     _emit(args, "refine", cfg, result, t0,
           csv_rows=[r.csv_row() for r in reports])
@@ -352,8 +354,8 @@ def cmd_falsify(args) -> int:
     report = run_campaign(campaign)
     csv_rows = None
     if RULES[campaign.target].chain and args.format == "csv":
-        csv_rows = [chain_report(w["inputs"]).csv_row()
-                    for w in report["witnesses"]]
+        csv_rows = [r.csv_row() for r in chain_reports(
+            [w["inputs"] for w in report["witnesses"]])]
     _emit(args, "falsify", campaign.to_json(), report, t0,
           seed=campaign.seed,
           tolerances={"candidate_threshold": CANDIDATE_THRESHOLD,

@@ -34,7 +34,7 @@ and the standard exponentials or normals.  The transforms then run once
 over the block, as arrays grouped by n: lo + (hi - lo) * u as
 Generator.uniform computes it, math's exp, log and log1p mapped element
 by element, the gate interval (the gate family's core in numpy ops, as
-TripleRule.gate_bounds computes it), Dirichlet weights and unit vectors.
+TripleRule.gate_rows computes it), Dirichlet weights and unit vectors.
 A row is refused where drawing the sample on its own would raise (numpy's
 uniform refuses a negative, -0.0 or non-finite hi - lo) or draw a unit
 vector again.  A staged block runs the steps stage by stage, each row
@@ -44,23 +44,20 @@ where its draw on its own left it when it raised, and a unit vector is
 drawn again in place.  _draw and draw_instance are a staged block of one,
 which raises what refused its row.
 
-Block evaluation: the double margin function of an operator or chain
-target is an array kernel over such a block's columns as the draw left
-them, skipping refused rows; best-possible and certificates evaluate its
-rows one at a time.  Either returns a Block: margins and acceptance as
-arrays, with a row's flags and extras dicts built only when asked for.
-The run loop asks, and builds instance dicts, for candidates and a new
-arg-min alone.  Instance dicts reach the same kernel through
-_instance_rows.  The kernels keep the bits of the scalar arithmetic: each
-numpy operation matches its Python-float counterpart element by element,
-math's log and exp are mapped over columns, Python's ** runs on object
-arrays, and a row the arrays cannot take (dense matrix, unusual value, an
-operation that raises in Python) is evaluated on its own by the scalar
-code, which raises what it raised.  A sample whose first draw is refused,
-fails to evaluate or is infeasible is replayed from its stream by the
-per-sample retry loop, run over all such samples of a block at once: each
-round draws the samples still open as a staged block and evaluates their
-draws as one.  It counts all of their draws; any other sample counts one.
+Block evaluation: in doubles, an operator or chain target's margin is its
+kernel (opcalc.jensen_rows, refined.chain_rows) over a block's columns as
+the draw left them, skipping refused rows; best-possible and certificates
+evaluate rows one at a time.  Either returns a Block: margins and
+acceptance as arrays, flags and extras dicts built only for the rows a
+report keeps.  Instance dicts reach the same kernels through
+_instance_rows, a dense matrix or odd lists as a row of its own, so
+replay, the CLI and tests run what campaigns run.  A row the kernel
+refuses raises, when asked for, what its evaluation on its own raises.
+A sample whose first draw is refused, fails to evaluate or is infeasible
+is replayed from its stream by the per-sample retry loop, run over all
+such samples of a block at once: each round draws the samples still open
+as a staged block and evaluates their draws as one.  It counts all of
+their draws; any other sample counts one.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -99,26 +96,25 @@ import numpy as np
 from mpmath import mp
 from numpy.random import Generator, Philox
 
-from .convexity import (
-    GRID_CELL_CAP, SWEEP_GRID_CAP, JensenCoefficient, certify,
-)
+from .convexity import GRID_CELL_CAP, SWEEP_GRID_CAP, certify
 from .errors import ConfigError, EmptyRegion, HConvexLabError
-# gate_interval, like the chain functions, is imported for the benchmark's
-# trace points (perfbench/jobs.py SPAN_POINTS), which look it up here
+# gate_interval, jensen_verify and the chain functions are imported for the
+# benchmark's trace points (perfbench/jobs.py SPAN_POINTS), which look them
+# up here
 from .funclib import (  # noqa: F401
-    TRIPLE_NAMES, TRIPLES, ScalarFunction, check_triple, core_array,
-    gate_interval, make_triple, scalar_function, triple_rows,
+    TRIPLE_NAMES, TRIPLES, Refusals, ScalarFunction, check_triple, core_array,
+    evaluate_rows, gate_interval, make_triple, scalar_function, triple_rows,
 )
 from .highprec import (
     DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
 )
-from .opcalc import (
-    DIM_CAP, SymmetricMatrix, UnitVector, clamped_spectrum, diagonal_rows,
-    jensen_factor, jensen_verify, unit_rows, within_slack,
+from .opcalc import (  # noqa: F401
+    DIM_CAP, Spectra, SymmetricMatrix, UnitVector, _clamp_rows, _dots,
+    jensen_factor, jensen_rows, jensen_verify, within_slack,
 )
-from .refined import (
-    CHAINS, N_CAP, WeightedSample, _overall, amgm_chain, chrystal_chain,
-    flag_rows, hm_chain, kyfan_chain, sample_checks,
+from .refined import (  # noqa: F401
+    CHAINS, N_CAP, ChainReport, WeightedSample, _overall, amgm_chain,
+    chain_rows, chrystal_chain, hm_chain, kyfan_chain, sample_columns,
 )
 
 CANDIDATE_THRESHOLD = -1e-10
@@ -380,11 +376,6 @@ class _Rows:
                 self.refused[k] = True
                 self.errors[k] = error and error(j)
 
-    def _refuse_row(self, k: int, exc) -> None:
-        if not self.refused[k]:
-            self.refused[k] = True
-            self.errors[k] = exc
-
     def groups(self) -> list:
         """(rows, n) of the rows the arrays hold, neither refused nor
         single, by their size n."""
@@ -438,7 +429,7 @@ class _Rows:
                 out.append(fn(*xs))
             except _REJECTED as exc:
                 out.append(math.nan)
-                self._refuse_row(k, exc)
+                self.refuse(np.arange(self.size) == k, lambda j: exc)
         return np.array(out, dtype=float)
 
     def divide(self, a, b):
@@ -535,12 +526,6 @@ def _unit_vector(name: str) -> _Step:
             units.append((ks, n, x / norm[:, None]))
         rows[name] = rows.values.get(name, []) + units
     return _Step("standard_normal", apply, 1, redraw=True)
-
-
-def _clamp_rows(t, lo, hi):
-    """min(max(t, lo), hi) of each row, as Python's min and max pick."""
-    t = np.where(lo > t, lo, t)
-    return np.where(hi < t, hi, t)
 
 
 def _mean_chain_sampler(chain: str) -> Sampler:
@@ -862,8 +847,9 @@ class Block:
     ``margin`` and ``accepted`` (evaluated, and feasible) are arrays over
     the rows.  ``row(k)`` is what evaluate_instance returns for row k: the
     flags and extras dicts are built only then, and it raises what
-    evaluating the row raised.  A kernel fills rows from arrays (``fill``)
-    or evaluates odd rows one at a time (``run``).
+    evaluating the row raised.  A kernel fills rows from arrays (``fill``);
+    best-possible, certificates and the 60-digit path evaluate rows one at
+    a time (``single``).
     """
 
     def __init__(self, size: int, extras: Callable | None = None):
@@ -878,19 +864,16 @@ class Block:
     def single(cls, rows: _Rows, evaluate: Callable,
                feasible: Callable | None = None) -> "Block":
         """Every row that is not refused by ``evaluate(inst)``, one at a
-        time."""
-        return cls(rows.size).each(
-            rows, np.flatnonzero(~rows.refused).tolist(), evaluate, feasible)
-
-    def each(self, rows: _Rows, ks: list, evaluate: Callable,
-             feasible: Callable | None = None) -> "Block":
-        """Rows ks by ``evaluate(inst)``, one at a time (see run)."""
+        time (see run)."""
+        block, ks = cls(rows.size), np.flatnonzero(~rows.refused).tolist()
         for k, inst in zip(ks, rows.instances(ks)):
-            self.run(k, lambda: evaluate(inst), feasible)
-        return self
+            block.run(k, lambda: evaluate(inst), feasible)
+        return block
 
-    def fill(self, ks, margin, flags: dict, accepted, **columns) -> None:
-        """Rows ks (an index array) from arrays over those rows."""
+    def fill(self, ks, margin, flags: dict, accepted, errors: dict,
+             **columns) -> None:
+        """Rows ks (an index array) from arrays over those rows; the rows
+        ks[j] of ``errors`` raise errors[j] and are not accepted."""
         size = self.margin.size
         self.margin[ks] = margin
         self.accepted[ks] = accepted
@@ -898,6 +881,9 @@ class Block:
             self.flags.setdefault(name, np.zeros(size, dtype=bool))[ks] = col
         for name, col in columns.items():
             self.columns.setdefault(name, np.full(size, math.nan))[ks] = col
+        for j, exc in errors.items():
+            self._single[int(ks[j])] = exc
+            self.accepted[ks[j]] = False
 
     def run(self, k: int, evaluate: Callable,
             feasible: Callable | None = None) -> None:
@@ -923,93 +909,16 @@ class Block:
                 self._extras(self.columns, k))
 
 
-class _ElementwiseMath:
-    """math.log and math.exp mapped over a column.  Chain terms run on
-    columns with these keep the bits of their scalar evaluation, where
-    numpy's log and exp can differ from math's in the last place; they
-    raise where math raises."""
-
-    @staticmethod
-    def log(x: np.ndarray) -> np.ndarray:
-        return np.array(list(map(math.log, x.tolist())))
-
-    @staticmethod
-    def exp(x: np.ndarray) -> np.ndarray:
-        return np.array(list(map(math.exp, x.tolist())))
-
-
-# raise where the scalar arithmetic raises (x/0, 0/0, and inf - inf, which
-# the rows evaluated one at a time then give as Python does); over- and
-# underflow give inf and 0 in both
-_AS_PYTHON = {"divide": "raise", "invalid": "raise", "over": "ignore",
-              "under": "ignore"}
-
-
-def _plain(x) -> bool:
-    """A number whose float array entry holds it exactly."""
-    return type(x) is float or (type(x) is int and abs(x) <= 2 ** 53)
-
-
-def _groups(insts: list, lists: tuple, numbers: tuple, cap: int, key):
-    """({(key(inst), n): row indices}, rows to evaluate one at a time).
-
-    A row goes to an array group when its ``lists`` are lists of one length
-    n in [1, cap], its ``numbers`` are plain and ``key(inst)`` (which
-    splits the groups further) is not None.
-    """
-    fetch = operator.itemgetter(*lists, *numbers)
-    usual = (list,) * len(lists) + (float,) * len(numbers)
-    m = len(lists)
-    groups, single = {}, []
-    for k, inst in enumerate(insts):
-        try:
-            values = fetch(inst)
-        except KeyError:
-            single.append(k)
-            continue
-        group = key(inst)
-        if group is not None and (tuple(map(type, values)) == usual or (
-                all([type(t) is list for t in values[:m]])
-                and all([_plain(t) for t in values[m:]]))):
-            lengths = set(map(len, values[:m]))
-            n = lengths.pop()
-            if not lengths and 1 <= n <= cap:
-                groups.setdefault((group, n), []).append(k)
-                continue
-        single.append(k)
-    return groups, single
-
-
-def _array(rows: list, name: str) -> np.ndarray | None:
-    """The float matrix of the rows' ``name`` lists; None where they do
-    not all convert."""
+def _row(value, cap: int) -> np.ndarray | None:
+    """A list of 1 to cap numbers as a (1, n) float array; None for any
+    other value."""
+    if type(value) is not list or not 1 <= len(value) <= cap:
+        return None
     try:
-        out = np.array([row[name] for row in rows], dtype=float)
+        out = np.array([value], dtype=float)
     except (TypeError, ValueError):
         return None
     return out if out.ndim == 2 else None
-
-
-def _spectral_rows(d: np.ndarray, x: np.ndarray):
-    """(ok, eigenvalues D, unit vectors X) of rows with diagonal operators,
-    as SymmetricMatrix.diagonal and UnitVector build them; ok is False on
-    a row they refuse."""
-    finite, d = diagonal_rows(d)
-    with np.errstate(all="ignore"):
-        norm = np.sqrt(_dots(x, x))  # np.linalg.norm of each row
-    unit, _, x = unit_rows(x, norm)
-    return finite & unit, d, x
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise x_k . y_k by the BLAS dot of each pair, so each equals
-    float(x_k @ y_k); x @ diag(d) @ x is _dots(x * d, x)."""
-    return np.matmul(x[:, None, :], y[:, :, None]).ravel()
-
-
-def _sample(data) -> WeightedSample:
-    return WeightedSample(tuple(data["a"]), tuple(data["q"]),
-                          b=tuple(data["b"]) if data.get("b") else None)
 
 
 def _matrix(data) -> SymmetricMatrix:
@@ -1020,19 +929,21 @@ def _matrix(data) -> SymmetricMatrix:
         else SymmetricMatrix(data["entries"])
 
 
-def chain_report(inst: dict):
-    """The ChainReport of a chain target's instance, evaluated on its own."""
-    return RULES[inst["target"]].report(inst, inst["alpha"], inst["v"],
-                                        inst.get("p"))
-
-
-def _chain_row(inst: dict, margin_kind: str):
-    rep = chain_report(inst)
-    margin = (rep.chain[2] - rep.chain[0]) if margin_kind == "outer" \
-        else min(rep.margins)
-    return margin, dict(rep.flags), {
-        "chain": list(rep.chain), "margins": list(rep.margins),
-        "gamma": rep.gamma, "beta": rep.beta, "feasible": rep.feasible}
+def chain_reports(insts: list) -> list:
+    """The ChainReports of instances of one chain target, evaluated as one
+    block by its kernel; raises what the first row that raises raises."""
+    if not insts:
+        return []
+    block = _evaluate_chain(_instance_rows(insts), "refined")
+    name = RULES[insts[0]["target"]].chain
+    out = []
+    for k, inst in enumerate(insts):
+        block.row(k)  # raises what row k raised
+        out.append(ChainReport.of(
+            name, {**block.columns, "flags": block.flags}, k, inst["alpha"],
+            inst["v"], int(block.columns["n"][k]),
+            float(inst["p"]) if CHAINS[name].spectral else None))
+    return out
 
 
 def _chain_extras(c: dict, k: int) -> dict:
@@ -1054,78 +965,46 @@ def _evaluate_chain(rows: _Rows, margin_kind: str, hp=False):
                 None, {}
         return Block.single(rows, hp_margin)
     block = Block(rows.size, _chain_extras)
-    single = list(rows.single)
+    numbers = [key for key in ("alpha", "v", "gv", "p") if key in rows.values]
     for ks, n in rows.groups():
-        single += _chain_group(name, rows, ks, n, margin_kind, block)
-    return block.each(rows, single, lambda inst: _chain_row(inst, margin_kind),
-                      rules.feasible)
-
-
-def _chain_group(name: str, rows: _Rows, ks: np.ndarray, n: int,
-                 margin_kind: str, block: Block) -> list:
-    """Fill the rows ks (all of size n) of the block from arrays, as
-    chain_report evaluates each; return the rows to evaluate one at a
-    time."""
-    chain = CHAINS[name]
-    c = {key: rows[key][ks] for key in ("alpha", "v", "gv", "p")
-         if key in rows.values}
-    with np.errstate(all="ignore"):
-        if chain.spectral:  # hm_chain on diag(values) and x, f(A) = A^p
-            ok, values, c["x"] = _spectral_rows(rows.vectors("diag", ks, n),
-                                                rows.vectors("x", ks, n))
-            # row by row: numpy takes other paths for a scalar exponent
-            # (2.0 squares) than for an array of exponents
-            c["fd"] = np.array([np.power(t, e) for t, e in
-                                zip(values, c["p"].tolist())]) + 0.0
-            ok &= (c["p"] > 1.0) & (values > 0.0).all(1) \
-                & np.isfinite(c["fd"]).all(1)
-        else:  # _sample_chain on the WeightedSample of a, q (and b)
+        refuse = Refusals(ks.size)
+        c = {key: rows[key][ks] for key in numbers}
+        if chain.spectral:
+            c["spectra"] = Spectra.diagonal(rows.vectors("diag", ks, n),
+                                            rows.vectors("x", ks, n), refuse)
+        else:
             for key in ("a", "b", "q") if chain.paired else ("a", "q"):
                 c[key] = rows.vectors(key, ks, n)
-            values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
-            ok = sample_checks(values, c["q"])[-1]
-        c["lo"], c["hi"] = values.min(1), values.max(1)
-        if not chain.spectral:
-            ok &= chain.domain.contains_array(c["lo"]) \
-                & chain.domain.contains_array(c["hi"])
-        c["values"] = values
-    single = ks[~ok].tolist()
-    if not ok.any():
-        return single
-    if not ok.all():
-        ks, c = ks[ok], {key: t[ok] for key, t in c.items()}
-    alpha, g = c["alpha"], c["hi"] - c["lo"]
-    try:
-        with np.errstate(**_AS_PYTHON):
+        _chain_fill(block, name, ks, n, c, refuse, margin_kind)
+    for k in rows.single:  # read from the dict: a dense matrix, odd lists
+        inst, ks = rows.insts[k], np.array([k])
+        c = {key: rows[key][ks] for key in numbers}
+        try:
             if chain.spectral:
-                x = c["x"]
-                qf = _clamp_rows(_dots(x * c["values"], x), c["lo"], c["hi"])
-                # Python floats, so that hm_terms' qf ** p is Python's pow
-                lhs, mid, rhs = chain.terms(
-                    np.array(qf.tolist(), dtype=object), _dots(x * c["fd"], x),
-                    np.array(c["p"].tolist(), dtype=object), alpha, g)
-                lhs = lhs.astype(float)
+                A = _matrix(inst)
+                c["spectra"], n = Spectra.of(A, UnitVector(inst["x"])), A.dim
             else:
-                inputs, _ = chain.inputs(
-                    list(c["a"].T), list(c["b"].T) if chain.paired else None,
-                    list(c["q"].T))
-                lhs, mid, rhs = chain.terms(*inputs, alpha, g,
-                                            ops=_ElementwiseMath)
-        flags = flag_rows(name, c["lo"], c["hi"], g, alpha, c["v"],
-                          c.get("p"), (c["a"], c["b"]) if chain.paired
-                          else None, c.get("gv"))
-    except (ValueError, ArithmeticError):
-        return single + ks.tolist()
+                sample = WeightedSample(
+                    tuple(inst["a"]), tuple(inst["q"]),
+                    b=tuple(inst["b"]) if inst.get("b") else None)
+                c.update(sample_columns(name, sample))
+                n = sample.n
+        except _REJECTED as exc:
+            block.fill(ks, math.nan, {}, False, {0: exc})
+            continue
+        _chain_fill(block, name, ks, n, c, Refusals(1), margin_kind)
+    return block
+
+
+def _chain_fill(block: Block, name: str, ks: np.ndarray, n: int, c: dict,
+                refuse: Refusals, margin_kind: str) -> None:
+    """Fill the rows ks of the block with chain_rows over their columns."""
+    out = chain_rows(name, c, refuse)
+    flags = out.pop("flags")
     with np.errstate(all="ignore"):
-        m1, m2 = mid - lhs, rhs - mid
-        margin = rhs - lhs if margin_kind == "outer" \
-            else np.where(m2 < m1, m2, m1)
-        beta = alpha + g
-    fine = np.logical_and.reduce([t for key, t in flags.items()
-                                  if key not in chain.advisory])
-    block.fill(ks, margin, flags, fine, lhs=lhs, mid=mid, rhs=rhs, m1=m1,
-               m2=m2, gamma=g, beta=beta, feasible=fine)
-    return single
+        margin = out["rhs"] - out["lhs"] if margin_kind == "outer" \
+            else np.where(out["m2"] < out["m1"], out["m2"], out["m1"])
+    block.fill(ks, margin, flags, out["feasible"], refuse.errors, n=n, **out)
 
 
 # the exponent p of an operator triple whose f is a power (holder_mccarthy);
@@ -1141,56 +1020,6 @@ def _operator_f(name: str) -> ScalarFunction:
                           {"p": _OPERATOR_P} if rule.needs_p else {})
 
 
-def _operator_functions(inst: dict):
-    """(f, h) of the instance's operator triple without building it;
-    ValueError where make_triple would refuse its parameters."""
-    name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
-    check_triple(name, alpha, beta, _OPERATOR_P)
-    h = scalar_function("identity_weight") \
-        if inst.get("weight") == "identity_weight" \
-        else ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
-    return _operator_f(name), h
-
-
-def _operator_flag_rows(name: str, alpha, beta, v, eigs, lo, hi) -> dict:
-    """The operator hypothesis flags of rows, as bool arrays: alpha, beta,
-    the anchor, and each row's eigenvalues ``eigs`` inside its closed gate
-    interval [lo, hi], as opcalc.spectrum_in decides it."""
-    rule = TRIPLES[name]
-    return {
-        "alpha_in_range": alpha > rule.alpha_floor,
-        "beta_in_range": (alpha <= beta)
-                         & (beta <= alpha + rule.gamma_max(alpha) + 1e-12),
-        "anchor_in_range": rule.anchors.contains_array(v),
-        "spectrum_in_gate": within_slack(eigs, lo[:, None],
-                                         hi[:, None]).all(1),
-    }
-
-
-def _operator_row(inst: dict):
-    """One operator instance through jensen_verify (dense matrices and the
-    rows the arrays leave out)."""
-    f, h = _operator_functions(inst)
-    A, x = _matrix(inst), UnitVector(inst["x"])
-    mode = RULES[inst["target"]].mode
-    # the closed form is the infimum's boundary limit (t -> 1 or t -> 0)
-    coeff = JensenCoefficient(closed_form_jcoeff(h), None, True) \
-        if mode == "infimum" else None
-    verdict = jensen_verify(f, h, A, x, mode,
-                            lam=inst.get("lam"), coefficient=coeff)
-    name = inst["triple"]
-    gate = TRIPLES[name].gate_bounds(inst["v"], inst["alpha"], inst["beta"],
-                                     _OPERATOR_P)
-    flags = _operator_flag_rows(name, *(np.array([inst[k]]) for k in
-                                        ("alpha", "beta", "v")),
-                                A.decomposition().eigenvalues[None, :],
-                                *(np.array([t]) for t in gate))
-    return verdict.margin, {k: bool(t[0]) for k, t in flags.items()}, {
-        "lhs": verdict.lhs, "rhs": verdict.rhs,
-        "rhs_factor": verdict.rhs_factor,
-        "expectation": verdict.expectation}
-
-
 def _operator_extras(c: dict, k: int) -> dict:
     return {key: float(c[key][k])
             for key in ("lhs", "rhs", "rhs_factor", "expectation")}
@@ -1198,81 +1027,88 @@ def _operator_extras(c: dict, k: int) -> dict:
 
 def _operator_key(inst: dict):
     """The region of an operator row's array group (its triple, and its
-    weight as the kernel reads it), or None for a row evaluated on its
-    own."""
-    name = inst.get("triple")
-    if "matrix" in inst or type(name) is not str or name not in TRIPLES:
-        return None
-    return ("triple", name), ("weight", "identity_weight" if inst.get(
-        "weight") == "identity_weight" else "exp_weight")
+    weight as the kernel reads it); None for a parsed matrix."""
+    identity = inst.get("weight") == "identity_weight"
+    return None if "matrix" in inst else (
+        ("triple", inst.get("triple")),
+        ("weight", "identity_weight" if identity else "exp_weight"))
 
 
 def _evaluate_operator(rows: _Rows, margin_kind: str, hp=False):
     rules = RULES[rows.target]
     if hp:
         def hp_margin(inst):
-            f, h = _operator_functions(inst)
+            name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
+            check_triple(name, alpha, beta, _OPERATOR_P)
+            identity = inst.get("weight") == "identity_weight"
+            h = scalar_function("identity_weight") if identity else \
+                ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
             A, x = _matrix(inst), UnitVector(inst["x"])
-            return hp_jensen_margin(f, h, A.entries, x.components,
-                                    rules.mode, lam=inst.get("lam")), None, {}
+            return hp_jensen_margin(_operator_f(name), h, A.entries,
+                                    x.components, rules.mode,
+                                    lam=inst.get("lam")), None, {}
         return Block.single(rows, hp_margin)
     block = Block(rows.size, _operator_extras)
-    single = list(rows.single)
     for ks, n in rows.groups():
-        single += _operator_group(rows, ks, n, rules.mode, block)
-    return block.each(rows, single, _operator_row, rules.feasible)
+        _operator_fill(block, rows, ks, rows.region, rules.mode,
+                       lambda refuse: Spectra.diagonal(
+                           rows.vectors("diag", ks, n),
+                           rows.vectors("x", ks, n), refuse))
+    for k in rows.single:  # read from the dict: a dense matrix, odd lists
+        inst = rows.insts[k]
+        _operator_fill(block, rows, np.array([k]), inst, rules.mode,
+                       lambda refuse: Spectra.of(_matrix(inst),
+                                                 UnitVector(inst["x"])))
+    return block
 
 
-def _operator_group(rows: _Rows, ks: np.ndarray, n: int, mode: str,
-                    block: Block) -> list:
-    """Fill the rows ks (of the region's triple and weight, all of dim n)
-    of the block from arrays, as jensen_verify evaluates each; return the
-    rows to evaluate one at a time."""
-    name = rows.region["triple"]
+def _operator_fill(block: Block, rows: _Rows, ks: np.ndarray, region: dict,
+                   mode: str, spectra: Callable) -> None:
+    """Fill the rows ks of the block, of the triple and weight of
+    ``region``, with jensen_rows; spectra(refuse) builds their Spectra.
+    The checks run in jensen_verify's order: the triple's parameters, the
+    matrix and vector, lambda, the spectrum, then the gate."""
+    name = region["triple"]
+    alpha, beta, v = (rows[key][ks] for key in ("alpha", "beta", "v"))
+    refuse = Refusals(ks.size)
+    try:
+        if "gate" not in rows.values:  # read from dicts: the draw's checks
+            triple_rows(name, alpha, beta, _OPERATOR_P, refuse)
+        s = spectra(refuse)
+    except _REJECTED as exc:
+        refuse(np.ones(ks.size, dtype=bool), lambda j: exc)
+        block.fill(ks, math.nan, {}, False, refuse.errors)
+        return
+    lam = None
+    if mode == "per-lambda":
+        lam = rows["lam"][ks]
+        inside = (0.0 < lam) & (lam < 1.0)
+        refuse(~inside, lambda j: ValueError(
+            f"per-lambda mode requires lambda in (0,1), got {float(lam[j])!r}"))
+        lam = np.where(inside, lam, 0.5)
     f = _operator_f(name)
-    alpha, beta, v = (rows[k][ks] for k in ("alpha", "beta", "v"))
-    lam = rows["lam"][ks] if mode == "per-lambda" else None
-    ok, d, x = _spectral_rows(rows.vectors("diag", ks, n),
-                              rows.vectors("x", ks, n))
-    if "gate" in rows.values:
-        gate = rows["gate"][ks]
-    else:  # rows read from dicts: the draw's checks and gate
-        def refuse(mask, error):
-            ok[mask & ok] = False
-        triple_rows(name, alpha, beta, _OPERATOR_P, refuse)
-        gate = TRIPLES[name].gate_rows(v, alpha, beta, _OPERATOR_P, refuse)
-    if lam is not None:
-        ok &= (0.0 < lam) & (lam < 1.0)
-    low, high = d.min(1), d.max(1)
+    h = SimpleNamespace(
+        family="identity_weight" if region.get("weight") == "identity_weight"
+        else "exp_weight", params={"alpha": alpha, "beta": beta})
     with np.errstate(all="ignore"):
-        eigs, inside = clamped_spectrum(f, d)
-        fd = core_array(f.family, f.params, eigs) + 0.0  # f(A)'s diagonal
-        qf, qf_inside = clamped_spectrum(
-            f, _clamp_rows(_dots(x * d, x), low, high))
-        ok &= inside.all(1) & qf_inside & np.isfinite(fd).all(1)
-        single = ks[~ok].tolist()
-        if not ok.all():
-            ks, alpha, beta, v, d, x, fd, qf, gate = (
-                t[ok] for t in (ks, alpha, beta, v, d, x, fd, qf, gate))
-            lam = None if lam is None else lam[ok]
-        if not ks.size:
-            return single
-        h = SimpleNamespace(
-            family="identity_weight"
-            if rows.region.get("weight") == "identity_weight"
-            else "exp_weight", params={"alpha": alpha, "beta": beta})
         factor = jensen_factor(
             mode, h, lam, lambda h, t: core_array(h.family, h.params, t),
             np.asarray, lambda: closed_form_jcoeff(h, np.asarray))
-        expectation = _dots(x * fd, x)
-        lhs = core_array(f.family, f.params, qf)
-        rhs = factor * expectation
-        flags = _operator_flag_rows(name, alpha, beta, v, d, gate, v)
-        fine = np.logical_and.reduce(list(flags.values()))
-        block.fill(ks, rhs - lhs, flags, fine, lhs=lhs, rhs=rhs,
-                   rhs_factor=np.broadcast_to(factor, rhs.shape),
-                   expectation=expectation)
-    return single
+        lhs, rhs, expectation = jensen_rows(f, s, factor, refuse)
+        gate = rows["gate"][ks] if "gate" in rows.values else \
+            TRIPLES[name].gate_rows(v, alpha, beta, _OPERATOR_P, refuse)
+        rule = TRIPLES[name]
+        flags = {  # spectrum_in_gate as opcalc.spectrum_in decides it
+            "alpha_in_range": alpha > rule.alpha_floor,
+            "beta_in_range": (alpha <= beta)
+                             & (beta <= alpha + rule.gamma_max(alpha) + 1e-12),
+            "anchor_in_range": rule.anchors.contains_array(v),
+            "spectrum_in_gate": within_slack(s.eigs, gate[:, None],
+                                             v[:, None]).all(1)}
+        block.fill(ks, rhs - lhs, flags,
+                   np.logical_and.reduce(list(flags.values())), refuse.errors,
+                   lhs=lhs, rhs=rhs, expectation=expectation,
+                   rhs_factor=np.broadcast_to(factor, rhs.shape))
 
 
 def _best_possible_terms(a, beta, lam, ops):
@@ -1341,34 +1177,32 @@ def _chain_layout(name: str) -> tuple:
 
 
 def _instance_rows(insts: list) -> _Rows:
-    """Instance dicts of one target as the rows its kernel takes: the
-    values of the rows of the first region's array groups (see _groups)
-    whose lists convert to floats, in the columns a draw leaves.  The other
-    rows are ``single``, evaluated one at a time from their dicts."""
+    """Instance dicts of one target as the rows its kernel takes, in the
+    columns a draw leaves: the numbers of every row, and the lists of the
+    rows whose lists are numbers, of one length n (at most the layout's
+    cap), in the region (``key``) of the first such row.  The other rows
+    are ``single``: the kernel reads their lists from their dicts."""
     rows = _Rows(len(insts))
     rows.target, rows.insts = insts[0]["target"], dict(enumerate(insts))
     if RULES[rows.target].layout is None:
         return rows
     vectors, numbers, cap, key = RULES[rows.target].layout
-    groups, rows.single = _groups(insts, vectors, numbers, cap, key)
     rows.sizes = np.zeros(rows.size, dtype=np.int64)
     for name in numbers:
-        rows[name] = np.full(rows.size, math.nan)
+        rows[name] = np.array([float(inst[name]) for inst in insts])
     for name in vectors:
         rows[name] = []
     region = None
-    for (group, n), ks in groups.items():
-        part = [insts[k] for k in ks]
-        matrices = [_array(part, name) for name in vectors]
-        if region not in (None, group) or any(m is None for m in matrices):
-            rows.single += ks
+    for k, inst in enumerate(insts):
+        group, ms = key(inst), [_row(inst.get(name), cap) for name in vectors]
+        sizes = {None if m is None else m.shape[1] for m in ms}
+        if group is None or region not in (None, group) or None in sizes \
+                or len(sizes) > 1:
+            rows.single.append(k)
             continue
-        region, ks = group, np.array(ks)
-        rows.sizes[ks] = n
-        for name, m in zip(vectors, matrices):
-            rows[name].append((ks, n, m))
-        for name in numbers:
-            rows[name][ks] = [inst[name] for inst in part]
+        region, rows.sizes[k] = group, sizes.pop()
+        for name, m in zip(vectors, ms):
+            rows[name].append((np.array([k]), m.shape[1], m))
     rows.region = dict(region or ())
     return rows
 
@@ -1609,17 +1443,16 @@ class TargetRules:
     region: dict  # region defaults; any other key is an error
     draw: Sampler
     # (rows, margin_kind, hp=False) -> Block: in doubles an array kernel
-    # over the _Rows' columns, refused rows skipped, single ones evaluated
-    # on their own; hp gives each row's 60-digit margin, flags None and the
+    # over the _Rows' columns, refused rows skipped, single ones a row of
+    # their own; hp gives each row's 60-digit margin, flags None and the
     # extras confirm adds
     evaluate: Callable
     bound: Callable | None = None  # candidate -> margin_bound's B or None
-    # the _groups arguments (lists, numbers, cap, key) by which
-    # _instance_rows reads instance dicts into the arrays; None: every row
-    # one at a time.  key(inst) gives the region a row's group shares
+    # (lists, numbers, cap, key) by which _instance_rows reads instance
+    # dicts into the arrays; None: every row one at a time.  key(inst) gives
+    # a row's region, None for a row read on its own
     layout: tuple | None = None
     chain: str | None = None  # the refined chain (and funclib triple) name
-    report: Callable | None = None  # (data, alpha, v, p) -> ChainReport
     mode: str | None = None  # the operator targets' jensen_verify mode
     lam_floor: float = 0.0  # the lam range stays above this
     pinned: dict | None = None  # an instance every report publishes
@@ -1656,29 +1489,24 @@ RULES = {
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
         _mean_chain_sampler("kyfan"), _evaluate_chain, _kyfan_bound,
-        _chain_layout("kyfan"), chain="kyfan",
-        report=lambda d, alpha, v, p: kyfan_chain(_sample(d), alpha, v)),
+        _chain_layout("kyfan"), chain="kyfan"),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
         _mean_chain_sampler("amgm"), _evaluate_chain, _amgm_bound,
-        _chain_layout("amgm"), chain="amgm",
-        report=lambda d, alpha, v, p: amgm_chain(_sample(d), alpha, v)),
+        _chain_layout("amgm"), chain="amgm"),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
         Sampler(lambda region: _CHRYSTAL_STEPS,
                 ("target", "alpha", "v", "n", "a", "b", "q")),
         _evaluate_chain, _chrystal_bound, _chain_layout("chrystal"),
-        chain="chrystal",
-        report=lambda d, alpha, v, p: chrystal_chain(_sample(d), alpha, v)),
+        chain="chrystal"),
     "holder-mccarthy": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
          "p": [1.000001, 4.0]},
         Sampler(lambda region: _HOLDER_MCCARTHY_STEPS,
                 ("target", "alpha", "v", "p", "dim", "diag", "x")),
         _evaluate_chain, _holder_mccarthy_bound,
-        _chain_layout("holder_mccarthy"), chain="holder_mccarthy",
-        report=lambda d, alpha, v, p: hm_chain(
-            _matrix(d), UnitVector(d["x"]), float(p), alpha, v)),
+        _chain_layout("holder_mccarthy"), chain="holder_mccarthy"),
     "certificates": TargetRules(
         {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
          "grid": [256, 256]},
@@ -1919,13 +1747,18 @@ def lambda_profile(f, h, A: SymmetricMatrix, x: UnitVector,
         raise ValueError(f"grid must be between 1 and {SWEEP_GRID_CAP}, "
                          f"got {grid}")
     lams = np.linspace(0.0, 1.0, grid + 2)[1:-1]
-    pts = []
-    factors = []
-    for lam in lams:
-        verdict = jensen_verify(f, h, A, x, "per-lambda", lam=float(lam))
-        pts.append((float(lam), verdict.margin))
-        factors.append(verdict.rhs_factor)
-    margins = [m for _, m in pts]
+    refuse = Refusals(grid)
+    factors = jensen_factor("per-lambda", h, lams,
+                            lambda h, t: evaluate_rows(h, t, refuse),
+                            np.asarray, None)
+    if not refuse.ok[0]:  # the first point raises before its spectral step
+        refuse.raise_first()
+    one = Refusals(1)  # one spectral row, against the grid's factors
+    lhs, rhs, _ = jensen_rows(f, Spectra.of(A, x), factors, one)
+    one.raise_first()
+    refuse.raise_first()
+    margins = rhs - lhs
     k = int(np.argmin(margins))
     decreasing = bool(np.all(np.diff(factors) <= 1e-15))
-    return LambdaProfile(tuple(pts), pts[k][0], pts[k][1], decreasing)
+    return LambdaProfile(tuple(zip(lams.tolist(), margins.tolist())),
+                         float(lams[k]), float(margins[k]), decreasing)

@@ -381,6 +381,16 @@ def evaluate_array(fn: ScalarFunction, ts: np.ndarray) -> np.ndarray:
     return np.asarray(core_array(fn.family, fn.params, ts), dtype=float)
 
 
+def evaluate_rows(fn: ScalarFunction, ts: np.ndarray, refuse: Callable):
+    """:func:`evaluate` over an array: the entries outside the domain are
+    refused with evaluate's DomainError (refuse(mask, error) as Refusals
+    takes it), and read what the closed form gives there."""
+    refuse(~fn.domain.contains_array(ts), lambda j: DomainError(
+        f"{fn.label()}: point {float(ts[j])!r} outside domain {fn.domain}"))
+    with np.errstate(all="ignore"):
+        return core_array(fn.family, fn.params, ts)
+
+
 def core_array(family: str, params: Mapping, ts):
     """A family's closed form in numpy ops with no domain check; params may
     hold arrays, one value per row of ts.  Each element gets the bits that
@@ -438,17 +448,34 @@ def gate_interval(g: ScalarFunction, v: float, ambient: Interval,
                         clamped=clamped)
 
 
+class Refusals:
+    """The rows of a block that raise, and what each raises first: called
+    as refuse(mask, error), it refuses the rows of ``mask`` not refused yet,
+    error(j) building row j's exception.  ``ok`` marks the rows left."""
+
+    def __init__(self, size: int):
+        self.ok = np.ones(size, dtype=bool)
+        self.errors = {}
+
+    def __call__(self, mask, error: Callable) -> None:
+        new = mask & self.ok
+        if new.any():
+            for j in np.flatnonzero(new).tolist():
+                self.errors[j] = error(j)
+            self.ok &= ~new
+
+    def raise_first(self) -> None:
+        """Raise what the first refused row raises, if a row is refused."""
+        if self.errors:
+            raise self.errors[min(self.errors)]
+
+
 def _one_row(rows):
     """rows(refuse) on a block of one row, raising the first error that
     refuse(mask, error) is called with for it (error(0) builds it)."""
-    errors = []
-
-    def refuse(mask, error):
-        if mask[0] and not errors:
-            errors.append(error(0))
+    refuse = Refusals(1)
     out = rows(refuse)
-    if errors:
-        raise errors[0]
+    refuse.raise_first()
     return out
 
 
@@ -536,23 +563,16 @@ class TripleRule:
         # a core reads only the parameters its family names
         return family.core({"alpha": alpha, "beta": beta, "p": p}, v, _MathOps)
 
-    def gate_bounds(self, v: float, alpha: float, beta: float,
-                    p: float | None = None) -> tuple[float, float]:
-        """The ends (lo, v) of the closed interval gate_interval(t.g, v,
-        t.f.domain) of t = make_triple(..., alpha, beta, p), raising as it
-        does, without building t.  The parameters are taken as make_triple
-        accepted them (see check_triple)."""
-        lo = _one_row(lambda refuse: self.gate_rows(
-            *(np.array([x], dtype=float) for x in (v, alpha, beta)), p,
-            refuse))
-        return float(lo[0]), float(v)
-
     def gate_rows(self, v: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
                   p: float | None, refuse: Callable) -> np.ndarray:
-        """gate_bounds over rows: the lower ends.  For the rows where it
-        raises, refuse(mask, error) is called in the order it checks them,
-        with error(k) what it raises for row k.  g(v) comes from the gate
-        family's core in numpy ops, as evaluate computes it."""
+        """The lower ends lo of the closed intervals [lo, v] that
+        gate_interval(t.g, v, t.f.domain) gives for t = make_triple(...,
+        alpha, beta, p), over rows, without building t; the parameters are
+        taken as make_triple accepted them (see check_triple).  For the
+        rows where gate_interval raises, refuse(mask, error) is called in
+        the order it checks them, with error(k) what it raises for row k.
+        g(v) comes from the gate family's core in numpy ops, as evaluate
+        computes it."""
         family = _FAMILIES[self.gate]
         ambient = _FAMILIES[self.target].default_domain
         params = {k: x for k, x in (("alpha", alpha), ("beta", beta),
@@ -595,13 +615,10 @@ def check_triple(name: str, alpha: float, beta: float,
                  p: float | None = None) -> TripleRule:
     """The rule of a built-in triple whose stated ranges hold; ValueError
     where make_triple would refuse the parameters."""
-    rule = TRIPLES.get(name)
-    if rule is None:
-        raise ValueError(f"unknown triple {name!r}; known: {TRIPLE_NAMES}")
     _one_row(lambda refuse: triple_rows(
         name, np.array([alpha], dtype=float), np.array([beta], dtype=float),
         p, refuse))
-    return rule
+    return TRIPLES[name]
 
 
 def triple_rows(name: str, alpha: np.ndarray, beta: np.ndarray | None,
@@ -609,8 +626,11 @@ def triple_rows(name: str, alpha: np.ndarray, beta: np.ndarray | None,
     """check_triple over rows of alpha and beta (beta None: alpha alone, as
     triple_beta_range checks it): the rows' admissible beta ranges (lo, hi).
     For the rows it refuses, refuse(mask, error) is called in the order it
-    checks them, with error(k) the ValueError for row k."""
-    rule = TRIPLES[name]
+    checks them, with error(k) the ValueError for row k; an unknown triple
+    raises its ValueError."""
+    rule = TRIPLES.get(name)
+    if rule is None:
+        raise ValueError(f"unknown triple {name!r}; known: {TRIPLE_NAMES}")
     refuse(~(alpha > rule.alpha_floor), lambda k: ValueError(
         f"{name}: alpha must exceed {rule.alpha_floor}, got {alpha[k]}"))
     lo, hi = alpha, alpha + rule.gamma_max(alpha)

@@ -35,7 +35,9 @@ from .convexity import jcoeff
 from .errors import (
     ConvergenceError, DimensionMismatch, SpectrumDomainError,
 )
-from .funclib import Interval, ScalarFunction, evaluate, evaluate_array
+from .funclib import (
+    Interval, ScalarFunction, _one_row, core_array, evaluate, evaluate_array,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -92,9 +94,7 @@ class SymmetricMatrix:
             raise ValueError(f"expected a vector of diagonal values, got "
                              f"shape {d.shape}")
         _check_size(d.shape[0])
-        finite, (d,) = diagonal_rows(d[None, :])
-        if not finite[0]:
-            raise ValueError("matrix entries must be finite")
+        (d,) = _one_row(lambda refuse: diagonal_rows(d[None, :], refuse))
         out = cls.__new__(cls)
         out._init(np.diag(d), diagonal=True)
         return out
@@ -122,12 +122,12 @@ class SymmetricMatrix:
         return f"SymmetricMatrix(dim={self.dim})"
 
 
-def diagonal_rows(d: np.ndarray):
-    """SymmetricMatrix.diagonal's rule over rows of diagonal values:
-    (finite, rows), finite False on a row with an entry that is not.
-    Adding 0.0 turns a -0.0 value into +0.0, as the dense constructor's
-    mirroring does."""
-    return np.isfinite(d).all(-1), d + 0.0
+def diagonal_rows(d: np.ndarray, refuse) -> np.ndarray:
+    """SymmetricMatrix.diagonal's rule over rows of diagonal values,
+    refusing the rows with an entry that is not finite.  Adding 0.0 turns a
+    -0.0 value into +0.0, as the dense constructor's mirroring does."""
+    refuse(~np.isfinite(d).all(-1), _not_finite)
+    return d + 0.0
 
 
 def _check_size(n: int) -> None:
@@ -164,13 +164,10 @@ class UnitVector:
         x = np.array(components, dtype=float).ravel()
         if x.size < 1:
             raise ValueError("vector must have at least one component")
-        if not np.isfinite(x).all():
-            raise ValueError("vector components must be finite")
-        with np.errstate(over="ignore"):  # an overflowed norm is refused
+        with np.errstate(all="ignore"):  # an overflowed norm is refused
             norm = float(np.linalg.norm(x))
-        ok, renormalized, (x,) = unit_rows(x[None, :], np.array([norm]))
-        if not ok[0]:
-            raise ValueError(f"cannot normalize a vector of norm {norm}")
+        renormalized, (x,) = _one_row(lambda refuse: unit_rows(
+            x[None, :], np.array([norm]), refuse))
         self.renormalized = bool(renormalized[0])
         if self.renormalized:
             logger.debug("renormalizing input vector (norm deviation %.3e)",
@@ -187,17 +184,20 @@ class UnitVector:
         return self._x
 
 
-def unit_rows(x: np.ndarray, norm: np.ndarray):
+def unit_rows(x: np.ndarray, norm: np.ndarray, refuse):
     """UnitVector's rule over rows of x, given each row's Euclidean norm:
-    (ok, renormalized, rows).  A row is ok when its entries are finite and
-    its norm is finite (it overflows past about 1.3e154 per entry) and
-    nonzero; it is divided by its norm when that lies more than 1e-12 from
-    1."""
+    (renormalized, rows).  The rows it refuses are refused with its errors:
+    entries not finite, a norm not finite (it overflows past about 1.3e154
+    per entry) or zero.  A row is divided by its norm when that lies more
+    than 1e-12 from 1."""
+    refuse(~np.isfinite(x).all(1), lambda j: ValueError(
+        "vector components must be finite"))
+    refuse(~(np.isfinite(norm) & (norm != 0.0)), lambda j: ValueError(
+        f"cannot normalize a vector of norm {float(norm[j])}"))
     renormalized = np.abs(norm - 1.0) > 1e-12
     with np.errstate(all="ignore"):
-        rows = np.where(renormalized[:, None], x / norm[:, None], x)
-    return np.isfinite(x).all(1) & np.isfinite(norm) & (norm != 0.0), \
-        renormalized, rows
+        return renormalized, np.where(renormalized[:, None],
+                                      x / norm[:, None], x)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +380,17 @@ def clamped_spectrum(f: ScalarFunction, eigs: np.ndarray):
     return out, dom.contains_array(out)
 
 
+def spectrum_rows(f: ScalarFunction, eigs: np.ndarray, refuse) -> np.ndarray:
+    """clamped_spectrum over rows of eigenvalues, refusing the rows with an
+    eigenvalue outside f's domain."""
+    eigs, inside = clamped_spectrum(f, eigs)
+    refuse(~inside.all(1), lambda j: SpectrumDomainError(
+        f"{f.label()}: {int((~inside[j]).sum())} eigenvalue(s) outside "
+        f"domain {f.domain}",
+        offending=tuple(np.sort(eigs[j][~inside[j]]).tolist())))
+    return eigs
+
+
 def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
     """Functional calculus f(A) = Q f(L) Q^T.
 
@@ -387,18 +398,11 @@ def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
     the same entries as the dense product, without forming it.
     """
     dec = A.decomposition()
-    eigs, inside = clamped_spectrum(f, dec.eigenvalues)
-    offenders = eigs[~inside]
-    if offenders.size:
-        raise SpectrumDomainError(
-            f"{f.label()}: {offenders.size} eigenvalue(s) outside domain "
-            f"{f.domain}", offending=tuple(float(t) for t in offenders))
-    q = dec.eigenvectors
-    values = evaluate_array(f, eigs)
-    if A.is_diagonal:
-        return SymmetricMatrix.diagonal(q @ values)
-    mat = (q * values) @ q.T
-    return SymmetricMatrix((mat + mat.T) / 2.0)
+    (eigs,) = _one_row(lambda refuse: spectrum_rows(
+        f, dec.eigenvalues[None, :], refuse))
+    fa = _calculus(A, dec.eigenvectors, evaluate_array(f, eigs))
+    return SymmetricMatrix.diagonal(np.diag(fa)) if A.is_diagonal \
+        else SymmetricMatrix(fa)
 
 
 def quadratic_form(A: SymmetricMatrix, x: UnitVector) -> float:
@@ -423,6 +427,78 @@ def within_slack(t, lo, hi, lo_open=False, hi_open=False):
     lo_ok = (t > lo) if lo_open else (t >= lo - SPECTRUM_SLACK)
     hi_ok = (t < hi) if hi_open else (t <= hi + SPECTRUM_SLACK)
     return lo_ok & hi_ok
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise x_k . y_k by the BLAS dot of each pair, so each equals
+    float(x_k @ y_k); x @ diag(d) @ x is _dots(x * d, x)."""
+    return np.matmul(x[:, None, :], y[:, :, None]).ravel()
+
+
+def _clamp_rows(t, lo, hi):
+    """min(max(t, lo), hi) of each row, as Python's min and max pick."""
+    t = np.where(lo > t, lo, t)
+    return np.where(hi < t, hi, t)
+
+
+def _not_finite(j) -> ValueError:
+    return ValueError("matrix entries must be finite")
+
+
+def _calculus(A: SymmetricMatrix, q: np.ndarray, values: np.ndarray):
+    """The entries of f(A), as SymmetricMatrix holds them, from f at A's
+    ascending eigenvalues and their eigenvectors q: Q f(L) Q^T symmetrised,
+    or, Q being a permutation for a diagonal A, diag(Q f(L))."""
+    if A.is_diagonal:
+        return np.diag(q @ values + 0.0)
+    mat = (q * values) @ q.T
+    return (mat + mat.T) / 2.0 + 0.0
+
+
+class Spectra:
+    """The spectral step of the operator Jensen kernel and the Hoelder-
+    McCarthy chain, over rows of symmetric A and unit x: each row's
+    eigenvalues ``eigs``, their ends ``lo`` and ``hi``, and ``qf`` =
+    <Ax,x> clamped to [lo, hi]; ``expectation(values, refuse)`` is
+    <f(A)x,x> from f at ``eigs``, refusing the rows whose f(A) is not
+    finite.  Diagonal rows stay arrays; a dense matrix is a row of its own.
+    """
+
+    def __init__(self, eigs, lo, hi, qf, expectation: Callable):
+        self.eigs, self.lo, self.hi = eigs, lo, hi
+        self.qf, self.expectation = _clamp_rows(qf, lo, hi), expectation
+
+    @classmethod
+    def diagonal(cls, d: np.ndarray, x: np.ndarray, refuse) -> "Spectra":
+        """Rows diag(d_k) and x_k of (rows, n) arrays, the eigenvalues in
+        d's order; the rows SymmetricMatrix.diagonal or UnitVector refuses
+        are refused with its errors."""
+        d = diagonal_rows(d, refuse)
+        with np.errstate(all="ignore"):
+            norm = np.sqrt(_dots(x, x))  # np.linalg.norm of each row
+            _, x = unit_rows(x, norm, refuse)
+
+            def expectation(values, refuse):
+                fd = values + 0.0  # the diagonal of f(A)
+                refuse(~np.isfinite(fd).all(1), _not_finite)
+                return _dots(x * fd, x)
+            return cls(d, d.min(1), d.max(1), _dots(x * d, x), expectation)
+
+    @classmethod
+    def of(cls, A: SymmetricMatrix, x: UnitVector) -> "Spectra":
+        """One matrix and vector, raising as quadratic_form and the
+        decomposition raise; the eigenvalues ascend."""
+        with np.errstate(all="ignore"):  # overflow reads inf, as in Python
+            qf = quadratic_form(A, x)
+            dec = A.decomposition()
+
+        def expectation(values, refuse):  # its callers ignore fp errors
+            fa = _calculus(A, dec.eigenvectors, values[0])
+            refuse(np.array([not np.isfinite(fa).all()]), _not_finite)
+            return np.array([float(x.components @ fa @ x.components)])
+        eigs = dec.eigenvalues
+        return cls(eigs[None, :], eigs[:1], eigs[-1:], np.array([qf]),
+                   expectation)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +526,6 @@ class JensenVerdict:
                 "lambda": self.lam, "expectation": self.expectation}
 
 
-def spectral_forms(f: ScalarFunction, A: SymmetricMatrix, x: UnitVector):
-    """(<Ax,x> clamped to the spectrum it leaves by roundoff, <f(A)x,x>)."""
-    qf = quadratic_form(A, x)
-    eigs = A.decomposition().eigenvalues
-    qf = min(max(qf, float(eigs[0])), float(eigs[-1]))
-    return qf, quadratic_form(apply_function(f, A), x)
-
-
 def jensen_factor(mode: str, h: ScalarFunction | None, lam, ev, num,
                   infimum: Callable):
     """The factor of <f(A)x,x> in ``mode`` in the number type ``num`` of an
@@ -482,20 +550,36 @@ def jensen_verify(f: ScalarFunction, h: ScalarFunction | None,
                   A: SymmetricMatrix, x: UnitVector, mode: str,
                   lam: float | None = None,
                   coefficient=None) -> JensenVerdict:
-    """Evaluate one operator Jensen comparison in the requested mode.
+    """Evaluate one operator Jensen comparison in the requested mode: the
+    kernel jensen_rows on a block of one.
 
     ``coefficient`` may carry a precomputed JensenCoefficient for the
     infimum mode; otherwise M_(0,1)(h) is computed here.
     """
     factor = jensen_factor(mode, h, lam, evaluate, float, lambda: (
         coefficient or jcoeff(h, Interval(0.0, 1.0, True, True))).value)
-    qf, expectation = spectral_forms(f, A, x)
-    clamped, inside = clamped_spectrum(f, np.array([qf]))
-    if not inside[0]:
-        raise SpectrumDomainError(
-            f"{f.label()}: <Ax,x>={qf!r} outside domain {f.domain}",
-            offending=(qf,))
-    lhs = evaluate(f, float(clamped[0]))
-    rhs = factor * expectation
+    lhs, rhs, expectation = _one_row(
+        lambda refuse: jensen_rows(f, Spectra.of(A, x), factor, refuse))
+    lhs, rhs = float(lhs[0]), float(rhs[0])
     return JensenVerdict(lhs, factor, rhs, rhs - lhs, mode,
-                         lam if mode == "per-lambda" else None, expectation)
+                         lam if mode == "per-lambda" else None,
+                         float(expectation[0]))
+
+
+def jensen_rows(f: ScalarFunction, spectra: "Spectra", factor, refuse):
+    """The operator Jensen kernel over rows: (lhs, rhs, expectation) with
+    lhs = f(<Ax,x>), expectation = <f(A)x,x> and rhs = factor *
+    expectation, each an array over the rows; the margin is rhs - lhs.
+    ``factor`` is a number or an array over the rows (jensen_factor's).
+    The rows jensen_verify refuses are refused by refuse(mask, error) with
+    its errors, in its order, and read nan or what the arithmetic gives."""
+    with np.errstate(all="ignore"):
+        eigs = spectrum_rows(f, spectra.eigs, refuse)
+        expectation = spectra.expectation(
+            core_array(f.family, f.params, eigs), refuse)
+        qf, inside = clamped_spectrum(f, spectra.qf)
+        refuse(~inside, lambda j: SpectrumDomainError(
+            f"{f.label()}: <Ax,x>={float(spectra.qf[j])!r} outside domain "
+            f"{f.domain}", offending=(float(spectra.qf[j]),)))
+        lhs = core_array(f.family, f.params, qf)
+        return lhs, factor * expectation, expectation

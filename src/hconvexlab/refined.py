@@ -35,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SpectrumDomainError
-from .funclib import TRIPLES, Interval, interval, scalar_function
-from .opcalc import SymmetricMatrix, UnitVector, spectral_forms
+from .funclib import TRIPLES, Interval, Refusals, _one_row, interval
+from .opcalc import Spectra, SymmetricMatrix, UnitVector
 
 N_CAP = 10_000
 MEMBERSHIP_SLACK = 1e-12
@@ -69,14 +69,8 @@ class WeightedSample:
             raise ValueError(f"sample size {n} exceeds cap {N_CAP}")
         if len(q) != n or (b is not None and len(b) != n):
             raise ValueError("value and weight lists must have equal length")
-        finite, in_range, summed = sample_checks(
-            np.array([a if b is None else a + b]), np.array([q]))
-        if not finite[0]:
-            raise ValueError("sample entries must be finite")
-        if not in_range[0]:
-            raise ValueError(f"weights must lie in (0, 1], got {q}")
-        if not summed[0]:
-            raise ValueError(f"weights must sum to 1, got {math.fsum(q)!r}")
+        _one_row(lambda refuse: sample_checks(
+            np.array([a if b is None else a + b]), np.array([q]), refuse))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "b", b)
@@ -86,17 +80,18 @@ class WeightedSample:
         return len(self.a)
 
 
-def sample_checks(values: np.ndarray, q: np.ndarray):
+def sample_checks(values: np.ndarray, q: np.ndarray, refuse) -> None:
     """WeightedSample's checks over rows of values (a, or a and b side by
-    side) and weights q: (entries finite, weights in (0, 1], weights
-    summing to 1 within 1e-12), each a bool per row.  A check reads False
-    on a row where an earlier one does."""
-    finite = np.isfinite(values).all(-1) & np.isfinite(q).all(-1)
-    in_range = finite & ((q > 0.0) & (q <= 1.0)).all(-1)
-    summed = np.array([ok and abs(math.fsum(w) - 1.0) <= 1e-12
-                       for ok, w in zip(in_range.tolist(), q.tolist())],
-                      dtype=bool)
-    return finite, in_range, summed
+    side) and weights q, refusing rows with its errors: entries finite,
+    weights in (0, 1], weights summing to 1 within 1e-12."""
+    refuse(~(np.isfinite(values).all(-1) & np.isfinite(q).all(-1)),
+           lambda j: ValueError("sample entries must be finite"))
+    refuse(~((q > 0.0) & (q <= 1.0)).all(-1), lambda j: ValueError(
+        f"weights must lie in (0, 1], got {tuple(q[j].tolist())}"))
+    refuse(np.array([ok and abs(math.fsum(w) - 1.0) > 1e-12 for ok, w in
+                     zip(refuse.ok.tolist(), q.tolist())], dtype=bool),
+           lambda j: ValueError(f"weights must sum to 1, got "
+                                f"{math.fsum(q[j].tolist())!r}"))
 
 
 def gamma(sample: WeightedSample, inequality: str) -> float:
@@ -126,16 +121,11 @@ def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
     """
     g = gamma(sample, inequality)
     values = CHAINS[inequality].inputs(sample.a, sample.b, sample.q)[1]
-    return _flags(inequality, values, g, alpha, v, p, sample)
-
-
-def _flags(name: str, values, g: float, alpha: float, v: float, p,
-           sample=None) -> dict:
-    """flag_rows of one instance, as Python bools."""
-    pairs = None if sample is None or sample.b is None \
+    pairs = None if sample.b is None \
         else (np.array([sample.a]), np.array([sample.b]))
-    rows = flag_rows(name, np.array([min(values)]), np.array([max(values)]),
-                     np.array([g]), np.array([alpha]), np.array([v]),
+    rows = flag_rows(inequality, np.array([min(values)]),
+                     np.array([max(values)]), np.array([g]),
+                     np.array([alpha]), np.array([v]),
                      None if p is None else np.array([p]), pairs)
     return {key: bool(t[0]) for key, t in rows.items()}
 
@@ -325,6 +315,17 @@ class ChainReport:
             "flags": dict(self.flags), "p": self.p,
         }
 
+    @classmethod
+    def of(cls, inequality: str, out: dict, k: int, alpha, v, n: int,
+           p: float | None = None) -> "ChainReport":
+        """Row k of chain_rows' columns ``out``."""
+        return cls(inequality, tuple(float(out[key][k]) for key in
+                                     ("lhs", "mid", "rhs")),
+                   (float(out["m1"][k]), float(out["m2"][k])),
+                   float(out["gamma"][k]), float(out["beta"][k]),
+                   float(alpha), float(v), n, bool(out["feasible"][k]),
+                   {key: bool(t[k]) for key, t in out["flags"].items()}, p)
+
     def csv_row(self) -> dict:
         return {
             "inequality": self.inequality, "n": self.n, "alpha": self.alpha,
@@ -335,59 +336,164 @@ class ChainReport:
         }
 
 
-def _report(inequality, lhs, mid, rhs, g, alpha, v, n, flags, p=None):
-    lhs, mid, rhs = float(lhs), float(mid), float(rhs)
-    return ChainReport(inequality, (lhs, mid, rhs), (mid - lhs, rhs - mid),
-                       float(g), float(alpha + g), float(alpha), float(v),
-                       n, _overall(inequality, flags), flags, p)
+def _one(name: str, c: dict, n: int, alpha, v, p=None) -> ChainReport:
+    """The ChainReport of chain_rows on a block of one row, the columns
+    ``c`` with alpha and v; it raises what refused the row."""
+    c = dict(c, alpha=np.array([float(alpha)]), v=np.array([float(v)]))
+    out = _one_row(lambda refuse: chain_rows(name, c, refuse))
+    return ChainReport.of(name, out, 0, alpha, v, n, p)
 
 
-def _sample_chain(name: str, sample: WeightedSample, alpha: float,
-                  v: float) -> ChainReport:
+def sample_columns(name: str, sample: WeightedSample) -> dict:
+    """The a and q (and b) columns of chain_rows for one sample;
+    DomainError where the chain pairs its values with b and there is
+    none."""
     chain = CHAINS[name]
     if chain.paired and sample.b is None:
         raise DomainError(f"{name} chain needs the paired values b")
-    inputs, values = chain.inputs(sample.a, sample.b, sample.q)
-    lo, hi = min(values), max(values)
-    if not (chain.domain.contains(lo) and chain.domain.contains(hi)):
-        raise DomainError(f"{name} chain needs values in {chain.domain}, "
-                          f"got {values}")
-    g = hi - lo
-    lhs, mid, rhs = chain.terms(*inputs, alpha, g)
-    flags = _flags(name, values, g, alpha, v, None, sample)
-    return _report(name, lhs, mid, rhs, g, alpha, v, sample.n, flags)
+    c = {"a": np.array([sample.a]), "q": np.array([sample.q])}
+    if chain.paired:
+        c["b"] = np.array([sample.b])
+    return c
 
 
 def kyfan_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Ratio-of-means vs tempered and classical products of (1-a)/a."""
-    return _sample_chain("kyfan", sample, alpha, v)
+    return _one("kyfan", sample_columns("kyfan", sample), sample.n, alpha, v)
 
 
 def amgm_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Geometric mean vs tempered geometric mean vs arithmetic mean."""
-    return _sample_chain("amgm", sample, alpha, v)
+    return _one("amgm", sample_columns("amgm", sample), sample.n, alpha, v)
 
 
 def chrystal_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
     """Sum of two geometric means vs tempered vs product of sums."""
-    return _sample_chain("chrystal", sample, alpha, v)
+    return _one("chrystal", sample_columns("chrystal", sample), sample.n,
+                alpha, v)
 
 
 def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
              v: float) -> ChainReport:
     """Power of the form <Ax,x> vs tempered and plain <A^p x,x>."""
-    if not p > 1.0:
-        raise ValueError(f"exponent p must exceed 1, got {p}")
-    dec = A.decomposition()
-    eigs = dec.eigenvalues
-    bad = eigs[eigs <= 0.0]
-    if bad.size:
-        raise SpectrumDomainError(
-            f"spectrum must be positive, found {bad.tolist()}",
-            offending=tuple(float(t) for t in bad))
-    g = float(eigs[-1] - eigs[0])  # the spectrum is sorted ascending
-    qf, apx = spectral_forms(scalar_function("power", p=p), A, x)
-    lhs, mid, rhs = hm_terms(qf, apx, p, alpha, g)
-    flags = _flags("holder_mccarthy", eigs.tolist(), g, alpha, v, p)
-    return _report("holder_mccarthy", lhs, mid, rhs, g, alpha, v, A.dim,
-                   flags, p=p)
+    return _one("holder_mccarthy", {"p": np.array([float(p)]),
+                                    "spectra": Spectra.of(A, x)},
+                A.dim, alpha, v, float(p))
+
+
+# ---------------------------------------------------------------------------
+# The chain kernel
+# ---------------------------------------------------------------------------
+
+class _ElementwiseMath:
+    """math.log and math.exp mapped over a column.  Chain terms run on
+    columns with these keep the bits of their scalar evaluation, where
+    numpy's log and exp can differ from math's in the last place; they
+    raise where math raises."""
+
+    @staticmethod
+    def log(x: np.ndarray) -> np.ndarray:
+        return np.array(list(map(math.log, x.tolist())))
+
+    @staticmethod
+    def exp(x: np.ndarray) -> np.ndarray:
+        return np.array(list(map(math.exp, x.tolist())))
+
+
+# in doubles, raise where the scalar arithmetic raises or gives nan (x/0,
+# 0/0, inf - inf); over- and underflow give inf and 0 in both
+_AS_PYTHON = {"divide": "raise", "invalid": "raise", "over": "ignore",
+              "under": "ignore"}
+
+
+def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
+    """The chain ``name`` over rows, as arrays over them: lhs, mid, rhs,
+    m1 = mid - lhs, m2 = rhs - mid, gamma, beta, feasible and ``flags``.
+
+    ``c`` holds alpha and v, and a, q (and b) as (rows, n) arrays, or p and
+    ``spectra`` (a Spectra) for holder_mccarthy; gv, the gate value g(v) a
+    draw computed, may ride along.  Rows are refused through ``refuse``
+    with the errors of the chain's checks, in their order.  The terms map
+    math's log and exp over columns and sum left to right, so each row has
+    the bits of its evaluation on its own; when the arithmetic raises, it
+    runs again row by row in Python floats, which raise where Python does.
+    """
+    chain = CHAINS[name]
+    with np.errstate(all="ignore"):
+        if chain.spectral:
+            s, p = c["spectra"], c["p"]
+            values = s.eigs
+            refuse(~(p > 1.0), lambda j: ValueError(
+                f"exponent p must exceed 1, got {float(p[j])}"))
+            refuse((values <= 0.0).any(1), lambda j: SpectrumDomainError(
+                f"spectrum must be positive, found {_nonpositive(values[j])}",
+                offending=_nonpositive(values[j])))
+            # row by row: numpy takes other paths for a scalar exponent
+            # (2.0 squares) than for an array of exponents
+            c = dict(c, qf=s.qf, apx=s.expectation(np.array(
+                [np.power(t, e) for t, e in zip(values, p.tolist())]),
+                refuse))
+        else:
+            values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
+            sample_checks(values, c["q"], refuse)
+        lo, hi = values.min(1), values.max(1)
+        if not chain.spectral:
+            refuse(~(chain.domain.contains_array(lo)
+                     & chain.domain.contains_array(hi)),
+                   lambda j: DomainError(
+                       f"{name} chain needs values in {chain.domain}, got "
+                       f"{tuple(values[j].tolist())}"))
+        size = lo.size
+        out = {"gamma": hi - lo, "beta": c["alpha"] + (hi - lo), "flags": {},
+               **{key: np.full(size, math.nan) for key in ("lhs", "mid", "rhs")}}
+    ks = np.flatnonzero(refuse.ok)
+    c = {key: t[ks] for key, t in c.items() if key != "spectra"}
+    try:
+        parts = [(ks, _arithmetic(name, c, lo[ks], hi[ks], python=False))]
+    except (ValueError, ArithmeticError):
+        parts = []
+        for j, k in enumerate(ks.tolist()):
+            try:
+                parts.append((ks[j:j + 1], _arithmetic(
+                    name, {key: t[j:j + 1] for key, t in c.items()},
+                    lo[k:k + 1], hi[k:k + 1], python=True)))
+            except (ValueError, ArithmeticError) as exc:
+                refuse(np.arange(size) == k, lambda _: exc)
+    for rows, (terms, flags) in parts:
+        for key, t in zip(("lhs", "mid", "rhs"), terms):
+            out[key][rows] = t
+        for key, t in flags.items():
+            out["flags"].setdefault(key, np.zeros(size, dtype=bool))[rows] = t
+    with np.errstate(all="ignore"):
+        out["m1"], out["m2"] = out["mid"] - out["lhs"], out["rhs"] - out["mid"]
+    out["feasible"] = np.logical_and.reduce(
+        [refuse.ok] + [t for key, t in out["flags"].items()
+                       if key not in chain.advisory])
+    return out
+
+
+def _nonpositive(values: np.ndarray) -> list:
+    bad = np.sort(values)
+    return bad[bad <= 0.0].tolist()
+
+
+def _arithmetic(name: str, c: dict, lo, hi, python: bool):
+    """((lhs, mid, rhs), flags) of rows that passed the checks, in doubles
+    or (``python``) in Python floats."""
+    chain = CHAINS[name]
+    alpha, g = c["alpha"], hi - lo
+    col = (lambda t: t.astype(object)) if python else (lambda t: t)
+    # numpy reads the status flags that Python's own float operations set
+    with np.errstate(**({"all": "ignore"} if python else _AS_PYTHON)):
+        if chain.spectral:
+            # Python floats, so that hm_terms' qf ** p is Python's pow
+            terms = chain.terms(c["qf"].astype(object), col(c["apx"]),
+                                c["p"].astype(object), col(alpha), col(g))
+        else:
+            inputs, _ = chain.inputs(*(list(col(c[key]).T) if key in c
+                                       else None for key in ("a", "b", "q")))
+            terms = chain.terms(*inputs, col(alpha), col(g),
+                                ops=_ElementwiseMath)
+    flags = flag_rows(name, lo, hi, g, alpha, c["v"], c.get("p"),
+                      (c["a"], c["b"]) if chain.paired else None, c.get("gv"))
+    return [np.asarray(t, dtype=float) for t in terms], flags

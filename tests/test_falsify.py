@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import os
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from hconvexlab import (
     ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
 )
+from hconvexlab.cli import main
 from hconvexlab.convexity import SWEEP_GRID_CAP
 from hconvexlab.falsify import (
     BLOCK_SIZE, CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES,
@@ -218,6 +221,27 @@ def test_evaluate_refuses_a_vector_whose_norm_overflowed():
     assert block.accepted.tolist() == [True, False]
     with pytest.raises(ValueError, match="norm inf"):
         block.row(1)
+
+
+def test_an_extreme_row_is_refused_without_numpy_warnings(tmp_path,
+                                                          capsys):
+    # draw 4 of a DRAW_DIGESTS region (alpha 1.9e299, v 1.0e247): A^2 of its
+    # operator overflows, so f(A) is not finite and the row is refused, on
+    # its own and through replay, with no numpy warning on the way
+    region = Campaign("per-lambda", 1, 1, region={
+        "triple": "holder_mccarthy", "alpha": [1e-300, 1e300],
+        "v": [1e-300, 1e300]}).region
+    inst = draw_instance(_stream(GOLDEN_SEED, 4), "per-lambda", region)
+    assert (inst["alpha"], inst["v"]) == (1.9043620795583427e+299,
+                                          1.0027243387070759e+247)
+    config = tmp_path / "w.json"
+    config.write_text(json.dumps({"witness": {"inputs": inst}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            evaluate_instance(inst)
+        assert main(["replay", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: matrix entries must be finite\n"
 
 
 def test_evaluate_best_possible_reduced_vs_functional_margins():
@@ -741,9 +765,11 @@ def _outcome(evaluate):
         return type(exc).__name__
 
 
-def _odd_block(target, start, size, edits):
+def _odd_block(target, start, size, edits, dense=()):
     """The instances of draws start, start+1, ... (size of them drawn,
-    rejected draws left out), with ``edits`` written into them."""
+    rejected draws left out), with ``edits`` written into them; then the
+    rows ``dense`` of an operator or holder-mccarthy block give their
+    operator as dense ``entries``, with an off-diagonal pair."""
     region = Campaign(target, 1, 1,
                       region={"grid": [16, 16]} if target == "certificates"
                       else {}).region
@@ -768,6 +794,12 @@ def _odd_block(target, start, size, edits):
             inst[key][place % len(inst[key])] = value
         else:
             inst[key] = value
+    for row in dense:
+        inst = insts[row % len(insts)] if insts else {}
+        if "diag" in inst:
+            entries = np.diag(inst.pop("diag"))
+            entries[0, -1] = entries[-1, 0] = 0.25 * entries[0, 0]
+            inst["entries"] = entries.tolist()
     return insts
 
 
@@ -776,26 +808,26 @@ def _odd_block(target, start, size, edits):
        st.integers(1, 300),
        st.lists(st.tuples(st.integers(0, 299), st.integers(0, 7),
                           st.integers(0, 63), st.sampled_from(_ODD_VALUES)),
-                max_size=12))
-def test_block_kernel_matches_evaluate_instance(case, start, size, edits):
+                max_size=12),
+       st.lists(st.integers(0, 299), max_size=8))
+def test_block_kernel_matches_evaluate_instance(case, start, size, edits,
+                                                dense):
     target, margin_kind = case
     if target == "certificates":
         size = 1 + size % 4
-    insts = _odd_block(target, start, size, edits)
+    insts = _odd_block(target, start, size, edits, dense)
     if not insts:
         return
     evaluate = RULES[target].evaluate
     block = evaluate(_instance_rows(insts), margin_kind)
-    # the same rows, each evaluated on its own (no array groups)
-    with mock.patch.object(falsify, "_groups",
-                           lambda insts, *args: ({}, list(range(len(insts))))):
-        single = evaluate(_instance_rows(insts), margin_kind)
     for k, inst in enumerate(insts):
-        want = _outcome(lambda: evaluate_instance(inst, margin_kind))
+        # the row on a block of one: its outcome is the same in the block
+        one = evaluate(_instance_rows([inst]), margin_kind)
+        want = _outcome(lambda: one.row(0))
         assert _outcome(lambda: block.row(k)) == want, (k, inst)
-        assert _outcome(lambda: single.row(k)) == want, (k, inst)
+        assert _outcome(lambda: evaluate_instance(inst, margin_kind)) == want
         if want[0] == "(":
-            margin, flags, _ = evaluate_instance(inst, margin_kind)
+            margin, flags, _ = one.row(0)
             assert block.accepted[k] == RULES[target].feasible(flags)
             if block.accepted[k]:
                 assert repr(float(block.margin[k])) == repr(margin)

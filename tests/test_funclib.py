@@ -13,7 +13,7 @@ from hconvexlab import (
 )
 from hconvexlab.funclib import (
     FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, check_triple,
-    evaluate, evaluate_array, triple_beta_range,
+    _one_row, evaluate, evaluate_array, triple_beta_range,
 )
 
 
@@ -217,9 +217,12 @@ def test_gate_bounds_match_the_built_triple(name, alpha, spread, v):
     def built():
         gi = gate_interval(t.g, v, t.f.domain)
         return gi.interval.lo, gi.interval.hi
-    assert repr(_gate_outcome(
-        lambda: TRIPLES[name].gate_bounds(v, alpha, beta, p))) \
-        == repr(_gate_outcome(built))
+    def rows():
+        lo = _one_row(lambda refuse: TRIPLES[name].gate_rows(
+            *(np.array([x], dtype=float) for x in (v, alpha, beta)), p,
+            refuse))
+        return float(lo[0]), float(v)
+    assert repr(_gate_outcome(rows)) == repr(_gate_outcome(built))
 
 
 def test_gate_interval_degenerate():
