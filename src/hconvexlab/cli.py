@@ -317,10 +317,10 @@ def cmd_refine(args) -> int:
         _require_keys(row, allowed, f"refine.samples[{i}]",
                       required=CHAINS[inequality].row_keys)
         insts.append({"target": targets[inequality], "alpha": alpha, "v": v,
-                      "p": p, **{k: parse_matrix(val) if k == "matrix"
-                                 else parse_numbers(
-                                     val, f"refine.samples[{i}].{k}")
-                                 for k, val in row.items() if val is not None}})
+                      "p": p})
+        insts[-1].update((k, parse_matrix(val) if k == "matrix" else
+                          parse_numbers(val, f"refine.samples[{i}].{k}"))
+                         for k, val in row.items() if val is not None)
     reports = chain_reports(insts)
     result = [r.to_json() for r in reports]
     _emit(args, "refine", cfg, result, t0,

@@ -874,13 +874,14 @@ class Block:
              **columns) -> None:
         """Rows ks (an index array) from arrays over those rows; the rows
         ks[j] of ``errors`` raise errors[j] and are not accepted."""
-        size = self.margin.size
         self.margin[ks] = margin
         self.accepted[ks] = accepted
-        for name, col in flags.items():
-            self.flags.setdefault(name, np.zeros(size, dtype=bool))[ks] = col
-        for name, col in columns.items():
-            self.columns.setdefault(name, np.full(size, math.nan))[ks] = col
+        for into, cols, empty in ((self.flags, flags, False),
+                                  (self.columns, columns, math.nan)):
+            for name, col in cols.items():
+                if name not in into:
+                    into[name] = np.full(self.margin.size, empty)
+                into[name][ks] = col
         for j, exc in errors.items():
             self._single[int(ks[j])] = exc
             self.accepted[ks[j]] = False
@@ -909,7 +910,7 @@ class Block:
                 self._extras(self.columns, k))
 
 
-def _row(value, cap: int) -> np.ndarray | None:
+def _as_row(value, cap: int) -> np.ndarray | None:
     """A list of 1 to cap numbers as a (1, n) float array; None for any
     other value."""
     if type(value) is not list or not 1 <= len(value) <= cap:
@@ -1083,8 +1084,9 @@ def _operator_fill(block: Block, rows: _Rows, ks: np.ndarray, region: dict,
     if mode == "per-lambda":
         lam = rows["lam"][ks]
         inside = (0.0 < lam) & (lam < 1.0)
-        refuse(~inside, lambda j: ValueError(
-            f"per-lambda mode requires lambda in (0,1), got {float(lam[j])!r}"))
+        refuse(~inside, lambda j: ValueError(f"per-lambda mode requires "
+                                             f"lambda in (0,1), got "
+                                             f"{float(lam[j])!r}"))
         lam = np.where(inside, lam, 0.5)
     f = _operator_f(name)
     h = SimpleNamespace(
@@ -1194,7 +1196,8 @@ def _instance_rows(insts: list) -> _Rows:
         rows[name] = []
     region = None
     for k, inst in enumerate(insts):
-        group, ms = key(inst), [_row(inst.get(name), cap) for name in vectors]
+        group = key(inst)
+        ms = [_as_row(inst.get(name), cap) for name in vectors]
         sizes = {None if m is None else m.shape[1] for m in ms}
         if group is None or region not in (None, group) or None in sizes \
                 or len(sizes) > 1:

@@ -458,8 +458,8 @@ class Refusals:
         self.errors = {}
 
     def __call__(self, mask, error: Callable) -> None:
-        new = mask & self.ok
-        if new.any():
+        if np.count_nonzero(mask):  # cheaper than mask.any() on small rows
+            new = mask & self.ok
             for j in np.flatnonzero(new).tolist():
                 self.errors[j] = error(j)
             self.ok &= ~new

@@ -430,40 +430,47 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
                 offending=_nonpositive(values[j])))
             # row by row: numpy takes other paths for a scalar exponent
             # (2.0 squares) than for an array of exponents
-            c = dict(c, qf=s.qf, apx=s.expectation(np.array(
-                [np.power(t, e) for t, e in zip(values, p.tolist())]),
-                refuse))
+            c = {key: t for key, t in c.items() if key != "spectra"}
+            c["qf"], c["apx"] = s.qf, s.expectation(np.array(
+                [np.power(t, e) for t, e in zip(values, p.tolist())]), refuse)
+            lo, hi = s.lo, s.hi
         else:
             values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
             sample_checks(values, c["q"], refuse)
-        lo, hi = values.min(1), values.max(1)
-        if not chain.spectral:
+            lo, hi = values.min(1), values.max(1)
             refuse(~(chain.domain.contains_array(lo)
                      & chain.domain.contains_array(hi)),
                    lambda j: DomainError(
                        f"{name} chain needs values in {chain.domain}, got "
                        f"{tuple(values[j].tolist())}"))
-        size = lo.size
-        out = {"gamma": hi - lo, "beta": c["alpha"] + (hi - lo), "flags": {},
-               **{key: np.full(size, math.nan) for key in ("lhs", "mid", "rhs")}}
-    ks = np.flatnonzero(refuse.ok)
-    c = {key: t[ks] for key, t in c.items() if key != "spectra"}
+        c = {**c, "g": hi - lo}
+        out = {"gamma": c["g"], "beta": c["alpha"] + c["g"]}
+    size, ks = lo.size, np.flatnonzero(refuse.ok) if refuse.errors else None
+    if ks is not None:
+        c, lo, hi = {key: t[ks] for key, t in c.items()}, lo[ks], hi[ks]
     try:
-        parts = [(ks, _arithmetic(name, c, lo[ks], hi[ks], python=False))]
+        parts = [(ks, _arithmetic(name, c, lo, hi, python=False))]
     except (ValueError, ArithmeticError):
-        parts = []
+        parts, ks = [], np.arange(size) if ks is None else ks
         for j, k in enumerate(ks.tolist()):
             try:
                 parts.append((ks[j:j + 1], _arithmetic(
                     name, {key: t[j:j + 1] for key, t in c.items()},
-                    lo[k:k + 1], hi[k:k + 1], python=True)))
+                    lo[j:j + 1], hi[j:j + 1], python=True)))
             except (ValueError, ArithmeticError) as exc:
                 refuse(np.arange(size) == k, lambda _: exc)
-    for rows, (terms, flags) in parts:
-        for key, t in zip(("lhs", "mid", "rhs"), terms):
-            out[key][rows] = t
-        for key, t in flags.items():
-            out["flags"].setdefault(key, np.zeros(size, dtype=bool))[rows] = t
+    if len(parts) == 1 and parts[0][0] is None:  # every row: no scatter
+        terms, out["flags"] = parts[0][1]
+        out.update(zip(("lhs", "mid", "rhs"), terms))
+    else:
+        out.update({key: np.full(size, math.nan)
+                    for key in ("lhs", "mid", "rhs")}, flags={})
+        for rows, (terms, flags) in parts:
+            for key, t in zip(("lhs", "mid", "rhs"), terms):
+                out[key][rows] = t
+            for key, t in flags.items():
+                out["flags"].setdefault(key, np.zeros(size, dtype=bool))[
+                    rows] = t
     with np.errstate(all="ignore"):
         out["m1"], out["m2"] = out["mid"] - out["lhs"], out["rhs"] - out["mid"]
     out["feasible"] = np.logical_and.reduce(
@@ -481,7 +488,7 @@ def _arithmetic(name: str, c: dict, lo, hi, python: bool):
     """((lhs, mid, rhs), flags) of rows that passed the checks, in doubles
     or (``python``) in Python floats."""
     chain = CHAINS[name]
-    alpha, g = c["alpha"], hi - lo
+    alpha, g = c["alpha"], c["g"]
     col = (lambda t: t.astype(object)) if python else (lambda t: t)
     # numpy reads the status flags that Python's own float operations set
     with np.errstate(**({"all": "ignore"} if python else _AS_PYTHON)):
