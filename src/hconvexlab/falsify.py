@@ -336,28 +336,33 @@ class _Step:
     redraw: bool = False
 
 
-class _Rows:
+class _Rows(Refusals):
     """A block of rows of one target by name, as a draw leaves them and a
     kernel takes them: a scalar value is an array over the rows, a vector
     value a list of (rows, n, matrix) groups of one size n (a later group
     holds a row over an earlier one), and ``region`` the values all rows
-    share.  ``refused`` marks the rows whose draw on its own raises, and
-    ``errors`` holds what it raises (None: a row that draws again).
+    share.  As Refusals, it refuses the rows whose draw on its own raises,
+    with what it raises in ``errors`` (None: a row that draws again).
     ``insts`` holds the rows' instance dicts by row: all of them for rows
     read from dicts, of which ``single`` lists those the arrays do not
     hold, and those built so far for drawn rows."""
 
     def __init__(self, size: int, region: dict | None = None):
+        super().__init__(size)
         self.size = size
         self.values = {}
         self.ends = {}  # a uniform's (lo, hi - lo), from its check
         self.sizes = None  # each row's n
-        self.refused = np.zeros(size, dtype=bool)
-        self.errors = {}
         self.target = None
         self.region = region or {}
         self.insts = {}
         self.single = []
+
+    refuse = Refusals.__call__
+
+    @property
+    def refused(self) -> np.ndarray:
+        return ~self.ok
 
     def __getitem__(self, name):
         return self.values[name]
@@ -365,21 +370,10 @@ class _Rows:
     def __setitem__(self, name, value):
         self.values[name] = value
 
-    def refuse(self, mask, error: Callable | None, ks=None) -> None:
-        """Refuse the rows of ``mask`` (over the rows ``ks``, or all rows)
-        that are not refused yet; error(j) is what the draw on its own
-        raises at entry j of the mask."""
-        if np.count_nonzero(mask):
-            refused = self.refused if ks is None else self.refused[ks]
-            for j in np.flatnonzero(mask & ~refused).tolist():
-                k = j if ks is None else int(ks[j])
-                self.refused[k] = True
-                self.errors[k] = error and error(j)
-
     def groups(self) -> list:
         """(rows, n) of the rows the arrays hold, neither refused nor
         single, by their size n."""
-        live = ~self.refused
+        live = self.ok.copy()
         live[self.single] = False
         return [(np.flatnonzero(live & (self.sizes == n)), n)
                 for n in sorted(set(self.sizes[live].tolist()))]
@@ -401,11 +395,6 @@ class _Rows:
             build = RULES[self.target].draw.build
             self.insts.update(zip(new, build(self, new)))
         return [self.insts[k] for k in ks]
-
-    def raise_refused(self) -> None:
-        """In a block of one: raise what refused the row."""
-        if self.refused[0]:
-            raise self.errors[0]
 
     def map(self, fn: Callable, *args):
         """fn over the rows in Python floats, as a draw on its own calls it
@@ -749,15 +738,17 @@ def _draw_staged(rngs: list, steps: tuple, region: dict) -> _Rows:
         for step in steps:
             if step.check is not None:
                 step.check(rows, region)
-            live = np.flatnonzero(~rows.refused)
+            live = np.flatnonzero(rows.ok)
             while True:
                 step.apply(rows, region, _call(step, rngs, live, rows, region))
                 if not step.redraw:
                     break
-                live = live[rows.refused[live]]
+                live = live[~rows.ok[live]]
                 if not live.size:
                     break
-                rows.refused[live] = False
+                rows.ok[live] = True
+                for k in live.tolist():
+                    del rows.errors[k]
     return rows
 
 
@@ -805,7 +796,7 @@ def _draw(rng: Generator, target: str, region: dict):
     """(instance, gate) of _drawn: the target's sampler on a block of one;
     it raises what refused the row."""
     rows = _draw_staged([rng], RULES[target].draw.steps(region), region)
-    rows.raise_refused()
+    rows.raise_first()
     rows.target = target
     return _drawn(rows, [0])[0]
 
@@ -865,7 +856,7 @@ class Block:
                feasible: Callable | None = None) -> "Block":
         """Every row that is not refused by ``evaluate(inst)``, one at a
         time (see run)."""
-        block, ks = cls(rows.size), np.flatnonzero(~rows.refused).tolist()
+        block, ks = cls(rows.size), np.flatnonzero(rows.ok).tolist()
         for k, inst in zip(ks, rows.instances(ks)):
             block.run(k, lambda: evaluate(inst), feasible)
         return block

@@ -451,18 +451,20 @@ def gate_interval(g: ScalarFunction, v: float, ambient: Interval,
 class Refusals:
     """The rows of a block that raise, and what each raises first: called
     as refuse(mask, error), it refuses the rows of ``mask`` not refused yet,
-    error(j) building row j's exception.  ``ok`` marks the rows left."""
+    error(j) building the exception of row j (None: no exception); with
+    ``ks`` the mask is over the rows ks.  ``ok`` marks the rows left."""
 
     def __init__(self, size: int):
         self.ok = np.ones(size, dtype=bool)
         self.errors = {}
 
-    def __call__(self, mask, error: Callable) -> None:
+    def __call__(self, mask, error: Callable | None, ks=None) -> None:
         if np.count_nonzero(mask):  # cheaper than mask.any() on small rows
-            new = mask & self.ok
+            new = mask & (self.ok if ks is None else self.ok[ks])
             for j in np.flatnonzero(new).tolist():
-                self.errors[j] = error(j)
-            self.ok &= ~new
+                k = j if ks is None else int(ks[j])
+                self.errors[k] = error and error(j)
+                self.ok[k] = False
 
     def raise_first(self) -> None:
         """Raise what the first refused row raises, if a row is refused."""
