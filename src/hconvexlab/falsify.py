@@ -25,24 +25,22 @@ draw with smaller actual spread stays feasible); the post-hoc flags remain
 the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
-Block drawing: a campaign draws BLOCK_SIZE samples at a time.  A target's
-sampler is a sequence of steps, each one Generator call and the
-transforms around it.  Per sample only the Generator calls run, from the
-sample's own stream and in its order: rng.random(k) for the scalar
-uniforms, rng.integers for the size n (or dim), then the vector uniforms
-and the standard exponentials or normals.  The transforms then run once
-over the block, as arrays grouped by n: lo + (hi - lo) * u as
-Generator.uniform computes it, math's exp, log and log1p mapped element
-by element, the gate interval (the gate family's core in numpy ops, as
-TripleRule.gate_rows computes it), Dirichlet weights and unit vectors.
-A row is refused where drawing the sample on its own would raise (numpy's
-uniform refuses a negative, -0.0 or non-finite hi - lo) or draw a unit
-vector again.  A staged block runs the steps stage by stage, each row
-from a generator of its own: a step's Generator call is made only for
-the rows that passed the step's check, so a refused row's stream is left
-where its draw on its own left it when it raised, and a unit vector is
-drawn again in place.  _draw and draw_instance are a staged block of one,
-which raises what refused its row.
+Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from
+a generator of its own.  A target's sampler is a sequence of steps, each
+one Generator call and the transforms around it, and a block runs them
+stage by stage.  A step's Generator call is made row by row, from the
+sample's own stream and only for the rows that passed the step's check:
+rng.random() for a scalar uniform, rng.integers for the size n (or dim),
+then the vector uniforms and the standard exponentials or normals.  Its
+transforms then run once over the block, as arrays grouped by n:
+lo + (hi - lo) * u as Generator.uniform computes it, math's exp, log and
+log1p mapped element by element, the gate interval (the gate family's
+core in numpy ops, as TripleRule.gate_rows computes it), Dirichlet
+weights and unit vectors.  A row is refused where drawing the sample on
+its own would raise (numpy's uniform refuses a negative, -0.0 or
+non-finite hi - lo), and its stream is left where that draw left it when
+it raised; a unit vector is drawn again in place.  _draw and
+draw_instance are a block of one, which raises what refused its row.
 
 Block evaluation: in doubles, an operator or chain target's margin is its
 kernel (opcalc.jensen_rows, refined.chain_rows) over a block's columns as
@@ -54,10 +52,10 @@ _instance_rows, a dense matrix or odd lists as a row of its own, so
 replay, the CLI and tests run what campaigns run.  A row the kernel
 refuses raises, when asked for, what its evaluation on its own raises.
 A sample whose first draw is refused, fails to evaluate or is infeasible
-is replayed from its stream by the per-sample retry loop, run over all
-such samples of a block at once: each round draws the samples still open
-as a staged block and evaluates their draws as one.  It counts all of
-their draws; any other sample counts one.
+draws on from where that draw left its stream, in the per-sample retry
+loop run over all such samples of a block at once: each round draws the
+samples still open as a block and evaluates their draws as one.  It
+counts all of their draws; any other sample counts one.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -274,30 +272,21 @@ def _stream(seed: int, index: int) -> Generator:
 
 
 class _Streams:
-    """The streams of _stream from one reused generator.
+    """The streams of _stream from a reused pool of generators.
 
     Resetting a Philox state to (key=seed, counter=index << 128) with an
     empty buffer yields the same draws as a new Philox and costs a tenth
     as much: the state holds Python ints, which the setter reads faster
-    than numpy's.  ``at`` returns the shared generator, so each stream must
-    be used up before the next one is asked for; ``many`` gives streams to
-    draw from side by side.
+    than numpy's.
     """
 
     def __init__(self, seed: int):
-        self._bits = Philox(key=seed)
-        state = self._bits.state  # counter 0, buffer empty
+        state = Philox(key=seed).state  # counter 0, buffer empty
         self._state = {**state, "buffer": state["buffer"].tolist(),
                        "state": {k: t.tolist()
                                  for k, t in state["state"].items()}}
         self._counter = self._state["state"]["counter"]
-        self._generator = Generator(self._bits)
         self._own = []  # the generators of ``many``
-
-    def at(self, index: int) -> Generator:
-        self._counter[2] = index  # the setter copies the state
-        self._bits.state = self._state
-        return self._generator
 
     def many(self, indices) -> list:
         """A generator for each of the streams ``indices``, at its start:
@@ -306,7 +295,7 @@ class _Streams:
         while len(self._own) < len(indices):
             self._own.append(Generator(Philox(key=0)))  # state set below
         for rng, index in zip(self._own, indices):
-            self._counter[2] = index
+            self._counter[2] = index  # the setter copies the state
             rng.bit_generator.state = self._state
         return self._own[:len(indices)]
 
@@ -654,88 +643,16 @@ def _listed(value, ks) -> list:
     return out
 
 
-def _plan(steps: tuple, region: dict):
-    """One sample's Generator calls, in stream order, with consecutive
-    uniforms in one rng.random call: (draw, calls).  draw(rng) makes them
-    and returns (n, [variates of each call]), n 0 for a target without a
-    size; calls lists each call's (method, steps)."""
-    calls = []
-    for step in steps:
-        if step.call == "random" and calls and calls[-1][0] == "random":
-            calls[-1][1].append(step)
-        else:
-            calls.append((step.call, [step]))
-    # (None, lo, hi) draws the size n from [lo, hi); (method, a, b) draws
-    # a + b * n values
-    makers = [(None, region[group[0].key][0], region[group[0].key][1] + 1)
-              if method == "integers" else
-              (getattr(Generator, method),
-               sum(step.per_n == 0 for step in group),
-               sum(step.per_n for step in group))
-              for method, group in calls]
-
-    def draw(rng):
-        n, drawn = 0, []
-        for method, a, b in makers:
-            if method is None:
-                n = int(rng.integers(a, b))
-                drawn.append(n)
-            else:
-                drawn.append(method(rng, a + b * n))
-        return n, drawn
-    return draw, calls
-
-
-def _draw_rows(streams: _Streams, indices, steps: tuple,
-               region: dict) -> _Rows:
-    """The steps over a block: samples ``indices``, each drawn from its own
-    stream by the Generator calls alone, then every transform at once over
-    the block, vectors grouped by n."""
-    draw, calls = _plan(steps, region)
-    at = streams.at
-    samples = [draw(at(i)) for i in indices]
-    rows = _Rows(len(samples), region)
-    sizes = np.array([n for n, _ in samples], dtype=np.int64)
-    # not np.unique, which imports numpy.ma on its first call
-    groups = [(np.flatnonzero(sizes == n), n)
-              for n in sorted({n for n, _ in samples})]
-    with np.errstate(all="ignore"):
-        for j, (method, group) in enumerate(calls):
-            if method == "integers":
-                group[0].apply(rows, region, sizes)
-                continue
-            drawn = [(ks, n, np.array([samples[k][1][j] for k in ks]))
-                     for ks, n in groups]
-            ones = multiples = 0  # the call's values before the step
-            for step in group:
-                parts = [(ks, n, m[:, ones + multiples * n:][
-                    :, :max(step.per_n * n, 1)]) for ks, n, m in drawn]
-                ones, multiples = ones + (not step.per_n), \
-                    multiples + step.per_n
-                if step.check is not None:
-                    step.check(rows, region)
-                step.apply(rows, region, parts if step.per_n
-                           else _scalar(parts, rows.size))
-    return rows
-
-
-def _scalar(parts: list, size: int) -> np.ndarray:
-    """A scalar's (rows, n, values) groups as one array over the rows."""
-    out = np.empty(size)
-    for ks, _, m in parts:
-        out[ks] = m[:, 0]
-    return out
-
-
-def _draw_staged(rngs: list, steps: tuple, region: dict) -> _Rows:
-    """The steps over a block whose row k draws from rngs[k], stage by
-    stage: a step's Generator call is made only for the rows that passed
-    its check and every earlier step, so a refused row's stream is left
-    where its draw on its own left it when it raised.  A unit vector a row
-    refuses is drawn again."""
+def _draw_staged(rngs: list, target: str, region: dict) -> _Rows:
+    """The target's sampler over a block whose row k draws from rngs[k],
+    stage by stage: a step's Generator call is made only for the rows that
+    passed its check and every earlier step, so a refused row's stream is
+    left where its draw on its own left it when it raised.  A unit vector a
+    row refuses is drawn again."""
     rows = _Rows(len(rngs), region)
+    rows.target = target
     with np.errstate(all="ignore"):
-        for step in steps:
+        for step in RULES[target].draw.steps(region):
             if step.check is not None:
                 step.check(rows, region)
             live = np.flatnonzero(rows.ok)
@@ -774,16 +691,6 @@ def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
             for ks in (live[sizes == n],)]
 
 
-def _draw_block(streams: _Streams, indices, target: str,
-                region: dict) -> _Rows:
-    """The rows of samples ``indices``, each drawn from its own stream; the
-    sampler refuses some."""
-    rows = _draw_rows(streams, indices, RULES[target].draw.steps(region),
-                      region)
-    rows.target = target
-    return rows
-
-
 def _drawn(rows: _Rows, ks) -> list:
     """(instance, gate) of rows ks: gate is the closed gate interval
     (g(v), v) an operator draw drew the spectrum in, else None."""
@@ -795,9 +702,8 @@ def _drawn(rows: _Rows, ks) -> list:
 def _draw(rng: Generator, target: str, region: dict):
     """(instance, gate) of _drawn: the target's sampler on a block of one;
     it raises what refused the row."""
-    rows = _draw_staged([rng], RULES[target].draw.steps(region), region)
+    rows = _draw_staged([rng], target, region)
     rows.raise_first()
-    rows.target = target
     return _drawn(rows, [0])[0]
 
 
@@ -1522,7 +1428,7 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
     each block is evaluated by the target's kernel at once, from the
     drawn columns.  The samples whose first draw is refused, fails to
-    evaluate or is infeasible are replayed from their streams by _retry,
+    evaluate or is infeasible are drawn on from their streams by _retry,
     the per-sample loop run over them together, which counts all their
     draws; the others count one draw each.  Instance dicts are built only
     for the rows a report keeps: candidates and a new arg-min.
@@ -1535,14 +1441,14 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     argmin = None
     candidates = []
     for lo in range(start, stop, BLOCK_SIZE):
-        rows = _draw_block(streams, range(lo, min(lo + BLOCK_SIZE, stop)),
-                           c.target, c.region)
+        rngs = streams.many(range(lo, min(lo + BLOCK_SIZE, stop)))
+        rows = _draw_staged(rngs, c.target, c.region)
         block = evaluate(rows, c.margin_kind)
         margins = np.where(block.accepted, block.margin, math.nan)
         replayed = {}
         missing = np.flatnonzero(~block.accepted).tolist()
         for j, (tries, found) in zip(
-                missing, _retry(streams, c, [lo + j for j in missing])):
+                missing, _retry([rngs[j] for j in missing], c)):
             drawn += tries
             rejected += tries - (found is not None)
             if found is None:
@@ -1578,22 +1484,20 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _retry(streams: _Streams, c: Campaign, indices: list) -> list:
-    """The per-sample loop over samples ``indices`` at once: for each,
-    (draws made, (inst, margin, flags, extras) of its first feasible
-    draw), or (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each
-    round draws the samples still open stage by stage, each from its own
-    stream, and evaluates the draws that were not refused as one block."""
-    steps = RULES[c.target].draw.steps(c.region)
+def _retry(rngs: list, c: Campaign) -> list:
+    """The per-sample loop, from its second draw on, over the samples whose
+    first draw was not accepted, each drawing on from its stream ``rngs``
+    where that draw left it: for each, (draws made, the first included,
+    (inst, margin, flags, extras) of its first feasible draw), or
+    (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each round draws
+    the samples still open as a staged block and evaluates it as one."""
     evaluate = RULES[c.target].evaluate
-    rngs = streams.many(indices)
-    found = [(RETRY_CAP, None)] * len(indices)
-    open_ = list(range(len(indices)))
-    for tries in range(1, RETRY_CAP + 1):
+    found = [(RETRY_CAP, None)] * len(rngs)
+    open_ = list(range(len(rngs)))
+    for tries in range(2, RETRY_CAP + 1):
         if not open_:
             break
-        rows = _draw_staged([rngs[j] for j in open_], steps, c.region)
-        rows.target = c.target
+        rows = _draw_staged([rngs[j] for j in open_], c.target, c.region)
         block = evaluate(rows, c.margin_kind)
         done = np.flatnonzero(block.accepted).tolist()
         for k, inst in zip(done, rows.instances(done)):

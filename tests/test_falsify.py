@@ -24,9 +24,8 @@ from hconvexlab.falsify import (
     margin_bound, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Rows, _Streams, _draw, _draw_block, _draw_rows, _draw_staged, _drawn,
-    _instance_rows, _listed, _run_range, _size, _stream, _unit_vector,
-    _weights, _worker_count,
+    _Rows, _Streams, _draw, _draw_staged, _drawn, _instance_rows, _listed,
+    _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
@@ -106,17 +105,6 @@ def test_worker_count_parsing():
 # Drawing and evaluation
 # ---------------------------------------------------------------------------
 
-def test_reused_generator_gives_each_sample_its_own_stream():
-    streams = _Streams(123)
-    for i in (7, 0, 5, 2 ** 40):
-        fresh, reused = _stream(123, i), streams.at(i)
-        assert fresh.standard_normal(3).tolist() \
-            == reused.standard_normal(3).tolist()
-        assert fresh.integers(2, 9) == reused.integers(2, 9)
-        assert fresh.dirichlet(np.ones(3)).tolist() \
-            == reused.dirichlet(np.ones(3)).tolist()
-
-
 def test_streams_side_by_side_are_each_samples_own():
     # the generators of ``many`` are drawn from in turn; a second call
     # starts the reused generators at their new streams
@@ -129,6 +117,17 @@ def test_streams_side_by_side_are_each_samples_own():
             assert a.standard_normal(3).tolist() \
                 == b.standard_normal(3).tolist()
             assert a.integers(2, 9) == b.integers(2, 9)
+            assert a.dirichlet(np.ones(3)).tolist() \
+                == b.dirichlet(np.ones(3)).tolist()
+
+
+def _draw_steps(rngs, steps, region):
+    """_draw_staged of the given steps, as the sampler of a target made for
+    the test."""
+    rules = dataclasses.replace(
+        RULES["kyfan"], draw=falsify.Sampler(lambda region: steps, ()))
+    with mock.patch.dict(falsify.RULES, {"steps": rules}):
+        return _draw_staged(rngs, "steps", region)
 
 
 def test_weights_match_dirichlet_bit_for_bit():
@@ -138,11 +137,11 @@ def test_weights_match_dirichlet_bit_for_bit():
     steps = (_size("n"), _weights("q"))
     for n in range(1, 9):
         region = {"n": [n, n]}
-        block = _listed(_draw_rows(_Streams(29), range(2000), steps,
-                                   region)["q"], range(2000))
+        block = _listed(_draw_steps(_Streams(29).many(range(2000)), steps,
+                                    region)["q"], range(2000))
         for i in range(2000):
             ours, numpy_s = _stream(29, i), _stream(29, i)
-            weights = _listed(_draw_staged([ours], steps, region)["q"],
+            weights = _listed(_draw_steps([ours], steps, region)["q"],
                               [0])[0]
             assert block[i] == weights \
                 == numpy_s.dirichlet(np.ones(n)).tolist()
@@ -150,8 +149,8 @@ def test_weights_match_dirichlet_bit_for_bit():
 
 
 def test_a_unit_vector_near_zero_is_drawn_again():
-    # a staged draw draws the normals again, as a loop on their norm does;
-    # a block refuses the row instead, and its retry draws it staged
+    # a draw draws the normals again, as a loop on their norm does; the
+    # step on its own refuses the row, which the draw then draws again
     class FirstTiny:
         """A stream whose first normals are scaled to norm 1e-7."""
 
@@ -167,7 +166,7 @@ def test_a_unit_vector_near_zero_is_drawn_again():
             return x * (1e-7 / math.sqrt(x.dot(x))) if self.calls == 1 else x
     steps, region = (_size("dim"), _unit_vector("x")), {"dim": [3, 3]}
     rng = FirstTiny(_stream(5, 0))
-    x = _listed(_draw_staged([rng], steps, region)["x"], [0])[0]
+    x = _listed(_draw_steps([rng], steps, region)["x"], [0])[0]
     fresh = _stream(5, 0)
     fresh.standard_normal(3)
     y = fresh.standard_normal(3)
@@ -671,7 +670,7 @@ def test_block_draws_match_draws_of_one(target, region):
     # others' instances and gates bit for bit
     region = Campaign(target, 1, 1, region=region).region
     indices = range(3, 3 + BLOCK_SIZE + 41)
-    rows = _draw_block(_Streams(GOLDEN_SEED), indices, target, region)
+    rows = _draw_staged(_Streams(GOLDEN_SEED).many(indices), target, region)
     kept = np.flatnonzero(~rows.refused).tolist()
     block = {indices[k]: repr(one)
              for k, one in zip(kept, _drawn(rows, kept))}
@@ -688,13 +687,11 @@ def test_staged_draws_match_draws_of_one(target, region):
     # rows drawn side by side, stage by stage, are refused where a draw of
     # one raises, and leave each stream where that draw left it
     region = Campaign(target, 1, 1, region=region).region
-    sampler = RULES[target].draw
     indices = range(40)
     rngs = _Streams(GOLDEN_SEED).many(indices)
     ones = [_stream(GOLDEN_SEED, i) for i in indices]
     for _ in range(12):
-        rows = _draw_staged(rngs, sampler.steps(region), region)
-        rows.target = target
+        rows = _draw_staged(rngs, target, region)
         drawn = _drawn(rows, range(rows.size))
         for k, rng in enumerate(ones):
             try:
@@ -712,19 +709,15 @@ def test_staged_draws_match_draws_of_one(target, region):
                  else ("refined",))])
 def test_drawn_columns_and_instance_dicts_agree(target, region, margin_kind):
     # a kernel fed a drawn block's columns gives each row what
-    # evaluate_instance gives for the row's built dict: a first draw of a
-    # block and a staged draw (the retry's), whose groups leave refused
-    # rows out
+    # evaluate_instance gives for the row's built dict, on blocks starting
+    # at two indices, whose groups leave refused rows out
     size = BLOCK_SIZE
     if target == "certificates":
         region, size = {**region, "grid": [16, 16]}, 6
     region = Campaign(target, 1, 1, region=region).region
-    first = _draw_block(_Streams(GOLDEN_SEED), range(3, 3 + size), target,
-                        region)
-    staged = _draw_staged(_Streams(GOLDEN_SEED).many(range(size)),
-                          RULES[target].draw.steps(region), region)
-    staged.target = target
-    for rows in (first, staged):
+    for lo in (3, 0):
+        rows = _draw_staged(_Streams(GOLDEN_SEED).many(range(lo, lo + size)),
+                            target, region)
         block = RULES[target].evaluate(rows, margin_kind)
         kept = np.flatnonzero(~rows.refused).tolist()
         assert not block.accepted[rows.refused].any()
@@ -916,6 +909,22 @@ def test_blocks_with_rejections_match_the_per_sample_loop(target, region,
     assert got["rejected"] > 0 or target == "operator-jensen"
 
 
+def test_every_counted_draw_is_made_once():
+    # kyfan at v in [0.3, 0.9] has rows that fail to evaluate: their retries
+    # draw on from where the block's draw left their streams, so the rows
+    # drawn add up to the draws the chunk counts
+    staged, sizes = falsify._draw_staged, []
+
+    def counting(rngs, target, region):
+        sizes.append(len(rngs))
+        return staged(rngs, target, region)
+    campaign = Campaign("kyfan", 1, 5, region={"v": [0.3, 0.9]})
+    with mock.patch.object(falsify, "_draw_staged", counting):
+        got = _run_range(campaign.to_json(), 3, 3 + BLOCK_SIZE + 41)
+    assert got["rejected"] > 0
+    assert sum(sizes) == got["drawn"]
+
+
 def test_nan_margins_are_neither_candidates_nor_the_argmin():
     # best-possible margins are all negative: every sample is a candidate
     # unless its margin reads NaN, which this kernel gives half the rows
@@ -958,27 +967,19 @@ def test_empty_region_counts_every_earlier_sample():
     # earlier sample's draws
     campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
     many, staged, failing = falsify._Streams.many, falsify._draw_staged, []
-    draw_block = falsify._draw_block
 
     def recording_many(self, indices):
         rngs = many(self, indices)
         failing[:] = [rng for i, rng in zip(indices, rngs) if i == 300]
         return rngs
 
-    def failing_staged(rngs, steps, region):
-        rows = staged(rngs, steps, region)
+    def failing_staged(rngs, target, region):
+        rows = staged(rngs, target, region)
         rows.refuse(np.array([rng in failing for rng in rngs]),
                     lambda j: ValueError("no draw for this sample"))
         return rows
-
-    def failing_block(streams, indices, target, region):
-        rows = draw_block(streams, indices, target, region)
-        rows.refuse(np.array([i == 300 for i in indices]),
-                    lambda j: ValueError("no draw for this sample"))
-        return rows
     with mock.patch.object(falsify._Streams, "many", recording_many), \
-            mock.patch.object(falsify, "_draw_staged", failing_staged), \
-            mock.patch.object(falsify, "_draw_block", failing_block):
+            mock.patch.object(falsify, "_draw_staged", failing_staged):
         with pytest.raises(EmptyRegion) as exc:
             _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
     before = _reference_range(campaign, 0, 300)
