@@ -193,18 +193,30 @@ def _check_power_target(p):
 
 def _chrystal_core(p, t, ops):
     expo = p["beta"] / p["alpha"] - 1.0
+    if ops is _NP_OPS:
+        # beta == alpha makes arg identically 0; log(0) -> -inf by convention
+        with np.errstate(divide="ignore", over="ignore"):
+            arg = np.power(1.0 + np.exp(t), expo) - 1.0
+            out = np.log(arg)
+        beyond = np.isposinf(arg) & np.isfinite(t)  # where _MathOps overflow
+        if beyond.any():  # their value, element by element
+            out = np.array(out)
+            expos, ts = (np.broadcast_to(x, out.shape)[beyond].tolist()
+                         for x in (expo, t))
+            out[beyond] = list(map(_chrystal_beyond, expos, ts))
+        return out[()]
     try:
         arg = ops.power(1.0 + ops.exp(t), expo) - 1.0
     except OverflowError:
-        # only _MathOps raise: with L the power's log, g = log(e^L - 1) =
-        # L + log(1 - e^-L), which is L once the power is beyond the doubles
-        log_power = expo * (t + math.log1p(math.exp(-t)))
-        return log_power + ops.log(-math.expm1(-log_power))
-    if ops is not _NP_OPS:
-        return ops.log(arg)
-    # beta == alpha makes arg identically 0; log(0) -> -inf by convention
-    with np.errstate(divide="ignore"):
-        return ops.log(arg)
+        return _chrystal_beyond(expo, t)
+    return ops.log(arg)
+
+
+def _chrystal_beyond(expo: float, t: float) -> float:
+    """g once the power (1 + e^t)^expo is beyond the doubles: with L its
+    log, g = log(e^L - 1) = L + log(1 - e^-L), which is L there."""
+    log_power = expo * (t + math.log1p(math.exp(-t)))
+    return log_power + _MathOps.log(-math.expm1(-log_power))
 
 
 def _kyfan_gate_core(p, t, ops):

@@ -598,11 +598,11 @@ DRAW_DIGESTS = [
     ('operator-jensen',
      {'triple': 'chrystal', 'alpha': [0.01, 3.0], 'v': [1e-300, 1e+300]},
      2000, 1,
-     "0a464a33513fc9a8af5d3b97c36682614aa464d322f69f6c41664ac3ab37ea11"),
+     "f44252d0c7fafa4fc2c8f64338662f0c73e534e368db472b1ab6eee82591d113"),
     ('operator-jensen',
      {'triple': 'chrystal', 'alpha': [0.01, 3.0], 'v': [1e-300, 1e+300]},
      40, 50,
-     "87c674efa2f164b6749d78a739c39be82864cf2e56d8c6cfce62241bddde4d76"),
+     "aaf05e2a64b85599dd81728bc2b95d764eac20b5ccad58700cdfac863f2c43c9"),
     ('operator-jensen',
      {'triple': 'kyfan', 'alpha': [1.000001, 3000.0], 'v': [1e-300, 0.5]},
      2000, 1,

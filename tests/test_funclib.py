@@ -12,8 +12,8 @@ from hconvexlab import (
     gate_interval, make_triple, scalar_function,
 )
 from hconvexlab.funclib import (
-    FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, check_triple,
-    _one_row, evaluate, evaluate_array, triple_beta_range,
+    FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, Refusals,
+    check_triple, _one_row, evaluate, evaluate_array, triple_beta_range,
 )
 
 
@@ -296,6 +296,24 @@ def test_chrystal_gate_value_past_the_double_range():
     assert rule.gate_value(800.0, 1.0, 1.00001) == pytest.approx(
         math.log(math.expm1(800.0 * (1.00001 - 1.0))), rel=1e-12)
     assert rule.gate_value(800.0, 1.0, 1.0) == -math.inf
+
+
+def test_chrystal_gate_rows_match_the_gate_value_past_the_double_range():
+    # the numpy core takes the float core's value where e^v or the power
+    # overflows, so the gate interval keeps anchors past 709.78
+    rule, vs = TRIPLES["chrystal"], [700.0, 709.78, 710.0, 800.0, 1e300]
+    g = scalar_function("chrystal_gate", alpha=1.0, beta=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in ((1.0, 2.0), (0.5, 0.9)):
+            refuse = Refusals(len(vs))
+            lo = rule.gate_rows(np.array(vs), np.full(len(vs), alpha),
+                                np.full(len(vs), beta), None, refuse)
+            assert refuse.ok.all()
+            assert repr(lo.tolist()) == repr(
+                [rule.gate_value(v, alpha, beta) for v in vs])
+        assert [evaluate(g, v) for v in vs] == vs
+        assert evaluate_array(g, np.array(vs)).tolist() == vs
 
 
 def test_chrystal_gate_at_beta_equal_alpha_is_minus_inf_without_warning():
