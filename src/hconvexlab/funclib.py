@@ -198,8 +198,8 @@ def _chrystal_core(p, t, ops):
         with np.errstate(divide="ignore", over="ignore"):
             arg = np.power(1.0 + np.exp(t), expo) - 1.0
             out = np.log(arg)
-        beyond = np.isposinf(arg) & np.isfinite(t)  # where _MathOps overflow
-        if beyond.any():  # their value, element by element
+        beyond = np.isposinf(arg)  # where the power overflows
+        if beyond.any():  # the _MathOps value, element by element
             out = np.array(out)
             expos, ts = (np.broadcast_to(x, out.shape)[beyond].tolist()
                          for x in (expo, t))
