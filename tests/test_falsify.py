@@ -525,6 +525,61 @@ def test_kernel_bits_match_digests(target, margin_kind):
         == KERNEL_DIGESTS[target, margin_kind]
 
 
+# sha256 over repr(margin_bound(candidate)) of the KERNEL_DIGESTS draws of
+# every target with a bound, None for a draw that raises.  Taken from the
+# scalar derivation of the bound, one candidate dict at a time; any later
+# form of margin_bound must give these bits.  Same platform as above.
+SCALAR_BOUND_DIGESTS = {
+    ("operator-jensen", "refined"):
+        "08a788257235b7e3baceb217803525508dd0c8699c59e6814ab517414466ae7d",
+    ("per-lambda", "refined"):
+        "f9c77ba14ba46abad4486e9fcaa286e4cb5917c1935869eaf7042042c28f51a5",
+    ("half-bound", "refined"):
+        "8f3ad48f5b4fffc410cf323c8d341747da8ef615d65d54099474e4f452be97af",
+    ("kyfan", "refined"):
+        "ec1c8e6930043fc63174acf9fc0c5f77aa97f4a82e1e179e329ba5e8ae0cb826",
+    ("amgm", "refined"):
+        "2ea5e78cb62edfb201a6c7bb1c08001b3c2ceb9a46c0c8d4215966079bce5e70",
+    ("chrystal", "refined"):
+        "a32c73256f88e7caa390957ef39c2c0053747cb58fb10ec7776c12e864c01fe9",
+    ("holder-mccarthy", "refined"):
+        "0688856694128d2300817588a81ea32f3cfd6f5ef249e9a259cf4fd65f843c2b",
+    ("kyfan", "outer"):
+        "f4224052f1bc090825258a0f4a21d4d80f0287af05412ff1d4a695788579578e",
+    ("amgm", "outer"):
+        "7dbf931c098b43814935d48dabfa58cc03f776f9778f20bfceb218c18c4e3a0f",
+    ("chrystal", "outer"):
+        "fb4b42cae122adc15f6ff9114fe7c5134db4b89e892e0b98c1aaf4a2193bd9c0",
+    ("holder-mccarthy", "outer"):
+        "307b2a3cb75319b98577847412c53160723e1d7bbb6971dc07774e36e77f5dfb",
+}
+
+
+def _bounded_draws(target, margin_kind):
+    """(draw index, candidate dict or None) of the KERNEL_DIGESTS draws:
+    None for a draw that raises."""
+    region = Campaign(target, 1, 1).region
+    for i in range(1000):
+        try:
+            inst = draw_instance(_stream(GOLDEN_SEED, i), target, region)
+            margin, flags, extras = evaluate_instance(inst, margin_kind)
+        except REJECTED:
+            yield i, None
+            continue
+        yield i, {"index": i, "inputs": inst, "margin_double": margin,
+                  "flags": flags, "extras": extras, "margin_kind": margin_kind}
+
+
+@pytest.mark.parametrize("target, margin_kind", list(SCALAR_BOUND_DIGESTS),
+                         ids=[f"{t}/{k}" for t, k in SCALAR_BOUND_DIGESTS])
+def test_margin_bound_bits_match_digests(target, margin_kind):
+    bits = hashlib.sha256()
+    for _, cand in _bounded_draws(target, margin_kind):
+        bits.update(repr(None if cand is None else margin_bound(cand))
+                    .encode())
+    assert bits.hexdigest() == SCALAR_BOUND_DIGESTS[target, margin_kind]
+
+
 # (target, region, streams, draws from each, digest): sha256 over, draw
 # after draw, repr((inst, setup)) of the draw or the exception class name
 # it raised, then repr(rng.random()) taken right after it, which pins where
