@@ -14,7 +14,12 @@ certificates or a dense-matrix instance, and every candidate whose margin
 lies within its rounding-error bound (see margin_bound) of 0 or of -1e-6.
 The rest are clear-cut: the bound proves which side of both edges the
 exact margin lies on, so their status is the one confirm would give, and
-they are counted without the mpmath re-evaluation.
+they are counted without the mpmath re-evaluation.  Each chunk of a
+campaign settles its candidates over arrays: the bound is one array
+function per target over a block's columns, and a settled candidate is
+only counted, never built as a dict.  A chunk returns dicts only for its
+first witness_cap candidates, its arg-min and its unsettled candidates,
+and the parent confirms those it reports and the unsettled ones.
 
 Determinism: sample i derives its own counter-based stream from
 (seed, i), so reports are byte-identical for a fixed seed regardless of
@@ -80,6 +85,7 @@ doubles, and confirm runs the same terms at 60 digits.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -1138,19 +1144,22 @@ def confirm(candidate: dict) -> dict:
     out = dict(candidate, extras={**candidate.get("extras", {}), **hp_extras})
     out["margin_confirmed"] = digits(hp_margin)
     out["margin_confirmed_double"] = margin_f
-    out["confirmed"], out["demotion"] = \
-        _status(margin_f, rules.feasible(candidate["flags"])) \
+    out["confirmed"], out["demotion"] = _STATUSES[int(_statuses(
+        margin_f, rules.feasible(candidate["flags"])))] \
         if sign_agrees else (False, "float-noise")
     return out
 
 
-def _status(margin: float, feasible: bool):
-    """(confirmed, demotion) of a margin that decides the candidate."""
-    if margin >= 0.0:
-        return False, "float-noise"
-    if margin >= CONFIRM_THRESHOLD:
-        return False, "below-threshold"
-    return (True, None) if feasible else (False, "infeasible-flags")
+# (confirmed, demotion) of a candidate by the index _statuses and
+# _bound_statuses give; 0 is a candidate the bound leaves to confirm
+_STATUSES = (None, (True, None), (False, "float-noise"),
+             (False, "below-threshold"), (False, "infeasible-flags"))
+
+
+def _statuses(margin, feasible):
+    """The status of each margin that decides its candidate, by index."""
+    return np.where(margin >= 0.0, 2, np.where(
+        margin >= CONFIRM_THRESHOLD, 3, np.where(feasible, 1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -1219,116 +1228,152 @@ def margin_bound(candidate: dict) -> float | None:
     dy = r dL_ab + 4u r T_ab + |s| dL_b + (3u r + 2u|s|) T_b
          + u (r T_ab + |s| T_b).
 
-    best-possible, certificates and dense (``entries``) instances get None.
+    best-possible, certificates and the rows a kernel reads from their
+    dicts (a dense ``entries`` operator, odd lists) get None.  This is
+    _margin_bounds on the candidate's inputs as a block of one; campaigns
+    run it over their blocks.
     """
-    bound = RULES[candidate["inputs"]["target"]].bound
-    return None if bound is None else bound(candidate)
+    inputs, kind = candidate["inputs"], candidate.get("margin_kind", "refined")
+    rows = _instance_rows([inputs])
+    block = RULES[inputs["target"]].evaluate(rows, kind)
+    bound = float(_margin_bounds(rows, block, kind, np.ones(1, dtype=bool))[0])
+    return None if math.isnan(bound) else bound
 
 
-def _operator_bound(candidate: dict) -> float | None:
-    inst, extras = candidate["inputs"], candidate["extras"]
-    if "diag" not in inst:
-        return None
-    e = _weight_error(inst["x"])
-    c, expect = extras["rhs_factor"], extras["expectation"]
-    lhs, rhs = extras["lhs"], extras["rhs"]
-    k0, k1 = _F_CONDITION[inst["triple"]]
+def _margin_bounds(rows: _Rows, block: Block, margin_kind: str,
+                   want: np.ndarray) -> np.ndarray:
+    """margin_bound's B over the rows ``want`` (a mask) of a block, from
+    its columns and margins and the rows' vectors; nan on the other rows,
+    on rows with no finite margin, on single rows and for a target with no
+    bound."""
+    out = np.full(rows.size, math.nan)
+    bound = RULES[rows.target].bound
+    want = want & np.isfinite(block.margin)
+    if bound is None or not want.any():
+        return out
+    with np.errstate(all="ignore"):
+        for ks, n in rows.groups():
+            ks = ks[want[ks]]
+            if ks.size:
+                c = {key: col[ks] for key, col in block.columns.items()}
+                out[ks] = bound(rows, ks, n, dict(c, margin=block.margin[ks]),
+                                margin_kind)
+    return out
+
+
+def _operator_bound(rows, ks, n, c, margin_kind):
+    factor, expect, lhs = c["rhs_factor"], c["expectation"], c["lhs"]
+    e = _weight_error(rows.vectors("x", ks, n))
+    k0, k1 = _F_CONDITION[rows.region["triple"]]
     d_expect = e * expect + 10 * _U * (1.0 + expect)
     d_lhs = (k0 + k1 * lhs) * e + 10 * _U * (1.0 + lhs)
-    return 2.0 * (c * d_expect + 13 * _U * c * expect + _U * rhs + d_lhs
-                  + _U * abs(candidate["margin_double"]))
+    return 2.0 * (factor * d_expect + 13 * _U * factor * expect
+                  + _U * c["rhs"] + d_lhs + _U * np.abs(c["margin"]))
 
 
-def _chain_bound(candidate: dict, d_lhs: float, d_mid: float,
-                 d_rhs: float) -> float:
+def _chain_bound(c: dict, margin_kind, d_lhs, d_mid, d_rhs):
     """The margin's bound from the bounds on the three chain terms."""
-    if candidate.get("margin_kind") == "outer":
-        return 2.0 * (d_rhs + d_lhs + _U * abs(candidate["margin_double"]))
-    m1, m2 = candidate["extras"]["margins"]
-    return 2.0 * max(d_mid + d_lhs + _U * abs(m1),
-                     d_rhs + d_mid + _U * abs(m2))
+    if margin_kind == "outer":
+        return 2.0 * (d_rhs + d_lhs + _U * np.abs(c["margin"]))
+    return 2.0 * np.maximum(d_mid + d_lhs + _U * np.abs(c["m1"]),
+                            d_rhs + d_mid + _U * np.abs(c["m2"]))
 
 
-def _tempered_log_error(candidate: dict, log):
-    """(n, dL, dmid) for kyfan and amgm, whose L sums q log(...) over a."""
-    a = candidate["inputs"]["a"]
-    extras = candidate["extras"]
-    r = candidate["inputs"]["alpha"] / extras["beta"]
-    t = _log_extent(a, log)
-    d_l = _log_sum_error(len(a), t)
-    return len(a), d_l, extras["chain"][1] * (r * d_l + 4 * _U * r * t + _FN)
+def _tempered_log_error(rows, ks, n, c, log):
+    """(dL, dmid) for kyfan and amgm, whose L sums q log(...) over a."""
+    r = rows["alpha"][ks] / c["beta"]
+    t = _log_extent(rows.vectors("a", ks, n), log)
+    d_l = _log_sum_error(n, t)
+    return d_l, c["mid"] * (r * d_l + 4 * _U * r * t + _FN)
 
 
-def _kyfan_bound(candidate: dict) -> float:
-    lhs, _, rhs = candidate["extras"]["chain"]
-    n, d_l, d_mid = _tempered_log_error(
-        candidate, lambda t: math.log((1.0 - t) / t))
-    return _chain_bound(candidate, (2 * n + 2) * _U * lhs, d_mid,
-                        rhs * (d_l + _FN))
+def _kyfan_bound(rows, ks, n, c, margin_kind):
+    d_l, d_mid = _tempered_log_error(rows, ks, n, c,
+                                     lambda t: _logs((1.0 - t) / t))
+    return _chain_bound(c, margin_kind, (2 * n + 2) * _U * c["lhs"], d_mid,
+                        c["rhs"] * (d_l + _FN))
 
 
-def _amgm_bound(candidate: dict) -> float:
-    lhs, _, rhs = candidate["extras"]["chain"]
-    n, d_l, d_mid = _tempered_log_error(candidate, math.log)
-    return _chain_bound(candidate, lhs * (d_l + _FN), d_mid, n * _U * rhs)
+def _amgm_bound(rows, ks, n, c, margin_kind):
+    d_l, d_mid = _tempered_log_error(rows, ks, n, c, _logs)
+    return _chain_bound(c, margin_kind, c["lhs"] * (d_l + _FN), d_mid,
+                        n * _U * c["rhs"])
 
 
-def _chrystal_bound(candidate: dict) -> float:
-    inst, extras = candidate["inputs"], candidate["extras"]
-    lhs, mid, rhs = extras["chain"]
-    a, b, n = inst["a"], inst["b"], len(inst["a"])
-    r = inst["alpha"] / extras["beta"]
-    t_a, t_b = _log_extent(a, math.log), _log_extent(b, math.log)
-    t_ab = _log_extent([x + y for x, y in zip(a, b)], math.log)
+def _chrystal_bound(rows, ks, n, c, margin_kind):
+    a, b = rows.vectors("a", ks, n), rows.vectors("b", ks, n)
+    r = rows["alpha"][ks] / c["beta"]
+    t_a, t_b, t_ab = (_log_extent(m, _logs) for m in (a, b, a + b))
     d_la, d_lb, d_lab = (_log_sum_error(n, t) for t in (t_a, t_b, t_ab))
-    s = abs(r - 1.0)
+    s = np.abs(r - 1.0)
     d_y = (r * d_lab + 4 * _U * r * t_ab + s * d_lb
            + (3 * _U * r + 2 * _U * s) * t_b
            + _U * (r * t_ab + s * t_b))
-    return _chain_bound(candidate, lhs * (max(d_la, d_lb) + _FN + _U),
-                        mid * (d_y + _FN), rhs * (d_lab + _FN))
+    return _chain_bound(c, margin_kind,
+                        c["lhs"] * (np.maximum(d_la, d_lb) + _FN + _U),
+                        c["mid"] * (d_y + _FN), c["rhs"] * (d_lab + _FN))
 
 
-def _holder_mccarthy_bound(candidate: dict) -> float:
-    inst = candidate["inputs"]
-    lhs, mid, rhs = candidate["extras"]["chain"]
-    e = _weight_error(inst["x"])
-    return _chain_bound(candidate, (inst["p"] * e + _FN) * lhs,
-                        (e + 12 * _U) * mid, (e + _FN) * rhs)
+def _holder_mccarthy_bound(rows, ks, n, c, margin_kind):
+    e = _weight_error(rows.vectors("x", ks, n))
+    return _chain_bound(c, margin_kind, (rows["p"][ks] * e + _FN) * c["lhs"],
+                        (e + 12 * _U) * c["mid"], (e + _FN) * c["rhs"])
 
 
-def _weight_error(x) -> float:
-    """e = (n+1)u + w of margin_bound for a vector of n components."""
-    n = len(x)
-    return abs(math.fsum(t * t for t in x) - 1.0) + (4 * n + 10) * _U
+def _weight_error(x: np.ndarray) -> np.ndarray:
+    """e = (n+1)u + w of margin_bound for rows x of n components.  fsum adds
+    each row's squares exactly; numpy's sum would be off by up to
+    (n-1)u |x|^2 more."""
+    squares = map(math.fsum, (x * x).tolist())
+    return np.abs(np.fromiter(squares, float, x.shape[0]) - 1.0) \
+        + (4 * x.shape[1] + 10) * _U
 
 
-def _log_extent(values, log) -> float:
-    """max |log(t)| over values, read at the two extremes."""
-    return max(abs(log(min(values))), abs(log(max(values))))
+def _logs(t: np.ndarray) -> np.ndarray:
+    """math.log element by element, nan where it raises: numpy's log may
+    round otherwise."""
+    out = np.full(t.shape, math.nan)
+    ok = t > 0.0
+    out[ok] = list(map(math.log, t[ok].tolist()))
+    return out
 
 
-def _log_sum_error(n: int, extent: float) -> float:
+def _log_extent(values: np.ndarray, log) -> np.ndarray:
+    """max |log(t)| over each row of values, read at its two extremes."""
+    return np.maximum(np.abs(log(values.min(1))), np.abs(log(values.max(1))))
+
+
+def _log_sum_error(n: int, extent):
     return (n + 8) * _U * extent + 3 * _U
 
 
 def bound_status(margin: float, bound: float, feasible: bool):
     """(confirmed, demotion) that confirm gives when the exact margin lies
     within ``bound`` of ``margin``; None when it could fall either way.
+    It is _bound_statuses on one row."""
+    return _STATUSES[int(_bound_statuses(
+        np.array([margin]), np.array([bound]), np.array([feasible]))[0])]
+
+
+def _bound_statuses(margin: np.ndarray, bound: np.ndarray,
+                    feasible) -> np.ndarray:
+    """bound_status over arrays, as indices into _STATUSES.
 
     confirm rounds the 60-digit margin to a double and tests it against 0
-    and CONFIRM_THRESHOLD.  The status is decided here only when
+    and CONFIRM_THRESHOLD.  A row's status is decided here only when
     [margin - bound, margin + bound] misses both edges by more than one
     ulp, so that rounding cannot carry the exact value across either.
     Rounding is monotone, so computing the two ends in doubles loses
     nothing.  Every point of the interval then has the status of margin.
+    A nan margin or bound decides nothing.
     """
-    lo, hi = margin - bound, margin + bound
+    with np.errstate(all="ignore"):
+        lo, hi = margin - bound, margin + bound
+    near = np.isnan(margin) | np.isnan(bound)
     for edge in (0.0, CONFIRM_THRESHOLD):
-        if lo <= math.nextafter(edge, math.inf) \
-                and hi >= math.nextafter(edge, -math.inf):
-            return None
-    return _status(margin, feasible)
+        near |= (lo <= np.nextafter(edge, math.inf)) \
+            & (hi >= np.nextafter(edge, -math.inf))
+    return np.where(near, 0, _statuses(margin, feasible))
 
 
 # ---------------------------------------------------------------------------
@@ -1347,7 +1392,10 @@ class TargetRules:
     # their own; hp gives each row's 60-digit margin, flags None and the
     # extras confirm adds
     evaluate: Callable
-    bound: Callable | None = None  # candidate -> margin_bound's B or None
+    # (rows, ks, n, c, margin_kind) -> margin_bound's B over the rows ks,
+    # all of size n, from c (their Block's columns and margins) and the
+    # rows' vectors (see _margin_bounds); None: no bound is derived
+    bound: Callable | None = None
     # (lists, numbers, cap, key) by which _instance_rows reads instance
     # dicts into the arrays; None: every row one at a time.  key(inst) gives
     # a row's region, None for a row read on its own
@@ -1430,57 +1478,93 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     drawn columns.  The samples whose first draw is refused, fails to
     evaluate or is infeasible are drawn on from their streams by _retry,
     the per-sample loop run over them together, which counts all their
-    draws; the others count one draw each.  Instance dicts are built only
-    for the rows a report keeps: candidates and a new arg-min.
+    draws; the others count one draw each.
+
+    A block's candidates stay indices into its columns (a replayed row's
+    into its retry round's).  Their rounding-error bounds and the statuses
+    those settle are computed over arrays, and a settled candidate is only
+    counted (``confirmed``, ``demotions``).  Dicts are built only for the
+    candidates that leave the chunk, in index order with their statuses
+    (None: unsettled): its first witness_cap candidates, its arg-min and
+    the unsettled ones; ``found`` counts all candidates.  An arg-min that
+    is no candidate gets an instance dict only, where a block finds it.
     """
     c = Campaign(**campaign_json)
     evaluate = RULES[c.target].evaluate
     streams = _Streams(c.seed)
-    drawn = rejected = 0
-    min_margin = math.inf
-    argmin = None
-    candidates = []
+    drawn = rejected = found = 0
+    min_margin, argmin = math.inf, None
+    tally = np.zeros(len(_STATUSES), dtype=np.int64)  # the rows only counted
+    out = []  # (candidate, status) of the rows that leave
+    held = None  # (candidate, status index) of an arg-min only it keeps
     for lo in range(start, stop, BLOCK_SIZE):
         rngs = streams.many(range(lo, min(lo + BLOCK_SIZE, stop)))
         rows = _draw_staged(rngs, c.target, c.region)
         block = evaluate(rows, c.margin_kind)
         margins = np.where(block.accepted, block.margin, math.nan)
-        replayed = {}
+        bounds = _margin_bounds(rows, block, c.margin_kind,
+                                margins < CANDIDATE_THRESHOLD)
+        source = {}  # a replayed row -> (rows, block, row) it comes from
         missing = np.flatnonzero(~block.accepted).tolist()
-        for j, (tries, found) in zip(
+        for j, (tries, got) in zip(
                 missing, _retry([rngs[j] for j in missing], c)):
             drawn += tries
-            rejected += tries - (found is not None)
-            if found is None:
+            rejected += tries - (got is not None)
+            if got is None:
                 raise EmptyRegion(
                     f"{c.target}: no feasible draw after {RETRY_CAP} tries "
                     f"at sample {lo + j}",
                     drawn=drawn + int(np.count_nonzero(block.accepted[:j])),
                     rejected=rejected)
-            replayed[j] = found
-            margins[j] = found[1]
+            r, b, k, bound = got
+            source[j] = r, b, k
+            margins[j], bounds[j] = b.margin[k], bound
         drawn += int(np.count_nonzero(block.accepted))
         # NaN margins are never a candidate or the arg-min
-        leaving = np.flatnonzero(margins < CANDIDATE_THRESHOLD).tolist()
-        best = None
+        cand = np.flatnonzero(margins < CANDIDATE_THRESHOLD)
+        status = _bound_statuses(margins[cand], bounds[cand], True)
+        leaves = status == 0
+        leaves[:max(0, c.witness_cap - found)] = True
+        found += cand.size
+        best = held_at = None
         if not np.isnan(margins).all():
             best = int(np.nanargmin(margins))  # the first of equal minima
             if margins[best] < min_margin:
-                leaving = sorted({*leaving, best})
+                if held is not None:  # no longer the arg-min: counted
+                    tally[held[1]] += 1
+                    held = None
+                at = int(np.searchsorted(cand, best))
+                if at < cand.size and cand[at] == best and not leaves[at]:
+                    leaves[at], held_at = True, best
             else:
                 best = None
-        rows.instances([j for j in leaving if j not in replayed])
-        for j in leaving:
-            found = replayed.get(j) or (rows.insts[j], *block.row(j))
-            if margins[j] < CANDIDATE_THRESHOLD:
-                candidates.append({"index": lo + j, "inputs": found[0],
-                                   "margin_double": found[1],
-                                   "flags": found[2], "extras": found[3],
-                                   "margin_kind": c.margin_kind})
-            if j == best:
-                min_margin, argmin = float(margins[j]), (lo + j, found[0])
+        tally += np.bincount(status[~leaves], minlength=len(_STATUSES))
+        ks = cand[leaves].tolist()
+        rows.instances([j for j in ks + [best]
+                        if j is not None and j not in source])
+        for j, code in zip(ks, status[leaves].tolist()):
+            r, b, k = source.get(j, (rows, block, j))
+            margin, flags, extras = b.row(k)
+            pair = ({"index": lo + j, "inputs": r.instances([k])[0],
+                     "margin_double": margin, "flags": flags,
+                     "extras": extras, "margin_kind": c.margin_kind},
+                    _STATUSES[code])
+            if j == held_at:
+                held = pair, code
+            else:
+                out.append(pair)
+        if best is not None:
+            r, _, k = source.get(best, (rows, block, best))
+            min_margin = float(margins[best])
+            argmin = lo + best, r.instances([k])[0]
+    if held is not None:
+        bisect.insort(out, held[0], key=lambda pair: pair[0]["index"])
     return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
-            "argmin": argmin, "candidates": candidates,
+            "argmin": argmin, "candidates": [cand for cand, _ in out],
+            "statuses": [status for _, status in out], "found": found,
+            "confirmed": int(tally[1]),
+            "demotions": {s[1]: n for s, n in zip(_STATUSES[2:],
+                                                   tally[2:].tolist()) if n},
             "counted": stop - start}
 
 
@@ -1488,7 +1572,8 @@ def _retry(rngs: list, c: Campaign) -> list:
     """The per-sample loop, from its second draw on, over the samples whose
     first draw was not accepted, each drawing on from its stream ``rngs``
     where that draw left it: for each, (draws made, the first included,
-    (inst, margin, flags, extras) of its first feasible draw), or
+    (rows, block, k, bound) of its first feasible draw: row k of a round's
+    rows and Block, and its margin_bound if it is a candidate), or
     (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each round draws
     the samples still open as a staged block and evaluates it as one."""
     evaluate = RULES[c.target].evaluate
@@ -1499,9 +1584,11 @@ def _retry(rngs: list, c: Campaign) -> list:
             break
         rows = _draw_staged([rngs[j] for j in open_], c.target, c.region)
         block = evaluate(rows, c.margin_kind)
+        bounds = _margin_bounds(rows, block, c.margin_kind, block.accepted
+                                & (block.margin < CANDIDATE_THRESHOLD))
         done = np.flatnonzero(block.accepted).tolist()
-        for k, inst in zip(done, rows.instances(done)):
-            found[open_[k]] = tries, (inst, *block.row(k))
+        for k in done:
+            found[open_[k]] = tries, (rows, block, k, bounds[k])
         done = set(done)
         open_ = [j for k, j in enumerate(open_) if k not in done]
     return found
@@ -1515,8 +1602,10 @@ def _chunks(n: int, workers: int):
 def run_campaign(campaign: Campaign) -> dict:
     """Execute a campaign; returns the JSON-ready report.
 
-    The report is byte-deterministic given the campaign (wall_time_s is
-    attached by the CLI envelope, not here).
+    The samples are split into one chunk per worker (_run_range), and
+    _merge joins the chunks' aggregates.  The report is byte-deterministic
+    given the campaign (wall_time_s is attached by the CLI envelope, not
+    here).
     """
     t0 = time.perf_counter()
     rules = RULES[campaign.target]
@@ -1530,39 +1619,50 @@ def run_campaign(campaign: Campaign) -> dict:
                                   [s[1] for s in spans]))
     else:
         parts = [_run_range(cj, lo, hi) for lo, hi in spans]
+    report = _merge(campaign, parts)
+    if rules.pinned is not None:
+        pinned = replay_witness({"inputs": dict(rules.pinned)})
+        report["pinned_instance"] = {k: v for k, v in pinned.items()
+                                     if k not in ("index", "margin_kind")}
+    report["elapsed_s"] = time.perf_counter() - t0
+    return report
 
+
+def _merge(campaign: Campaign, parts: list) -> dict:
+    """The report of the chunks ``parts`` of [0, samples), in index order.
+
+    The chunks' returned candidates, joined in order, begin with the
+    campaign's first witness_cap candidates: the reported witnesses.
+    Reported witnesses carry their 60-digit margins, so they and the
+    arg-min always run confirm, as do the candidates no bound settled; a
+    chunk counted the rest, and the returned ones with a status are
+    counted by it.
+    """
     drawn = sum(p["drawn"] for p in parts)
     rejected = sum(p["rejected"] for p in parts)
     counted = sum(p["counted"] for p in parts)
     min_margin = math.inf
     argmin = None
-    candidates = []
+    n_confirmed = 0
+    demotions = {}
+    rows = []
     for p in parts:  # chunk order == index order: deterministic merge
         if p["argmin"] is not None and p["min_margin"] < min_margin:
             min_margin = p["min_margin"]
             argmin = p["argmin"]
-        candidates.extend(p["candidates"])
+        rows.extend(zip(p["candidates"], p["statuses"]))
+        n_confirmed += p["confirmed"]
+        for name, n in p["demotions"].items():
+            demotions[name] = demotions.get(name, 0) + n
 
-    # reported witnesses carry their 60-digit margins, so they always run
-    # confirm; the others take their status from the rounding-error bound
-    # when it settles it
-    head = candidates[:campaign.witness_cap]
+    head = [cand for cand, _ in rows[:campaign.witness_cap]]
     reported = {c["index"] for c in head}
     if argmin is not None:
         reported.add(argmin[0])
     witnesses = {}
-    n_confirmed = 0
-    demotions = {}
-    for cand in candidates:
-        status = None
-        if cand["index"] not in reported:
-            bound = margin_bound(cand)
-            if bound is not None:
-                status = bound_status(cand["margin_double"], bound,
-                                      rules.feasible(cand["flags"]))
-        if status is None:
-            w = confirm(cand)
-            witnesses[cand["index"]] = w
+    for cand, status in rows:
+        if cand["index"] in reported or status is None:
+            w = witnesses[cand["index"]] = confirm(cand)
             status = w["confirmed"], w["demotion"]
         n_confirmed += status[0]
         if status[1]:
@@ -1575,13 +1675,13 @@ def run_campaign(campaign: Campaign) -> dict:
         kept = kept[:-1] + hit if len(kept) >= campaign.witness_cap \
             else kept + hit
 
-    report = {
-        "campaign": cj,
+    return {
+        "campaign": campaign.to_json(),
         "counts": {"drawn": drawn, "counted": counted, "rejected": rejected},
         "min_margin": min_margin,
         "argmin": None if argmin is None else
             {"index": argmin[0], "inputs": argmin[1]},
-        "witness_stats": {"candidates": len(candidates),
+        "witness_stats": {"candidates": sum(p["found"] for p in parts),
                           "confirmed": n_confirmed,
                           "demotions": demotions,
                           "reported": len(kept)},
@@ -1591,12 +1691,6 @@ def run_campaign(campaign: Campaign) -> dict:
         "tolerances": {"candidate_threshold": CANDIDATE_THRESHOLD,
                        "confirm_threshold": CONFIRM_THRESHOLD},
     }
-    if rules.pinned is not None:
-        pinned = replay_witness({"inputs": dict(rules.pinned)})
-        report["pinned_instance"] = {k: v for k, v in pinned.items()
-                                     if k not in ("index", "margin_kind")}
-    report["elapsed_s"] = time.perf_counter() - t0
-    return report
 
 
 def replay_witness(witness: dict) -> dict:

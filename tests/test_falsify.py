@@ -580,6 +580,34 @@ def test_margin_bound_bits_match_digests(target, margin_kind):
     assert bits.hexdigest() == SCALAR_BOUND_DIGESTS[target, margin_kind]
 
 
+@pytest.mark.parametrize("target, margin_kind", list(SCALAR_BOUND_DIGESTS),
+                         ids=[f"{t}/{k}" for t, k in SCALAR_BOUND_DIGESTS])
+def test_array_bound_is_no_smaller_than_the_scalar_bound(target, margin_kind):
+    # campaigns bound their candidates over drawn blocks of the same draws;
+    # margin_bound on each draw's dict still gives the scalar derivation's
+    # bits (SCALAR_BOUND_DIGESTS).  Where the two differ, the block's bound
+    # must be the larger, and it is nan just where margin_bound is None.
+    # The dicts are the rows' own, which evaluate_instance reproduces
+    # (test_drawn_columns_and_instance_dicts_agree).
+    region = Campaign(target, 1, 1).region
+    streams = _Streams(GOLDEN_SEED)
+    for lo in range(0, 1000, BLOCK_SIZE):
+        rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
+                            target, region)
+        block = RULES[target].evaluate(rows, margin_kind)
+        bounds = falsify._margin_bounds(rows, block, margin_kind,
+                                        np.ones(rows.size, dtype=bool))
+        for k, bound in enumerate(bounds.tolist()):
+            if math.isnan(block.margin[k]):  # refused, or no margin
+                assert math.isnan(bound), lo + k
+                continue
+            margin, flags, extras = block.row(k)
+            scalar = margin_bound({"inputs": rows.instances([k])[0],
+                                   "margin_double": margin, "flags": flags,
+                                   "extras": extras, "margin_kind": margin_kind})
+            assert scalar is not None and bound >= scalar, (lo + k, bound)
+
+
 # (target, region, streams, draws from each, digest): sha256 over, draw
 # after draw, repr((inst, setup)) of the draw or the exception class name
 # it raised, then repr(rng.random()) taken right after it, which pins where
@@ -800,6 +828,45 @@ def test_only_the_rows_a_report_keeps_are_built():
     assert got["argmin"] is not None
 
 
+def test_a_chunk_returns_as_many_rows_for_more_samples():
+    # operator-jensen makes ~95% of samples candidates: a chunk of 3 blocks
+    # and one of 12 return the same candidate dicts' count, the first
+    # witness_cap, the arg-min and the unsettled ones, and build no other
+    # instance dict than an arg-min a later block replaced
+    built, build, returned = [], falsify.Sampler.build, []
+
+    def counting(self, rows, ks):
+        built.append(len(ks))
+        return build(self, rows, ks)
+    campaign = Campaign("operator-jensen", 1, 7)
+    for blocks in (3, 12):
+        built.clear()
+        with mock.patch.object(falsify.Sampler, "build", counting):
+            got = _run_range(campaign.to_json(), 0, blocks * BLOCK_SIZE)
+        rows = len(got["candidates"])
+        assert got["found"] > 0.9 * blocks * BLOCK_SIZE
+        assert rows <= WITNESS_CAP + 1 + got["statuses"].count(None)
+        assert sum(built) <= rows + blocks, built
+        returned.append(rows)
+    assert returned[0] == returned[1]
+
+
+def test_chunks_merge_as_one_range():
+    # the first chunk holds fewer candidates than witness_cap and the
+    # second the arg-min: the reported head joins the first chunk's
+    # candidates to a prefix of the second's
+    campaign = Campaign("operator-jensen", 600, GOLDEN_SEED)
+    cj, k = campaign.to_json(), 20
+    parts = [_run_range(cj, 0, k), _run_range(cj, k, campaign.samples)]
+    split = falsify._merge(campaign, parts)
+    whole = falsify._merge(campaign, [_run_range(cj, 0, campaign.samples)])
+    assert 0 < parts[0]["found"] < WITNESS_CAP < parts[1]["found"]
+    assert whole["argmin"]["index"] >= k
+    for key in ("witness_stats", "witnesses", "argmin", "min_margin"):
+        assert split[key] == whole[key], key
+    assert _report_bytes(split) == _report_bytes(whole)
+
+
 # rows of a block get odd values here, so that some rows raise, some are
 # infeasible and some leave the arrays for the one-at-a-time evaluation
 _ODD_VALUES = (0.0, -0.0, -1.0, 1, 2, 0.5, 0.75, 1e308, -1e308, 5e-324,
@@ -918,7 +985,10 @@ def test_operator_draws_evaluations_and_confirms_build_no_triple():
 
 def _reference_range(campaign, start, stop):
     """What _run_range gives, from the per-sample loop: every sample drawn
-    until feasible and evaluated on its own."""
+    until feasible and evaluated on its own, and each candidate's status
+    from margin_bound and bound_status on its own dict.  The candidates
+    returned are the first witness_cap, the arg-min and the unsettled
+    ones; the others are counted."""
     drawn = rejected = 0
     min_margin, argmin, candidates = math.inf, None, []
     for i in range(start, stop):
@@ -942,9 +1012,24 @@ def _reference_range(campaign, start, stop):
                                "margin_double": margin, "flags": flags,
                                "extras": extras,
                                "margin_kind": campaign.margin_kind})
+    kept, statuses, counts = [], [], {}
+    for k, cand in enumerate(candidates):
+        bound = margin_bound(cand)
+        status = None if bound is None else bound_status(
+            cand["margin_double"], bound, True)
+        if k < campaign.witness_cap or status is None \
+                or cand["index"] == argmin[0]:
+            kept.append(cand)
+            statuses.append(status)
+        else:
+            counts[status] = counts.get(status, 0) + 1
+    demotions = {name: counts[False, name] for name in (
+        "float-noise", "below-threshold", "infeasible-flags")
+        if (False, name) in counts}
     return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
-            "argmin": argmin, "candidates": candidates,
-            "counted": stop - start}
+            "argmin": argmin, "candidates": kept, "statuses": statuses,
+            "found": len(candidates), "confirmed": counts.get((True, None), 0),
+            "demotions": demotions, "counted": stop - start}
 
 
 @pytest.mark.parametrize("target, region, margin_kind", [
