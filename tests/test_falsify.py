@@ -792,13 +792,13 @@ def test_staged_draws_match_draws_of_one(target, region):
                  else ("refined",))])
 def test_drawn_columns_and_instance_dicts_agree(target, region, margin_kind):
     # a kernel fed a drawn block's columns gives each row what
-    # evaluate_instance gives for the row's built dict, on blocks starting
-    # at two indices, whose groups leave refused rows out
+    # evaluate_instance gives for the row's built dict, on two blocks of
+    # other rows, whose groups leave refused rows out
     size = BLOCK_SIZE
     if target == "certificates":
         region, size = {**region, "grid": [16, 16]}, 6
     region = Campaign(target, 1, 1, region=region).region
-    for lo in (3, 0):
+    for lo in (3, size + 3):
         rows = _draw_staged(_Streams(GOLDEN_SEED).many(range(lo, lo + size)),
                             target, region)
         block = RULES[target].evaluate(rows, margin_kind)
