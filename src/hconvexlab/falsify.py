@@ -1496,7 +1496,7 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     min_margin, argmin = math.inf, None
     tally = np.zeros(len(_STATUSES), dtype=np.int64)  # the rows only counted
     out = []  # (candidate, status) of the rows that leave
-    held = None  # (candidate, status index) of an arg-min only it keeps
+    held = None  # (candidate, status index) of an arg-min in the tally
     for lo in range(start, stop, BLOCK_SIZE):
         rngs = streams.many(range(lo, min(lo + BLOCK_SIZE, stop)))
         rows = _draw_staged(rngs, c.target, c.region)
@@ -1526,39 +1526,30 @@ def _run_range(campaign_json: dict, start: int, stop: int):
         leaves = status == 0
         leaves[:max(0, c.witness_cap - found)] = True
         found += cand.size
-        best = held_at = None
-        if not np.isnan(margins).all():
-            best = int(np.nanargmin(margins))  # the first of equal minima
-            if margins[best] < min_margin:
-                if held is not None:  # no longer the arg-min: counted
-                    tally[held[1]] += 1
-                    held = None
-                at = int(np.searchsorted(cand, best))
-                if at < cand.size and cand[at] == best and not leaves[at]:
-                    leaves[at], held_at = True, best
-            else:
-                best = None
         tally += np.bincount(status[~leaves], minlength=len(_STATUSES))
         ks = cand[leaves].tolist()
+        best = None
+        if not np.isnan(margins).all():
+            best = int(np.nanargmin(margins))  # the first of equal minima
+            if margins[best] >= min_margin:
+                best = None
         rows.instances([j for j in ks + [best]
                         if j is not None and j not in source])
         for j, code in zip(ks, status[leaves].tolist()):
-            r, b, k = source.get(j, (rows, block, j))
-            margin, flags, extras = b.row(k)
-            pair = ({"index": lo + j, "inputs": r.instances([k])[0],
-                     "margin_double": margin, "flags": flags,
-                     "extras": extras, "margin_kind": c.margin_kind},
-                    _STATUSES[code])
-            if j == held_at:
-                held = pair, code
-            else:
-                out.append(pair)
+            got = source.get(j, (rows, block, j))
+            out.append((_candidate(c, lo + j, *got), _STATUSES[code]))
         if best is not None:
-            r, _, k = source.get(best, (rows, block, best))
+            r, b, k = source.get(best, (rows, block, best))
             min_margin = float(margins[best])
             argmin = lo + best, r.instances([k])[0]
-    if held is not None:
-        bisect.insort(out, held[0], key=lambda pair: pair[0]["index"])
+            at = int(np.searchsorted(cand, best))
+            held = None
+            if margins[best] < CANDIDATE_THRESHOLD and not leaves[at]:
+                held = _candidate(c, lo + best, r, b, k), int(status[at])
+    if held is not None:  # the arg-min leaves, so it leaves the tally
+        tally[held[1]] -= 1
+        bisect.insort(out, (held[0], _STATUSES[held[1]]),
+                      key=lambda pair: pair[0]["index"])
     return {"drawn": drawn, "rejected": rejected, "min_margin": min_margin,
             "argmin": argmin, "candidates": [cand for cand, _ in out],
             "statuses": [status for _, status in out], "found": found,
@@ -1566,6 +1557,15 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "demotions": {s[1]: n for s, n in zip(_STATUSES[2:],
                                                    tally[2:].tolist()) if n},
             "counted": stop - start}
+
+
+def _candidate(c: Campaign, index: int, rows: _Rows, block: Block,
+               k: int) -> dict:
+    """The candidate dict of sample ``index``, row k of a block."""
+    margin, flags, extras = block.row(k)
+    return {"index": index, "inputs": rows.instances([k])[0],
+            "margin_double": margin, "flags": flags, "extras": extras,
+            "margin_kind": c.margin_kind}
 
 
 def _retry(rngs: list, c: Campaign) -> list:
