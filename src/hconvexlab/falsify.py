@@ -30,21 +30,21 @@ draw with smaller actual spread stays feasible); the post-hoc flags remain
 the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
-Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from
-a generator of its own.  A target's sampler is a sequence of steps, each
+Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from a
+generator of its own.  A target's sampler is a sequence of steps, each
 one Generator call and the transforms around it, and a block runs them
 stage by stage.  A step's Generator call is made row by row, from the
 sample's own stream and only for the rows that passed the step's check:
 rng.random() for a scalar uniform, rng.integers for the size n (or dim),
 then the vector uniforms and the standard exponentials or normals.  Its
-transforms then run once over the block, as arrays grouped by n:
-lo + (hi - lo) * u as Generator.uniform computes it, math's exp, log and
-log1p mapped element by element, the gate interval (the gate family's
-core in numpy ops, as TripleRule.gate_rows computes it), Dirichlet
-weights and unit vectors.  A row is refused where drawing the sample on
-its own would raise (numpy's uniform refuses a negative, -0.0 or
-non-finite hi - lo), and its stream is left where that draw left it when
-it raised; a unit vector is drawn again in place.  _draw and
+transforms then run once over the block, a vector as one array padded to
+the largest n: lo + (hi - lo) * u as Generator.uniform computes it,
+math's exp, log and log1p mapped element by element, the gate interval
+(the gate family's core in numpy ops, as TripleRule.gate_rows computes
+it), Dirichlet weights and unit vectors.  A row is refused where drawing
+the sample on its own would raise (numpy's uniform refuses a negative,
+-0.0 or non-finite hi - lo), and its stream is left where that draw left
+it when it raised; a unit vector is drawn again in place.  _draw and
 draw_instance are a block of one, which raises what refused its row.
 
 Block evaluation: in doubles, an operator or chain target's margin is its
@@ -334,13 +334,13 @@ class _Step:
 class _Rows(Refusals):
     """A block of rows of one target by name, as a draw leaves them and a
     kernel takes them: a scalar value is an array over the rows, a vector
-    value a list of (rows, n, matrix) groups of one size n (a later group
-    holds a row over an earlier one), and ``region`` the values all rows
-    share.  As Refusals, it refuses the rows whose draw on its own raises,
-    with what it raises in ``errors`` (None: a row that draws again).
+    value a (rows, width) array of rows of sizes[k] entries padded as
+    _padded pads them, and ``region`` the values all rows share.  As
+    Refusals, it refuses the rows whose draw on its own raises, with what
+    it raises in ``errors`` (None: a row that draws again).
     ``insts`` holds the rows' instance dicts by row: all of them for rows
-    read from dicts, of which ``single`` lists those the arrays do not
-    hold, and those built so far for drawn rows."""
+    read from dicts, of which those the arrays do not hold (single rows)
+    have size 0, and those built so far for drawn rows."""
 
     def __init__(self, size: int, region: dict | None = None):
         super().__init__(size)
@@ -351,7 +351,6 @@ class _Rows(Refusals):
         self.target = None
         self.region = region or {}
         self.insts = {}
-        self.single = []
 
     refuse = Refusals.__call__
 
@@ -365,22 +364,15 @@ class _Rows(Refusals):
     def __setitem__(self, name, value):
         self.values[name] = value
 
-    def groups(self) -> list:
-        """(rows, n) of the rows the arrays hold, neither refused nor
-        single, by their size n."""
-        live = self.ok.copy()
-        live[self.single] = False
-        return [(np.flatnonzero(live & (self.sizes == n)), n)
-                for n in sorted(set(self.sizes[live].tolist()))]
+    def live(self) -> np.ndarray:
+        """The rows the arrays hold that are not refused."""
+        return np.flatnonzero(self.ok & (self.sizes > 0))
 
-    def vectors(self, name: str, ks: np.ndarray, n: int) -> np.ndarray:
-        """The (rows ks, n) matrix of the vector value ``name``; rows ks
-        are all of size n."""
-        out = np.empty((self.size, n))
-        for group, size, m in self.values[name]:
-            if size == n:
-                out[group] = m
-        return out[ks]
+    def put(self, name: str, ks, m: np.ndarray) -> None:
+        """Rows ks of the vector value ``name``; rows not put read nan."""
+        if name not in self.values:
+            self.values[name] = np.full((self.size, m.shape[1]), math.nan)
+        self.values[name][ks] = m
 
     def instances(self, ks) -> list:
         """The instance dicts of rows ks; those of drawn rows are built from
@@ -433,11 +425,6 @@ class _Rows(Refusals):
         return lo, span
 
 
-def _at(x, ks):
-    """A value of rows ks as a column against their vectors."""
-    return x[ks, None] if isinstance(x, np.ndarray) else x
-
-
 def _region(key: str) -> Callable:
     return lambda rows, region: region[key]
 
@@ -453,10 +440,9 @@ def _uniform(name, ends: Callable, per_n: int = 0) -> _Step:
         if not per_n:
             rows[name] = lo + span * u
             return
-        parts = (name,) if isinstance(name, str) else name
-        for j, part in enumerate(parts):
-            rows[part] = [(ks, n, _at(lo, ks) + _at(span, ks)
-                           * m[:, j * n:(j + 1) * n]) for ks, n, m in u]
+        ks, u = u
+        for part, m in zip((name,) if isinstance(name, str) else name, u):
+            rows.put(part, ks, lo[ks, None] + span[ks, None] * m)
     return _Step("random", apply, per_n, check)
 
 
@@ -486,29 +472,25 @@ def _weights(name: str) -> _Step:
     gamma of shape 1), sums them left to right from 0.0 and scales each by
     the reciprocal of the sum."""
     def apply(rows, region, exponentials):
-        weights = []
-        for ks, n, e in exponentials:
-            acc = 0.0
-            for j in range(n):
-                acc = acc + e[:, j]
-            rows.refuse(acc == 0.0, lambda j: ZeroDivisionError(
-                "float division by zero"), ks)
-            weights.append((ks, n, e * (1.0 / acc)[:, None]))
-        rows[name] = weights
+        ks, (e,) = exponentials
+        acc = np.zeros(ks.size)
+        for j in range(e.shape[1]):  # a pad adds 0.0
+            acc = acc + e[:, j]
+        rows.refuse(acc == 0.0, lambda j: ZeroDivisionError(
+            "float division by zero"), ks)
+        rows.put(name, ks, e * (1.0 / acc)[:, None])
     return _Step("standard_exponential", apply, 1)
 
 
 def _unit_vector(name: str) -> _Step:
     """standard_normal(dim) over its norm, drawn again while the norm is at
     most 1e-6; the norm is np.linalg.norm's, math.sqrt(x.dot(x)).  A row
-    drawn again adds a later group, which _listed reads over the earlier."""
+    drawn again is written over in place."""
     def apply(rows, region, normals):
-        units = []
-        for ks, n, x in normals:
-            norm = np.sqrt(_dots(x, x))
-            rows.refuse(~(norm > 1e-6), None, ks)
-            units.append((ks, n, x / norm[:, None]))
-        rows[name] = rows.values.get(name, []) + units
+        ks, (x,) = normals
+        norm = np.sqrt(_dots(x, x, rows.sizes[ks]))
+        rows.refuse(~(norm > 1e-6), None, ks)
+        rows.put(name, ks, x / norm[:, None])
     return _Step("standard_normal", apply, 1, redraw=True)
 
 
@@ -618,10 +600,13 @@ class Sampler:
 
     def build(self, rows: _Rows, ks) -> list:
         """The instance dicts of rows ks."""
-        names, columns = [], []
+        names, columns, ks = [], [], np.asarray(ks, dtype=np.int64)
         for name in self.fields:
-            if name in rows.values:
-                columns.append(_listed(rows[name], ks))
+            if name in rows.values:  # a vector's row as its own entries
+                value = rows[name][ks]
+                columns.append(value.tolist() if value.ndim == 1 else [
+                    t[:n] for t, n in zip(value.tolist(),
+                                          rows.sizes[ks].tolist())])
             elif name == "target":
                 columns.append([rows.target] * len(ks))
             elif name in _REGION_FIELDS and name in rows.region:
@@ -634,19 +619,15 @@ class Sampler:
         return [dict(zip(names, values)) for values in zip(*columns)]
 
 
-def _listed(value, ks) -> list:
-    """A value at rows ks as Python floats and ints, a list per row for a
-    vector; a vector's groups list their rows in increasing order."""
-    ks = np.asarray(ks, dtype=np.int64)
-    if isinstance(value, np.ndarray):
-        return value[ks].tolist()
-    out = [None] * ks.size
-    for group, _, m in value:  # none is empty
-        at = np.minimum(np.searchsorted(group, ks), group.size - 1)
-        hit = group[at] == ks
-        for j, row in zip(np.flatnonzero(hit).tolist(), m[at[hit]].tolist()):
-            out[j] = row
-    return out
+def _padded(values: list, sizes: np.ndarray, width: int,
+            zero: bool) -> np.ndarray:
+    """The rows of sizes[k] entries that ``values`` holds end to end as one
+    (rows, width) array, padded with 0.0 when ``zero`` (weights: sums and
+    dots keep their bits), else with the row's first entry (extremes do)."""
+    own = np.arange(width) < sizes[:, None]
+    at = np.where(own, np.arange(width), 0) + (sizes.cumsum() - sizes)[:, None]
+    out = np.concatenate([np.empty(0)] + values)[at]
+    return np.where(own, out, 0.0) if zero else out
 
 
 def _draw_staged(rngs: list, target: str, region: dict) -> _Rows:
@@ -678,8 +659,9 @@ def _draw_staged(rngs: list, target: str, region: dict) -> _Rows:
 def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
           region: dict):
     """The variates of the step's Generator call, made from rngs[k] for
-    the rows ``live``, in the form its apply takes; other rows read nan
-    (size: the smallest n) and are left out of the vectors' groups."""
+    the rows ``live``: an array over the rows, other rows nan (size: the
+    smallest n), or a vector's (live, per_n parts of (live, width)), width
+    the largest n of the rows not refused, padded by _padded."""
     if step.call == "integers":
         lo, hi = region[step.key]
         sizes = np.full(rows.size, lo, dtype=np.int64)
@@ -690,11 +672,12 @@ def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
         u = np.full(rows.size, math.nan)
         u[live] = [rngs[k].random() for k in live.tolist()]
         return u
-    sizes = rows.sizes[live]
-    return [(ks, n, np.array([getattr(rngs[k], step.call)(step.per_n * n)
-                              for k in ks.tolist()]))
-            for n in sorted(set(sizes.tolist()))
-            for ks in (live[sizes == n],)]
+    sizes, width = rows.sizes[live], int(rows.sizes[rows.ok].max(initial=0))
+    draws = [getattr(rngs[k], step.call)(step.per_n * n)
+             for k, n in zip(live.tolist(), sizes.tolist())]
+    return live, _padded(draws, np.repeat(sizes, step.per_n), width,
+                         step.call != "random").reshape(
+                             live.size, step.per_n, width).swapaxes(0, 1)
 
 
 def _drawn(rows: _Rows, ks) -> list:
@@ -814,15 +797,14 @@ class Block:
 
 
 def _as_row(value, cap: int) -> np.ndarray | None:
-    """A list of 1 to cap numbers as a (1, n) float array; None for any
-    other value."""
+    """A list of 1 to cap numbers as a float array, else None."""
     if type(value) is not list or not 1 <= len(value) <= cap:
         return None
     try:
-        out = np.array([value], dtype=float)
+        out = np.array(value, dtype=float)
     except (TypeError, ValueError):
         return None
-    return out if out.ndim == 2 else None
+    return out if out.ndim == 1 else None
 
 
 def _matrix(data) -> SymmetricMatrix:
@@ -870,45 +852,44 @@ def _evaluate_chain(rows: _Rows, margin_kind: str, hp=False):
         return Block.single(rows, hp_margin)
     block = Block(rows.size, _chain_extras)
     numbers = [key for key in ("alpha", "v", "gv", "p") if key in rows.values]
-    for ks, n in rows.groups():
+    ks = rows.live()
+    if ks.size:
         refuse = Refusals(ks.size)
-        c = {key: rows[key][ks] for key in numbers}
+        c = {key: rows[key][ks] for key in numbers + list(rules.layout[0])}
+        c["n"] = rows.sizes[ks]
         if chain.spectral:
-            c["spectra"] = Spectra.diagonal(rows.vectors("diag", ks, n),
-                                            rows.vectors("x", ks, n), refuse)
-        else:
-            for key in ("a", "b", "q") if chain.paired else ("a", "q"):
-                c[key] = rows.vectors(key, ks, n)
-        _chain_fill(block, name, ks, n, c, refuse, margin_kind)
-    for k in rows.single:  # read from the dict: a dense matrix, odd lists
+            c["spectra"] = Spectra.diagonal(c.pop("diag"), c.pop("x"),
+                                            refuse, c["n"])
+        _chain_fill(block, name, ks, c, refuse, margin_kind)
+    for k in np.flatnonzero(rows.sizes == 0).tolist():  # read from the dict
         inst, ks = rows.insts[k], np.array([k])
         c = {key: rows[key][ks] for key in numbers}
         try:
             if chain.spectral:
                 A = _matrix(inst)
-                c["spectra"], n = Spectra.of(A, UnitVector(inst["x"])), A.dim
+                c["spectra"], c["n"] = Spectra.of(A, UnitVector(inst["x"])), \
+                    np.array([A.dim])
             else:
                 sample = WeightedSample(
                     tuple(inst["a"]), tuple(inst["q"]),
                     b=tuple(inst["b"]) if inst.get("b") else None)
                 c.update(sample_columns(name, sample))
-                n = sample.n
         except _REJECTED as exc:
             block.fill(ks, math.nan, {}, False, {0: exc})
             continue
-        _chain_fill(block, name, ks, n, c, Refusals(1), margin_kind)
+        _chain_fill(block, name, ks, c, Refusals(1), margin_kind)
     return block
 
 
-def _chain_fill(block: Block, name: str, ks: np.ndarray, n: int, c: dict,
+def _chain_fill(block: Block, name: str, ks: np.ndarray, c: dict,
                 refuse: Refusals, margin_kind: str) -> None:
     """Fill the rows ks of the block with chain_rows over their columns."""
     out = chain_rows(name, c, refuse)
-    flags = out.pop("flags")
+    flags, out["n"] = out.pop("flags"), c["n"]
     with np.errstate(all="ignore"):
         margin = out["rhs"] - out["lhs"] if margin_kind == "outer" \
             else np.where(out["m2"] < out["m1"], out["m2"], out["m1"])
-    block.fill(ks, margin, flags, out["feasible"], refuse.errors, n=n, **out)
+    block.fill(ks, margin, flags, out["feasible"], refuse.errors, **out)
 
 
 # the exponent p of an operator triple whose f is a power (holder_mccarthy);
@@ -930,7 +911,7 @@ def _operator_extras(c: dict, k: int) -> dict:
 
 
 def _operator_key(inst: dict):
-    """The region of an operator row's array group (its triple, and its
+    """The region of an operator row the arrays hold (its triple, and its
     weight as the kernel reads it); None for a parsed matrix."""
     identity = inst.get("weight") == "identity_weight"
     return None if "matrix" in inst else (
@@ -953,12 +934,13 @@ def _evaluate_operator(rows: _Rows, margin_kind: str, hp=False):
                                     lam=inst.get("lam")), None, {}
         return Block.single(rows, hp_margin)
     block = Block(rows.size, _operator_extras)
-    for ks, n in rows.groups():
+    ks = rows.live()
+    if ks.size:
         _operator_fill(block, rows, ks, rows.region, rules.mode,
                        lambda refuse: Spectra.diagonal(
-                           rows.vectors("diag", ks, n),
-                           rows.vectors("x", ks, n), refuse))
-    for k in rows.single:  # read from the dict: a dense matrix, odd lists
+                           rows["diag"][ks], rows["x"][ks], refuse,
+                           rows.sizes[ks]))
+    for k in np.flatnonzero(rows.sizes == 0).tolist():  # read from the dict
         inst = rows.insts[k]
         _operator_fill(block, rows, np.array([k]), inst, rules.mode,
                        lambda refuse: Spectra.of(_matrix(inst),
@@ -1084,9 +1066,10 @@ def _chain_layout(name: str) -> tuple:
 def _instance_rows(insts: list) -> _Rows:
     """Instance dicts of one target as the rows its kernel takes, in the
     columns a draw leaves: the numbers of every row, and the lists of the
-    rows whose lists are numbers, of one length n (at most the layout's
-    cap), in the region (``key``) of the first such row.  The other rows
-    are ``single``: the kernel reads their lists from their dicts."""
+    rows whose lists are numbers of one length (at most the layout's cap),
+    in the region (``key``) of the first such row.  The other rows, a
+    dense matrix or odd lists, are single: they keep size 0, and the kernel
+    reads their lists from their dicts."""
     rows = _Rows(len(insts))
     rows.target, rows.insts = insts[0]["target"], dict(enumerate(insts))
     if RULES[rows.target].layout is None:
@@ -1095,20 +1078,19 @@ def _instance_rows(insts: list) -> _Rows:
     rows.sizes = np.zeros(rows.size, dtype=np.int64)
     for name in numbers:
         rows[name] = np.array([float(inst[name]) for inst in insts])
-    for name in vectors:
-        rows[name] = []
-    region = None
+    region, lists = None, []
     for k, inst in enumerate(insts):
-        group = key(inst)
+        at = key(inst)
         ms = [_as_row(inst.get(name), cap) for name in vectors]
-        sizes = {None if m is None else m.shape[1] for m in ms}
-        if group is None or region not in (None, group) or None in sizes \
-                or len(sizes) > 1:
-            rows.single.append(k)
-            continue
-        region, rows.sizes[k] = group, sizes.pop()
-        for name, m in zip(vectors, ms):
-            rows[name].append((np.array([k]), m.shape[1], m))
+        sizes = {None if m is None else m.size for m in ms}
+        if at is not None and region in (None, at) and len(sizes) == 1 \
+                and None not in sizes:
+            region, rows.sizes[k] = at, sizes.pop()
+            lists.append(ms)
+    packed = np.flatnonzero(rows.sizes)
+    for name, ms in zip(vectors, zip(*lists)):
+        rows.put(name, packed, _padded(list(ms), rows.sizes[packed],
+                                       rows.sizes.max(), name in ("q", "x")))
     rows.region = dict(region or ())
     return rows
 
@@ -1248,22 +1230,19 @@ def _margin_bounds(rows: _Rows, block: Block, margin_kind: str,
     bound."""
     out = np.full(rows.size, math.nan)
     bound = RULES[rows.target].bound
-    want = want & np.isfinite(block.margin)
-    if bound is None or not want.any():
-        return out
-    with np.errstate(all="ignore"):
-        for ks, n in rows.groups():
-            ks = ks[want[ks]]
-            if ks.size:
-                c = {key: col[ks] for key, col in block.columns.items()}
-                out[ks] = bound(rows, ks, n, dict(c, margin=block.margin[ks]),
-                                margin_kind)
+    ks = rows.live() if bound else np.array([], dtype=int)
+    ks = ks[want[ks] & np.isfinite(block.margin[ks])]
+    if ks.size:
+        c = {key: col[ks] for key, col in block.columns.items()}
+        with np.errstate(all="ignore"):
+            out[ks] = bound(rows, ks, dict(c, margin=block.margin[ks],
+                                           n=rows.sizes[ks]), margin_kind)
     return out
 
 
-def _operator_bound(rows, ks, n, c, margin_kind):
+def _operator_bound(rows, ks, c, margin_kind):
     factor, expect, lhs = c["rhs_factor"], c["expectation"], c["lhs"]
-    e = _weight_error(rows.vectors("x", ks, n))
+    e = _weight_error(rows["x"][ks], c["n"])
     k0, k1 = _F_CONDITION[rows.region["triple"]]
     d_expect = e * expect + 10 * _U * (1.0 + expect)
     d_lhs = (k0 + k1 * lhs) * e + 10 * _U * (1.0 + lhs)
@@ -1279,32 +1258,32 @@ def _chain_bound(c: dict, margin_kind, d_lhs, d_mid, d_rhs):
                             d_rhs + d_mid + _U * np.abs(c["m2"]))
 
 
-def _tempered_log_error(rows, ks, n, c, log):
+def _tempered_log_error(rows, ks, c, log):
     """(dL, dmid) for kyfan and amgm, whose L sums q log(...) over a."""
     r = rows["alpha"][ks] / c["beta"]
-    t = _log_extent(rows.vectors("a", ks, n), log)
-    d_l = _log_sum_error(n, t)
+    t = _log_extent(rows["a"][ks], log)
+    d_l = _log_sum_error(c["n"], t)
     return d_l, c["mid"] * (r * d_l + 4 * _U * r * t + _FN)
 
 
-def _kyfan_bound(rows, ks, n, c, margin_kind):
-    d_l, d_mid = _tempered_log_error(rows, ks, n, c,
+def _kyfan_bound(rows, ks, c, margin_kind):
+    d_l, d_mid = _tempered_log_error(rows, ks, c,
                                      lambda t: _logs((1.0 - t) / t))
-    return _chain_bound(c, margin_kind, (2 * n + 2) * _U * c["lhs"], d_mid,
-                        c["rhs"] * (d_l + _FN))
+    return _chain_bound(c, margin_kind, (2 * c["n"] + 2) * _U * c["lhs"],
+                        d_mid, c["rhs"] * (d_l + _FN))
 
 
-def _amgm_bound(rows, ks, n, c, margin_kind):
-    d_l, d_mid = _tempered_log_error(rows, ks, n, c, _logs)
+def _amgm_bound(rows, ks, c, margin_kind):
+    d_l, d_mid = _tempered_log_error(rows, ks, c, _logs)
     return _chain_bound(c, margin_kind, c["lhs"] * (d_l + _FN), d_mid,
-                        n * _U * c["rhs"])
+                        c["n"] * _U * c["rhs"])
 
 
-def _chrystal_bound(rows, ks, n, c, margin_kind):
-    a, b = rows.vectors("a", ks, n), rows.vectors("b", ks, n)
+def _chrystal_bound(rows, ks, c, margin_kind):
+    a, b = rows["a"][ks], rows["b"][ks]
     r = rows["alpha"][ks] / c["beta"]
     t_a, t_b, t_ab = (_log_extent(m, _logs) for m in (a, b, a + b))
-    d_la, d_lb, d_lab = (_log_sum_error(n, t) for t in (t_a, t_b, t_ab))
+    d_la, d_lb, d_lab = (_log_sum_error(c["n"], t) for t in (t_a, t_b, t_ab))
     s = np.abs(r - 1.0)
     d_y = (r * d_lab + 4 * _U * r * t_ab + s * d_lb
            + (3 * _U * r + 2 * _U * s) * t_b
@@ -1314,19 +1293,19 @@ def _chrystal_bound(rows, ks, n, c, margin_kind):
                         c["mid"] * (d_y + _FN), c["rhs"] * (d_lab + _FN))
 
 
-def _holder_mccarthy_bound(rows, ks, n, c, margin_kind):
-    e = _weight_error(rows.vectors("x", ks, n))
+def _holder_mccarthy_bound(rows, ks, c, margin_kind):
+    e = _weight_error(rows["x"][ks], c["n"])
     return _chain_bound(c, margin_kind, (rows["p"][ks] * e + _FN) * c["lhs"],
                         (e + 12 * _U) * c["mid"], (e + _FN) * c["rhs"])
 
 
-def _weight_error(x: np.ndarray) -> np.ndarray:
-    """e = (n+1)u + w of margin_bound for rows x of n components.  fsum adds
-    each row's squares exactly; numpy's sum would be off by up to
-    (n-1)u |x|^2 more."""
+def _weight_error(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """e = (n+1)u + w of margin_bound for rows x of n components (padded
+    with 0.0).  fsum adds each row's squares exactly; numpy's sum would be
+    off by up to (n-1)u |x|^2 more."""
     squares = map(math.fsum, (x * x).tolist())
     return np.abs(np.fromiter(squares, float, x.shape[0]) - 1.0) \
-        + (4 * x.shape[1] + 10) * _U
+        + (4 * n + 10) * _U
 
 
 def _logs(t: np.ndarray) -> np.ndarray:
@@ -1343,7 +1322,7 @@ def _log_extent(values: np.ndarray, log) -> np.ndarray:
     return np.maximum(np.abs(log(values.min(1))), np.abs(log(values.max(1))))
 
 
-def _log_sum_error(n: int, extent):
+def _log_sum_error(n: np.ndarray, extent):
     return (n + 8) * _U * extent + 3 * _U
 
 
@@ -1392,9 +1371,9 @@ class TargetRules:
     # their own; hp gives each row's 60-digit margin, flags None and the
     # extras confirm adds
     evaluate: Callable
-    # (rows, ks, n, c, margin_kind) -> margin_bound's B over the rows ks,
-    # all of size n, from c (their Block's columns and margins) and the
-    # rows' vectors (see _margin_bounds); None: no bound is derived
+    # (rows, ks, c, margin_kind) -> margin_bound's B over the rows ks, from
+    # c (their Block's columns, margins and sizes n) and the rows' vectors
+    # (see _margin_bounds); None: no bound is derived
     bound: Callable | None = None
     # (lists, numbers, cap, key) by which _instance_rows reads instance
     # dicts into the arrays; None: every row one at a time.  key(inst) gives

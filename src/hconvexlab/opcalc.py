@@ -380,14 +380,15 @@ def clamped_spectrum(f: ScalarFunction, eigs: np.ndarray):
     return out, dom.contains_array(out)
 
 
-def spectrum_rows(f: ScalarFunction, eigs: np.ndarray, refuse) -> np.ndarray:
+def spectrum_rows(f: ScalarFunction, eigs: np.ndarray, refuse,
+                  sizes) -> np.ndarray:
     """clamped_spectrum over rows of eigenvalues, refusing the rows with an
-    eigenvalue outside f's domain."""
+    eigenvalue outside f's domain among their own first sizes[j]."""
     eigs, inside = clamped_spectrum(f, eigs)
     refuse(~inside.all(1), lambda j: SpectrumDomainError(
-        f"{f.label()}: {int((~inside[j]).sum())} eigenvalue(s) outside "
-        f"domain {f.domain}",
-        offending=tuple(np.sort(eigs[j][~inside[j]]).tolist())))
+        f"{f.label()}: {int((~inside[j, :sizes[j]]).sum())} eigenvalue(s) "
+        f"outside domain {f.domain}", offending=tuple(np.sort(
+            eigs[j, :sizes[j]][~inside[j, :sizes[j]]]).tolist())))
     return eigs
 
 
@@ -399,7 +400,7 @@ def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
     """
     dec = A.decomposition()
     (eigs,) = _one_row(lambda refuse: spectrum_rows(
-        f, dec.eigenvalues[None, :], refuse))
+        f, dec.eigenvalues[None, :], refuse, [A.dim]))
     fa = _calculus(A, dec.eigenvectors, evaluate_array(f, eigs))
     return SymmetricMatrix.diagonal(np.diag(fa)) if A.is_diagonal \
         else SymmetricMatrix(fa)
@@ -429,10 +430,15 @@ def within_slack(t, lo, hi, lo_open=False, hi_open=False):
     return lo_ok & hi_ok
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _dots(x: np.ndarray, y: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Row-wise x_k . y_k by the BLAS dot of each pair, so each equals
-    float(x_k @ y_k); x @ diag(d) @ x is _dots(x * d, x)."""
-    return np.matmul(x[:, None, :], y[:, :, None]).ravel()
+    float(x_k @ y_k); x @ diag(d) @ x is _dots(x * d, x).  Zeros padding a
+    row past sizes[k] keep its dot, but for a pad that completes one of the
+    blocks of 16 that x86-64 OpenBLAS sums apart: that row is dotted alone."""
+    out = np.matmul(x[:, None, :], y[:, :, None]).ravel()
+    for k in np.flatnonzero(sizes // 16 != x.shape[1] // 16).tolist():
+        out[k] = x[k, :sizes[k]] @ y[k, :sizes[k]]
+    return out
 
 
 def _clamp_rows(t, lo, hi):
@@ -457,32 +463,36 @@ def _calculus(A: SymmetricMatrix, q: np.ndarray, values: np.ndarray):
 
 class Spectra:
     """The spectral step of the operator Jensen kernel and the Hoelder-
-    McCarthy chain, over rows of symmetric A and unit x: each row's
-    eigenvalues ``eigs``, their ends ``lo`` and ``hi``, and ``qf`` =
+    McCarthy chain, over rows of symmetric A and unit x of dimension
+    ``sizes``: each row's eigenvalues ``eigs`` (padded past its dimension,
+    see diagonal), their ends ``lo`` and ``hi``, and ``qf`` =
     <Ax,x> clamped to [lo, hi]; ``expectation(values, refuse)`` is
     <f(A)x,x> from f at ``eigs``, refusing the rows whose f(A) is not
     finite.  Diagonal rows stay arrays; a dense matrix is a row of its own.
     """
 
-    def __init__(self, eigs, lo, hi, qf, expectation: Callable):
-        self.eigs, self.lo, self.hi = eigs, lo, hi
+    def __init__(self, eigs, lo, hi, qf, expectation: Callable, sizes):
+        self.eigs, self.lo, self.hi, self.sizes = eigs, lo, hi, sizes
         self.qf, self.expectation = _clamp_rows(qf, lo, hi), expectation
 
     @classmethod
-    def diagonal(cls, d: np.ndarray, x: np.ndarray, refuse) -> "Spectra":
-        """Rows diag(d_k) and x_k of (rows, n) arrays, the eigenvalues in
-        d's order; the rows SymmetricMatrix.diagonal or UnitVector refuses
-        are refused with its errors."""
+    def diagonal(cls, d: np.ndarray, x: np.ndarray, refuse,
+                 sizes: np.ndarray) -> "Spectra":
+        """Rows diag(d_k) and x_k of (rows, width) arrays, the eigenvalues
+        in d's order; the rows SymmetricMatrix.diagonal or UnitVector
+        refuses are refused with its errors.  Past its ``sizes[k]`` entries
+        a row pads d with its first entry and x with 0.0."""
         d = diagonal_rows(d, refuse)
         with np.errstate(all="ignore"):
-            norm = np.sqrt(_dots(x, x))  # np.linalg.norm of each row
+            norm = np.sqrt(_dots(x, x, sizes))  # np.linalg.norm of each row
             _, x = unit_rows(x, norm, refuse)
 
             def expectation(values, refuse):
                 fd = values + 0.0  # the diagonal of f(A)
                 refuse(~np.isfinite(fd).all(1), _not_finite)
-                return _dots(x * fd, x)
-            return cls(d, d.min(1), d.max(1), _dots(x * d, x), expectation)
+                return _dots(x * fd, x, sizes)
+            return cls(d, d.min(1), d.max(1), _dots(x * d, x, sizes),
+                       expectation, sizes)
 
     @classmethod
     def of(cls, A: SymmetricMatrix, x: UnitVector) -> "Spectra":
@@ -498,7 +508,7 @@ class Spectra:
             return np.array([float(x.components @ fa @ x.components)])
         eigs = dec.eigenvalues
         return cls(eigs[None, :], eigs[:1], eigs[-1:], np.array([qf]),
-                   expectation)
+                   expectation, [eigs.size])
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +584,7 @@ def jensen_rows(f: ScalarFunction, spectra: "Spectra", factor, refuse):
     The rows jensen_verify refuses are refused by refuse(mask, error) with
     its errors, in its order, and read nan or what the arithmetic gives."""
     with np.errstate(all="ignore"):
-        eigs = spectrum_rows(f, spectra.eigs, refuse)
+        eigs = spectrum_rows(f, spectra.eigs, refuse, spectra.sizes)
         expectation = spectra.expectation(
             core_array(f.family, f.params, eigs), refuse)
         qf, inside = clamped_spectrum(f, spectra.qf)

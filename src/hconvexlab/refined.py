@@ -80,14 +80,17 @@ class WeightedSample:
         return len(self.a)
 
 
-def sample_checks(values: np.ndarray, q: np.ndarray, refuse) -> None:
+def sample_checks(values: np.ndarray, q: np.ndarray, refuse,
+                  own=True) -> None:
     """WeightedSample's checks over rows of values (a, or a and b side by
     side) and weights q, refusing rows with its errors: entries finite,
-    weights in (0, 1], weights summing to 1 within 1e-12."""
+    weights in (0, 1] (those of the mask ``own``; the rest pad as 0.0),
+    weights summing to 1 within 1e-12."""
     refuse(~(np.isfinite(values).all(-1) & np.isfinite(q).all(-1)),
            lambda j: ValueError("sample entries must be finite"))
-    refuse(~((q > 0.0) & (q <= 1.0)).all(-1), lambda j: ValueError(
-        f"weights must lie in (0, 1], got {tuple(q[j].tolist())}"))
+    own = np.broadcast_to(own, q.shape)
+    refuse(~(((q > 0.0) & (q <= 1.0)) | ~own).all(-1), lambda j: ValueError(
+        f"weights must lie in (0, 1], got {tuple(q[j][own[j]].tolist())}"))
     refuse(np.array([ok and abs(math.fsum(w) - 1.0) > 1e-12 for ok, w in
                      zip(refuse.ok.tolist(), q.tolist())], dtype=bool),
            lambda j: ValueError(f"weights must sum to 1, got "
@@ -345,16 +348,15 @@ def _one(name: str, c: dict, n: int, alpha, v, p=None) -> ChainReport:
 
 
 def sample_columns(name: str, sample: WeightedSample) -> dict:
-    """The a and q (and b) columns of chain_rows for one sample;
+    """The a and q (and b) columns and size n of chain_rows for one sample;
     DomainError where the chain pairs its values with b and there is
     none."""
     chain = CHAINS[name]
     if chain.paired and sample.b is None:
         raise DomainError(f"{name} chain needs the paired values b")
-    c = {"a": np.array([sample.a]), "q": np.array([sample.q])}
-    if chain.paired:
-        c["b"] = np.array([sample.b])
-    return c
+    c = {"a": np.array([sample.a]), "q": np.array([sample.q]),
+         "n": np.array([sample.n])}
+    return dict(c, b=np.array([sample.b])) if chain.paired else c
 
 
 def kyfan_chain(sample: WeightedSample, alpha: float, v: float) -> ChainReport:
@@ -410,13 +412,15 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
     """The chain ``name`` over rows, as arrays over them: lhs, mid, rhs,
     m1 = mid - lhs, m2 = rhs - mid, gamma, beta, feasible and ``flags``.
 
-    ``c`` holds alpha and v, and a, q (and b) as (rows, n) arrays, or p and
-    ``spectra`` (a Spectra) for holder_mccarthy; gv, the gate value g(v) a
-    draw computed, may ride along.  Rows are refused through ``refuse``
-    with the errors of the chain's checks, in their order.  The terms map
-    math's log and exp over columns and sum left to right, so each row has
-    the bits of its evaluation on its own; when the arithmetic raises, it
-    runs again row by row in Python floats, which raise where Python does.
+    ``c`` holds alpha, v, each row's size n, and a, q (and b) as (rows,
+    width) arrays padded past n (q with 0.0, a and b with their first
+    entry), or p and ``spectra`` (a Spectra) for holder_mccarthy; gv, the
+    gate value g(v) a draw computed, may ride along.  Rows are refused
+    through ``refuse`` with the errors of the chain's checks, in their
+    order.  The terms map math's log and exp over columns and sum left to
+    right, so each row has the bits of its evaluation on its own; when the
+    arithmetic raises, it runs again row by row in Python floats over each
+    row's own entries, which raise where Python does.
     """
     chain = CHAINS[name]
     with np.errstate(all="ignore"):
@@ -426,8 +430,9 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
             refuse(~(p > 1.0), lambda j: ValueError(
                 f"exponent p must exceed 1, got {float(p[j])}"))
             refuse((values <= 0.0).any(1), lambda j: SpectrumDomainError(
-                f"spectrum must be positive, found {_nonpositive(values[j])}",
-                offending=_nonpositive(values[j])))
+                f"spectrum must be positive, found "
+                f"{_nonpositive(values[j, :s.sizes[j]])}",
+                offending=_nonpositive(values[j, :s.sizes[j]])))
             # row by row: numpy takes other paths for a scalar exponent
             # (2.0 squares) than for an array of exponents
             c = {key: t for key, t in c.items() if key != "spectra"}
@@ -436,13 +441,15 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
             lo, hi = s.lo, s.hi
         else:
             values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
-            sample_checks(values, c["q"], refuse)
+            own = np.arange(c["q"].shape[1]) < c["n"][:, None]
+            sample_checks(values, c["q"], refuse, own)
             lo, hi = values.min(1), values.max(1)
+            own = np.hstack((own, own)) if chain.paired else own
             refuse(~(chain.domain.contains_array(lo)
                      & chain.domain.contains_array(hi)),
                    lambda j: DomainError(
                        f"{name} chain needs values in {chain.domain}, got "
-                       f"{tuple(values[j].tolist())}"))
+                       f"{tuple(values[j][own[j]].tolist())}"))
         c = {**c, "g": hi - lo}
         out = {"gamma": c["g"], "beta": c["alpha"] + c["g"]}
     size, ks = lo.size, np.flatnonzero(refuse.ok) if refuse.errors else None
@@ -455,7 +462,9 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
         for j, k in enumerate(ks.tolist()):
             try:
                 parts.append((ks[j:j + 1], _arithmetic(
-                    name, {key: t[j:j + 1] for key, t in c.items()},
+                    name, {key: t[j:j + 1] if t.ndim == 1
+                           else t[j:j + 1, :c["n"][j]]  # its own entries
+                           for key, t in c.items()},
                     lo[j:j + 1], hi[j:j + 1], python=True)))
             except (ValueError, ArithmeticError) as exc:
                 refuse(np.arange(size) == k, lambda _: exc)
