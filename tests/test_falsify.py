@@ -607,6 +607,38 @@ def test_array_bound_is_no_smaller_than_the_scalar_bound(target, margin_kind):
             assert scalar is not None and bound >= scalar, (lo + k, bound)
 
 
+# how many candidates among the KERNEL_DIGESTS draws (drawn as campaign
+# blocks) have their status settled without the 60-digit confirm, for every
+# target whose rounding error is bounded.  Taken with the hand-derived
+# bounds of margin_bound; a later way of settling must settle at least as
+# many.  Same platform as above.
+SETTLED_COUNTS = {
+    ("operator-jensen", "refined"): 948, ("per-lambda", "refined"): 112,
+    ("half-bound", "refined"): 0, ("kyfan", "refined"): 318,
+    ("kyfan", "outer"): 0, ("amgm", "refined"): 357, ("amgm", "outer"): 0,
+    ("chrystal", "refined"): 438, ("chrystal", "outer"): 0,
+    ("holder-mccarthy", "refined"): 972, ("holder-mccarthy", "outer"): 0,
+}
+
+
+@pytest.mark.parametrize("target, margin_kind", list(SETTLED_COUNTS),
+                         ids=[f"{t}/{k}" for t, k in SETTLED_COUNTS])
+def test_settled_candidates_reach_the_pinned_counts(target, margin_kind):
+    region = Campaign(target, 1, 1).region
+    streams = _Streams(GOLDEN_SEED)
+    settled = 0
+    for lo in range(0, 1000, BLOCK_SIZE):
+        rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
+                            target, region)
+        block = RULES[target].evaluate(rows, margin_kind)
+        margins = np.where(block.accepted, block.margin, math.nan)
+        cand = margins < CANDIDATE_THRESHOLD
+        bounds = falsify._margin_bounds(rows, block, margin_kind, cand)
+        settled += np.count_nonzero(falsify._bound_statuses(
+            margins[cand], bounds[cand], True))
+    assert settled >= SETTLED_COUNTS[target, margin_kind]
+
+
 # (target, region, streams, draws from each, digest): sha256 over, draw
 # after draw, repr((inst, setup)) of the draw or the exception class name
 # it raised, then repr(rng.random()) taken right after it, which pins where
