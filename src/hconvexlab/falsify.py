@@ -10,16 +10,18 @@ confirmed witness or "no violation found at N samples".
 
 Which candidates run the 60-digit confirm: the reported ones (the first
 witness_cap candidates and the arg-min), every candidate of best-possible,
-certificates or a dense-matrix instance, and every candidate whose margin
-lies within its rounding-error bound (see margin_bound) of 0 or of -1e-6.
-The rest are clear-cut: the bound proves which side of both edges the
-exact margin lies on, so their status is the one confirm would give, and
-they are counted without the mpmath re-evaluation.  Each chunk of a
-campaign settles its candidates over arrays: the bound is one array
-function per target over a block's columns, and a settled candidate is
-only counted, never built as a dict.  A chunk returns dicts only for its
-first witness_cap candidates, its arg-min and its unsettled candidates,
-and the parent confirms those it reports and the unsettled ones.
+certificates or a dense-matrix instance, and every candidate whose
+enclosure comes within one ulp of 0 or of -1e-6.  The enclosure is an
+interval that holds the exact margin of the candidate's double inputs: the
+terms confirm evaluates at 60 digits (the chain terms, the funclib cores,
+opcalc.jensen_factor) run once more in outward-rounded interval arithmetic
+(_Enclosure), over a block's candidate rows at once.  Where the hull of the
+enclosure and the double margin misses both edges, the status read off the
+double margin is the one confirm would give, and the candidate is counted
+without the mpmath re-evaluation; a settled candidate is never built as a
+dict.  A chunk returns dicts only for its first witness_cap candidates, its
+arg-min and its unsettled candidates, and the parent confirms those it
+reports and the unsettled ones.
 
 Determinism: sample i derives its own counter-based stream from
 (seed, i), so reports are byte-identical for a fixed seed regardless of
@@ -77,10 +79,10 @@ Targets
                     lhs <= rhs margin)
   certificates      grid certification of the conditional-convexity gap
                     for one built-in triple at sampled parameters
-A target's rules (region defaults and checks, sampler, margin function,
-feasibility rule, error bound) are its RULES record.  The margin function
-takes its arithmetic as an argument: campaigns and replay run it in
-doubles, and confirm runs the same terms at 60 digits.
+A target's rules (region defaults and checks, sampler, margin kernel, its
+60-digit twin, enclosure, feasibility rule) are its RULES record.  The
+margin's terms take their arithmetic as an argument: campaigns and replay
+run them in doubles, confirm at 60 digits, and the enclosure in intervals.
 """
 
 from __future__ import annotations
@@ -109,9 +111,11 @@ from .funclib import (  # noqa: F401
     TRIPLE_NAMES, TRIPLES, Refusals, ScalarFunction, check_triple, core_array,
     evaluate_rows, gate_interval, make_triple, scalar_function, triple_rows,
 )
+from .funclib import family_core
 from .highprec import (
     DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
 )
+from .opcalc import unit_rows
 from .opcalc import (  # noqa: F401
     DIM_CAP, Spectra, SymmetricMatrix, UnitVector, _clamp_rows, _dots,
     jensen_factor, jensen_rows, jensen_verify, within_slack,
@@ -130,6 +134,9 @@ BLOCK_SIZE = 256
 # the largest campaign: its report, candidates and wall time stay bounded
 SAMPLES_CAP = 2 ** 20
 WITNESS_CAP = 32
+# the most witnesses a campaign may report: each is confirmed at 60 digits
+# and returned as a dict
+WITNESS_CAP_MAX = 1024
 THREADS_ENV = "HCONVEXLAB_THREADS"
 
 # the one instance every operator-jensen report must evaluate and publish:
@@ -206,8 +213,8 @@ class Campaign:
         if self.margin_kind not in ("refined", "outer"):
             raise ConfigError(f"margin_kind must be refined|outer, "
                               f"got {self.margin_kind!r}")
-        if not 0 <= int(self.witness_cap):
-            raise ConfigError("witness_cap must be a nonnegative count")
+        if not 0 <= int(self.witness_cap) <= WITNESS_CAP_MAX:
+            raise ConfigError(f"witness_cap must be 0 to {WITNESS_CAP_MAX}")
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "witness_cap", int(self.witness_cap))
         object.__setattr__(self, "seed", int(self.seed))
@@ -718,9 +725,9 @@ def instance_template(target: str) -> tuple[dict, tuple]:
 # ---------------------------------------------------------------------------
 # Per-target margin functions.  In doubles each is an array kernel over a
 # block of rows (_Rows): a campaign's drawn block as the draw left it, or
-# instance dicts read by _instance_rows.  With hp it gives the same terms
-# at 60 digits, one instance at a time.  Campaigns, replay and confirm all
-# run them.
+# instance dicts read by _instance_rows.  Its exact twin gives the same
+# terms at 60 digits, one instance dict at a time.  Campaigns, replay and
+# confirm all run them.
 # ---------------------------------------------------------------------------
 
 # what a draw or an evaluation may raise for an instance that is data
@@ -734,8 +741,8 @@ class Block:
     the rows.  ``row(k)`` is what evaluate_instance returns for row k: the
     flags and extras dicts are built only then, and it raises what
     evaluating the row raised.  A kernel fills rows from arrays (``fill``);
-    best-possible, certificates and the 60-digit path evaluate rows one at
-    a time (``single``).
+    best-possible and certificates evaluate rows one at a time
+    (_row_by_row).
     """
 
     def __init__(self, size: int, extras: Callable | None = None):
@@ -745,16 +752,6 @@ class Block:
         self.columns = {}  # what ``extras(columns, k)`` reads
         self._extras = extras
         self._single = {}  # row -> (margin, flags, extras) or exception
-
-    @classmethod
-    def single(cls, rows: _Rows, evaluate: Callable,
-               feasible: Callable | None = None) -> "Block":
-        """Every row that is not refused by ``evaluate(inst)``, one at a
-        time (see run)."""
-        block, ks = cls(rows.size), np.flatnonzero(rows.ok).tolist()
-        for k, inst in zip(ks, rows.instances(ks)):
-            block.run(k, lambda: evaluate(inst), feasible)
-        return block
 
     def fill(self, ks, margin, flags: dict, accepted, errors: dict,
              **columns) -> None:
@@ -772,18 +769,15 @@ class Block:
             self._single[int(ks[j])] = exc
             self.accepted[ks[j]] = False
 
-    def run(self, k: int, evaluate: Callable,
-            feasible: Callable | None = None) -> None:
-        """Row k by ``evaluate()``, which returns (margin, flags, extras);
-        with ``feasible`` (flags -> bool) the row also enters the arrays."""
+    def run(self, k: int, evaluate: Callable, feasible: Callable) -> None:
+        """Row k by ``evaluate()``, which returns (margin, flags, extras),
+        accepted where ``feasible(flags)``."""
         try:
             result = self._single[k] = evaluate()
         except _REJECTED as exc:
             self._single[k] = exc
             return
-        if feasible is not None:
-            self.margin[k] = result[0]
-            self.accepted[k] = feasible(result[1])
+        self.margin[k], self.accepted[k] = result[0], feasible(result[1])
 
     def row(self, k: int):
         if k in self._single:
@@ -794,6 +788,17 @@ class Block:
         return (float(self.margin[k]),
                 {name: bool(col[k]) for name, col in self.flags.items()},
                 self._extras(self.columns, k))
+
+
+def _row_by_row(row: Callable, rows: _Rows, margin_kind: str) -> Block:
+    """The evaluate, given its ``row``, of a target whose rows run one at a
+    time (best-possible: a few scalar operations each; certificates: a grid
+    certification each): row(inst) gives (margin, flags, extras) for each
+    row that is not refused (see Block.run)."""
+    block, ks = Block(rows.size), np.flatnonzero(rows.ok).tolist()
+    for k, inst in zip(ks, rows.instances(ks)):
+        block.run(k, lambda: row(inst), RULES[rows.target].feasible)
+    return block
 
 
 def _as_row(value, cap: int) -> np.ndarray | None:
@@ -840,16 +845,16 @@ def _chain_extras(c: dict, k: int) -> dict:
             "feasible": bool(c["feasible"][k])}
 
 
-def _evaluate_chain(rows: _Rows, margin_kind: str, hp=False):
+def _chain_exact(inst: dict, margin_kind: str):
+    name = RULES[inst["target"]].chain
+    m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
+                              if CHAINS[name].spectral else None)
+    return (m1 + m2) if margin_kind == "outer" else min(m1, m2), {}
+
+
+def _evaluate_chain(rows: _Rows, margin_kind: str):
     rules = RULES[rows.target]
     name, chain = rules.chain, CHAINS[rules.chain]
-    if hp:
-        def hp_margin(inst):
-            m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
-                                      if chain.spectral else None)
-            return (m1 + m2) if margin_kind == "outer" else min(m1, m2), \
-                None, {}
-        return Block.single(rows, hp_margin)
     block = Block(rows.size, _chain_extras)
     numbers = [key for key in ("alpha", "v", "gv", "p") if key in rows.values]
     ks = rows.live()
@@ -919,20 +924,28 @@ def _operator_key(inst: dict):
         ("weight", "identity_weight" if identity else "exp_weight"))
 
 
-def _evaluate_operator(rows: _Rows, margin_kind: str, hp=False):
+def _weight(region: dict, params: dict) -> SimpleNamespace:
+    """The weight h of operator rows of ``region``, with params alpha and
+    beta: numbers, arrays over the rows or enclosures."""
+    return SimpleNamespace(
+        family="identity_weight" if region.get("weight") == "identity_weight"
+        else "exp_weight", params=params)
+
+
+def _operator_exact(inst: dict, margin_kind: str):
+    name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
+    check_triple(name, alpha, beta, _OPERATOR_P)
+    identity = inst.get("weight") == "identity_weight"
+    h = scalar_function("identity_weight") if identity else \
+        ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
+    A, x = _matrix(inst), UnitVector(inst["x"])
+    return hp_jensen_margin(_operator_f(name), h, A.entries, x.components,
+                            RULES[inst["target"]].mode,
+                            lam=inst.get("lam")), {}
+
+
+def _evaluate_operator(rows: _Rows, margin_kind: str):
     rules = RULES[rows.target]
-    if hp:
-        def hp_margin(inst):
-            name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
-            check_triple(name, alpha, beta, _OPERATOR_P)
-            identity = inst.get("weight") == "identity_weight"
-            h = scalar_function("identity_weight") if identity else \
-                ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
-            A, x = _matrix(inst), UnitVector(inst["x"])
-            return hp_jensen_margin(_operator_f(name), h, A.entries,
-                                    x.components, rules.mode,
-                                    lam=inst.get("lam")), None, {}
-        return Block.single(rows, hp_margin)
     block = Block(rows.size, _operator_extras)
     ks = rows.live()
     if ks.size:
@@ -973,15 +986,13 @@ def _operator_fill(block: Block, rows: _Rows, ks: np.ndarray, region: dict,
                                              f"lambda in (0,1), got "
                                              f"{float(lam[j])!r}"))
         lam = np.where(inside, lam, 0.5)
-    f = _operator_f(name)
-    h = SimpleNamespace(
-        family="identity_weight" if region.get("weight") == "identity_weight"
-        else "exp_weight", params={"alpha": alpha, "beta": beta})
+    h = _weight(region, {"alpha": alpha, "beta": beta})
     with np.errstate(all="ignore"):
         factor = jensen_factor(
             mode, h, lam, lambda h, t: core_array(h.family, h.params, t),
             np.asarray, lambda: closed_form_jcoeff(h, np.asarray))
-        lhs, rhs, expectation = jensen_rows(f, s, factor, refuse)
+        lhs, rhs, expectation = jensen_rows(_operator_f(name), s, factor,
+                                            refuse)
         gate = rows["gate"][ks] if "gate" in rows.values else \
             TRIPLES[name].gate_rows(v, alpha, beta, _OPERATOR_P, refuse)
         rule = TRIPLES[name]
@@ -1019,37 +1030,24 @@ def _best_possible_row(inst: dict):
         "functional_calculus_margin": factor * full - lhs}
 
 
-def _evaluate_best_possible(rows: _Rows, margin_kind: str, hp=False):
-    """Rows one at a time: each is a few scalar operations."""
-    if hp:
-        def hp_margin(inst):
-            with mp.workdps(DPS):
-                lhs, factor, reduced, full = _best_possible_terms(
-                    *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), mp)
-                margin, full_margin = factor * reduced - lhs, \
-                    factor * full - lhs
-            return margin, None, {
-                "functional_calculus_margin_confirmed": digits(full_margin)}
-        return Block.single(rows, hp_margin)
-    return Block.single(rows, _best_possible_row,
-                        RULES["best-possible"].feasible)
+def _best_possible_exact(inst: dict, margin_kind: str):
+    with mp.workdps(DPS):
+        lhs, factor, reduced, full = _best_possible_terms(
+            *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), mp)
+        margin, full = factor * reduced - lhs, factor * full - lhs
+    return margin, {"functional_calculus_margin_confirmed": digits(full)}
 
 
-def _evaluate_certificates(rows: _Rows, margin_kind: str, hp=False):
-    """Rows one at a time: each is a grid certification already."""
-    def certificate(inst):
-        triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
-                             p=inst.get("p"))
-        cert = certify(triple.f, triple.g, triple.h, inst["v"],
-                       grid=tuple(inst["grid"]))
-        if hp:  # min_value is already the 60-digit gap at the arg-min
-            return cert.min_value, None, {}
-        flags = {"params_in_range": True, "gate_feasible": True}
-        return cert.min_value, flags, {
-            "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
-            "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
-    return Block.single(rows, certificate,
-                        None if hp else RULES["certificates"].feasible)
+def _certificate_row(inst: dict):
+    """A grid certification; its min_value is already the 60-digit gap at
+    the arg-min, which is what confirm reads."""
+    triple = make_triple(inst["triple"], inst["alpha"], inst["beta"],
+                         p=inst.get("p"))
+    cert = certify(triple.f, triple.g, triple.h, inst["v"],
+                   grid=tuple(inst["grid"]))
+    return cert.min_value, {"params_in_range": True, "gate_feasible": True}, {
+        "verdict": cert.verdict, "gate_degenerate": cert.gate.degenerate,
+        "arg_min": {"u": cert.arg_min[0], "lambda": cert.arg_min[1]}}
 
 
 def _chain_layout(name: str) -> tuple:
@@ -1118,9 +1116,8 @@ def confirm(candidate: dict) -> dict:
     demoted as "float-noise" (sign mismatch) or "below-threshold".
     """
     rules = RULES[candidate["inputs"]["target"]]
-    hp_margin, _, hp_extras = rules.evaluate(
-        _instance_rows([candidate["inputs"]]),
-        candidate.get("margin_kind", "refined"), hp=True).row(0)
+    hp_margin, hp_extras = rules.exact(candidate["inputs"],
+                                       candidate.get("margin_kind", "refined"))
     margin_f = float(hp_margin)
     sign_agrees = (margin_f < 0.0) == (candidate["margin_double"] < 0.0)
     out = dict(candidate, extras={**candidate.get("extras", {}), **hp_extras})
@@ -1132,8 +1129,8 @@ def confirm(candidate: dict) -> dict:
     return out
 
 
-# (confirmed, demotion) of a candidate by the index _statuses and
-# _bound_statuses give; 0 is a candidate the bound leaves to confirm
+# (confirmed, demotion) of a candidate by the index _statuses and _settled
+# give; 0 is a candidate its enclosure leaves to confirm
 _STATUSES = (None, (True, None), (False, "float-noise"),
              (False, "below-threshold"), (False, "infeasible-flags"))
 
@@ -1145,214 +1142,193 @@ def _statuses(margin, feasible):
 
 
 # ---------------------------------------------------------------------------
-# Rounding-error bounds on double margins
+# Enclosures of exact margins
 # ---------------------------------------------------------------------------
 
-_U = 2.0 ** -53  # unit roundoff of binary64
-_FN = 8 * _U  # exp, log and pow: assumed within 4 ulp of the exact value
+class _Enclosure:
+    """Intervals [lo, hi] of reals, the ends numpy arrays (or numbers), in
+    outward-rounded double arithmetic (Moore, Kearfott and Cloud,
+    Introduction to Interval Analysis, 2009).  Each end of a + - * / result
+    is rounded to nearest and then moved one np.nextafter outward, so it
+    holds the exact result for any reals of the operands' intervals.  exp,
+    log and power ends move 4 ulp: that holds while numpy's routines are
+    within 4 ulp of the exact value, which tests/test_falsify.py checks.  A
+    product with a point (lo is hi) takes two products of ends, not four.
+    Divisors must be positive and power's base nonnegative, as they are in
+    every margin here; a divisor that reaches 0 gives nan, which settles
+    nothing."""
 
-# (k0, k1) with k0 + k1 f(t) >= |t f'(t)| on the domain of each operator
-# triple's f: neglog 1; logit 1/(1-t) <= 2 on (0, 1/2]; softplus
-# t*sigmoid(t) < f(t); power t^2 (p = 2 for holder_mccarthy) 2 f(t)
-_F_CONDITION = {"amgm": (1.0, 0.0), "kyfan": (2.0, 0.0),
-                "chrystal": (1.0, 1.0), "holder_mccarthy": (0.0, 2.0)}
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        self.lo, self.hi = lo, lo if hi is None else hi
+
+    def __add__(self, other):
+        other = _enclosed(other)
+        return _outward(self.lo + other.lo, self.hi + other.hi)
+
+    def __sub__(self, other):
+        return self + -_enclosed(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return _Enclosure(-self.hi, -self.lo)
+
+    def __mul__(self, other):
+        other = _enclosed(other)
+        ends = [self.lo * other.lo, self.hi * other.hi]
+        if self.lo is not self.hi and other.lo is not other.hi:
+            ends += [self.lo * other.hi, self.hi * other.lo]
+        return _outward(functools.reduce(np.minimum, ends),
+                        functools.reduce(np.maximum, ends))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __truediv__(self, other):
+        other = _enclosed(other)  # x / y rises with x, for y > 0
+        lo = np.minimum(self.lo / other.lo, self.lo / other.hi)
+        hi = np.maximum(self.hi / other.lo, self.hi / other.hi)
+        return _outward(np.where(other.lo > 0.0, lo, math.nan), hi)
+
+    def __pow__(self, p):
+        """A power to an exponent p > 0, a number or array: every exponent
+        here is a drawn double."""
+        return _outward(np.power(np.maximum(self.lo, 0.0), p),
+                        np.power(self.hi, p), 4)
+
+    def sum(self) -> "_Enclosure":
+        """The sum of the rows, added in order."""
+        return functools.reduce(operator.add, map(_Enclosure, self.lo, self.hi))
 
 
-def margin_bound(candidate: dict) -> float | None:
-    """B >= |margin_double - M|, or None where no bound is derived.
+def _enclosed(value) -> _Enclosure:
+    """An enclosure as it is, a number or array as a point."""
+    return value if isinstance(value, _Enclosure) else _Enclosure(value)
 
-    M is the exact margin of the candidate's own double inputs, the value
-    confirm evaluates at 60 digits.  B follows the double evaluation step
-    by step, to first order in u = 2^-53, under the standard model
-    fl(a op b) = (a op b)(1 + d), |d| <= u, with exp, log and pow within
-    8u of the exact value of their argument.  The first-order sum is
-    doubled; that covers the second-order terms, the rounding of B itself
-    and the 60-digit value's own error.  Facts used throughout:
 
-    * n nonnegative products summed in any order (BLAS included) carry a
-      relative error of (n+1)u; a sum of n terms of mixed sign an
-      absolute error of (n-1)u times the sum of their magnitudes.
-    * A log-sum L = sum q_i log(arg_i) whose terms have |log arg_i| <= T
-      and whose arguments are rounded at most twice is off by
-      dL = (n+8)u T + 3u.  log is monotone in each value, so T is read at
-      the smallest and the largest value.
-    * exp(y) with y off by dy is off by a relative dy + 8u: the
-      conditioning of exp is |y|, carried in dy.
-    * r = alpha/beta, beta = alpha + gamma, gamma one rounded difference:
-      relative error 3u.
-    * fl(a - b) is off by da + db + u|a - b|; min of two margins by the
-      larger of their bounds; the outer margin fl(rhs - lhs) by
-      drhs + dlhs + u|margin|.
+def _outward(lo, hi, ulps: int = 1) -> _Enclosure:
+    """[lo, hi] moved ``ulps`` doubles outward at each end."""
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+    return _Enclosure(lo, hi)
 
-    Operator targets with a diagonal A = diag(d), unit x and factor c:
-    the spectrum lies in f's domain, inside [0, inf), where f >= 0 for all
-    four triples, so every term of <Ax,x> and <f(A)x,x> is nonnegative.
-    The weights x_i^2 of the double path differ from confirm's normalised
-    x_i^2/|x|^2 by a relative w = |fl(|x|^2) - 1| + (3n+9)u, whether or
-    not UnitVector renormalised x.  With e = (n+1)u + w, f's closed form
-    off by at most 10u(1 + |f|) at an exact argument (one elementary
-    function, at most two roundings inside it) and k >= |t f'(t)|:
 
-        dE   = e E + 10u(1 + E)                      E = <f(A)x,x>
-        dlhs = k e + 10u(1 + lhs)                    lhs = f(<Ax,x>)
-        dc   = 13u c     (per-lambda's h(lam)/lam: five roundings, one exp)
-        B    = 2 (c dE + dc E + u rhs + dlhs + u|margin|)
+# the ops of the funclib cores and the chain terms, over enclosures
+_ENCLOSED_OPS = SimpleNamespace(
+    exp=lambda t: _outward(np.exp(t.lo), np.exp(t.hi), 4),
+    log=lambda t: _outward(np.log(t.lo), np.log(t.hi), 4),
+    power=_Enclosure.__pow__)
 
-    holder-mccarthy (same weights; lhs = qf^p, mid = r apx, rhs = apx):
-    drhs = (e + 8u) rhs, dlhs = (p e + 8u) lhs, dmid = (e + 12u) mid.
 
-    kyfan (L = sum q log((1-a)/a)): dlhs = (2n+2)u lhs for the ratio of
-    two positive sums, dmid = mid (r dL + 4u r T + 8u), drhs = rhs (dL + 8u).
-    amgm (L = sum q log a): dlhs = lhs (dL + 8u), dmid as kyfan, drhs =
-    n u rhs.  chrystal (L_a, L_b, L_ab; s = r - 1 off by 3u r + u|s|):
-    dlhs = lhs (max(dL_a, dL_b) + 9u), drhs = rhs (dL_ab + 8u) and
-    dmid = mid (dy + 8u) with y = r L_ab - s L_b off by
-    dy = r dL_ab + 4u r T_ab + |s| dL_b + (3u r + 2u|s|) T_b
-         + u (r T_ab + |s| T_b).
+def _spectral_forms(d: np.ndarray, x: np.ndarray, value: Callable):
+    """(<Ax,x>, <value(A)x,x>) of rows A = diag(d) and x, (rows, width)
+    arrays padded as a draw pads them, as enclosures of the forms confirm
+    evaluates: sum x^2 d / sum x^2 and sum x^2 value(d) / sum x^2.  value
+    maps an enclosure of d's entries, held as (width, rows): each sum adds
+    contiguous rows."""
+    d, x = np.ascontiguousarray(d.T), np.ascontiguousarray(x.T)
+    w = _Enclosure(x) * x
+    total = w.sum()
+    return (w * d).sum() / total, (w * value(_Enclosure(d))).sum() / total
 
-    best-possible, certificates and the rows a kernel reads from their
-    dicts (a dense ``entries`` operator, odd lists) get None.  This is
-    _margin_bounds on the candidate's inputs as a block of one; campaigns
-    run it over their blocks.
-    """
+
+def _operator_enclosure(rows: _Rows, ks: np.ndarray, margin_kind: str):
+    """factor <f(A)x,x> - f(<Ax,x>) of the operator rows ks, through the
+    funclib cores, opcalc.jensen_factor and highprec.closed_form_jcoeff; x
+    as UnitVector gives it to confirm."""
+    f, mode = _operator_f(rows.region["triple"]), RULES[rows.target].mode
+
+    def ev(fn, t):
+        return family_core(fn.family)(fn.params, _enclosed(t), _ENCLOSED_OPS)
+    x = rows["x"][ks]
+    _, x = unit_rows(x, np.sqrt(_dots(x, x, rows.sizes[ks])), Refusals(ks.size))
+    qf, expectation = _spectral_forms(rows["diag"][ks], x, lambda t: ev(f, t))
+    h = _weight(rows.region, {key: _Enclosure(rows[key][ks])
+                              for key in ("alpha", "beta")})
+    factor = jensen_factor(mode, h, rows["lam"][ks] if mode == "per-lambda"
+                           else None, ev, _enclosed,
+                           lambda: closed_form_jcoeff(h, _enclosed))
+    return factor * expectation - ev(f, qf)
+
+
+def _chain_enclosure(rows: _Rows, ks: np.ndarray, margin_kind: str):
+    """The chain margin of rows ks through CHAINS[name].terms: holder-
+    mccarthy's after the spectral step, the others' over the columns of a
+    (and b) and q."""
+    chain = CHAINS[RULES[rows.target].chain]
+    if chain.spectral:
+        d, p = rows["diag"][ks], rows["p"][ks]
+        inputs = *_spectral_forms(d, rows["x"][ks], lambda t: t ** p), p
+    else:
+        inputs, _ = chain.inputs(*([*map(_Enclosure, rows[k][ks].T)]
+                                   if k in rows.values else None
+                                   for k in "abq"))
+        d = np.hstack([rows[k][ks] for k in "ab" if k in rows.values])
+    lhs, mid, rhs = chain.terms(*inputs, _Enclosure(rows["alpha"][ks]),
+                                _Enclosure(d.max(1)) - d.min(1),
+                                ops=_ENCLOSED_OPS)
+    if margin_kind == "outer":
+        return rhs - lhs
+    m1, m2 = mid - lhs, rhs - mid
+    return _Enclosure(np.minimum(m1.lo, m2.lo), np.minimum(m1.hi, m2.hi))
+
+
+def margin_enclosure(candidate: dict) -> tuple | None:
+    """(lo, hi) holding the exact margin of the candidate's own double
+    inputs, the value confirm evaluates at 60 digits; None where no
+    enclosure is built: best-possible, certificates and the rows a kernel
+    reads from their dicts (a dense ``entries`` operator, odd lists).  This
+    is _enclosures on the candidate's inputs as a block of one; campaigns
+    run it over their blocks' candidates."""
     inputs, kind = candidate["inputs"], candidate.get("margin_kind", "refined")
     rows = _instance_rows([inputs])
-    block = RULES[inputs["target"]].evaluate(rows, kind)
-    bound = float(_margin_bounds(rows, block, kind, np.ones(1, dtype=bool))[0])
-    return None if math.isnan(bound) else bound
+    ends = _enclosures(rows, RULES[inputs["target"]].evaluate(rows, kind),
+                       kind, np.ones(1, dtype=bool))[:, 0]
+    return None if np.isnan(ends).any() else tuple(ends.tolist())
 
 
-def _margin_bounds(rows: _Rows, block: Block, margin_kind: str,
-                   want: np.ndarray) -> np.ndarray:
-    """margin_bound's B over the rows ``want`` (a mask) of a block, from
-    its columns and margins and the rows' vectors; nan on the other rows,
-    on rows with no finite margin, on single rows and for a target with no
-    bound."""
-    out = np.full(rows.size, math.nan)
-    bound = RULES[rows.target].bound
-    ks = rows.live() if bound else np.array([], dtype=int)
+def _enclosures(rows: _Rows, block: Block, margin_kind: str,
+                want: np.ndarray) -> np.ndarray:
+    """The (2, rows) ends of the target's enclosures of the rows ``want``
+    (a mask) with a finite margin that the arrays hold; nan on the other
+    rows and for a target with no enclosure."""
+    out, enclose = np.full((2, rows.size), math.nan), RULES[rows.target].enclose
+    ks = rows.live() if enclose else np.array([], dtype=int)
     ks = ks[want[ks] & np.isfinite(block.margin[ks])]
     if ks.size:
-        c = {key: col[ks] for key, col in block.columns.items()}
         with np.errstate(all="ignore"):
-            out[ks] = bound(rows, ks, dict(c, margin=block.margin[ks],
-                                           n=rows.sizes[ks]), margin_kind)
+            enclosure = enclose(rows, ks, margin_kind)
+        out[:, ks] = enclosure.lo, enclosure.hi
     return out
-
-
-def _operator_bound(rows, ks, c, margin_kind):
-    factor, expect, lhs = c["rhs_factor"], c["expectation"], c["lhs"]
-    e = _weight_error(rows["x"][ks], c["n"])
-    k0, k1 = _F_CONDITION[rows.region["triple"]]
-    d_expect = e * expect + 10 * _U * (1.0 + expect)
-    d_lhs = (k0 + k1 * lhs) * e + 10 * _U * (1.0 + lhs)
-    return 2.0 * (factor * d_expect + 13 * _U * factor * expect
-                  + _U * c["rhs"] + d_lhs + _U * np.abs(c["margin"]))
-
-
-def _chain_bound(c: dict, margin_kind, d_lhs, d_mid, d_rhs):
-    """The margin's bound from the bounds on the three chain terms."""
-    if margin_kind == "outer":
-        return 2.0 * (d_rhs + d_lhs + _U * np.abs(c["margin"]))
-    return 2.0 * np.maximum(d_mid + d_lhs + _U * np.abs(c["m1"]),
-                            d_rhs + d_mid + _U * np.abs(c["m2"]))
-
-
-def _tempered_log_error(rows, ks, c, log):
-    """(dL, dmid) for kyfan and amgm, whose L sums q log(...) over a."""
-    r = rows["alpha"][ks] / c["beta"]
-    t = _log_extent(rows["a"][ks], log)
-    d_l = _log_sum_error(c["n"], t)
-    return d_l, c["mid"] * (r * d_l + 4 * _U * r * t + _FN)
-
-
-def _kyfan_bound(rows, ks, c, margin_kind):
-    d_l, d_mid = _tempered_log_error(rows, ks, c,
-                                     lambda t: _logs((1.0 - t) / t))
-    return _chain_bound(c, margin_kind, (2 * c["n"] + 2) * _U * c["lhs"],
-                        d_mid, c["rhs"] * (d_l + _FN))
-
-
-def _amgm_bound(rows, ks, c, margin_kind):
-    d_l, d_mid = _tempered_log_error(rows, ks, c, _logs)
-    return _chain_bound(c, margin_kind, c["lhs"] * (d_l + _FN), d_mid,
-                        c["n"] * _U * c["rhs"])
-
-
-def _chrystal_bound(rows, ks, c, margin_kind):
-    a, b = rows["a"][ks], rows["b"][ks]
-    r = rows["alpha"][ks] / c["beta"]
-    t_a, t_b, t_ab = (_log_extent(m, _logs) for m in (a, b, a + b))
-    d_la, d_lb, d_lab = (_log_sum_error(c["n"], t) for t in (t_a, t_b, t_ab))
-    s = np.abs(r - 1.0)
-    d_y = (r * d_lab + 4 * _U * r * t_ab + s * d_lb
-           + (3 * _U * r + 2 * _U * s) * t_b
-           + _U * (r * t_ab + s * t_b))
-    return _chain_bound(c, margin_kind,
-                        c["lhs"] * (np.maximum(d_la, d_lb) + _FN + _U),
-                        c["mid"] * (d_y + _FN), c["rhs"] * (d_lab + _FN))
-
-
-def _holder_mccarthy_bound(rows, ks, c, margin_kind):
-    e = _weight_error(rows["x"][ks], c["n"])
-    return _chain_bound(c, margin_kind, (rows["p"][ks] * e + _FN) * c["lhs"],
-                        (e + 12 * _U) * c["mid"], (e + _FN) * c["rhs"])
-
-
-def _weight_error(x: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """e = (n+1)u + w of margin_bound for rows x of n components (padded
-    with 0.0).  fsum adds each row's squares exactly; numpy's sum would be
-    off by up to (n-1)u |x|^2 more."""
-    squares = map(math.fsum, (x * x).tolist())
-    return np.abs(np.fromiter(squares, float, x.shape[0]) - 1.0) \
-        + (4 * n + 10) * _U
-
-
-def _logs(t: np.ndarray) -> np.ndarray:
-    """math.log element by element, nan where it raises: numpy's log may
-    round otherwise."""
-    out = np.full(t.shape, math.nan)
-    ok = t > 0.0
-    out[ok] = list(map(math.log, t[ok].tolist()))
-    return out
-
-
-def _log_extent(values: np.ndarray, log) -> np.ndarray:
-    """max |log(t)| over each row of values, read at its two extremes."""
-    return np.maximum(np.abs(log(values.min(1))), np.abs(log(values.max(1))))
-
-
-def _log_sum_error(n: np.ndarray, extent):
-    return (n + 8) * _U * extent + 3 * _U
 
 
 def bound_status(margin: float, bound: float, feasible: bool):
     """(confirmed, demotion) that confirm gives when the exact margin lies
     within ``bound`` of ``margin``; None when it could fall either way.
-    It is _bound_statuses on one row."""
-    return _STATUSES[int(_bound_statuses(
-        np.array([margin]), np.array([bound]), np.array([feasible]))[0])]
+    It is _settled on one row."""
+    return _STATUSES[int(_settled(np.array([margin]), margin - bound,
+                                  margin + bound, feasible)[0])]
 
 
-def _bound_statuses(margin: np.ndarray, bound: np.ndarray,
-                    feasible) -> np.ndarray:
-    """bound_status over arrays, as indices into _STATUSES.
+def _settled(margin, lo, hi, feasible) -> np.ndarray:
+    """The status of each candidate whose exact margin lies in [lo, hi],
+    as an index into _STATUSES.
 
     confirm rounds the 60-digit margin to a double and tests it against 0
-    and CONFIRM_THRESHOLD.  A row's status is decided here only when
-    [margin - bound, margin + bound] misses both edges by more than one
-    ulp, so that rounding cannot carry the exact value across either.
-    Rounding is monotone, so computing the two ends in doubles loses
-    nothing.  Every point of the interval then has the status of margin.
-    A nan margin or bound decides nothing.
+    and CONFIRM_THRESHOLD, and its sign against the double margin's.  The
+    status is read off the double margin, so a row is decided here only
+    when the hull of [lo, hi] and its double margin misses both edges by
+    more than one ulp: rounding cannot carry the exact value across
+    either, and every point of the hull has the double margin's status.
+    A nan decides nothing.
     """
-    with np.errstate(all="ignore"):
-        lo, hi = margin - bound, margin + bound
-    near = np.isnan(margin) | np.isnan(bound)
-    for edge in (0.0, CONFIRM_THRESHOLD):
-        near |= (lo <= np.nextafter(edge, math.inf)) \
-            & (hi >= np.nextafter(edge, -math.inf))
-    return np.where(near, 0, _statuses(margin, feasible))
+    lo, hi = np.minimum(lo, margin), np.maximum(hi, margin)
+    clear = [(hi < np.nextafter(edge, -math.inf))
+             | (lo > np.nextafter(edge, math.inf))
+             for edge in (0.0, CONFIRM_THRESHOLD)]  # nan is never clear
+    return np.where(clear[0] & clear[1], _statuses(margin, feasible), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1366,15 +1342,14 @@ class TargetRules:
 
     region: dict  # region defaults; any other key is an error
     draw: Sampler
-    # (rows, margin_kind, hp=False) -> Block: in doubles an array kernel
-    # over the _Rows' columns, refused rows skipped, single ones a row of
-    # their own; hp gives each row's 60-digit margin, flags None and the
-    # extras confirm adds
+    # (rows, margin_kind) -> Block: an array kernel over the _Rows'
+    # columns, refused rows skipped, single ones a row of their own
     evaluate: Callable
-    # (rows, ks, c, margin_kind) -> margin_bound's B over the rows ks, from
-    # c (their Block's columns, margins and sizes n) and the rows' vectors
-    # (see _margin_bounds); None: no bound is derived
-    bound: Callable | None = None
+    # (inst, margin_kind) -> (its 60-digit margin, the extras confirm adds)
+    exact: Callable
+    # (rows, ks, margin_kind) -> an _Enclosure of the exact margins of the
+    # rows ks that the arrays hold (see _enclosures); None: none is built
+    enclose: Callable | None = None
     # (lists, numbers, cap, key) by which _instance_rows reads instance
     # dicts into the arrays; None: every row one at a time.  key(inst) gives
     # a row's region, None for a row read on its own
@@ -1397,7 +1372,7 @@ def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
                                                   else ()),
                 ("target", "triple", "alpha", "beta", "v", "diag", "x",
                  "weight", "lam")),
-        _evaluate_operator, _operator_bound,
+        _evaluate_operator, _operator_exact, _operator_enclosure,
         (("diag", "x"), ("alpha", "beta", "v") + (
             ("lam",) if mode == "per-lambda" else ()), DIM_CAP, _operator_key),
         mode=mode, pinned=pinned)
@@ -1412,27 +1387,31 @@ RULES = {
          "lam": [0.5 + 1e-12, 1.0 - 1e-12]},
         Sampler(lambda region: _BEST_POSSIBLE_STEPS,
                 ("target", "a", "beta", "lam")),
-        _evaluate_best_possible, lam_floor=0.5),
+        functools.partial(_row_by_row, _best_possible_row),
+        _best_possible_exact, lam_floor=0.5),
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-        _mean_chain_sampler("kyfan"), _evaluate_chain, _kyfan_bound,
+        _mean_chain_sampler("kyfan"), _evaluate_chain, _chain_exact,
+        _chain_enclosure,
         _chain_layout("kyfan"), chain="kyfan"),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-        _mean_chain_sampler("amgm"), _evaluate_chain, _amgm_bound,
+        _mean_chain_sampler("amgm"), _evaluate_chain, _chain_exact,
+        _chain_enclosure,
         _chain_layout("amgm"), chain="amgm"),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
         Sampler(lambda region: _CHRYSTAL_STEPS,
                 ("target", "alpha", "v", "n", "a", "b", "q")),
-        _evaluate_chain, _chrystal_bound, _chain_layout("chrystal"),
+        _evaluate_chain, _chain_exact, _chain_enclosure,
+        _chain_layout("chrystal"),
         chain="chrystal"),
     "holder-mccarthy": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 2.0], "dim": [2, 8],
          "p": [1.000001, 4.0]},
         Sampler(lambda region: _HOLDER_MCCARTHY_STEPS,
                 ("target", "alpha", "v", "p", "dim", "diag", "x")),
-        _evaluate_chain, _holder_mccarthy_bound,
+        _evaluate_chain, _chain_exact, _chain_enclosure,
         _chain_layout("holder_mccarthy"), chain="holder_mccarthy"),
     "certificates": TargetRules(
         {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
@@ -1440,7 +1419,8 @@ RULES = {
         Sampler(lambda region: _CERTIFICATES_STEPS + (
             (_CERTIFICATES_P,) if TRIPLES[region["triple"]].needs_p else ()),
             ("target", "triple", "alpha", "beta", "v", "grid", "p")),
-        _evaluate_certificates),
+        functools.partial(_row_by_row, _certificate_row),
+        lambda inst, margin_kind: (_certificate_row(inst)[0], {})),
 }
 TARGETS = tuple(RULES)
 
@@ -1481,8 +1461,8 @@ def _run_range(campaign_json: dict, start: int, stop: int):
         rows = _draw_staged(rngs, c.target, c.region)
         block = evaluate(rows, c.margin_kind)
         margins = np.where(block.accepted, block.margin, math.nan)
-        bounds = _margin_bounds(rows, block, c.margin_kind,
-                                margins < CANDIDATE_THRESHOLD)
+        ends = _enclosures(rows, block, c.margin_kind,
+                           margins < CANDIDATE_THRESHOLD)
         source = {}  # a replayed row -> (rows, block, row) it comes from
         missing = np.flatnonzero(~block.accepted).tolist()
         for j, (tries, got) in zip(
@@ -1495,13 +1475,13 @@ def _run_range(campaign_json: dict, start: int, stop: int):
                     f"at sample {lo + j}",
                     drawn=drawn + int(np.count_nonzero(block.accepted[:j])),
                     rejected=rejected)
-            r, b, k, bound = got
+            r, b, k, ends[:, j] = got
             source[j] = r, b, k
-            margins[j], bounds[j] = b.margin[k], bound
+            margins[j] = b.margin[k]
         drawn += int(np.count_nonzero(block.accepted))
         # NaN margins are never a candidate or the arg-min
         cand = np.flatnonzero(margins < CANDIDATE_THRESHOLD)
-        status = _bound_statuses(margins[cand], bounds[cand], True)
+        status = _settled(margins[cand], *ends[:, cand], True)
         leaves = status == 0
         leaves[:max(0, c.witness_cap - found)] = True
         found += cand.size
@@ -1551,8 +1531,8 @@ def _retry(rngs: list, c: Campaign) -> list:
     """The per-sample loop, from its second draw on, over the samples whose
     first draw was not accepted, each drawing on from its stream ``rngs``
     where that draw left it: for each, (draws made, the first included,
-    (rows, block, k, bound) of its first feasible draw: row k of a round's
-    rows and Block, and its margin_bound if it is a candidate), or
+    (rows, block, k, ends) of its first feasible draw: row k of a round's
+    rows and Block, and its enclosure's ends if it is a candidate), or
     (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each round draws
     the samples still open as a staged block and evaluates it as one."""
     evaluate = RULES[c.target].evaluate
@@ -1563,11 +1543,11 @@ def _retry(rngs: list, c: Campaign) -> list:
             break
         rows = _draw_staged([rngs[j] for j in open_], c.target, c.region)
         block = evaluate(rows, c.margin_kind)
-        bounds = _margin_bounds(rows, block, c.margin_kind, block.accepted
-                                & (block.margin < CANDIDATE_THRESHOLD))
+        ends = _enclosures(rows, block, c.margin_kind, block.accepted
+                           & (block.margin < CANDIDATE_THRESHOLD))
         done = np.flatnonzero(block.accepted).tolist()
         for k in done:
-            found[open_[k]] = tries, (rows, block, k, bounds[k])
+            found[open_[k]] = tries, (rows, block, k, ends[:, k])
         done = set(done)
         open_ = [j for k, j in enumerate(open_) if k not in done]
     return found

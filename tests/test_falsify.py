@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
 
 from hconvexlab import (
     ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
@@ -20,8 +21,8 @@ from hconvexlab.convexity import SWEEP_GRID_CAP
 from hconvexlab.falsify import (
     BLOCK_SIZE, CANDIDATE_THRESHOLD, CONFIRM_THRESHOLD, RETRY_CAP, RULES,
     SAMPLES_CAP, Campaign, PINNED_INSTANCE, TARGETS, WITNESS_CAP,
-    bound_status, confirm, draw_instance, evaluate_instance, lambda_profile,
-    margin_bound, replay_witness, run_campaign,
+    WITNESS_CAP_MAX, bound_status, confirm, draw_instance, evaluate_instance,
+    lambda_profile, margin_enclosure, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
     _Rows, _Streams, _draw, _draw_staged, _drawn, _instance_rows,
@@ -53,6 +54,12 @@ def test_campaign_validation():
         Campaign("amgm", 10, 1, margin_kind="sideways")
     with pytest.raises(ConfigError):
         Campaign("amgm", 10, 1, witness_cap=-1)
+    # each reported witness is confirmed at 60 digits and kept as a dict
+    assert Campaign("amgm", 10, 1,
+                    witness_cap=WITNESS_CAP_MAX).witness_cap == WITNESS_CAP_MAX
+    for cap in (WITNESS_CAP_MAX + 1, 10 ** 12):
+        with pytest.raises(ConfigError, match="witness_cap"):
+            Campaign("amgm", 10, 1, witness_cap=cap)
     with pytest.raises(ConfigError):
         Campaign("amgm", 10, 1, region={"nonsense": [0, 1]})
     with pytest.raises(ConfigError):
@@ -337,7 +344,7 @@ def test_bound_status_sends_near_edge_margins_to_confirm():
         == (False, "below-threshold")
 
 
-def test_margin_bound_covers_the_60_digit_margin():
+def test_margin_enclosure_covers_the_60_digit_margin():
     for target in ("operator-jensen", "per-lambda", "kyfan", "amgm",
                    "chrystal", "holder-mccarthy"):
         region = Campaign(target, 1, 1).region
@@ -346,14 +353,38 @@ def test_margin_bound_covers_the_60_digit_margin():
             margin, flags, extras = evaluate_instance(inst)
             cand = {"index": i, "inputs": inst, "margin_double": margin,
                     "flags": flags, "extras": extras}
-            bound = margin_bound(cand)
-            exact = float(confirm(cand)["margin_confirmed"])
+            lo, hi = margin_enclosure(cand)
+            exact, _ = RULES[target].exact(inst, "refined")  # an mpf
             terms = extras.get("chain") or (extras["lhs"], extras["rhs"])
-            assert 0.0 < bound < 1e-9 * max(1.0, *terms), (target, i, bound)
-            assert abs(margin - exact) <= bound, (target, i)
+            assert 0.0 < (hi - lo) / 2 < 1e-9 * max(1.0, *map(abs, terms)), \
+                (target, i, lo, hi)
+            assert lo <= exact <= hi, (target, i)
 
 
-def test_margin_bound_leaves_dense_and_unbounded_targets_to_confirm():
+def test_numpy_elementary_functions_are_within_four_ulp():
+    # the enclosures move the ends of numpy's exp, log and power 4 ulp out:
+    # a platform whose routines err by more must fail here, not settle a
+    # status it has not proved.  Ranges: chain log-sums and weight
+    # exponents, the chain values and spectra, holder-mccarthy's p.
+    rng = np.random.default_rng(20260815)
+    t = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 2000))
+    p = rng.uniform(1.0, 4.0, 2000)
+    cases = (("exp", np.exp, mp.exp, (rng.uniform(-40.0, 40.0, 2000),)),
+             ("log", np.log, mp.log, (np.exp(rng.uniform(-60.0, 60.0, 2000)),)),
+             ("power", np.power, mp.power, (t, p)),
+             ("square", np.power, mp.power, (t, 2.0)))
+    for name, fn, exact, args in cases:
+        values = fn(*args)
+        lo, hi = values, values
+        for _ in range(4):
+            lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+        with mp.workdps(40):
+            for k, row in enumerate(zip(*np.broadcast_arrays(*args))):
+                want = exact(*map(mp.mpf, row))
+                assert lo[k] <= want <= hi[k], (name, row, values[k])
+
+
+def test_margin_enclosure_leaves_dense_and_unbounded_targets_to_confirm():
     inst = dict(PINNED_INSTANCE, target="operator-jensen",
                 weight="exp_weight")
     dense = {k: v for k, v in inst.items() if k != "diag"}
@@ -361,8 +392,8 @@ def test_margin_bound_leaves_dense_and_unbounded_targets_to_confirm():
     for inputs in (dense, {"target": "best-possible", "a": 1.0, "lam": 0.75,
                            "beta": 0.5}):
         margin, flags, extras = evaluate_instance(inputs)
-        assert margin_bound({"inputs": inputs, "margin_double": margin,
-                             "flags": flags, "extras": extras}) is None
+        assert margin_enclosure({"inputs": inputs, "margin_double": margin,
+                                 "flags": flags, "extras": extras}) is None
 
 
 # ---------------------------------------------------------------------------
@@ -529,89 +560,11 @@ def test_kernel_bits_match_digests(target, margin_kind):
         == KERNEL_DIGESTS[target, margin_kind]
 
 
-# sha256 over repr(margin_bound(candidate)) of the KERNEL_DIGESTS draws of
-# every target with a bound, None for a draw that raises.  Taken from the
-# scalar derivation of the bound, one candidate dict at a time; any later
-# form of margin_bound must give these bits.  Same platform as above.
-SCALAR_BOUND_DIGESTS = {
-    ("operator-jensen", "refined"):
-        "08a788257235b7e3baceb217803525508dd0c8699c59e6814ab517414466ae7d",
-    ("per-lambda", "refined"):
-        "f9c77ba14ba46abad4486e9fcaa286e4cb5917c1935869eaf7042042c28f51a5",
-    ("half-bound", "refined"):
-        "8f3ad48f5b4fffc410cf323c8d341747da8ef615d65d54099474e4f452be97af",
-    ("kyfan", "refined"):
-        "ec1c8e6930043fc63174acf9fc0c5f77aa97f4a82e1e179e329ba5e8ae0cb826",
-    ("amgm", "refined"):
-        "2ea5e78cb62edfb201a6c7bb1c08001b3c2ceb9a46c0c8d4215966079bce5e70",
-    ("chrystal", "refined"):
-        "a32c73256f88e7caa390957ef39c2c0053747cb58fb10ec7776c12e864c01fe9",
-    ("holder-mccarthy", "refined"):
-        "0688856694128d2300817588a81ea32f3cfd6f5ef249e9a259cf4fd65f843c2b",
-    ("kyfan", "outer"):
-        "f4224052f1bc090825258a0f4a21d4d80f0287af05412ff1d4a695788579578e",
-    ("amgm", "outer"):
-        "7dbf931c098b43814935d48dabfa58cc03f776f9778f20bfceb218c18c4e3a0f",
-    ("chrystal", "outer"):
-        "fb4b42cae122adc15f6ff9114fe7c5134db4b89e892e0b98c1aaf4a2193bd9c0",
-    ("holder-mccarthy", "outer"):
-        "307b2a3cb75319b98577847412c53160723e1d7bbb6971dc07774e36e77f5dfb",
-}
-
-
-@pytest.mark.parametrize("target, margin_kind", list(SCALAR_BOUND_DIGESTS),
-                         ids=[f"{t}/{k}" for t, k in SCALAR_BOUND_DIGESTS])
-def test_margin_bound_bits_match_digests(target, margin_kind):
-    region = Campaign(target, 1, 1).region
-    bits = hashlib.sha256()
-    for i in range(1000):
-        try:
-            inst = draw_instance(_stream(GOLDEN_SEED, i), target, region)
-            margin, flags, extras = evaluate_instance(inst, margin_kind)
-        except REJECTED:
-            bound = None
-        else:
-            bound = margin_bound({"index": i, "inputs": inst,
-                                  "margin_double": margin, "flags": flags,
-                                  "extras": extras,
-                                  "margin_kind": margin_kind})
-        bits.update(repr(bound).encode())
-    assert bits.hexdigest() == SCALAR_BOUND_DIGESTS[target, margin_kind]
-
-
-@pytest.mark.parametrize("target, margin_kind", list(SCALAR_BOUND_DIGESTS),
-                         ids=[f"{t}/{k}" for t, k in SCALAR_BOUND_DIGESTS])
-def test_array_bound_is_no_smaller_than_the_scalar_bound(target, margin_kind):
-    # campaigns bound their candidates over drawn blocks of the same draws;
-    # margin_bound on each draw's dict still gives the scalar derivation's
-    # bits (SCALAR_BOUND_DIGESTS).  Where the two differ, the block's bound
-    # must be the larger, and it is nan just where margin_bound is None.
-    # The dicts are the rows' own, which evaluate_instance reproduces
-    # (test_drawn_columns_and_instance_dicts_agree).
-    region = Campaign(target, 1, 1).region
-    streams = _Streams(GOLDEN_SEED)
-    for lo in range(0, 1000, BLOCK_SIZE):
-        rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
-                            target, region)
-        block = RULES[target].evaluate(rows, margin_kind)
-        bounds = falsify._margin_bounds(rows, block, margin_kind,
-                                        np.ones(rows.size, dtype=bool))
-        for k, bound in enumerate(bounds.tolist()):
-            if math.isnan(block.margin[k]):  # refused, or no margin
-                assert math.isnan(bound), lo + k
-                continue
-            margin, flags, extras = block.row(k)
-            scalar = margin_bound({"inputs": rows.instances([k])[0],
-                                   "margin_double": margin, "flags": flags,
-                                   "extras": extras, "margin_kind": margin_kind})
-            assert scalar is not None and bound >= scalar, (lo + k, bound)
-
-
 # how many candidates among the KERNEL_DIGESTS draws (drawn as campaign
 # blocks) have their status settled without the 60-digit confirm, for every
 # target whose rounding error is bounded.  Taken with the hand-derived
-# bounds of margin_bound; a later way of settling must settle at least as
-# many.  Same platform as above.
+# rounding-error bounds that the enclosures replaced; a later way of
+# settling must settle at least as many.  Same platform as above.
 SETTLED_COUNTS = {
     ("operator-jensen", "refined"): 948, ("per-lambda", "refined"): 112,
     ("half-bound", "refined"): 0, ("kyfan", "refined"): 318,
@@ -633,10 +586,44 @@ def test_settled_candidates_reach_the_pinned_counts(target, margin_kind):
         block = RULES[target].evaluate(rows, margin_kind)
         margins = np.where(block.accepted, block.margin, math.nan)
         cand = margins < CANDIDATE_THRESHOLD
-        bounds = falsify._margin_bounds(rows, block, margin_kind, cand)
-        settled += np.count_nonzero(falsify._bound_statuses(
-            margins[cand], bounds[cand], True))
+        ends = falsify._enclosures(rows, block, margin_kind, cand)
+        settled += np.count_nonzero(falsify._settled(
+            margins[cand], *ends[:, cand], True))
     assert settled >= SETTLED_COUNTS[target, margin_kind]
+
+
+def _one_row_status(cand: dict):
+    """The status that the candidate's own enclosure settles, or None."""
+    ends = margin_enclosure(cand) or (math.nan, math.nan)
+    margin = np.array([cand["margin_double"]])
+    return falsify._STATUSES[int(falsify._settled(margin, *ends, True)[0])]
+
+
+@pytest.mark.parametrize("target, margin_kind", list(SETTLED_COUNTS),
+                         ids=[f"{t}/{k}" for t, k in SETTLED_COUNTS])
+def test_block_statuses_match_one_row_enclosures(target, margin_kind):
+    # a campaign encloses a drawn block's candidates at once, over padded
+    # arrays; each row's status is the one its dict's enclosure gives.  The
+    # dicts are the rows' own, which evaluate_instance reproduces
+    # (test_drawn_columns_and_instance_dicts_agree).
+    region = Campaign(target, 1, 1).region
+    streams = _Streams(GOLDEN_SEED)
+    for lo in range(0, 1000, BLOCK_SIZE):
+        rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
+                            target, region)
+        block = RULES[target].evaluate(rows, margin_kind)
+        margins = np.where(block.accepted, block.margin, math.nan)
+        cand = np.flatnonzero(margins < CANDIDATE_THRESHOLD)
+        ends = falsify._enclosures(rows, block, margin_kind,
+                                   margins < CANDIDATE_THRESHOLD)
+        statuses = falsify._settled(margins[cand], *ends[:, cand], True)
+        for k, status in zip(cand.tolist(), statuses.tolist()):
+            margin, flags, extras = block.row(k)
+            one = _one_row_status({"inputs": rows.instances([k])[0],
+                                   "margin_double": margin, "flags": flags,
+                                   "extras": extras,
+                                   "margin_kind": margin_kind})
+            assert falsify._STATUSES[status] == one, (lo + k, status)
 
 
 # (target, region, streams, draws from each, digest): sha256 over, draw
@@ -1021,7 +1008,7 @@ def test_operator_draws_evaluations_and_confirms_build_no_triple():
 def _reference_range(campaign, start, stop):
     """What _run_range gives, from the per-sample loop: every sample drawn
     until feasible and evaluated on its own, and each candidate's status
-    from margin_bound and bound_status on its own dict.  The candidates
+    from its own dict's enclosure (margin_enclosure).  The candidates
     returned are the first witness_cap, the arg-min and the unsettled
     ones; the others are counted."""
     drawn = rejected = 0
@@ -1049,9 +1036,7 @@ def _reference_range(campaign, start, stop):
                                "margin_kind": campaign.margin_kind})
     kept, statuses, counts = [], [], {}
     for k, cand in enumerate(candidates):
-        bound = margin_bound(cand)
-        status = None if bound is None else bound_status(
-            cand["margin_double"], bound, True)
+        status = _one_row_status(cand)
         if k < campaign.witness_cap or status is None \
                 or cand["index"] == argmin[0]:
             kept.append(cand)
@@ -1105,11 +1090,11 @@ def test_nan_margins_are_neither_candidates_nor_the_argmin():
     # unless its margin reads NaN, which this kernel gives half the rows
     rules = RULES["best-possible"]
 
-    def some_nan(rows, margin_kind, hp=False):
-        block = rules.evaluate(rows, margin_kind, hp)
+    def some_nan(rows, margin_kind):
+        block = rules.evaluate(rows, margin_kind)
         ks = np.flatnonzero(~rows.refused).tolist()
         for k, inst in zip(ks, rows.instances(ks)):
-            if not hp and inst["lam"] < 0.75:
+            if inst["lam"] < 0.75:
                 _, flags, extras = block.row(k)
                 block.run(k, lambda: (math.nan, flags, extras), rules.feasible)
         return block
