@@ -849,7 +849,8 @@ def _chain_exact(inst: dict, margin_kind: str):
     name = RULES[inst["target"]].chain
     m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
                               if CHAINS[name].spectral else None)
-    return (m1 + m2) if margin_kind == "outer" else min(m1, m2), {}
+    with mp.workdps(DPS):  # the outer sum keeps the margins' 60 digits
+        return (m1 + m2) if margin_kind == "outer" else min(m1, m2), {}
 
 
 def _evaluate_chain(rows: _Rows, margin_kind: str):

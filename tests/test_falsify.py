@@ -275,6 +275,18 @@ def test_outer_margin_kind_sums_the_chain():
     assert outer_margin > 0.0 > refined_margin
 
 
+def test_outer_margin_confirms_at_60_digits():
+    # the two 60-digit chain margins are added at working precision: at 53
+    # bits this margin reads 30.049179561786864667...
+    inst = draw_instance(_stream(GOLDEN_SEED, 3), "kyfan",
+                         Campaign("kyfan", 1, 1).region)
+    margin, flags, extras = evaluate_instance(inst, "outer")
+    out = confirm({"index": 3, "inputs": inst, "margin_double": margin,
+                   "flags": flags, "extras": extras, "margin_kind": "outer"})
+    assert out["margin_confirmed"] == (
+        "30.049179561786863240267919962430944400863993936466")
+
+
 # ---------------------------------------------------------------------------
 # Confirmation and demotions
 # ---------------------------------------------------------------------------
@@ -525,16 +537,16 @@ KERNEL_DIGESTS = {
         "d90d17aacd62702034e573e19c831cffff9c950017720675910a341348b64f1f"),
     ("kyfan", "outer"): (
         "a07c802c2b32234f3451b493f359a0fca81ae7249e28d0f67b4e593ce78db677",
-        "b5247cc22c78dcd927aa29c56cb8396ea1ada0748d1c193f2d619f65d1686abe"),
+        "4f7d1cac95319364d9bd72270b20c406473fccdbac13dc41ee8c15bc7e37a279"),
     ("amgm", "outer"): (
         "fa1a1cd633ff966495d9d20f6c86cc3d58d996c3a59552b3212f4201437d75be",
-        "1e16f546e140d0e3002f505a9141297ec1f252df7f38067f30aab352317ab20d"),
+        "08cb98d5ee3aa1bc0fa8e738b7bc892fcf9b251b42bed4846c853c2f24ed322d"),
     ("chrystal", "outer"): (
         "29661fdd95990335522b9648a8169c0149641b86941b3a0304943f0459410ba2",
-        "468bc892245d5ed31e3944abaefd93bc7aa1dd3f6fc38db011b9cf2f756029cc"),
+        "75e2082492013e6b4d9d7a93f3b0cab469e3b26672d414e7dde61c826e7be3e3"),
     ("holder-mccarthy", "outer"): (
         "f5d64889d30314192d0bcecb7ab7be2cc0324e581b8e0eb5758c4b737c65ed2e",
-        "66e7c325267d2b8e74898c447d23bed966ed3d48a286bc1e987c7362e86997ae"),
+        "8f68e6c78f372f51c4cae727fde64f8555b484e77f7fbb8b4ba9ce3af359d767"),
 }
 
 
