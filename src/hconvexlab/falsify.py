@@ -58,11 +58,11 @@ report keeps.  Instance dicts reach the same kernels through
 _instance_rows, a dense matrix or odd lists as a row of its own, so
 replay, the CLI and tests run what campaigns run.  A row the kernel
 refuses raises, when asked for, what its evaluation on its own raises.
-A sample whose first draw is refused, fails to evaluate or is infeasible
-draws on from where that draw left its stream, in the per-sample retry
-loop run over all such samples of a block at once: each round draws the
-samples still open as a block and evaluates their draws as one.  It
-counts all of their draws; any other sample counts one.
+A block is drawn in rounds (_draws): the first round draws every sample,
+and each later round the samples whose last draw was refused, failed to
+evaluate or was infeasible, from where that draw left their streams,
+each round drawn and evaluated as a block.  A sample counts every draw
+it made.
 
 Targets
   operator-jensen   M_(0,1)(h) <f(A)x,x>  vs  f(<Ax,x>)
@@ -1433,24 +1433,21 @@ TARGETS = tuple(RULES)
 def _run_range(campaign_json: dict, start: int, stop: int):
     """Evaluate sample indices [start, stop); returns chunk aggregates.
 
-    Samples are drawn BLOCK_SIZE at a time, each from its own stream, and
-    each block is evaluated by the target's kernel at once, from the
-    drawn columns.  The samples whose first draw is refused, fails to
-    evaluate or is infeasible are drawn on from their streams by _retry,
-    the per-sample loop run over them together, which counts all their
-    draws; the others count one draw each.
+    Samples are taken BLOCK_SIZE at a time, each from its own stream, and
+    _draws draws and evaluates a block in rounds until every sample has
+    an accepted draw; each sample counts all the draws it made.
 
-    A block's candidates stay indices into its columns (a replayed row's
-    into its retry round's).  Their rounding-error bounds and the statuses
-    those settle are computed over arrays, and a settled candidate is only
-    counted (``confirmed``, ``demotions``).  Dicts are built only for the
-    candidates that leave the chunk, in index order with their statuses
-    (None: unsettled): its first witness_cap candidates, its arg-min and
-    the unsettled ones; ``found`` counts all candidates.  An arg-min that
-    is no candidate gets an instance dict only, where a block finds it.
+    A block's candidates stay indices into the arrays _draws fills, and
+    each reads its rows from the round of its accepted draw.  Their
+    enclosures and the statuses those settle are computed over arrays,
+    and a settled candidate is only counted (``confirmed``,
+    ``demotions``).  Dicts are built only for the candidates that leave
+    the chunk, in index order with their statuses (None: unsettled): its
+    first witness_cap candidates, its arg-min and the unsettled ones;
+    ``found`` counts all candidates.  An arg-min that is no candidate
+    gets an instance dict only, where a block finds it.
     """
     c = Campaign(**campaign_json)
-    evaluate = RULES[c.target].evaluate
     streams = _Streams(c.seed)
     drawn = rejected = found = 0
     min_margin, argmin = math.inf, None
@@ -1458,28 +1455,18 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     out = []  # (candidate, status) of the rows that leave
     held = None  # (candidate, status index) of an arg-min in the tally
     for lo in range(start, stop, BLOCK_SIZE):
-        rngs = streams.many(range(lo, min(lo + BLOCK_SIZE, stop)))
-        rows = _draw_staged(rngs, c.target, c.region)
-        block = evaluate(rows, c.margin_kind)
-        margins = np.where(block.accepted, block.margin, math.nan)
-        ends = _enclosures(rows, block, c.margin_kind,
-                           margins < CANDIDATE_THRESHOLD)
-        source = {}  # a replayed row -> (rows, block, row) it comes from
-        missing = np.flatnonzero(~block.accepted).tolist()
-        for j, (tries, got) in zip(
-                missing, _retry([rngs[j] for j in missing], c)):
-            drawn += tries
-            rejected += tries - (got is not None)
-            if got is None:
-                raise EmptyRegion(
-                    f"{c.target}: no feasible draw after {RETRY_CAP} tries "
-                    f"at sample {lo + j}",
-                    drawn=drawn + int(np.count_nonzero(block.accepted[:j])),
-                    rejected=rejected)
-            r, b, k, ends[:, j] = got
-            source[j] = r, b, k
-            margins[j] = b.margin[k]
-        drawn += int(np.count_nonzero(block.accepted))
+        rounds, tries, margins, ends, at = _draws(
+            streams.many(range(lo, min(lo + BLOCK_SIZE, stop))), c)
+        failed = np.flatnonzero(at[0] < 0)
+        if failed.size:
+            j = int(failed[0])  # each sample before j has one accepted draw
+            n = int(tries[:j + 1].sum())
+            raise EmptyRegion(
+                f"{c.target}: no feasible draw after {RETRY_CAP} tries "
+                f"at sample {lo + j}", drawn=drawn + n,
+                rejected=rejected + n - j)
+        drawn += int(tries.sum())
+        rejected += int(tries.sum()) - tries.size
         # NaN margins are never a candidate or the arg-min
         cand = np.flatnonzero(margins < CANDIDATE_THRESHOLD)
         status = _settled(margins[cand], *ends[:, cand], True)
@@ -1493,19 +1480,16 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             best = int(np.nanargmin(margins))  # the first of equal minima
             if margins[best] >= min_margin:
                 best = None
-        rows.instances([j for j in ks + [best]
-                        if j is not None and j not in source])
         for j, code in zip(ks, status[leaves].tolist()):
-            got = source.get(j, (rows, block, j))
-            out.append((_candidate(c, lo + j, *got), _STATUSES[code]))
+            out.append((_candidate(c, lo, j, rounds, at), _STATUSES[code]))
         if best is not None:
-            r, b, k = source.get(best, (rows, block, best))
+            (rows, _), k = rounds[at[0, best]], int(at[1, best])
             min_margin = float(margins[best])
-            argmin = lo + best, r.instances([k])[0]
-            at = int(np.searchsorted(cand, best))
+            argmin = lo + best, rows.instances([k])[0]
+            i = int(np.searchsorted(cand, best))
             held = None
-            if margins[best] < CANDIDATE_THRESHOLD and not leaves[at]:
-                held = _candidate(c, lo + best, r, b, k), int(status[at])
+            if margins[best] < CANDIDATE_THRESHOLD and not leaves[i]:
+                held = _candidate(c, lo, best, rounds, at), int(status[i])
     if held is not None:  # the arg-min leaves, so it leaves the tally
         tally[held[1]] -= 1
         bisect.insort(out, (held[0], _STATUSES[held[1]]),
@@ -1519,39 +1503,47 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _candidate(c: Campaign, index: int, rows: _Rows, block: Block,
-               k: int) -> dict:
-    """The candidate dict of sample ``index``, row k of a block."""
+def _draws(rngs: list, c: Campaign):
+    """The per-sample loop over a block whose sample j draws from rngs[j],
+    run in rounds: the first draws every sample, and each later one the
+    samples still open, from where their last draw left their streams,
+    until every sample has an accepted draw (evaluated, and feasible) or
+    has made RETRY_CAP draws.  A round draws its samples as a staged block
+    and evaluates and encloses them as one.
+
+    Returns (rounds, tries, margin, ends, at): each round's (rows, Block),
+    and over the samples their draw counts, the margins of their accepted
+    draws (nan: none), the (2, samples) ends of those draws' enclosures
+    (see _enclosures) and ``at``, the (2, samples) round and row of those
+    draws (-1: none)."""
+    evaluate, n = RULES[c.target].evaluate, len(rngs)
+    tries, at = np.zeros(n, dtype=np.int64), np.full((2, n), -1)
+    margin, ends = np.full(n, math.nan), np.full((2, n), math.nan)
+    rounds, open_ = [], np.arange(n)
+    while open_.size and len(rounds) < RETRY_CAP:
+        rows = _draw_staged([rngs[j] for j in open_.tolist()], c.target,
+                            c.region)
+        block = evaluate(rows, c.margin_kind)
+        ok, done = block.accepted, open_[block.accepted]
+        tries[open_] += 1
+        margin[done] = block.margin[ok]
+        ends[:, open_] = _enclosures(rows, block, c.margin_kind,
+                                     ok & (block.margin < CANDIDATE_THRESHOLD))
+        at[0, done], at[1, done] = len(rounds), np.flatnonzero(ok)
+        rounds.append((rows, block))
+        open_ = open_[~ok]
+    return rounds, tries, margin, ends, at
+
+
+def _candidate(c: Campaign, lo: int, j: int, rounds: list,
+               at: np.ndarray) -> dict:
+    """The candidate dict of sample lo + j, read from the round of its
+    accepted draw (see _draws)."""
+    (rows, block), k = rounds[at[0, j]], int(at[1, j])
     margin, flags, extras = block.row(k)
-    return {"index": index, "inputs": rows.instances([k])[0],
+    return {"index": lo + j, "inputs": rows.instances([k])[0],
             "margin_double": margin, "flags": flags, "extras": extras,
             "margin_kind": c.margin_kind}
-
-
-def _retry(rngs: list, c: Campaign) -> list:
-    """The per-sample loop, from its second draw on, over the samples whose
-    first draw was not accepted, each drawing on from its stream ``rngs``
-    where that draw left it: for each, (draws made, the first included,
-    (rows, block, k, ends) of its first feasible draw: row k of a round's
-    rows and Block, and its enclosure's ends if it is a candidate), or
-    (RETRY_CAP, None) when none of RETRY_CAP draws is.  Each round draws
-    the samples still open as a staged block and evaluates it as one."""
-    evaluate = RULES[c.target].evaluate
-    found = [(RETRY_CAP, None)] * len(rngs)
-    open_ = list(range(len(rngs)))
-    for tries in range(2, RETRY_CAP + 1):
-        if not open_:
-            break
-        rows = _draw_staged([rngs[j] for j in open_], c.target, c.region)
-        block = evaluate(rows, c.margin_kind)
-        ends = _enclosures(rows, block, c.margin_kind, block.accepted
-                           & (block.margin < CANDIDATE_THRESHOLD))
-        done = np.flatnonzero(block.accepted).tolist()
-        for k in done:
-            found[open_[k]] = tries, (rows, block, k, ends[:, k])
-        done = set(done)
-        open_ = [j for k, j in enumerate(open_) if k not in done]
-    return found
 
 
 def _chunks(n: int, workers: int):

@@ -1080,6 +1080,21 @@ def test_blocks_with_rejections_match_the_per_sample_loop(target, region,
     assert repr(got) == repr(want)
     assert got["rejected"] > 0 or target == "operator-jensen"
 
+    def redrawn(i):  # whether sample i's first draw is refused or infeasible
+        try:
+            inst = draw_instance(_stream(campaign.seed, i), target,
+                                 campaign.region)
+            _, flags, _ = evaluate_instance(inst, margin_kind)
+        except REJECTED:
+            return True
+        return not RULES[target].feasible(flags)
+    # rows of later rounds reach the report: returned candidates, and
+    # kyfan's arg-min, whose first draw was not accepted
+    if target in ("kyfan", "amgm"):
+        assert any(redrawn(cand["index"]) for cand in got["candidates"])
+    if target == "kyfan":
+        assert redrawn(got["argmin"][0])
+
 
 def test_every_counted_draw_is_made_once():
     # kyfan at v in [0.3, 0.9] has rows that fail to evaluate: their retries
