@@ -88,7 +88,6 @@ class Certificate:
     verdict: str  # Certified | Violated | Degenerate
     gate: GateInterval
     float_min_value: float  # raw double-precision minimum, pre-recheck
-    violation_tolerance: float = VIOLATION_TOLERANCE
 
     def to_json(self) -> dict:
         return {
@@ -99,7 +98,7 @@ class Certificate:
             "verdict": self.verdict,
             "gate": self.gate.to_json(),
             "float_min_value": self.float_min_value,
-            "violation_tolerance": self.violation_tolerance,
+            "violation_tolerance": VIOLATION_TOLERANCE,
         }
 
 
@@ -139,15 +138,13 @@ def _refine(f, h, v, u0, lam0, du, dlam, u_bounds, gap_fn=gap):
 
 def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
             v: float, grid: tuple = DEFAULT_GRID, refine: bool = True,
-            ambient: Interval | None = None,
-            violation_tolerance: float = VIOLATION_TOLERANCE,
-            hp_recheck: bool = True) -> Certificate:
+            ambient: Interval | None = None) -> Certificate:
     """Grid-certify the gap F >= 0 over [g(v), v] x [0, 1].
 
     The lambda grid includes both endpoints (the defining inequality is
-    stated on the closed interval).  A sub-tolerance grid minimum yields
-    Certified; a candidate violation is recomputed in extended precision
-    and the verdict follows the corrected value.  A degenerate gate
+    stated on the closed interval).  A grid minimum of at least
+    -VIOLATION_TOLERANCE yields Certified; a lower one is recomputed at 60
+    digits and the verdict follows the corrected value.  A degenerate gate
     (g(v) = v) certifies along the single line u = v.
     """
     n_u, n_lam = int(grid[0]), int(grid[1])
@@ -174,21 +171,19 @@ def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
             f, h, v, u_star, lam_star, du, dlam, (lo, hi))
         did_refine = True
 
-    float_min = best
     min_value = best
-    if hp_recheck and best < -violation_tolerance:
+    if best < -VIOLATION_TOLERANCE:
         from .highprec import hp_gap
         min_value = float(hp_gap(f, h, v, u_star, lam_star))
 
-    if min_value < -violation_tolerance:
+    if min_value < -VIOLATION_TOLERANCE:
         verdict = "Violated"
     elif gi.degenerate:
         verdict = "Degenerate"
     else:
         verdict = "Certified"
     return Certificate(min_value, (u_star, lam_star), (n_u, n_lam),
-                       did_refine, verdict, gi, float_min,
-                       violation_tolerance)
+                       did_refine, verdict, gi, best)
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,10 @@ def family_core(name: str):
 # Gate intervals
 # ---------------------------------------------------------------------------
 
+# a gate's lower end on an open ambient boundary moves this far inside it
+GATE_CLAMP_EPS = 1e-9
+
+
 @dataclass(frozen=True)
 class GateInterval:
     """The restricted interval [g(v), v] after intersection with an ambient set.
@@ -439,20 +443,20 @@ class GateInterval:
                 "degenerate": self.degenerate, "clamped": self.clamped}
 
 
-def gate_interval(g: ScalarFunction, v: float, ambient: Interval,
-                  clamp_eps: float = 1e-9) -> GateInterval:
+def gate_interval(g: ScalarFunction, v: float,
+                  ambient: Interval) -> GateInterval:
     """Restricted interval [g(v), v] intersected with ``ambient``.
 
     Raises InfeasibleGate when g(v) > v, or when the intersection is empty.
     A lower endpoint landing on (or below) an open ambient boundary is
-    clamped to that boundary plus ``clamp_eps`` so downstream grid searches
+    clamped to that boundary plus GATE_CLAMP_EPS so downstream grid searches
     always receive a closed, evaluable interval.
     """
     v = float(v)
     if not ambient.contains(v):
         raise DomainError(f"anchor v={v!r} outside ambient {ambient}")
     gv = evaluate(g, v)
-    lo, clamped = _gate_lower_end(gv, v, ambient, clamp_eps, g.label)
+    lo, clamped = _gate_lower_end(gv, v, ambient, g.label)
     if gv == v:
         return GateInterval(Interval(v, v), v, gv, degenerate=True,
                             clamped=False)
@@ -493,20 +497,18 @@ def _one_row(rows):
     return out
 
 
-def _gate_lower_end(gv: float, v: float, ambient: Interval, clamp_eps: float,
+def _gate_lower_end(gv: float, v: float, ambient: Interval,
                     label: Callable[[], str]):
     """(lower end, clamped) of gate_interval's closed interval [lo, v] once
     g(v) is known, raising as gate_interval does; ``label()`` names g in
     the errors."""
     lo, clamped = _one_row(lambda refuse: _gate_lower_rows(
-        np.array([gv]), np.array([v]), ambient, clamp_eps,
-        lambda k: label(), refuse))
+        np.array([gv]), np.array([v]), ambient, lambda k: label(), refuse))
     return float(lo[0]), bool(clamped[0])
 
 
 def _gate_lower_rows(gv: np.ndarray, v: np.ndarray, ambient: Interval,
-                     clamp_eps: float, label: Callable[[int], str],
-                     refuse: Callable):
+                     label: Callable[[int], str], refuse: Callable):
     """_gate_lower_end over rows: (lower ends, clamped).  For the rows where
     it raises, refuse(mask, error) is called in the order it checks them,
     with error(k) what it raises for row k (an end that Interval refuses as
@@ -518,7 +520,7 @@ def _gate_lower_rows(gv: np.ndarray, v: np.ndarray, ambient: Interval,
         lo = np.where(ambient.lo > gv, ambient.lo, gv)  # max(gv, ambient.lo)
     clamped = inside & ambient.lo_open & (lo == ambient.lo) \
         & (gv <= ambient.lo)
-    lo = np.where(clamped, ambient.lo + clamp_eps, lo)
+    lo = np.where(clamped, ambient.lo + GATE_CLAMP_EPS, lo)
     refuse(inside & (lo > v), lambda k: InfeasibleGate(
         f"{label(k)}: restricted interval empty after intersection "
         f"(lo={float(lo[k])!r} > v={float(v[k])!r})"))
@@ -602,7 +604,7 @@ class TripleRule:
             f"{family.default_domain}"))
         with np.errstate(all="ignore"):
             gv = family.core(params, v, _NP_OPS)
-            return _gate_lower_rows(gv, v, ambient, 1e-9, label, refuse)[0]
+            return _gate_lower_rows(gv, v, ambient, label, refuse)[0]
 
 
 TRIPLES = {
