@@ -97,41 +97,9 @@ def sample_checks(values: np.ndarray, q: np.ndarray, refuse,
                                 f"{math.fsum(q[j].tolist())!r}"))
 
 
-def gamma(sample: WeightedSample, inequality: str) -> float:
-    """Max pairwise spread of the inequality's relevant value sets.
-
-    chrystal takes the three-way max over |a_i-a_j|, |b_i-b_j|, |a_i-b_j|;
-    for holder_mccarthy the values are read as the spectrum.
-    """
-    chain = chain_rule(inequality)
-    if chain.paired and sample.b is None:
-        raise ValueError(f"{inequality} spread needs the paired values b")
-    values = chain.inputs(sample.a, sample.b, sample.q)[1]
-    return max(values) - min(values)
-
-
 # ---------------------------------------------------------------------------
 # Feasibility (post hoc)
 # ---------------------------------------------------------------------------
-
-def feasible(sample: WeightedSample, alpha: float, v: float, inequality: str,
-             p: float | None = None) -> dict:
-    """Per-hypothesis flags for one inequality instance.
-
-    gamma is computed from the sample first; every clause — parameter
-    ranges, anchor range, and the beta-dependent membership interval — is
-    then checked.  Nothing is rejected; the flags are the result.
-    """
-    g = gamma(sample, inequality)
-    values = CHAINS[inequality].inputs(sample.a, sample.b, sample.q)[1]
-    pairs = None if sample.b is None \
-        else (np.array([sample.a]), np.array([sample.b]))
-    rows = flag_rows(inequality, np.array([min(values)]),
-                     np.array([max(values)]), np.array([g]),
-                     np.array([alpha]), np.array([v]),
-                     None if p is None else np.array([p]), pairs)
-    return {key: bool(t[0]) for key, t in rows.items()}
-
 
 def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None,
               gate=None) -> dict:

@@ -10,8 +10,7 @@ from hconvexlab.funclib import TRIPLES, make_triple, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
-    amgm_terms, chrystal_chain, chrystal_terms, feasible, gamma, hm_chain,
-    kyfan_chain,
+    amgm_terms, chrystal_chain, chrystal_terms, hm_chain, kyfan_chain,
 )
 
 
@@ -41,18 +40,18 @@ def test_weighted_sample_validation():
 
 def test_gamma_is_the_value_spread():
     s = WeightedSample((0.2, 0.5, 0.35), (0.25, 0.5, 0.25))
-    assert gamma(s, "kyfan") == pytest.approx(0.3, abs=1e-15)
-    assert gamma(s, "amgm") == pytest.approx(0.3, abs=1e-15)
+    assert kyfan_chain(s, 2.0, 0.5).gamma == pytest.approx(0.3, abs=1e-15)
+    assert amgm_chain(s, 2.0, 0.5).gamma == pytest.approx(0.3, abs=1e-15)
     with pytest.raises(ValueError):
-        gamma(s, "nonsense")
+        refined.chain_rule("nonsense")
 
 
 def test_gamma_chrystal_spans_both_value_lists():
     s = WeightedSample((1.0, 2.0), (0.5, 0.5), b=(5.0, 4.0))
     # union {1, 2, 5, 4}: spread 4
-    assert gamma(s, "chrystal") == 4.0
-    with pytest.raises(ValueError):
-        gamma(WeightedSample((1.0,), (1.0,)), "chrystal")
+    assert chrystal_chain(s, 2.0, 1.0).gamma == 4.0
+    with pytest.raises(DomainError):
+        chrystal_chain(WeightedSample((1.0,), (1.0,)), 2.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +250,15 @@ def test_kyfan_outer_inequality_always_holds(values, alpha):
 
 def test_feasible_flags_keys_per_inequality():
     s = WeightedSample((0.7, 0.75), (0.5, 0.5))
-    assert set(feasible(s, 2.0, 0.8, "amgm")) == {
+    assert set(amgm_chain(s, 2.0, 0.8).flags) == {
         "alpha_in_range", "gamma_in_range", "anchor_in_range",
         "values_in_interval"}
     sc = WeightedSample((0.7,), (1.0,), b=(0.8,))
-    assert set(feasible(sc, 2.0, 1.0, "chrystal")) == {
+    assert set(chrystal_chain(sc, 2.0, 1.0).flags) == {
         "alpha_in_range", "gamma_in_range", "anchor_in_range",
         "values_in_interval", "logratios_in_interval"}
-    assert set(feasible(s, 2.0, 0.8, "holder_mccarthy", p=2.0)) == {
+    A = SymmetricMatrix.diagonal(s.a)
+    assert set(hm_chain(A, UnitVector([1.0, 1.0]), 2.0, 2.0, 0.8).flags) == {
         "alpha_in_range", "gamma_in_range", "anchor_in_range",
         "exponent_in_range", "spectrum_in_interval"}
 
@@ -270,8 +270,8 @@ def test_feasible_flags_keys_per_inequality():
 ])
 def test_extreme_gate_values_are_data(inequality, v, alpha, gate, member):
     assert TRIPLES[inequality].gate_value(v, alpha) == gate
-    flags = feasible(WeightedSample((0.3, 0.35), (0.5, 0.5)), alpha, v,
-                     inequality)
+    chain = {"amgm": amgm_chain, "kyfan": kyfan_chain}[inequality]
+    flags = chain(WeightedSample((0.3, 0.35), (0.5, 0.5)), alpha, v).flags
     assert flags["values_in_interval"] is member
 
 
