@@ -6,11 +6,12 @@ Up to dimension 14 it runs cyclic sweeps on Python lists, one rotation at a
 time in row-major (p, r) order; above it, round-robin sweeps apply n // 2
 disjoint rotations per numpy step, the parallel ordering of Brent and Luk
 (SIAM J. Sci. Stat. Comput. 6(1), 1985).  The cutover is where the two
-measured per-call times cross.  A matrix built with
-SymmetricMatrix.diagonal needs no sweep: its spectrum is its diagonal, and
-f(A) is again diagonal.  On top of the decomposition sit the functional
-calculus f(A) = Q f(L) Q^T, quadratic forms <Ax, x>, spectrum containment
-checks, and the operator Jensen verifiers
+measured per-call times cross.  The spectral step of the verifiers and
+the Hoelder-McCarthy chain needs no sweep for a matrix whose off-diagonal
+entries are all 0: its spectrum is its diagonal, however it was built.
+On top of the decomposition sit the functional calculus f(A) = Q f(L) Q^T,
+quadratic forms <Ax, x>, spectrum containment checks, and the operator
+Jensen verifiers
 
     classical    f(<Ax,x>) <= <f(A)x,x>
     per-lambda   f(<Ax,x>) <= (h(lam)/lam) <f(A)x,x>
@@ -61,7 +62,7 @@ class SymmetricMatrix:
     rejected rather than silently repaired.
     """
 
-    __slots__ = ("_a", "_decomp", "_diagonal")
+    __slots__ = ("_a", "_decomp")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -72,32 +73,21 @@ class SymmetricMatrix:
         asym = float(np.abs(a - a.T).max(initial=0.0))
         if asym > 1e-12 * scale:
             raise ValueError(f"matrix is not symmetric (max asymmetry {asym:g})")
-        lower = np.tril(a)
-        self._init(lower + np.tril(a, -1).T, diagonal=False)
-
-    def _init(self, a: np.ndarray, diagonal: bool) -> None:
+        a = np.tril(a) + np.tril(a, -1).T
         a.flags.writeable = False
         self._a = a
         self._decomp = None
-        self._diagonal = diagonal
 
     @classmethod
     def diagonal(cls, values) -> "SymmetricMatrix":
-        """diag(values), whose decomposition is read off without Jacobi.
-
-        The entries equal those of SymmetricMatrix(np.diag(values)); adding
-        0.0 turns a -0.0 value into +0.0 as that constructor's mirroring
-        does.
-        """
+        """diag(values): SymmetricMatrix(np.diag(values)), once values is
+        checked to be a vector within the dimension cap."""
         d = np.array(values, dtype=float)
         if d.ndim != 1:
             raise ValueError(f"expected a vector of diagonal values, got "
                              f"shape {d.shape}")
         _check_size(d.shape[0])
-        (d,) = _one_row(lambda refuse: diagonal_rows(d[None, :], refuse))
-        out = cls.__new__(cls)
-        out._init(np.diag(d), diagonal=True)
-        return out
+        return cls(np.diag(d))
 
     @property
     def dim(self) -> int:
@@ -107,27 +97,13 @@ class SymmetricMatrix:
     def entries(self) -> np.ndarray:
         return self._a
 
-    @property
-    def is_diagonal(self) -> bool:
-        """Built by :meth:`diagonal`; dense input is never inspected."""
-        return self._diagonal
-
     def decomposition(self) -> "SpectralDecomposition":
         if self._decomp is None:
-            self._decomp = _diagonal_decomposition(self._a) \
-                if self._diagonal else spectral_decompose(self)
+            self._decomp = spectral_decompose(self)
         return self._decomp
 
     def __repr__(self):
         return f"SymmetricMatrix(dim={self.dim})"
-
-
-def diagonal_rows(d: np.ndarray, refuse) -> np.ndarray:
-    """SymmetricMatrix.diagonal's rule over rows of diagonal values,
-    refusing the rows with an entry that is not finite.  Adding 0.0 turns a
-    -0.0 value into +0.0, as the dense constructor's mirroring does."""
-    refuse(~np.isfinite(d).all(-1), _not_finite)
-    return d + 0.0
 
 
 def _check_size(n: int) -> None:
@@ -351,14 +327,6 @@ def _round_robin_jacobi(a: np.ndarray, tol: float):
     return a, w[n:]
 
 
-def _diagonal_decomposition(a: np.ndarray) -> SpectralDecomposition:
-    """What spectral_decompose returns for a diagonal matrix, which it
-    leaves after zero sweeps: the sorted diagonal and permuted unit vectors."""
-    eigs = np.diag(a)
-    order = np.argsort(eigs, kind="stable")
-    return SpectralDecomposition(eigs[order], np.eye(eigs.size)[:, order])
-
-
 # ---------------------------------------------------------------------------
 # Functional calculus and forms
 # ---------------------------------------------------------------------------
@@ -393,17 +361,13 @@ def spectrum_rows(f: ScalarFunction, eigs: np.ndarray, refuse,
 
 
 def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
-    """Functional calculus f(A) = Q f(L) Q^T.
-
-    For a diagonal A, Q is a permutation, so Q f(L) Q^T = diag(Q f(L)):
-    the same entries as the dense product, without forming it.
-    """
+    """Functional calculus f(A) = Q f(L) Q^T, from A's Jacobi
+    decomposition."""
     dec = A.decomposition()
     (eigs,) = _one_row(lambda refuse: spectrum_rows(
         f, dec.eigenvalues[None, :], refuse, [A.dim]))
-    fa = _calculus(A, dec.eigenvectors, evaluate_array(f, eigs))
-    return SymmetricMatrix.diagonal(np.diag(fa)) if A.is_diagonal \
-        else SymmetricMatrix(fa)
+    return SymmetricMatrix(_calculus(dec.eigenvectors,
+                                     evaluate_array(f, eigs)))
 
 
 def quadratic_form(A: SymmetricMatrix, x: UnitVector) -> float:
@@ -451,12 +415,9 @@ def _not_finite(j) -> ValueError:
     return ValueError("matrix entries must be finite")
 
 
-def _calculus(A: SymmetricMatrix, q: np.ndarray, values: np.ndarray):
+def _calculus(q: np.ndarray, values: np.ndarray):
     """The entries of f(A), as SymmetricMatrix holds them, from f at A's
-    ascending eigenvalues and their eigenvectors q: Q f(L) Q^T symmetrised,
-    or, Q being a permutation for a diagonal A, diag(Q f(L))."""
-    if A.is_diagonal:
-        return np.diag(q @ values + 0.0)
+    eigenvalues and their eigenvectors q: Q f(L) Q^T symmetrised."""
     mat = (q * values) @ q.T
     return (mat + mat.T) / 2.0 + 0.0
 
@@ -468,7 +429,8 @@ class Spectra:
     see diagonal), their ends ``lo`` and ``hi``, and ``qf`` =
     <Ax,x> clamped to [lo, hi]; ``expectation(values, refuse)`` is
     <f(A)x,x> from f at ``eigs``, refusing the rows whose f(A) is not
-    finite.  Diagonal rows stay arrays; a dense matrix is a row of its own.
+    finite.  Diagonal rows stay arrays; a matrix with a nonzero
+    off-diagonal entry is a row of its own.
     """
 
     def __init__(self, eigs, lo, hi, qf, expectation: Callable, sizes):
@@ -482,7 +444,8 @@ class Spectra:
         in d's order; the rows SymmetricMatrix.diagonal or UnitVector
         refuses are refused with its errors.  Past its ``sizes[k]`` entries
         a row pads d with its first entry and x with 0.0."""
-        d = diagonal_rows(d, refuse)
+        refuse(~np.isfinite(d).all(1), _not_finite)
+        d = d + 0.0  # -0.0 reads +0.0, as SymmetricMatrix mirrors it
         with np.errstate(all="ignore"):
             norm = np.sqrt(_dots(x, x, sizes))  # np.linalg.norm of each row
             _, x = unit_rows(x, norm, refuse)
@@ -497,18 +460,25 @@ class Spectra:
     @classmethod
     def of(cls, A: SymmetricMatrix, x: UnitVector) -> "Spectra":
         """One matrix and vector, raising as quadratic_form and the
-        decomposition raise; the eigenvalues ascend."""
+        decomposition raise.  A matrix whose off-diagonal entries are all 0
+        is diagonal's row of one, its eigenvalues in its diagonal's order;
+        any other is decomposed by Jacobi, its eigenvalues ascending."""
         with np.errstate(all="ignore"):  # overflow reads inf, as in Python
             qf = quadratic_form(A, x)
+            d = np.diag(A.entries)
+            if np.count_nonzero(A.entries) == np.count_nonzero(d):
+                return _one_row(lambda refuse: cls.diagonal(
+                    d[None, :], x.components[None, :], refuse,
+                    np.array([d.size])))
             dec = A.decomposition()
 
         def expectation(values, refuse):  # its callers ignore fp errors
-            fa = _calculus(A, dec.eigenvectors, values[0])
+            fa = _calculus(dec.eigenvectors, values[0])
             refuse(np.array([not np.isfinite(fa).all()]), _not_finite)
             return np.array([float(x.components @ fa @ x.components)])
         eigs = dec.eigenvalues
         return cls(eigs[None, :], eigs[:1], eigs[-1:], np.array([qf]),
-                   expectation, [eigs.size])
+                   expectation, np.array([eigs.size]))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from hconvexlab import (
     interval, opcalc,
 )
 from hconvexlab.convexity import JensenCoefficient
-from hconvexlab.funclib import scalar_function
+from hconvexlab.funclib import Refusals, evaluate_array, scalar_function
 from hconvexlab.opcalc import (
-    DIM_CAP, JENSEN_MODES, SymmetricMatrix, UnitVector, apply_function,
-    jensen_verify, quadratic_form, spectral_decompose, spectrum_in,
+    DIM_CAP, JENSEN_MODES, Spectra, SymmetricMatrix, UnitVector, _calculus,
+    apply_function, jensen_verify, quadratic_form, spectral_decompose,
+    spectrum_in,
 )
 
 NEGLOG = scalar_function("neglog")
@@ -95,8 +96,9 @@ def test_diagonal_matrix_is_its_own_decomposition():
 
 
 def test_diagonal_path_matches_the_dense_path_bit_for_bit():
-    # diag() reads its spectrum off instead of running Jacobi, and keeps
-    # f(A) diagonal; the dense constructor is the reference
+    # Spectra.of reads a diagonal matrix's spectrum off instead of running
+    # Jacobi, whichever constructor built it; Jacobi's route is the
+    # reference
     rng = np.random.default_rng(3)
     f = scalar_function("neglog")
     for _ in range(50):
@@ -104,13 +106,21 @@ def test_diagonal_path_matches_the_dense_path_bit_for_bit():
         values[rng.integers(values.size)] = values[0]  # ties keep order
         fast, dense = (SymmetricMatrix.diagonal(values),
                        SymmetricMatrix(np.diag(values)))
-        assert fast.is_diagonal and not dense.is_diagonal
         assert np.array_equal(fast.entries, dense.entries)
         got, want = fast.decomposition(), spectral_decompose(dense)
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert np.array_equal(got.eigenvectors, want.eigenvectors)
         assert np.array_equal(apply_function(f, fast).entries,
                               apply_function(f, dense).entries)
+        x = UnitVector(rng.standard_normal(values.size))
+        xv, lo, hi = x.components, want.eigenvalues[0], want.eigenvalues[-1]
+        fa = _calculus(want.eigenvectors, evaluate_array(f, want.eigenvalues))
+        for A in (fast, dense):
+            s = Spectra.of(A, x)
+            assert s.qf[0] == min(max(float(xv @ A.entries @ xv), lo), hi)
+            assert (s.lo[0], s.hi[0]) == (lo, hi)
+            assert s.expectation(evaluate_array(f, s.eigs), Refusals(1))[0] \
+                == float(xv @ fa @ xv)
     with pytest.raises(ValueError):
         SymmetricMatrix.diagonal([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):

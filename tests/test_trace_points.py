@@ -25,7 +25,8 @@ def test_every_span_point_resolves():
 
 def test_dense_decomposition_goes_through_the_traced_solver(monkeypatch):
     # perfbench's opcalc.spectral_decompose.d2-8 / .d32 / .d64 spans wrap
-    # the module attribute; decomposition() must look it up at call time
+    # the module attribute; decomposition() must look it up at call time,
+    # and a diagonal matrix's spectral step must not reach it
     from hconvexlab import opcalc
     calls = []
     solve = opcalc.spectral_decompose
@@ -38,5 +39,8 @@ def test_dense_decomposition_goes_through_the_traced_solver(monkeypatch):
     for dim in (4, 32):
         a = rng.standard_normal((dim, dim))
         opcalc.SymmetricMatrix(a + a.T).decomposition()
-    opcalc.SymmetricMatrix.diagonal([2.0, 1.0, 3.0]).decomposition()
+    x = opcalc.UnitVector([0.6, 0.0, 0.8])
+    for A in (opcalc.SymmetricMatrix.diagonal([2.0, 1.0, 3.0]),
+              opcalc.SymmetricMatrix(np.diag([2.0, 1.0, 3.0]))):
+        opcalc.Spectra.of(A, x)
     assert calls == [4, 32]
