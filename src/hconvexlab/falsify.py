@@ -109,7 +109,7 @@ from .errors import ConfigError, EmptyRegion, HConvexLabError
 # up here
 from .funclib import (  # noqa: F401
     TRIPLE_NAMES, TRIPLES, Refusals, ScalarFunction, check_triple, core_array,
-    evaluate_rows, gate_interval, make_triple, scalar_function, triple_rows,
+    evaluate_rows, gate_interval, make_triple, triple_rows,
 )
 from .funclib import family_core
 from .highprec import (
@@ -258,7 +258,7 @@ def _resolve_region(target: str, region: dict) -> dict:
     for key in ("n", "dim"):
         if key in out:
             pair = _check_range(key, out[key], lo=1,
-                                hi=10_000 if key == "n" else 64)
+                                hi=N_CAP if key == "n" else DIM_CAP)
             out[key] = [int(pair[0]), int(pair[1])]
     if "weight" in out and out["weight"] not in ("exp_weight",
                                                  "identity_weight"):
@@ -825,8 +825,9 @@ def chain_reports(insts: list) -> list:
     block by its kernel; raises what the first row that raises raises."""
     if not insts:
         return []
-    block = _evaluate_chain(_instance_rows(insts), "refined")
-    name = RULES[insts[0]["target"]].chain
+    rules = RULES[insts[0]["target"]]
+    block = rules.evaluate(_instance_rows(insts), "refined")
+    name = rules.chain
     out = []
     for k, inst in enumerate(insts):
         block.row(k)  # raises what row k raised
@@ -853,49 +854,63 @@ def _chain_exact(inst: dict, margin_kind: str):
         return (m1 + m2) if margin_kind == "outer" else min(m1, m2), {}
 
 
-def _evaluate_chain(rows: _Rows, margin_kind: str):
-    rules = RULES[rows.target]
-    name, chain = rules.chain, CHAINS[rules.chain]
-    block = Block(rows.size, _chain_extras)
-    numbers = [key for key in ("alpha", "v", "gv", "p") if key in rows.values]
+def _evaluate(fill: Callable, extras: Callable, rows: _Rows,
+              margin_kind: str) -> Block:
+    """The Block of a kernel over the rows: fill(block, rows, ks,
+    margin_kind) fills the rows ks that the arrays hold in one call, then
+    each row read from its dict on its own."""
+    block = Block(rows.size, extras)
     ks = rows.live()
     if ks.size:
-        refuse = Refusals(ks.size)
-        c = {key: rows[key][ks] for key in numbers + list(rules.layout[0])}
-        c["n"] = rows.sizes[ks]
-        if chain.spectral:
-            c["spectra"] = Spectra.diagonal(c.pop("diag"), c.pop("x"),
-                                            refuse, c["n"])
-        _chain_fill(block, name, ks, c, refuse, margin_kind)
+        fill(block, rows, ks, margin_kind)
     for k in np.flatnonzero(rows.sizes == 0).tolist():  # read from the dict
-        inst, ks = rows.insts[k], np.array([k])
-        c = {key: rows[key][ks] for key in numbers}
-        try:
-            if chain.spectral:
-                A = _matrix(inst)
-                c["spectra"], c["n"] = Spectra.of(A, UnitVector(inst["x"])), \
-                    np.array([A.dim])
-            else:
-                sample = WeightedSample(
-                    tuple(inst["a"]), tuple(inst["q"]),
-                    b=tuple(inst["b"]) if inst.get("b") else None)
-                c.update(sample_columns(name, sample))
-        except _REJECTED as exc:
-            block.fill(ks, math.nan, {}, False, {0: exc})
-            continue
-        _chain_fill(block, name, ks, c, Refusals(1), margin_kind)
+        fill(block, rows, np.array([k]), margin_kind)
     return block
 
 
-def _chain_fill(block: Block, name: str, ks: np.ndarray, c: dict,
-                refuse: Refusals, margin_kind: str) -> None:
+def _spectra(rows: _Rows, ks: np.ndarray, refuse: Refusals) -> Spectra:
+    """The spectral step of the rows ks: of the diagonal operators the
+    arrays hold, or of the one row ks read from its dict."""
+    if rows.sizes[ks[0]]:
+        return Spectra.diagonal(rows["diag"][ks], rows["x"][ks], refuse,
+                                rows.sizes[ks])
+    inst = rows.insts[int(ks[0])]
+    return Spectra.of(_matrix(inst), UnitVector(inst["x"]))
+
+
+def _chain_fill(block: Block, rows: _Rows, ks: np.ndarray,
+                margin_kind: str) -> None:
     """Fill the rows ks of the block with chain_rows over their columns."""
+    rules = RULES[rows.target]
+    name = rules.chain
+    refuse = Refusals(ks.size)
+    c = {key: rows[key][ks] for key in ("alpha", "v", "gv", "p")
+         if key in rows.values}
+    try:
+        if CHAINS[name].spectral:
+            c["spectra"] = _spectra(rows, ks, refuse)
+            c["n"] = c["spectra"].sizes
+        elif rows.sizes[ks[0]]:
+            c.update({key: rows[key][ks] for key in rules.layout[0]},
+                     n=rows.sizes[ks])
+        else:
+            inst = rows.insts[int(ks[0])]
+            c.update(sample_columns(name, WeightedSample(
+                tuple(inst["a"]), tuple(inst["q"]),
+                b=tuple(inst["b"]) if inst.get("b") else None)))
+    except _REJECTED as exc:
+        refuse(np.ones(ks.size, dtype=bool), lambda j: exc)
+        block.fill(ks, math.nan, {}, False, refuse.errors)
+        return
     out = chain_rows(name, c, refuse)
     flags, out["n"] = out.pop("flags"), c["n"]
     with np.errstate(all="ignore"):
         margin = out["rhs"] - out["lhs"] if margin_kind == "outer" \
             else np.where(out["m2"] < out["m1"], out["m2"], out["m1"])
     block.fill(ks, margin, flags, out["feasible"], refuse.errors, **out)
+
+
+_CHAIN_KERNEL = functools.partial(_evaluate, _chain_fill, _chain_extras)
 
 
 # the exponent p of an operator triple whose f is a power (holder_mccarthy);
@@ -936,45 +951,27 @@ def _weight(region: dict, params: dict) -> SimpleNamespace:
 def _operator_exact(inst: dict, margin_kind: str):
     name, alpha, beta = inst["triple"], inst["alpha"], inst["beta"]
     check_triple(name, alpha, beta, _OPERATOR_P)
-    identity = inst.get("weight") == "identity_weight"
-    h = scalar_function("identity_weight") if identity else \
-        ScalarFunction("exp_weight", {"alpha": alpha, "beta": beta})
+    h = _weight(inst, {"alpha": alpha, "beta": beta})
     A, x = _matrix(inst), UnitVector(inst["x"])
     return hp_jensen_margin(_operator_f(name), h, A.entries, x.components,
                             RULES[inst["target"]].mode,
                             lam=inst.get("lam")), {}
 
 
-def _evaluate_operator(rows: _Rows, margin_kind: str):
-    rules = RULES[rows.target]
-    block = Block(rows.size, _operator_extras)
-    ks = rows.live()
-    if ks.size:
-        _operator_fill(block, rows, ks, rows.region, rules.mode,
-                       lambda refuse: Spectra.diagonal(
-                           rows["diag"][ks], rows["x"][ks], refuse,
-                           rows.sizes[ks]))
-    for k in np.flatnonzero(rows.sizes == 0).tolist():  # read from the dict
-        inst = rows.insts[k]
-        _operator_fill(block, rows, np.array([k]), inst, rules.mode,
-                       lambda refuse: Spectra.of(_matrix(inst),
-                                                 UnitVector(inst["x"])))
-    return block
-
-
-def _operator_fill(block: Block, rows: _Rows, ks: np.ndarray, region: dict,
-                   mode: str, spectra: Callable) -> None:
-    """Fill the rows ks of the block, of the triple and weight of
-    ``region``, with jensen_rows; spectra(refuse) builds their Spectra.
-    The checks run in jensen_verify's order: the triple's parameters, the
-    matrix and vector, lambda, the spectrum, then the gate."""
-    name = region["triple"]
+def _operator_fill(block: Block, rows: _Rows, ks: np.ndarray,
+                   margin_kind: str) -> None:
+    """Fill the rows ks of the block, of one triple and weight (the
+    arrays' region, or the one row's dict), with jensen_rows.  The checks
+    run in jensen_verify's order: the triple's parameters, the matrix and
+    vector, lambda, the spectrum, then the gate."""
+    region = rows.region if rows.sizes[ks[0]] else rows.insts[int(ks[0])]
+    name, mode = region["triple"], RULES[rows.target].mode
     alpha, beta, v = (rows[key][ks] for key in ("alpha", "beta", "v"))
     refuse = Refusals(ks.size)
     try:
         if "gate" not in rows.values:  # read from dicts: the draw's checks
             triple_rows(name, alpha, beta, _OPERATOR_P, refuse)
-        s = spectra(refuse)
+        s = _spectra(rows, ks, refuse)
     except _REJECTED as exc:
         refuse(np.ones(ks.size, dtype=bool), lambda j: exc)
         block.fill(ks, math.nan, {}, False, refuse.errors)
@@ -1373,7 +1370,8 @@ def _operator_rules(mode: str, pinned=None, **region) -> TargetRules:
                                                   else ()),
                 ("target", "triple", "alpha", "beta", "v", "diag", "x",
                  "weight", "lam")),
-        _evaluate_operator, _operator_exact, _operator_enclosure,
+        functools.partial(_evaluate, _operator_fill, _operator_extras),
+        _operator_exact, _operator_enclosure,
         (("diag", "x"), ("alpha", "beta", "v") + (
             ("lam",) if mode == "per-lambda" else ()), DIM_CAP, _operator_key),
         mode=mode, pinned=pinned)
@@ -1392,19 +1390,19 @@ RULES = {
         _best_possible_exact, lam_floor=0.5),
     "kyfan": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 0.5], "n": [2, 5]},
-        _mean_chain_sampler("kyfan"), _evaluate_chain, _chain_exact,
+        _mean_chain_sampler("kyfan"), _CHAIN_KERNEL, _chain_exact,
         _chain_enclosure,
         _chain_layout("kyfan"), chain="kyfan"),
     "amgm": TargetRules(
         {"alpha": [1.000001, 3.0], "v": [1e-4, 1.0], "n": [2, 5]},
-        _mean_chain_sampler("amgm"), _evaluate_chain, _chain_exact,
+        _mean_chain_sampler("amgm"), _CHAIN_KERNEL, _chain_exact,
         _chain_enclosure,
         _chain_layout("amgm"), chain="amgm"),
     "chrystal": TargetRules(
         {"alpha": [0.01, 3.0], "v": [0.1, 3.0], "n": [2, 5]},
         Sampler(lambda region: _CHRYSTAL_STEPS,
                 ("target", "alpha", "v", "n", "a", "b", "q")),
-        _evaluate_chain, _chain_exact, _chain_enclosure,
+        _CHAIN_KERNEL, _chain_exact, _chain_enclosure,
         _chain_layout("chrystal"),
         chain="chrystal"),
     "holder-mccarthy": TargetRules(
@@ -1412,7 +1410,7 @@ RULES = {
          "p": [1.000001, 4.0]},
         Sampler(lambda region: _HOLDER_MCCARTHY_STEPS,
                 ("target", "alpha", "v", "p", "dim", "diag", "x")),
-        _evaluate_chain, _chain_exact, _chain_enclosure,
+        _CHAIN_KERNEL, _chain_exact, _chain_enclosure,
         _chain_layout("holder_mccarthy"), chain="holder_mccarthy"),
     "certificates": TargetRules(
         {"triple": "amgm", "alpha": [1.000001, 3.0], "v": [0.05, 1.0],
