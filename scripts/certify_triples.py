@@ -16,15 +16,18 @@ import sys
 import numpy as np
 
 from hconvexlab.convexity import certify
-from hconvexlab.funclib import TRIPLE_NAMES, make_triple, triple_beta_range
+from hconvexlab.funclib import (
+    TRIPLE_NAMES, TRIPLES, make_triple, triple_beta_range,
+)
 
 
 def draw_tuple(rng, name):
-    lo = 1.01 if name in ("kyfan", "amgm") else 0.1
+    rule = TRIPLES[name]
+    lo = 1.01 if rule.alpha_floor == 1.0 else 0.1
     alpha = float(rng.uniform(lo, 3.0))
     blo, bhi = triple_beta_range(name, alpha)
     beta = float(rng.uniform(blo, bhi))
-    p = float(rng.uniform(1.1, 4.0)) if name == "holder_mccarthy" else None
+    p = float(rng.uniform(1.1, 4.0)) if rule.needs_p else None
     triple = make_triple(name, alpha, beta, p=p)
     a_lo, a_hi = triple.anchors.lo, triple.anchors.hi
     v = float(a_lo + (0.15 + 0.7 * rng.uniform()) * (min(a_hi, 3.0) - a_lo))

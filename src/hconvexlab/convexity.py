@@ -118,21 +118,21 @@ def _shrink_step(fn, lo, hi, best_x, best_y):
     return lo, hi, best_x, best_y
 
 
-def _refine(f, h, v, u0, lam0, du, dlam, u_bounds, gap_fn=gap):
+def _refine(f, h, v, u0, lam0, du, dlam, u_bounds):
     """Alternating per-coordinate golden shrink around a grid arg-min."""
     u_lo = max(u0 - du, u_bounds[0])
     u_hi = min(u0 + du, u_bounds[1])
     l_lo = max(lam0 - dlam, 0.0)
     l_hi = min(lam0 + dlam, 1.0)
     u, lam = u0, lam0
-    best = gap_fn(f, h, v, u, lam)
+    best = gap(f, h, v, u, lam)
     for _ in range(REFINE_ROUNDS):
         if u_hi > u_lo:
             u_lo, u_hi, u, best = _shrink_step(
-                lambda x: gap_fn(f, h, v, x, lam), u_lo, u_hi, u, best)
+                lambda x: gap(f, h, v, x, lam), u_lo, u_hi, u, best)
         if l_hi > l_lo:
             l_lo, l_hi, lam, best = _shrink_step(
-                lambda x: gap_fn(f, h, v, u, x), l_lo, l_hi, lam, best)
+                lambda x: gap(f, h, v, u, x), l_lo, l_hi, lam, best)
     return best, u, lam
 
 
@@ -207,8 +207,9 @@ _ENDPOINT_OFFSET = 1e-9
 _UNBOUNDED_PROBE = 1e9
 
 
-def _jcoeff_points(K: Interval, samples: int) -> np.ndarray:
-    """Sample grid honoring endpoint openness; never contains exactly 0."""
+def _jcoeff_points(K: Interval, samples: int):
+    """(sample grid honoring endpoint openness, which ends act open); the
+    grid never contains exactly 0."""
     lo = K.lo if math.isfinite(K.lo) else -_UNBOUNDED_PROBE
     hi = K.hi if math.isfinite(K.hi) else _UNBOUNDED_PROBE
     # a zero endpoint acts open: the quotient is singular at the point itself
@@ -227,7 +228,7 @@ def _jcoeff_points(K: Interval, samples: int) -> np.ndarray:
         mask &= out > lo
     if hi_open:
         mask &= out < hi
-    return out[mask]
+    return out[mask], lo_open, hi_open
 
 
 def jcoeff(h: ScalarFunction, K: Interval, samples: int = 4096) -> JensenCoefficient:
@@ -253,7 +254,7 @@ def jcoeff(h: ScalarFunction, K: Interval, samples: int = 4096) -> JensenCoeffic
                 f"h(0)={evaluate(h, 0.0)!r} != 0 with 0 in {K}: "
                 "h(t)/t is unbounded below")
 
-    pts = _jcoeff_points(K, samples)
+    pts, lo_open, hi_open = _jcoeff_points(K, samples)
     if pts.size == 0:
         raise DomainError(f"no admissible sample points in K={K}")
     quot = evaluate_array(h, pts) / pts
@@ -274,13 +275,11 @@ def jcoeff(h: ScalarFunction, K: Interval, samples: int = 4096) -> JensenCoeffic
 
     # boundary detection: strictly decreasing run into an open/singular end
     k = min(8, pts.size)
-    hi_open_eff = K.hi_open or not math.isfinite(K.hi) or K.hi == 0.0
-    lo_open_eff = K.lo_open or not math.isfinite(K.lo) or K.lo == 0.0
     boundary = False
-    if hi_open_eff and order == pts.size - 1 and pts.size >= 2:
+    if hi_open and order == pts.size - 1 and pts.size >= 2:
         tail = quot[-k:]
         boundary = bool(np.all(np.diff(tail) < 0.0))
-    if lo_open_eff and order == 0 and pts.size >= 2:
+    if lo_open and order == 0 and pts.size >= 2:
         head = quot[:k]
         boundary = bool(np.all(np.diff(head) > 0.0))
     return JensenCoefficient(value, None if boundary else t_star, boundary)
