@@ -41,8 +41,8 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     args.outdir.mkdir(parents=True, exist_ok=True)
     any_confirmed = False
-    print(f"{'target':<18} {'time':>7} {'counted':>8} {'candidates':>10} "
-          f"{'confirmed':>9} {'demoted':>7}  min_margin")
+    print(f"{'target':<18} {'time':>9} {'samples/s':>10} {'counted':>8} "
+          f"{'candidates':>10} {'confirmed':>9} {'demoted':>7}  min_margin")
     for target in args.targets:
         campaign = Campaign(target, args.samples, args.seed,
                             margin_kind=args.margin_kind,
@@ -55,9 +55,10 @@ def main(argv=None) -> int:
         ws = report["witness_stats"]
         demoted = sum(ws["demotions"].values())
         any_confirmed = any_confirmed or ws["confirmed"] > 0
-        print(f"{target:<18} {dt:>6.1f}s {report['counts']['counted']:>8} "
-              f"{ws['candidates']:>10} {ws['confirmed']:>9} {demoted:>7}  "
-              f"{report['min_margin']:.6g}  -> {path}")
+        counted = report["counts"]["counted"]
+        print(f"{target:<18} {1e3 * dt:>7.1f}ms {counted / dt:>10.0f} "
+              f"{counted:>8} {ws['candidates']:>10} {ws['confirmed']:>9} "
+              f"{demoted:>7}  {report['min_margin']:.6g}  -> {path}")
     return 2 if any_confirmed else 0
 
 

@@ -33,21 +33,30 @@ the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
 Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from a
-generator of its own.  A target's sampler is a sequence of steps, each
-one Generator call and the transforms around it, and a block runs them
-stage by stage.  A step's Generator call is made row by row, from the
-sample's own stream and only for the rows that passed the step's check:
-rng.random() for a scalar uniform, rng.integers for the size n (or dim),
-then the vector uniforms and the standard exponentials or normals.  Its
-transforms then run once over the block, a vector as one array padded to
-the largest n: lo + (hi - lo) * u as Generator.uniform computes it,
-math's exp, log and log1p mapped element by element, the gate interval
-(the gate family's core in numpy ops, as TripleRule.gate_rows computes
-it), Dirichlet weights and unit vectors.  A row is refused where drawing
-the sample on its own would raise (numpy's uniform refuses a negative,
--0.0 or non-finite hi - lo), and its stream is left where that draw left
-it when it raised; a unit vector is drawn again in place.  _draw and
-draw_instance are a block of one, which raises what refused its row.
+Philox stream of its own.  A target's sampler is a sequence of steps, each
+one Generator method's variates and the transforms around them, and a
+block runs them stage by stage.  Each row first fetches, in one
+random_raw call, the raw words a draw at the largest size takes (_Words),
+and a step computes its variates from the words in numpy over the rows
+that passed its check, as numpy's C code does: random() from a word's top
+53 bits, integers for the size n (or dim) by Lemire's method on a 32-bit
+half, the other half pending for the next integers as numpy's
+has_uint32 keeps it, and the standard exponentials or normals by the
+ziggurat's one-word fast path, its tables read off numpy on first use
+(_ziggurat).  A row whose value needs numpy's slower path, or whose
+Lemire draw numpy may reject, draws that step by numpy's own method on
+its generator placed at the row's word cursor, and a row that runs out of
+words fetches more.  Its transforms then run once over the block, a
+vector as one array padded to the largest n: lo + (hi - lo) * u as
+Generator.uniform computes it, math's exp, log and log1p mapped element
+by element, the gate interval (the gate family's core in numpy ops, as
+TripleRule.gate_rows computes it), Dirichlet weights and unit vectors.  A
+row is refused where drawing the sample on its own would raise (numpy's
+uniform refuses a negative, -0.0 or non-finite hi - lo), and its stream
+is left where that draw left it when it raised; a unit vector is drawn
+again in place.  _draw and draw_instance are a block of one, read from a
+Philox generator's full state (a pending half included) and leaving it
+where numpy's own calls would; they raise what refused the row.
 
 Block evaluation: in doubles, an operator or chain target's margin is its
 kernel (opcalc.jensen_rows, refined.chain_rows) over a block's columns as
@@ -284,13 +293,280 @@ def _stream(seed: int, index: int) -> Generator:
     return Generator(Philox(key=seed, counter=index << 128))
 
 
+_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
+_COUNTER_BITS = 256
+# the ziggurat fields of a word, for a layer index idx and a magnitude m:
+# (the word, the bits of m)
+_ZIGGURAT_WORDS = {
+    "standard_normal": (lambda idx, m: idx | m << 9, 52),
+    "standard_exponential": (lambda idx, m: idx << 3 | m << 11, 53),
+}
+
+
+def _counter(words) -> int:
+    """A Philox counter's four words as one 256-bit integer."""
+    return sum(int(t) << 64 * i for i, t in enumerate(words))
+
+
+def _one_word(gen: Generator, method: str, words: list):
+    """The values of numpy's method for Philox buffer ``words`` (at key and
+    counter 0), and whether numpy took each from its own word and no
+    other."""
+    bits = gen.bit_generator
+    bits.state = {"bit_generator": "Philox",
+                  "state": {"counter": [0] * 4, "key": [0] * 2},
+                  "buffer": words + [0] * (4 - len(words)), "buffer_pos": 0,
+                  "has_uint32": 0, "uinteger": 0}
+    values = getattr(gen, method)(len(words))
+    after = bits.state
+    once = after["buffer_pos"] == len(words) \
+        and not after["state"]["counter"].any()
+    if once or len(words) == 1:
+        return values, np.full(len(words), once)
+    singles = [_one_word(gen, method, [w]) for w in words]
+    return (np.concatenate([v for v, _ in singles]),
+            np.concatenate([t for _, t in singles]))
+
+
+@functools.lru_cache(maxsize=None)
+def _ziggurat(method: str) -> np.ndarray:
+    """numpy's ziggurat for standard_normal or standard_exponential, read
+    off numpy on first use, as a table keyed by a word's layer idx (for
+    standard_normal, its sign bit above the layer's byte): a word of
+    magnitude m takes numpy's one-word path, m * table[key, 0], when m <
+    table[key, 1] (a bound of 0 trusts no word of the layer).
+
+    A word of magnitude 1 gives the layer's width.  numpy's own bound sits
+    within a few units of 2**bits * width[idx - 1] / width[idx]; the bound
+    is that estimate less 8, kept only where a word of magnitude bound - 1
+    is seen to take the one-word path, which every smaller magnitude then
+    takes too.  Four words go to a Philox state at a time.
+    """
+    word, bits = _ZIGGURAT_WORDS[method]
+    gen, idx = Generator(Philox(key=0)), np.arange(256, dtype=np.uint64)
+
+    def probe(ms):
+        out = [_one_word(gen, method, batch) for batch in
+               word(idx, ms).reshape(-1, 4).tolist()]
+        return (np.concatenate([v for v, _ in out]),
+                np.concatenate([t for _, t in out]))
+    widths, trusted = probe(np.uint64(1))
+    with np.errstate(all="ignore"):
+        estimate = np.floor(2.0 ** bits * np.roll(widths, 1) / widths) - 8
+    bounds = np.clip(np.nan_to_num(estimate), 1, 2 ** bits).astype(np.uint64)
+    _, fast = probe(bounds - np.uint64(1))
+    bounds[~(trusted & fast)] = 0
+    table = np.stack([widths, bounds.astype(float)], 1)  # exact below 2**53
+    if method == "standard_normal":  # a set sign bit negates the value
+        table = np.concatenate([table, table * [-1.0, 1.0]])
+    table.flags.writeable = False
+    return table
+
+
+def _uniform_words(w: np.ndarray):
+    """Generator.random's values: the top 53 bits over 2**53."""
+    return (w >> 11) * 2.0 ** -53, None
+
+
+def _normal_words(w: np.ndarray):
+    """standard_normal's one-word values and where they are numpy's: the
+    low byte is the layer, bit 8 the sign, the next 52 bits the
+    magnitude."""
+    table = _ziggurat("standard_normal")
+    key = (w & 0x1FF).astype(np.intp)
+    m = (w >> 9 & (2 ** 52 - 1)).astype(float)
+    return m * table[key, 0], m < table[key, 1]
+
+
+def _exponential_words(w: np.ndarray):
+    """standard_exponential's one-word values and where they are numpy's:
+    bits 3-10 are the layer and the top 53 bits the magnitude."""
+    table = _ziggurat("standard_exponential")
+    key = (w >> 3 & 0xFF).astype(np.intp)
+    m = (w >> 11).astype(float)
+    return m * table[key, 0], m < table[key, 1]
+
+
+_WORD_VALUES = {"random": _uniform_words, "standard_normal": _normal_words,
+                "standard_exponential": _exponential_words}
+
+
+class _Words:
+    """The raw Philox words of a block of streams, one row each, and where
+    each row's draws stand in them.
+
+    Row k holds the words of its stream in blocks of four from column 0,
+    block b made by counter origin[k] + dropped[k] + b, and its next word
+    is the one at ``cur[k]``; ``half[k]`` is the high half of the last word
+    an integers draw cut in two, pending while ``has[k]`` (numpy's
+    uinteger and has_uint32).  Its generator, gens[k], sits at column
+    ``have[k]``, past the words fetched so far.  A row that needs more
+    fetches them with random_raw, and a value numpy draws from more than
+    one word is drawn by numpy's own method on the generator placed at the
+    row's cursor, the words it used read back from the state it leaves.  A
+    row's draws are those numpy's calls make from its stream, bit for bit,
+    and ``state(k)`` is the state they leave.
+    """
+
+    def __init__(self, gens: list, keys: list, origin: list,
+                 buffers: np.ndarray, cur, has, half):
+        self.gens, self.keys, self.origin = gens, keys, origin
+        self.size = len(gens)
+        self.words = buffers
+        self.cur = np.array(cur, dtype=np.int64)
+        self.have = self.cur.copy()
+        self.dropped = np.zeros(self.size, dtype=np.int64)
+        self.has = np.array(has, dtype=bool)
+        self.half = np.array(half, dtype=np.uint64)
+
+    @classmethod
+    def of(cls, gens: list) -> "_Words":
+        """The words of Philox generators from their current states, a
+        pending half included; any other bit generator is a TypeError."""
+        states = [gen.bit_generator.state for gen in gens]
+        if any(s["bit_generator"] != "Philox" for s in states):
+            raise TypeError("a draw reads the words of a Philox generator")
+        return cls(gens, [s["state"]["key"].tolist() for s in states],
+                   [_counter(s["state"]["counter"]) for s in states],
+                   np.array([s["buffer"] for s in states], dtype=np.uint64),
+                   [s["buffer_pos"] for s in states],
+                   [s["has_uint32"] for s in states],
+                   [s["uinteger"] for s in states])
+
+    def _block0(self, k: int) -> int:
+        return self.origin[k] + int(self.dropped[k])
+
+    def state(self, k: int) -> dict:
+        """The Philox state of row k at its cursor, as numpy leaves it."""
+        at = int(self.cur[k])
+        block = max(at - 1, 0) // 4
+        counter = (self._block0(k) + block) % 2 ** _COUNTER_BITS
+        return {"bit_generator": "Philox",
+                "state": {"counter": [counter >> s & _MASK64
+                                      for s in range(0, _COUNTER_BITS, 64)],
+                          "key": self.keys[k]},
+                "buffer": self.words[k, 4 * block:4 * block + 4].tolist(),
+                "buffer_pos": at - 4 * block,
+                "has_uint32": int(self.has[k]),
+                "uinteger": int(self.half[k])}
+
+    def leave(self) -> None:
+        """Place each row's generator where the row's draws left it."""
+        for k, gen in enumerate(self.gens):
+            gen.bit_generator.state = self.state(k)
+
+    def _widen(self, width: int) -> None:
+        extra = width - self.words.shape[1]
+        if extra > 0:
+            self.words = np.concatenate(
+                [self.words, np.zeros((self.size, extra), np.uint64)], 1)
+
+    def reserve(self, ks: np.ndarray, counts):
+        """Fetch words so that each row ks holds counts of them past its
+        cursor; returns the rows' cursors and the columns counts more words
+        would leave them at."""
+        start = self.cur[ks]
+        end = start + counts
+        short = end > self.have[ks]
+        if np.count_nonzero(short):
+            self._fetch(ks[short], end[short])
+            start = self.cur[ks]
+            end = start + counts
+        return start, end
+
+    def _fetch(self, ks: np.ndarray, need: np.ndarray) -> None:
+        """Fetch the words of rows ks up to column need[i], and on to the
+        end of its block of four; a row first drops the blocks before the
+        one its cursor's last word is in."""
+        drop = np.maximum(self.cur[ks] - 1, 0) // 4 * 4
+        if drop.any():
+            width = self.words.shape[1]
+            self.words[ks] = self.words[ks[:, None], np.minimum(
+                drop[:, None] + np.arange(width), width - 1)]
+            self.cur[ks] -= drop
+            self.have[ks] -= drop
+            self.dropped[ks] += drop // 4
+            need = need - drop
+        end = -(-need // 4) * 4
+        self._widen(int(end.max()))
+        for k, h, e in zip(ks.tolist(), self.have[ks].tolist(), end.tolist()):
+            self.words[k, h:e] = self.gens[k].bit_generator.random_raw(e - h)
+        self.have[ks] = end
+
+    def numpy(self, k: int, method: str, *args):
+        """numpy's own method on row k, from the row's generator placed at
+        its cursor; the cursor, half and words are read back from the state
+        it leaves, and the generator stays there."""
+        bits = self.gens[k].bit_generator
+        bits.state = self.state(k)
+        out = getattr(self.gens[k], method)(*args)
+        after = bits.state
+        col = 4 * ((_counter(after["state"]["counter"]) - self._block0(k))
+                   % 2 ** _COUNTER_BITS)
+        self._widen(col + 4)
+        self.words[k, col:col + 4] = after["buffer"]
+        self.cur[k] = self.have[k] = col + after["buffer_pos"]
+        self.has[k], self.half[k] = after["has_uint32"], after["uinteger"]
+        return out
+
+    def integers(self, ks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Each row's integers(lo, hi + 1), by numpy's Lemire method on a
+        32-bit half: the pending half, else a word's low half, whose high
+        half is then pending.  A range of one uses no word.  numpy may
+        reject a leftover below the range: such a row draws by numpy's own
+        method.  Sizes are capped (N_CAP, DIM_CAP), so the range fits
+        numpy's 32-bit path."""
+        span = hi - lo + 1
+        if span == 1:
+            return np.full(ks.size, lo, dtype=np.int64)
+        start, _ = self.reserve(ks, 1)
+        word, fresh = self.words[ks, start], ~self.has[ks]
+        m = np.where(fresh, word & _MASK32, self.half[ks]) * span
+        ok = (m & _MASK32) >= span
+        cut = ok & fresh
+        self.cur[ks[cut]] += 1
+        self.half[ks[cut]] = word[cut] >> 32
+        self.has[ks[ok]] = fresh[ok]
+        out = (m >> 32).astype(np.int64) + lo
+        for i in np.flatnonzero(~ok).tolist():
+            out[i] = self.numpy(int(ks[i]), "integers", lo, hi + 1)
+        return out
+
+    def take(self, ks: np.ndarray, counts, method: str) -> np.ndarray:
+        """A (rows ks, most counts) array whose row i starts with the
+        counts[i] values method(counts[i]) of numpy draws for the row
+        (counts: an int for every row, or an array): random,
+        standard_normal or standard_exponential, each value from its own
+        word but for a row where one takes numpy's slower path, which draws
+        by numpy's own method."""
+        start, end = self.reserve(ks, counts)
+        self.cur[ks] = end
+        if isinstance(counts, int):  # every row holds the words at
+            at = start[:, None] + np.arange(counts)
+            values, fast = _WORD_VALUES[method](self.words[ks[:, None], at])
+            slow = fast is not None and ~fast
+        else:  # a shorter row reads past its words, at most to the last
+            at = start[:, None] + np.arange(int(counts.max(initial=0)))
+            values, fast = _WORD_VALUES[method](self.words[
+                ks[:, None], np.minimum(at, self.words.shape[1] - 1)])
+            slow = fast is not None and ~fast & (at < end[:, None])
+        if fast is not None:
+            for i in np.flatnonzero(slow.any(1)).tolist():
+                k, n = int(ks[i]), int(end[i] - start[i])
+                self.cur[k] = start[i]
+                values[i, :n] = self.numpy(k, method, n)
+        return values
+
+
 class _Streams:
-    """The streams of _stream from a reused pool of generators.
+    """The streams of _stream from a reused pool of generators, as the rows
+    of a block's _Words.
 
     Resetting a Philox state to (key=seed, counter=index << 128) with an
-    empty buffer yields the same draws as a new Philox and costs a tenth
+    empty buffer yields the same words as a new Philox and costs a tenth
     as much: the state holds Python ints, which the setter reads faster
-    than numpy's.
+    than numpy's.  A row then fetches its words with one random_raw call,
+    and its generator stays at the end of what it fetched.
     """
 
     def __init__(self, seed: int):
@@ -301,16 +577,20 @@ class _Streams:
         self._counter = self._state["state"]["counter"]
         self._own = []  # the generators of ``many``
 
-    def many(self, indices) -> list:
-        """A generator for each of the streams ``indices``, at its start:
-        each is a Philox of its own, so they can be used side by side.  The
-        next call resets them."""
+    def many(self, indices) -> _Words:
+        """The words of the streams ``indices``, each at its start, a row
+        each and none fetched yet.  Each row's generator is a Philox of
+        its own; the next call resets them."""
         while len(self._own) < len(indices):
             self._own.append(Generator(Philox(key=0)))  # state set below
-        for rng, index in zip(self._own, indices):
+        gens, n = self._own[:len(indices)], len(indices)
+        for rng, index in zip(gens, indices):
             self._counter[2] = index  # the setter copies the state
             rng.bit_generator.state = self._state
-        return self._own[:len(indices)]
+        return _Words(gens, [self._state["state"]["key"]] * n,
+                      [index << 128 for index in indices],
+                      np.zeros((n, 4), dtype=np.uint64), np.full(n, 4),
+                      np.zeros(n), np.zeros(n))
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +599,17 @@ class _Streams:
 
 @dataclass(frozen=True)
 class _Step:
-    """One Generator call of a draw and the transforms around it.
+    """One Generator method's variates of a draw and the transforms around
+    them.
 
-    ``call`` names the Generator method: "random" for uniforms,
-    "integers" for the size n drawn from region[key], or
-    "standard_exponential" and "standard_normal".  The step draws per_n * n
-    values of a sample, or one (a scalar) when per_n is 0.  check(rows,
-    region) runs before the call and apply(rows, region, variates) after
-    it; either refuses the rows where the draw on its own raises.  A
-    refused row of a ``redraw`` step draws again instead.
+    ``call`` names the method: "random" for uniforms, "integers" for the
+    size n drawn from region[key], or "standard_exponential" and
+    "standard_normal"; its variates are computed from a row's raw words as
+    numpy's method computes them (_Words).  The step draws per_n * n values
+    of a sample, or one (a scalar) when per_n is 0.  check(rows, region)
+    runs before the draw and apply(rows, region, variates) after it;
+    either refuses the rows where the draw on its own raises.  A refused
+    row of a ``redraw`` step draws again instead.
     """
 
     call: str
@@ -637,21 +919,33 @@ def _padded(values: list, sizes: np.ndarray, width: int,
     return np.where(own, out, 0.0) if zero else out
 
 
-def _draw_staged(rngs: list, target: str, region: dict) -> _Rows:
-    """The target's sampler over a block whose row k draws from rngs[k],
-    stage by stage: a step's Generator call is made only for the rows that
-    passed its check and every earlier step, so a refused row's stream is
-    left where its draw on its own left it when it raised.  A unit vector a
-    row refuses is drawn again."""
-    rows = _Rows(len(rngs), region)
+def _draw_staged(words: _Words, target: str, region: dict,
+                 ks=None) -> _Rows:
+    """The target's sampler over a block whose row i draws from row ks[i]
+    of ``words`` (all its rows when ks is None), stage by stage: a step
+    draws only for the rows that passed its check and every earlier step,
+    so a refused row's stream is left where its draw on its own left it
+    when it raised.  A unit vector a row refuses is drawn again.  Each row
+    first fetches the words a draw at the largest size takes, one value a
+    word."""
+    ks = np.arange(words.size) if ks is None else np.asarray(ks)
+    rows = _Rows(ks.size, region)
     rows.target = target
+    steps = RULES[target].draw.steps(region)
+    count = n = 0
+    for step in steps:
+        if step.call == "integers":
+            n = region[step.key][1]
+        count += step.per_n * n or 1
+    words.reserve(ks, count)
     with np.errstate(all="ignore"):
-        for step in RULES[target].draw.steps(region):
+        for step in steps:
             if step.check is not None:
                 step.check(rows, region)
             live = np.flatnonzero(rows.ok)
             while True:
-                step.apply(rows, region, _call(step, rngs, live, rows, region))
+                step.apply(rows, region,
+                           _call(step, words, ks, live, rows, region))
                 if not step.redraw:
                     break
                 live = live[~rows.ok[live]]
@@ -663,28 +957,33 @@ def _draw_staged(rngs: list, target: str, region: dict) -> _Rows:
     return rows
 
 
-def _call(step: _Step, rngs: list, live: np.ndarray, rows: _Rows,
-          region: dict):
-    """The variates of the step's Generator call, made from rngs[k] for
-    the rows ``live``: an array over the rows, other rows nan (size: the
+def _call(step: _Step, words: _Words, ks: np.ndarray, live: np.ndarray,
+          rows: _Rows, region: dict):
+    """The step's variates for the rows ``live``, drawn from their rows ks
+    of ``words``: an array over the rows, other rows nan (size: the
     smallest n), or a vector's (live, per_n parts of (live, width)), width
-    the largest n of the rows not refused, padded by _padded."""
+    the largest n of the rows not refused; a shorter row is padded with
+    0.0, or for uniforms with its part's first entry."""
+    at = ks[live]
     if step.call == "integers":
         lo, hi = region[step.key]
         sizes = np.full(rows.size, lo, dtype=np.int64)
-        sizes[live] = [int(rngs[k].integers(lo, hi + 1))
-                       for k in live.tolist()]
+        sizes[live] = words.integers(at, lo, hi)
         return sizes
     if not step.per_n:
         u = np.full(rows.size, math.nan)
-        u[live] = [rngs[k].random() for k in live.tolist()]
+        u[live] = words.take(at, 1, "random")[:, 0]
         return u
     sizes, width = rows.sizes[live], int(rows.sizes[rows.ok].max(initial=0))
-    draws = [getattr(rngs[k], step.call)(step.per_n * n)
-             for k, n in zip(live.tolist(), sizes.tolist())]
-    return live, _padded(draws, np.repeat(sizes, step.per_n), width,
-                         step.call != "random").reshape(
-                             live.size, step.per_n, width).swapaxes(0, 1)
+    values = words.take(at, step.per_n * sizes, step.call)
+    j, n = np.arange(width), sizes[:, None]
+    own = j < n
+    i = np.arange(live.size)[:, None]
+    parts = [values[i, np.where(own, j + p * n, p * n)]
+             for p in range(step.per_n)]
+    if step.call != "random":
+        parts = [np.where(own, m, 0.0) for m in parts]
+    return live, parts
 
 
 def _drawn(rows: _Rows, ks) -> list:
@@ -696,9 +995,12 @@ def _drawn(rows: _Rows, ks) -> list:
 
 
 def _draw(rng: Generator, target: str, region: dict):
-    """(instance, gate) of _drawn: the target's sampler on a block of one;
-    it raises what refused the row."""
-    rows = _draw_staged([rng], target, region)
+    """(instance, gate) of _drawn: the target's sampler on a block of one,
+    from the words of a Philox generator, which it leaves where numpy's own
+    calls would; it raises what refused the row."""
+    words = _Words.of([rng])
+    rows = _draw_staged(words, target, region)
+    words.leave()
     rows.raise_first()
     return _drawn(rows, [0])[0]
 
@@ -1501,10 +1803,11 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _draws(rngs: list, c: Campaign):
-    """The per-sample loop over a block whose sample j draws from rngs[j],
-    run in rounds: the first draws every sample, and each later one the
-    samples still open, from where their last draw left their streams,
+def _draws(words: _Words, c: Campaign):
+    """The per-sample loop over a block whose sample j draws from row j of
+    ``words``, run in rounds: the first draws every sample, and each later
+    one the samples still open, from where their last draw left their rows'
+    cursors,
     until every sample has an accepted draw (evaluated, and feasible) or
     has made RETRY_CAP draws.  A round draws its samples as a staged block
     and evaluates and encloses them as one.
@@ -1514,13 +1817,12 @@ def _draws(rngs: list, c: Campaign):
     draws (nan: none), the (2, samples) ends of those draws' enclosures
     (see _enclosures) and ``at``, the (2, samples) round and row of those
     draws (-1: none)."""
-    evaluate, n = RULES[c.target].evaluate, len(rngs)
+    evaluate, n = RULES[c.target].evaluate, words.size
     tries, at = np.zeros(n, dtype=np.int64), np.full((2, n), -1)
     margin, ends = np.full(n, math.nan), np.full((2, n), math.nan)
     rounds, open_ = [], np.arange(n)
     while open_.size and len(rounds) < RETRY_CAP:
-        rows = _draw_staged([rngs[j] for j in open_.tolist()], c.target,
-                            c.region)
+        rows = _draw_staged(words, c.target, c.region, open_)
         block = evaluate(rows, c.margin_kind)
         ok, done = block.accepted, open_[block.accepted]
         tries[open_] += 1

@@ -363,11 +363,12 @@ def spectrum_rows(f: ScalarFunction, eigs: np.ndarray, refuse,
 def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
     """Functional calculus f(A) = Q f(L) Q^T, from A's Jacobi
     decomposition."""
-    dec = A.decomposition()
-    (eigs,) = _one_row(lambda refuse: spectrum_rows(
-        f, dec.eigenvalues[None, :], refuse, [A.dim]))
-    return SymmetricMatrix(_calculus(dec.eigenvectors,
-                                     evaluate_array(f, eigs)))
+    with np.errstate(all="ignore"):  # overflow reads inf, then refused
+        dec = A.decomposition()
+        (eigs,) = _one_row(lambda refuse: spectrum_rows(
+            f, dec.eigenvalues[None, :], refuse, [A.dim]))
+        return SymmetricMatrix(_calculus(dec.eigenvectors,
+                                         evaluate_array(f, eigs)))
 
 
 def quadratic_form(A: SymmetricMatrix, x: UnitVector) -> float:
@@ -417,9 +418,12 @@ def _not_finite(j) -> ValueError:
 
 def _calculus(q: np.ndarray, values: np.ndarray):
     """The entries of f(A), as SymmetricMatrix holds them, from f at A's
-    eigenvalues and their eigenvectors q: Q f(L) Q^T symmetrised."""
+    eigenvalues and their eigenvectors q: Q f(L) Q^T symmetrised, as
+    (M + M^T) / 2 but M / 2 + M^T / 2 where the sum overflows."""
     mat = (q * values) @ q.T
-    return (mat + mat.T) / 2.0 + 0.0
+    total = mat + mat.T
+    return np.where(np.isinf(total), mat / 2.0 + mat.T / 2.0,
+                    total / 2.0) + 0.0
 
 
 class Spectra:

@@ -25,7 +25,7 @@ from hconvexlab.falsify import (
     lambda_profile, margin_enclosure, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Rows, _Streams, _draw, _draw_staged, _drawn, _instance_rows,
+    _Rows, _Streams, _Words, _draw, _draw_staged, _drawn, _instance_rows,
     _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
@@ -113,28 +113,39 @@ def test_worker_count_parsing():
 # ---------------------------------------------------------------------------
 
 def test_streams_side_by_side_are_each_samples_own():
-    # the generators of ``many`` are drawn from in turn; a second call
-    # starts the reused generators at their new streams
+    # the rows of ``many`` are drawn from in turn; a second call starts the
+    # reused generators at their new streams, and leaves them where each
+    # stream's own calls leave it
     streams = _Streams(123)
-    streams.many([3, 4, 5])[2].random(7)
+    streams.many([3, 4, 5]).take(np.array([2]), 7, "random")
     indices = (7, 0, 5, 2 ** 40)
     reused, fresh = streams.many(indices), [_stream(123, i) for i in indices]
+    ks = np.arange(len(indices))
     for _ in range(3):
-        for a, b in zip(fresh, reused):
-            assert a.standard_normal(3).tolist() \
-                == b.standard_normal(3).tolist()
-            assert a.integers(2, 9) == b.integers(2, 9)
-            assert a.dirichlet(np.ones(3)).tolist() \
-                == b.dirichlet(np.ones(3)).tolist()
+        normals = reused.take(ks, 3, "standard_normal")
+        sizes = reused.integers(ks, 2, 8)
+        weights = reused.take(ks, 3, "standard_exponential")
+        for a, x, n, e in zip(fresh, normals, sizes, weights):
+            assert a.standard_normal(3).tolist() == x.tolist()
+            assert a.integers(2, 9) == n
+            assert a.standard_exponential(3).tolist() == e.tolist()
+    reused.leave()
+    for a, b in zip(fresh, reused.gens):
+        assert a.random(5).tolist() == b.random(5).tolist()
 
 
 def _draw_steps(rngs, steps, region):
     """_draw_staged of the given steps, as the sampler of a target made for
-    the test."""
+    the test, over a block's words, or over the words of a list of Philox
+    generators, which it leaves where the draws left them."""
+    words = rngs if isinstance(rngs, _Words) else _Words.of(rngs)
     rules = dataclasses.replace(
         RULES["kyfan"], draw=falsify.Sampler(lambda region: steps, ()))
     with mock.patch.dict(falsify.RULES, {"steps": rules}):
-        return _draw_staged(rngs, "steps", region)
+        rows = _draw_staged(words, "steps", region)
+    if words is not rngs:
+        words.leave()
+    return rows
 
 
 def test_weights_match_dirichlet_bit_for_bit():
@@ -158,29 +169,102 @@ def test_weights_match_dirichlet_bit_for_bit():
             assert ours.random() == numpy_s.random()
 
 
+def _crafted(buffer, seed=5, **state):
+    """A Philox generator whose next words are ``buffer`` (four), then its
+    stream at counter 1; ``state`` sets other fields of its state."""
+    rng = _stream(seed, 0)
+    rng.bit_generator.state = {**rng.bit_generator.state, "buffer_pos": 0,
+                               "buffer": np.array(buffer, dtype=np.uint64),
+                               **state}
+    return rng
+
+
+def _words_against_numpy(make, ops):
+    """Each op on the rows of _Words.of(make()) at once, and by numpy's own
+    method on each generator of a second make(): the values bit for bit,
+    and the states the draws leave."""
+    ours, theirs = make(), make()
+    words, ks = _Words.of(ours), np.arange(len(ours))
+    words.reserve(ks, 8)  # a draw's first fetch; the ops need more
+    for op in ops:
+        if op[0] == "integers":
+            got = words.integers(ks, op[1], op[2])
+            want = [int(rng.integers(op[1], op[2] + 1)) for rng in theirs]
+            assert got.tolist() == want, op
+            continue
+        counts = np.broadcast_to(op[1], ks.shape)
+        got = words.take(ks, op[1], op[0])
+        for i, (rng, n) in enumerate(zip(theirs, counts.tolist())):
+            assert got[i, :n].tobytes() == getattr(rng, op[0])(n).tobytes(), \
+                (op, i)
+    words.leave()
+    assert [repr(rng.bit_generator.state) for rng in ours] \
+        == [repr(rng.bit_generator.state) for rng in theirs]
+
+
+def test_word_draws_match_numpy_bit_for_bit():
+    # the words' conversions against numpy's methods, on 3000 streams side
+    # by side (which run past the words first fetched, and take numpy's
+    # slower paths now and then) and on crafted Philox buffers
+    _words_against_numpy(lambda: [_stream(41, i) for i in range(3000)], [
+        ("integers", 2, 5), ("random", 1), ("standard_normal", 9),
+        ("integers", 3, 3), ("standard_exponential", np.arange(3000) % 9 + 1),
+        ("random", np.arange(3000) % 4 + 1), ("integers", 0, 2),
+        ("integers", 1, 64), ("standard_normal", np.arange(3000) % 40 + 1),
+        ("standard_exponential", 30), ("integers", 2, 8)])
+    normal = falsify._ziggurat("standard_normal")[:, 1].astype(np.uint64)
+    expo = falsify._ziggurat("standard_exponential")[:, 1].astype(np.uint64)
+    assert normal[1] == expo[1] == 0 and (normal[2:256] > 0).all() \
+        and (expo[2:] > 0).all()
+    # layers 0 (the tail), 1 (no one-word path) and others, at magnitudes
+    # just below and at the bound, and at the largest
+    rows = []
+    for idx in (0, 1, 2, 3, 100, 255):
+        for m in (max(int(normal[idx]) - 1, 0), int(normal[idx]),
+                  2 ** 52 - 1):
+            rows.append(("standard_normal", [
+                idx | m << 9, idx | 1 << 8 | m << 9, idx | 1 << 9, 7]))
+        for m in (max(int(expo[idx]) - 1, 0), int(expo[idx]), 2 ** 53 - 1):
+            rows.append(("standard_exponential",
+                         [idx << 3 | m << 11, idx << 3 | 1 << 11, 9, 3]))
+    for method in ("standard_normal", "standard_exponential"):
+        buffers = [b for name, b in rows if name == method]
+        _words_against_numpy(lambda: [_crafted(b) for b in buffers],
+                             [(method, 2), (method, 5), ("random", 1)])
+    # a low half of 0: integers(0, 3) keeps it (numpy's threshold is 0) and
+    # integers(0, 2) rejects it and reads the high half; a range of one
+    # uses no word; a half pending in the state is read first; the high
+    # half waits through random and the normals for the next integers
+    lemire = [[5 << 32, 1, 2, 3], [0, 1, 2, 3], [6 << 32 | 1, 2, 3, 4]]
+    for lo, hi in ((0, 3), (0, 2)):
+        _words_against_numpy(lambda: [_crafted(b) for b in lemire], [
+            ("integers", lo, hi), ("integers", 4, 4), ("random", 1),
+            ("integers", lo, hi), ("standard_normal", 2),
+            ("integers", lo, hi), ("integers", lo, hi)])
+    _words_against_numpy(
+        lambda: [_crafted([1, 2, 3, 4], buffer_pos=3, has_uint32=1,
+                          uinteger=12345), _crafted([1, 2, 3, 4])],
+        [("integers", 2, 5), ("integers", 2, 5), ("standard_normal", 11),
+         ("integers", 7, 7), ("random", 2), ("integers", 2, 5)])
+    # any other bit generator is refused
+    with pytest.raises(TypeError):
+        _Words.of([np.random.Generator(np.random.PCG64(1))])
+
+
 def test_a_unit_vector_near_zero_is_drawn_again():
     # a draw draws the normals again, as a loop on their norm does; the
-    # step on its own refuses the row, which the draw then draws again
-    class FirstTiny:
-        """A stream whose first normals are scaled to norm 1e-7."""
-
-        def __init__(self, rng):
-            self.rng, self.calls = rng, 0
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-        def standard_normal(self, n):
-            self.calls += 1
-            x = self.rng.standard_normal(n)
-            return x * (1e-7 / math.sqrt(x.dot(x))) if self.calls == 1 else x
+    # step on its own refuses the row, which the draw then draws again.
+    # The first three words are normals of magnitude 1 in layers 2 to 4:
+    # each is its layer's width, about 1e-16
     steps, region = (_size("dim"), _unit_vector("x")), {"dim": [3, 3]}
-    rng = FirstTiny(_stream(5, 0))
+    buffer = [2 | 1 << 9, 3 | 1 << 9, 4 | 1 << 9 | 1 << 8, 2 ** 64 - 1]
+    rng = _crafted(buffer)
     x = _draw_steps([rng], steps, region)["x"][0].tolist()
-    fresh = _stream(5, 0)
-    fresh.standard_normal(3)
+    fresh = _crafted(buffer)
+    tiny = fresh.standard_normal(3)
+    assert 0 < math.sqrt(tiny.dot(tiny)) < 1e-6
     y = fresh.standard_normal(3)
-    assert rng.calls == 2
+    assert repr(rng.bit_generator.state) == repr(fresh.bit_generator.state)
     assert x == (y / math.sqrt(y.dot(y))).tolist()
     rows = _Rows(2)
     rows.sizes = np.array([3, 3])
@@ -782,10 +866,10 @@ def _staged_draws_match_draws_of_one(target, region, indices, rounds):
     # one raises, give the others' instances and gates bit for bit, and
     # leave each stream where that draw left it
     region = Campaign(target, 1, 1, region=region).region
-    rngs = _Streams(GOLDEN_SEED).many(indices)
+    words = _Streams(GOLDEN_SEED).many(indices)
     ones = [_stream(GOLDEN_SEED, i) for i in indices]
     for _ in range(rounds):
-        rows = _draw_staged(rngs, target, region)
+        rows = _draw_staged(words, target, region)
         drawn = _drawn(rows, range(rows.size))
         for k, rng in enumerate(ones):
             try:
@@ -794,7 +878,9 @@ def _staged_draws_match_draws_of_one(target, region, indices, rounds):
                 one = type(exc).__name__
             assert (type(rows.errors[k]).__name__ if rows.refused[k]
                     else repr(drawn[k])) == one, indices[k]
-    assert [rng.random() for rng in rngs] == [rng.random() for rng in ones]
+    words.leave()
+    assert [repr(rng.bit_generator.state) for rng in words.gens] \
+        == [repr(rng.bit_generator.state) for rng in ones]
 
 
 @pytest.mark.parametrize("target, region", _DRAW_REGIONS)
@@ -1102,9 +1188,9 @@ def test_every_counted_draw_is_made_once():
     # drawn add up to the draws the chunk counts
     staged, sizes = falsify._draw_staged, []
 
-    def counting(rngs, target, region):
-        sizes.append(len(rngs))
-        return staged(rngs, target, region)
+    def counting(words, target, region, ks):
+        sizes.append(len(ks))
+        return staged(words, target, region, ks)
     campaign = Campaign("kyfan", 1, 5, region={"v": [0.3, 0.9]})
     with mock.patch.object(falsify, "_draw_staged", counting):
         got = _run_range(campaign.to_json(), 3, 3 + BLOCK_SIZE + 41)
@@ -1156,13 +1242,13 @@ def test_empty_region_counts_every_earlier_sample():
     many, staged, failing = falsify._Streams.many, falsify._draw_staged, []
 
     def recording_many(self, indices):
-        rngs = many(self, indices)
-        failing[:] = [rng for i, rng in zip(indices, rngs) if i == 300]
-        return rngs
+        words = many(self, indices)
+        failing[:] = [(words, j) for j, i in enumerate(indices) if i == 300]
+        return words
 
-    def failing_staged(rngs, target, region):
-        rows = staged(rngs, target, region)
-        rows.refuse(np.array([rng in failing for rng in rngs]),
+    def failing_staged(words, target, region, ks):
+        rows = staged(words, target, region, ks)
+        rows.refuse(np.isin(ks, [j for w, j in failing if w is words]),
                     lambda j: ValueError("no draw for this sample"))
         return rows
     with mock.patch.object(falsify._Streams, "many", recording_many), \

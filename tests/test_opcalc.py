@@ -257,6 +257,19 @@ def test_apply_function_rejects_spectrum_outside_domain():
     assert -0.25 in exc.value.offending
 
 
+def test_a_finite_f_of_a_near_the_overflow_threshold_is_kept():
+    # Q f(L) Q^T + its transpose overflows past 8.99e307; each half is added
+    # where the sum overflows, so f(A) stays finite and no warning escapes
+    A = SymmetricMatrix([[1e308, 1e-3], [1e-3, 1.0]])
+    verdict = jensen_verify(scalar_function("abs"), None, A,
+                            UnitVector([0.6, 0.8]), "classical")
+    assert math.isfinite(verdict.margin) and math.isfinite(verdict.rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fa = apply_function(scalar_function("abs"), A).entries
+    assert np.isfinite(fa).all() and fa[0, 0] == 1e308
+
+
 def test_spectrum_slack_pulls_roundoff_onto_closed_endpoints():
     # an eigenvalue a hair above a closed endpoint still counts as inside
     A = SymmetricMatrix.diagonal([1.0 + 1e-13, 0.5])

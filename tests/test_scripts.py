@@ -42,5 +42,10 @@ def test_run_campaigns_writes_a_report_per_target(tmp_path, capsys, target,
     report = json.loads((tmp_path / f"{target}-refined-7.json").read_text())
     assert report["witness_stats"]["confirmed"] == confirmed
     assert report["counts"]["counted"] == 256
-    assert f"-> {tmp_path / f'{target}-refined-7.json'}" \
-        in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"-> {tmp_path / f'{target}-refined-7.json'}" in out
+    # time in milliseconds and the campaign's throughput, counted / time
+    header = out.splitlines()[0].split()
+    assert header[:3] == ["target", "time", "samples/s"]
+    row = out.splitlines()[1].split()
+    assert row[1].endswith("ms") and float(row[2]) > 0
