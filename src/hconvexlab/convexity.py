@@ -84,7 +84,7 @@ class Certificate:
     min_value: float
     arg_min: tuple  # (u, lam)
     grid: tuple  # (n_u, n_lam)
-    refined: bool
+    refined: bool  # always True: certify refines every grid minimum
     verdict: str  # Certified | Violated | Degenerate
     gate: GateInterval
     float_min_value: float  # raw double-precision minimum, pre-recheck
@@ -137,7 +137,7 @@ def _refine(f, h, v, u0, lam0, du, dlam, u_bounds):
 
 
 def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
-            v: float, grid: tuple = DEFAULT_GRID, refine: bool = True,
+            v: float, grid: tuple = DEFAULT_GRID,
             ambient: Interval | None = None) -> Certificate:
     """Grid-certify the gap F >= 0 over [g(v), v] x [0, 1].
 
@@ -163,13 +163,9 @@ def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
     best = float(values[i, j])
     u_star, lam_star = float(us[i]), float(lams[j])
 
-    did_refine = False
-    if refine:
-        du = 0.0 if gi.degenerate else (hi - lo) / (n_u - 1)
-        dlam = 1.0 / (n_lam - 1)
-        best, u_star, lam_star = _refine(
-            f, h, v, u_star, lam_star, du, dlam, (lo, hi))
-        did_refine = True
+    du = 0.0 if gi.degenerate else (hi - lo) / (n_u - 1)
+    best, u_star, lam_star = _refine(
+        f, h, v, u_star, lam_star, du, 1.0 / (n_lam - 1), (lo, hi))
 
     min_value = best
     if best < -VIOLATION_TOLERANCE:
@@ -183,7 +179,7 @@ def certify(f: ScalarFunction, g: ScalarFunction, h: ScalarFunction,
     else:
         verdict = "Certified"
     return Certificate(min_value, (u_star, lam_star), (n_u, n_lam),
-                       did_refine, verdict, gi, best)
+                       True, verdict, gi, best)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ enclosure comes within one ulp of 0 or of -1e-6.  The enclosure is an
 interval that holds the exact margin of the candidate's double inputs: the
 terms confirm evaluates at 60 digits (the chain terms, the funclib cores,
 opcalc.jensen_factor) run once more in outward-rounded interval arithmetic
-(_Enclosure), over a block's candidate rows at once.  Where the hull of the
-enclosure and the double margin misses both edges, the status read off the
-double margin is the one confirm would give, and the candidate is counted
-without the mpmath re-evaluation; a settled candidate is never built as a
-dict.  A chunk returns dicts only for its first witness_cap candidates, its
-arg-min and its unsettled candidates, and the parent confirms those it
-reports and the unsettled ones.
+(enclosure.Enclosure), over a block's candidate rows at once.  Where the
+hull of the enclosure and the double margin misses both edges, the status
+read off the double margin is the one confirm would give, and the
+candidate is counted without the mpmath re-evaluation; a settled
+candidate is never built as a dict.  A chunk returns dicts only for its
+first witness_cap candidates, its arg-min and its unsettled candidates,
+and the parent confirms those it reports and the unsettled ones.
 
 Determinism: sample i derives its own counter-based stream from
 (seed, i), so reports are byte-identical for a fixed seed regardless of
@@ -35,18 +35,10 @@ drawn = counted + rejected.
 Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from a
 Philox stream of its own.  A target's sampler is a sequence of steps, each
 one Generator method's variates and the transforms around them, and a
-block runs them stage by stage.  Each row first fetches, in one
-random_raw call, the raw words a draw at the largest size takes (_Words),
-and a step computes its variates from the words in numpy over the rows
-that passed its check, as numpy's C code does: random() from a word's top
-53 bits, integers for the size n (or dim) by Lemire's method on a 32-bit
-half, the other half pending for the next integers as numpy's
-has_uint32 keeps it, and the standard exponentials or normals by the
-ziggurat's one-word fast path, its tables read off numpy on first use
-(_ziggurat).  A row whose value needs numpy's slower path, or whose
-Lemire draw numpy may reject, draws that step by numpy's own method on
-its generator placed at the row's word cursor, and a row that runs out of
-words fetches more.  Its transforms then run once over the block, a
+block runs them stage by stage.  Each row first fetches the raw words a
+draw at the largest size takes, and a step computes its variates from the
+words over the rows that passed its check, bit for bit as numpy's method
+would (streams.Words).  Its transforms then run once over the block, a
 vector as one array padded to the largest n: lo + (hi - lo) * u as
 Generator.uniform computes it, math's exp, log and log1p mapped element
 by element, the gate interval (the gate family's core in numpy ops, as
@@ -109,9 +101,10 @@ from typing import Callable
 
 import numpy as np
 from mpmath import mp
-from numpy.random import Generator, Philox
+from numpy.random import Generator
 
 from .convexity import GRID_CELL_CAP, SWEEP_GRID_CAP, certify
+from .enclosure import ENCLOSED_OPS, Enclosure, enclosed
 from .errors import ConfigError, EmptyRegion, HConvexLabError
 # gate_interval, jensen_verify and the chain functions are imported for the
 # benchmark's trace points (perfbench/jobs.py SPAN_POINTS), which look them
@@ -133,6 +126,7 @@ from .refined import (  # noqa: F401
     CHAINS, N_CAP, ChainReport, WeightedSample, _overall, amgm_chain,
     chain_rows, chrystal_chain, hm_chain, kyfan_chain, sample_columns,
 )
+from .streams import Streams, Words, stream
 
 CANDIDATE_THRESHOLD = -1e-10
 CONFIRM_THRESHOLD = -1e-6
@@ -288,311 +282,6 @@ def _worker_count(raw: str | None) -> int:
     return min(int(raw), os.cpu_count() or 1)
 
 
-def _stream(seed: int, index: int) -> Generator:
-    """Independent counter-based stream for sample `index`."""
-    return Generator(Philox(key=seed, counter=index << 128))
-
-
-_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
-_COUNTER_BITS = 256
-# the ziggurat fields of a word, for a layer index idx and a magnitude m:
-# (the word, the bits of m)
-_ZIGGURAT_WORDS = {
-    "standard_normal": (lambda idx, m: idx | m << 9, 52),
-    "standard_exponential": (lambda idx, m: idx << 3 | m << 11, 53),
-}
-
-
-def _counter(words) -> int:
-    """A Philox counter's four words as one 256-bit integer."""
-    return sum(int(t) << 64 * i for i, t in enumerate(words))
-
-
-def _one_word(gen: Generator, method: str, words: list):
-    """The values of numpy's method for Philox buffer ``words`` (at key and
-    counter 0), and whether numpy took each from its own word and no
-    other."""
-    bits = gen.bit_generator
-    bits.state = {"bit_generator": "Philox",
-                  "state": {"counter": [0] * 4, "key": [0] * 2},
-                  "buffer": words + [0] * (4 - len(words)), "buffer_pos": 0,
-                  "has_uint32": 0, "uinteger": 0}
-    values = getattr(gen, method)(len(words))
-    after = bits.state
-    once = after["buffer_pos"] == len(words) \
-        and not after["state"]["counter"].any()
-    if once or len(words) == 1:
-        return values, np.full(len(words), once)
-    singles = [_one_word(gen, method, [w]) for w in words]
-    return (np.concatenate([v for v, _ in singles]),
-            np.concatenate([t for _, t in singles]))
-
-
-@functools.lru_cache(maxsize=None)
-def _ziggurat(method: str) -> np.ndarray:
-    """numpy's ziggurat for standard_normal or standard_exponential, read
-    off numpy on first use, as a table keyed by a word's layer idx (for
-    standard_normal, its sign bit above the layer's byte): a word of
-    magnitude m takes numpy's one-word path, m * table[key, 0], when m <
-    table[key, 1] (a bound of 0 trusts no word of the layer).
-
-    A word of magnitude 1 gives the layer's width.  numpy's own bound sits
-    within a few units of 2**bits * width[idx - 1] / width[idx]; the bound
-    is that estimate less 8, kept only where a word of magnitude bound - 1
-    is seen to take the one-word path, which every smaller magnitude then
-    takes too.  Four words go to a Philox state at a time.
-    """
-    word, bits = _ZIGGURAT_WORDS[method]
-    gen, idx = Generator(Philox(key=0)), np.arange(256, dtype=np.uint64)
-
-    def probe(ms):
-        out = [_one_word(gen, method, batch) for batch in
-               word(idx, ms).reshape(-1, 4).tolist()]
-        return (np.concatenate([v for v, _ in out]),
-                np.concatenate([t for _, t in out]))
-    widths, trusted = probe(np.uint64(1))
-    with np.errstate(all="ignore"):
-        estimate = np.floor(2.0 ** bits * np.roll(widths, 1) / widths) - 8
-    bounds = np.clip(np.nan_to_num(estimate), 1, 2 ** bits).astype(np.uint64)
-    _, fast = probe(bounds - np.uint64(1))
-    bounds[~(trusted & fast)] = 0
-    table = np.stack([widths, bounds.astype(float)], 1)  # exact below 2**53
-    if method == "standard_normal":  # a set sign bit negates the value
-        table = np.concatenate([table, table * [-1.0, 1.0]])
-    table.flags.writeable = False
-    return table
-
-
-def _uniform_words(w: np.ndarray):
-    """Generator.random's values: the top 53 bits over 2**53."""
-    return (w >> 11) * 2.0 ** -53, None
-
-
-def _normal_words(w: np.ndarray):
-    """standard_normal's one-word values and where they are numpy's: the
-    low byte is the layer, bit 8 the sign, the next 52 bits the
-    magnitude."""
-    table = _ziggurat("standard_normal")
-    key = (w & 0x1FF).astype(np.intp)
-    m = (w >> 9 & (2 ** 52 - 1)).astype(float)
-    return m * table[key, 0], m < table[key, 1]
-
-
-def _exponential_words(w: np.ndarray):
-    """standard_exponential's one-word values and where they are numpy's:
-    bits 3-10 are the layer and the top 53 bits the magnitude."""
-    table = _ziggurat("standard_exponential")
-    key = (w >> 3 & 0xFF).astype(np.intp)
-    m = (w >> 11).astype(float)
-    return m * table[key, 0], m < table[key, 1]
-
-
-_WORD_VALUES = {"random": _uniform_words, "standard_normal": _normal_words,
-                "standard_exponential": _exponential_words}
-
-
-class _Words:
-    """The raw Philox words of a block of streams, one row each, and where
-    each row's draws stand in them.
-
-    Row k holds the words of its stream in blocks of four from column 0,
-    block b made by counter origin[k] + dropped[k] + b, and its next word
-    is the one at ``cur[k]``; ``half[k]`` is the high half of the last word
-    an integers draw cut in two, pending while ``has[k]`` (numpy's
-    uinteger and has_uint32).  Its generator, gens[k], sits at column
-    ``have[k]``, past the words fetched so far.  A row that needs more
-    fetches them with random_raw, and a value numpy draws from more than
-    one word is drawn by numpy's own method on the generator placed at the
-    row's cursor, the words it used read back from the state it leaves.  A
-    row's draws are those numpy's calls make from its stream, bit for bit,
-    and ``state(k)`` is the state they leave.
-    """
-
-    def __init__(self, gens: list, keys: list, origin: list,
-                 buffers: np.ndarray, cur, has, half):
-        self.gens, self.keys, self.origin = gens, keys, origin
-        self.size = len(gens)
-        self.words = buffers
-        self.cur = np.array(cur, dtype=np.int64)
-        self.have = self.cur.copy()
-        self.dropped = np.zeros(self.size, dtype=np.int64)
-        self.has = np.array(has, dtype=bool)
-        self.half = np.array(half, dtype=np.uint64)
-
-    @classmethod
-    def of(cls, gens: list) -> "_Words":
-        """The words of Philox generators from their current states, a
-        pending half included; any other bit generator is a TypeError."""
-        states = [gen.bit_generator.state for gen in gens]
-        if any(s["bit_generator"] != "Philox" for s in states):
-            raise TypeError("a draw reads the words of a Philox generator")
-        return cls(gens, [s["state"]["key"].tolist() for s in states],
-                   [_counter(s["state"]["counter"]) for s in states],
-                   np.array([s["buffer"] for s in states], dtype=np.uint64),
-                   [s["buffer_pos"] for s in states],
-                   [s["has_uint32"] for s in states],
-                   [s["uinteger"] for s in states])
-
-    def _block0(self, k: int) -> int:
-        return self.origin[k] + int(self.dropped[k])
-
-    def state(self, k: int) -> dict:
-        """The Philox state of row k at its cursor, as numpy leaves it."""
-        at = int(self.cur[k])
-        block = max(at - 1, 0) // 4
-        counter = (self._block0(k) + block) % 2 ** _COUNTER_BITS
-        return {"bit_generator": "Philox",
-                "state": {"counter": [counter >> s & _MASK64
-                                      for s in range(0, _COUNTER_BITS, 64)],
-                          "key": self.keys[k]},
-                "buffer": self.words[k, 4 * block:4 * block + 4].tolist(),
-                "buffer_pos": at - 4 * block,
-                "has_uint32": int(self.has[k]),
-                "uinteger": int(self.half[k])}
-
-    def leave(self) -> None:
-        """Place each row's generator where the row's draws left it."""
-        for k, gen in enumerate(self.gens):
-            gen.bit_generator.state = self.state(k)
-
-    def _widen(self, width: int) -> None:
-        extra = width - self.words.shape[1]
-        if extra > 0:
-            self.words = np.concatenate(
-                [self.words, np.zeros((self.size, extra), np.uint64)], 1)
-
-    def reserve(self, ks: np.ndarray, counts):
-        """Fetch words so that each row ks holds counts of them past its
-        cursor; returns the rows' cursors and the columns counts more words
-        would leave them at."""
-        start = self.cur[ks]
-        end = start + counts
-        short = end > self.have[ks]
-        if np.count_nonzero(short):
-            self._fetch(ks[short], end[short])
-            start = self.cur[ks]
-            end = start + counts
-        return start, end
-
-    def _fetch(self, ks: np.ndarray, need: np.ndarray) -> None:
-        """Fetch the words of rows ks up to column need[i], and on to the
-        end of its block of four; a row first drops the blocks before the
-        one its cursor's last word is in."""
-        drop = np.maximum(self.cur[ks] - 1, 0) // 4 * 4
-        if drop.any():
-            width = self.words.shape[1]
-            self.words[ks] = self.words[ks[:, None], np.minimum(
-                drop[:, None] + np.arange(width), width - 1)]
-            self.cur[ks] -= drop
-            self.have[ks] -= drop
-            self.dropped[ks] += drop // 4
-            need = need - drop
-        end = -(-need // 4) * 4
-        self._widen(int(end.max()))
-        for k, h, e in zip(ks.tolist(), self.have[ks].tolist(), end.tolist()):
-            self.words[k, h:e] = self.gens[k].bit_generator.random_raw(e - h)
-        self.have[ks] = end
-
-    def numpy(self, k: int, method: str, *args):
-        """numpy's own method on row k, from the row's generator placed at
-        its cursor; the cursor, half and words are read back from the state
-        it leaves, and the generator stays there."""
-        bits = self.gens[k].bit_generator
-        bits.state = self.state(k)
-        out = getattr(self.gens[k], method)(*args)
-        after = bits.state
-        col = 4 * ((_counter(after["state"]["counter"]) - self._block0(k))
-                   % 2 ** _COUNTER_BITS)
-        self._widen(col + 4)
-        self.words[k, col:col + 4] = after["buffer"]
-        self.cur[k] = self.have[k] = col + after["buffer_pos"]
-        self.has[k], self.half[k] = after["has_uint32"], after["uinteger"]
-        return out
-
-    def integers(self, ks: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Each row's integers(lo, hi + 1), by numpy's Lemire method on a
-        32-bit half: the pending half, else a word's low half, whose high
-        half is then pending.  A range of one uses no word.  numpy may
-        reject a leftover below the range: such a row draws by numpy's own
-        method.  Sizes are capped (N_CAP, DIM_CAP), so the range fits
-        numpy's 32-bit path."""
-        span = hi - lo + 1
-        if span == 1:
-            return np.full(ks.size, lo, dtype=np.int64)
-        start, _ = self.reserve(ks, 1)
-        word, fresh = self.words[ks, start], ~self.has[ks]
-        m = np.where(fresh, word & _MASK32, self.half[ks]) * span
-        ok = (m & _MASK32) >= span
-        cut = ok & fresh
-        self.cur[ks[cut]] += 1
-        self.half[ks[cut]] = word[cut] >> 32
-        self.has[ks[ok]] = fresh[ok]
-        out = (m >> 32).astype(np.int64) + lo
-        for i in np.flatnonzero(~ok).tolist():
-            out[i] = self.numpy(int(ks[i]), "integers", lo, hi + 1)
-        return out
-
-    def take(self, ks: np.ndarray, counts, method: str) -> np.ndarray:
-        """A (rows ks, most counts) array whose row i starts with the
-        counts[i] values method(counts[i]) of numpy draws for the row
-        (counts: an int for every row, or an array): random,
-        standard_normal or standard_exponential, each value from its own
-        word but for a row where one takes numpy's slower path, which draws
-        by numpy's own method."""
-        start, end = self.reserve(ks, counts)
-        self.cur[ks] = end
-        if isinstance(counts, int):  # every row holds the words at
-            at = start[:, None] + np.arange(counts)
-            values, fast = _WORD_VALUES[method](self.words[ks[:, None], at])
-            slow = fast is not None and ~fast
-        else:  # a shorter row reads past its words, at most to the last
-            at = start[:, None] + np.arange(int(counts.max(initial=0)))
-            values, fast = _WORD_VALUES[method](self.words[
-                ks[:, None], np.minimum(at, self.words.shape[1] - 1)])
-            slow = fast is not None and ~fast & (at < end[:, None])
-        if fast is not None:
-            for i in np.flatnonzero(slow.any(1)).tolist():
-                k, n = int(ks[i]), int(end[i] - start[i])
-                self.cur[k] = start[i]
-                values[i, :n] = self.numpy(k, method, n)
-        return values
-
-
-class _Streams:
-    """The streams of _stream from a reused pool of generators, as the rows
-    of a block's _Words.
-
-    Resetting a Philox state to (key=seed, counter=index << 128) with an
-    empty buffer yields the same words as a new Philox and costs a tenth
-    as much: the state holds Python ints, which the setter reads faster
-    than numpy's.  A row then fetches its words with one random_raw call,
-    and its generator stays at the end of what it fetched.
-    """
-
-    def __init__(self, seed: int):
-        state = Philox(key=seed).state  # counter 0, buffer empty
-        self._state = {**state, "buffer": state["buffer"].tolist(),
-                       "state": {k: t.tolist()
-                                 for k, t in state["state"].items()}}
-        self._counter = self._state["state"]["counter"]
-        self._own = []  # the generators of ``many``
-
-    def many(self, indices) -> _Words:
-        """The words of the streams ``indices``, each at its start, a row
-        each and none fetched yet.  Each row's generator is a Philox of
-        its own; the next call resets them."""
-        while len(self._own) < len(indices):
-            self._own.append(Generator(Philox(key=0)))  # state set below
-        gens, n = self._own[:len(indices)], len(indices)
-        for rng, index in zip(gens, indices):
-            self._counter[2] = index  # the setter copies the state
-            rng.bit_generator.state = self._state
-        return _Words(gens, [self._state["state"]["key"]] * n,
-                      [index << 128 for index in indices],
-                      np.zeros((n, 4), dtype=np.uint64), np.full(n, 4),
-                      np.zeros(n), np.zeros(n))
-
-
 # ---------------------------------------------------------------------------
 # Per-target samplers (constructive: draws land inside the feasible set)
 # ---------------------------------------------------------------------------
@@ -605,9 +294,9 @@ class _Step:
     ``call`` names the method: "random" for uniforms, "integers" for the
     size n drawn from region[key], or "standard_exponential" and
     "standard_normal"; its variates are computed from a row's raw words as
-    numpy's method computes them (_Words).  The step draws per_n * n values
-    of a sample, or one (a scalar) when per_n is 0.  check(rows, region)
-    runs before the draw and apply(rows, region, variates) after it;
+    numpy's method computes them (streams.Words).  The step draws per_n * n
+    values of a sample, or one (a scalar) when per_n is 0.  check(rows,
+    region) runs before the draw and apply(rows, region, variates) after it;
     either refuses the rows where the draw on its own raises.  A refused
     row of a ``redraw`` step draws again instead.
     """
@@ -919,7 +608,7 @@ def _padded(values: list, sizes: np.ndarray, width: int,
     return np.where(own, out, 0.0) if zero else out
 
 
-def _draw_staged(words: _Words, target: str, region: dict,
+def _draw_staged(words: Words, target: str, region: dict,
                  ks=None) -> _Rows:
     """The target's sampler over a block whose row i draws from row ks[i]
     of ``words`` (all its rows when ks is None), stage by stage: a step
@@ -957,7 +646,7 @@ def _draw_staged(words: _Words, target: str, region: dict,
     return rows
 
 
-def _call(step: _Step, words: _Words, ks: np.ndarray, live: np.ndarray,
+def _call(step: _Step, words: Words, ks: np.ndarray, live: np.ndarray,
           rows: _Rows, region: dict):
     """The step's variates for the rows ``live``, drawn from their rows ks
     of ``words``: an array over the rows, other rows nan (size: the
@@ -998,7 +687,7 @@ def _draw(rng: Generator, target: str, region: dict):
     """(instance, gate) of _drawn: the target's sampler on a block of one,
     from the words of a Philox generator, which it leaves where numpy's own
     calls would; it raises what refused the row."""
-    words = _Words.of([rng])
+    words = Words.of([rng])
     rows = _draw_staged(words, target, region)
     words.leave()
     rows.raise_first()
@@ -1017,7 +706,7 @@ def instance_template(target: str) -> tuple[dict, tuple]:
     but for its size n or dim; the sampler's fields that region does not
     draw (lam, p: numbers); and with "diag", "entries", a dense operator's
     rows in its place.  It is cached, so callers must not change it."""
-    drawn = draw_instance(_stream(0, 0), target, RULES[target].region)
+    drawn = draw_instance(stream(0, 0), target, RULES[target].region)
     like = {**dict.fromkeys(RULES[target].draw.fields, 0.0), **drawn}
     if "diag" in drawn:
         like["entries"] = [[0.0]]
@@ -1445,83 +1134,6 @@ def _statuses(margin, feasible):
 # Enclosures of exact margins
 # ---------------------------------------------------------------------------
 
-class _Enclosure:
-    """Intervals [lo, hi] of reals, the ends numpy arrays (or numbers), in
-    outward-rounded double arithmetic (Moore, Kearfott and Cloud,
-    Introduction to Interval Analysis, 2009).  Each end of a + - * / result
-    is rounded to nearest and then moved one np.nextafter outward, so it
-    holds the exact result for any reals of the operands' intervals.  exp,
-    log and power ends move 4 ulp: that holds while numpy's routines are
-    within 4 ulp of the exact value, which tests/test_falsify.py checks.  A
-    product with a point (lo is hi) takes two products of ends, not four.
-    Divisors must be positive and power's base nonnegative, as they are in
-    every margin here; a divisor that reaches 0 gives nan, which settles
-    nothing."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi=None):
-        self.lo, self.hi = lo, lo if hi is None else hi
-
-    def __add__(self, other):
-        other = _enclosed(other)
-        return _outward(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        return self + -_enclosed(other)
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __neg__(self):
-        return _Enclosure(-self.hi, -self.lo)
-
-    def __mul__(self, other):
-        other = _enclosed(other)
-        ends = [self.lo * other.lo, self.hi * other.hi]
-        if self.lo is not self.hi and other.lo is not other.hi:
-            ends += [self.lo * other.hi, self.hi * other.lo]
-        return _outward(functools.reduce(np.minimum, ends),
-                        functools.reduce(np.maximum, ends))
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    def __truediv__(self, other):
-        other = _enclosed(other)  # x / y rises with x, for y > 0
-        lo = np.minimum(self.lo / other.lo, self.lo / other.hi)
-        hi = np.maximum(self.hi / other.lo, self.hi / other.hi)
-        return _outward(np.where(other.lo > 0.0, lo, math.nan), hi)
-
-    def __pow__(self, p):
-        """A power to an exponent p > 0, a number or array: every exponent
-        here is a drawn double."""
-        return _outward(np.power(np.maximum(self.lo, 0.0), p),
-                        np.power(self.hi, p), 4)
-
-    def sum(self) -> "_Enclosure":
-        """The sum of the rows, added in order."""
-        return functools.reduce(operator.add, map(_Enclosure, self.lo, self.hi))
-
-
-def _enclosed(value) -> _Enclosure:
-    """An enclosure as it is, a number or array as a point."""
-    return value if isinstance(value, _Enclosure) else _Enclosure(value)
-
-
-def _outward(lo, hi, ulps: int = 1) -> _Enclosure:
-    """[lo, hi] moved ``ulps`` doubles outward at each end."""
-    for _ in range(ulps):
-        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
-    return _Enclosure(lo, hi)
-
-
-# the ops of the funclib cores and the chain terms, over enclosures
-_ENCLOSED_OPS = SimpleNamespace(
-    exp=lambda t: _outward(np.exp(t.lo), np.exp(t.hi), 4),
-    log=lambda t: _outward(np.log(t.lo), np.log(t.hi), 4),
-    power=_Enclosure.__pow__)
-
-
 def _spectral_forms(d: np.ndarray, x: np.ndarray, value: Callable):
     """(<Ax,x>, <value(A)x,x>) of rows A = diag(d) and x, (rows, width)
     arrays padded as a draw pads them, as enclosures of the forms confirm
@@ -1529,9 +1141,9 @@ def _spectral_forms(d: np.ndarray, x: np.ndarray, value: Callable):
     maps an enclosure of d's entries, held as (width, rows): each sum adds
     contiguous rows."""
     d, x = np.ascontiguousarray(d.T), np.ascontiguousarray(x.T)
-    w = _Enclosure(x) * x
+    w = Enclosure(x) * x
     total = w.sum()
-    return (w * d).sum() / total, (w * value(_Enclosure(d))).sum() / total
+    return (w * d).sum() / total, (w * value(Enclosure(d))).sum() / total
 
 
 def _operator_enclosure(rows: _Rows, ks: np.ndarray, margin_kind: str):
@@ -1541,15 +1153,15 @@ def _operator_enclosure(rows: _Rows, ks: np.ndarray, margin_kind: str):
     f, mode = _operator_f(rows.region["triple"]), RULES[rows.target].mode
 
     def ev(fn, t):
-        return family_core(fn.family)(fn.params, _enclosed(t), _ENCLOSED_OPS)
+        return family_core(fn.family)(fn.params, enclosed(t), ENCLOSED_OPS)
     x = rows["x"][ks]
     _, x = unit_rows(x, np.sqrt(_dots(x, x, rows.sizes[ks])), Refusals(ks.size))
     qf, expectation = _spectral_forms(rows["diag"][ks], x, lambda t: ev(f, t))
-    h = _weight(rows.region, {key: _Enclosure(rows[key][ks])
+    h = _weight(rows.region, {key: Enclosure(rows[key][ks])
                               for key in ("alpha", "beta")})
     factor = jensen_factor(mode, h, rows["lam"][ks] if mode == "per-lambda"
-                           else None, ev, _enclosed,
-                           lambda: closed_form_jcoeff(h, _enclosed))
+                           else None, ev, enclosed,
+                           lambda: closed_form_jcoeff(h, enclosed))
     return factor * expectation - ev(f, qf)
 
 
@@ -1562,17 +1174,17 @@ def _chain_enclosure(rows: _Rows, ks: np.ndarray, margin_kind: str):
         d, p = rows["diag"][ks], rows["p"][ks]
         inputs = *_spectral_forms(d, rows["x"][ks], lambda t: t ** p), p
     else:
-        inputs, _ = chain.inputs(*([*map(_Enclosure, rows[k][ks].T)]
+        inputs, _ = chain.inputs(*([*map(Enclosure, rows[k][ks].T)]
                                    if k in rows.values else None
                                    for k in "abq"))
         d = np.hstack([rows[k][ks] for k in "ab" if k in rows.values])
-    lhs, mid, rhs = chain.terms(*inputs, _Enclosure(rows["alpha"][ks]),
-                                _Enclosure(d.max(1)) - d.min(1),
-                                ops=_ENCLOSED_OPS)
+    lhs, mid, rhs = chain.terms(*inputs, Enclosure(rows["alpha"][ks]),
+                                Enclosure(d.max(1)) - d.min(1),
+                                ops=ENCLOSED_OPS)
     if margin_kind == "outer":
         return rhs - lhs
     m1, m2 = mid - lhs, rhs - mid
-    return _Enclosure(np.minimum(m1.lo, m2.lo), np.minimum(m1.hi, m2.hi))
+    return Enclosure(np.minimum(m1.lo, m2.lo), np.minimum(m1.hi, m2.hi))
 
 
 def margin_enclosure(candidate: dict) -> tuple | None:
@@ -1647,7 +1259,7 @@ class TargetRules:
     evaluate: Callable
     # (inst, margin_kind) -> (its 60-digit margin, the extras confirm adds)
     exact: Callable
-    # (rows, ks, margin_kind) -> an _Enclosure of the exact margins of the
+    # (rows, ks, margin_kind) -> an Enclosure of the exact margins of the
     # rows ks that the arrays hold (see _enclosures); None: none is built
     enclose: Callable | None = None
     # (lists, numbers, cap, key) by which _instance_rows reads instance
@@ -1748,7 +1360,7 @@ def _run_range(campaign_json: dict, start: int, stop: int):
     gets an instance dict only, where a block finds it.
     """
     c = Campaign(**campaign_json)
-    streams = _Streams(c.seed)
+    streams = Streams(c.seed)
     drawn = rejected = found = 0
     min_margin, argmin = math.inf, None
     tally = np.zeros(len(_STATUSES), dtype=np.int64)  # the rows only counted
@@ -1803,7 +1415,7 @@ def _run_range(campaign_json: dict, start: int, stop: int):
             "counted": stop - start}
 
 
-def _draws(words: _Words, c: Campaign):
+def _draws(words: Words, c: Campaign):
     """The per-sample loop over a block whose sample j draws from row j of
     ``words``, run in rounds: the first draws every sample, and each later
     one the samples still open, from where their last draw left their rows'

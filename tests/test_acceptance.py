@@ -110,7 +110,7 @@ def test_criterion_3_gap_certificates(capfd):
             lo, hi = tr.anchors.lo, tr.anchors.hi
             span = min(hi, 3.0) - lo
             v = float(lo + (0.2 + 0.6 * rng.uniform()) * span)
-            cert = certify(tr.f, tr.g, tr.h, v, grid=(256, 256), refine=True)
+            cert = certify(tr.f, tr.g, tr.h, v, grid=(256, 256))
             worst = min(worst, cert.min_value)
             count += 1
     elapsed = time.perf_counter() - t0

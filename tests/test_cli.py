@@ -10,10 +10,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from hconvexlab import funclib
 from hconvexlab.cli import main, parse_instance
 from hconvexlab.errors import ConfigError
-from hconvexlab.falsify import RULES, TARGETS, _stream, draw_instance
+from hconvexlab.falsify import RULES, TARGETS, draw_instance
 from hconvexlab.funclib import TRIPLE_NAMES, TRIPLES
 from hconvexlab.opcalc import JENSEN_MODES, SymmetricMatrix, UnitVector
 from hconvexlab.refined import CHAINS, hm_chain
+from hconvexlab.streams import stream
 
 CERT_CONFIG = {
     "f": {"family": "neglog", "params": {}},
@@ -437,8 +438,8 @@ def test_replay_of_best_possible_at_negative_lam_is_an_error(tmp_path,
 def test_instance_keys_follow_the_target():
     # lam and p are the only keys a region may leave undrawn, "entries"
     # stands in for "diag", and the sizes may be left out
-    kyfan = draw_instance(_stream(1, 0), "kyfan", RULES["kyfan"].region)
-    operator = draw_instance(_stream(1, 0), "half-bound",
+    kyfan = draw_instance(stream(1, 0), "kyfan", RULES["kyfan"].region)
+    operator = draw_instance(stream(1, 0), "half-bound",
                              RULES["half-bound"].region)
     dense = dict(operator, entries=[[0.5, 0.0], [0.0, 0.25]])
     del dense["diag"]
@@ -552,7 +553,7 @@ def _witness(draw):
     type, as a witness."""
     target = draw(st.sampled_from([t for t in TARGETS
                                    if t != "certificates"]))
-    inputs = draw_instance(_stream(1, draw(st.integers(0, 40))), target,
+    inputs = draw_instance(stream(1, draw(st.integers(0, 40))), target,
                            RULES[target].region)
     key = draw(st.sampled_from(sorted(inputs)))
     inputs[key] = draw(st.one_of(st.just(inputs[key]), _WRONG, _NUMBER,

@@ -12,8 +12,8 @@ from hconvexlab import (
     scalar_function,
 )
 from hconvexlab.convexity import (
-    GRID_CELL_CAP, JCOEFF_SAMPLE_CAP, VIOLATION_TOLERANCE, certify, gap,
-    jcoeff,
+    GRID_CELL_CAP, JCOEFF_SAMPLE_CAP, VIOLATION_TOLERANCE, _gap_grid, certify,
+    gap, jcoeff,
 )
 
 NEGLOG = scalar_function("neglog")
@@ -108,10 +108,12 @@ def test_certify_degenerate_gate():
 
 def test_certify_refinement_never_worse_than_grid():
     tr = make_triple("amgm", 2.0, 2.16)
-    raw = certify(tr.f, tr.g, tr.h, 0.8, grid=(32, 32), refine=False)
-    ref = certify(tr.f, tr.g, tr.h, 0.8, grid=(32, 32), refine=True)
-    assert not raw.refined and ref.refined
-    assert ref.min_value <= raw.min_value + 1e-15
+    ref = certify(tr.f, tr.g, tr.h, 0.8, grid=(32, 32))
+    gate = ref.gate.interval
+    raw = _gap_grid(tr.f, tr.h, 0.8, np.linspace(gate.lo, gate.hi, 32),
+                    np.linspace(0.0, 1.0, 32))
+    assert ref.refined and not ref.gate.degenerate
+    assert ref.min_value <= float(raw.min()) + 1e-15
 
 
 def test_certify_rejects_silly_grid():

@@ -11,7 +11,6 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from mpmath import mp
 
 from hconvexlab import (
     ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
@@ -25,12 +24,14 @@ from hconvexlab.falsify import (
     lambda_profile, margin_enclosure, replay_witness, run_campaign,
 )
 from hconvexlab.falsify import (
-    _Rows, _Streams, _Words, _draw, _draw_staged, _drawn, _instance_rows,
-    _run_range, _size, _stream, _unit_vector, _weights, _worker_count,
+    _Rows, _draw, _draw_staged, _drawn, _instance_rows, _run_range, _size,
+    _unit_vector, _weights, _worker_count,
 )
 from hconvexlab.funclib import scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.reporting import canonical_json, strip_wall_time
+from hconvexlab.streams import Streams, Words, stream
+from test_streams import _crafted
 
 REJECTED = (ValueError, ArithmeticError, HConvexLabError)
 
@@ -116,10 +117,10 @@ def test_streams_side_by_side_are_each_samples_own():
     # the rows of ``many`` are drawn from in turn; a second call starts the
     # reused generators at their new streams, and leaves them where each
     # stream's own calls leave it
-    streams = _Streams(123)
+    streams = Streams(123)
     streams.many([3, 4, 5]).take(np.array([2]), 7, "random")
     indices = (7, 0, 5, 2 ** 40)
-    reused, fresh = streams.many(indices), [_stream(123, i) for i in indices]
+    reused, fresh = streams.many(indices), [stream(123, i) for i in indices]
     ks = np.arange(len(indices))
     for _ in range(3):
         normals = reused.take(ks, 3, "standard_normal")
@@ -138,7 +139,7 @@ def _draw_steps(rngs, steps, region):
     """_draw_staged of the given steps, as the sampler of a target made for
     the test, over a block's words, or over the words of a list of Philox
     generators, which it leaves where the draws left them."""
-    words = rngs if isinstance(rngs, _Words) else _Words.of(rngs)
+    words = rngs if isinstance(rngs, Words) else Words.of(rngs)
     rules = dataclasses.replace(
         RULES["kyfan"], draw=falsify.Sampler(lambda region: steps, ()))
     with mock.patch.dict(falsify.RULES, {"steps": rules}):
@@ -157,9 +158,9 @@ def test_weights_match_dirichlet_bit_for_bit():
     steps = (_size("n"), _weights("q"))
     for lo, hi in [(n, n) for n in range(1, 9)] + [(1, 8)]:
         region = {"n": [lo, hi]}
-        rows = _draw_steps(_Streams(29).many(range(2000)), steps, region)
+        rows = _draw_steps(Streams(29).many(range(2000)), steps, region)
         for i in range(2000):
-            ours, numpy_s = _stream(29, i), _stream(29, i)
+            ours, numpy_s = stream(29, i), stream(29, i)
             n = int(numpy_s.integers(lo, hi + 1))
             one = _draw_steps([ours], steps, region)["q"]
             assert one.shape == (1, n) and rows.sizes[i] == n
@@ -167,88 +168,6 @@ def test_weights_match_dirichlet_bit_for_bit():
                 == numpy_s.dirichlet(np.ones(n)).tolist()
             assert not rows["q"][i, n:].any()
             assert ours.random() == numpy_s.random()
-
-
-def _crafted(buffer, seed=5, **state):
-    """A Philox generator whose next words are ``buffer`` (four), then its
-    stream at counter 1; ``state`` sets other fields of its state."""
-    rng = _stream(seed, 0)
-    rng.bit_generator.state = {**rng.bit_generator.state, "buffer_pos": 0,
-                               "buffer": np.array(buffer, dtype=np.uint64),
-                               **state}
-    return rng
-
-
-def _words_against_numpy(make, ops):
-    """Each op on the rows of _Words.of(make()) at once, and by numpy's own
-    method on each generator of a second make(): the values bit for bit,
-    and the states the draws leave."""
-    ours, theirs = make(), make()
-    words, ks = _Words.of(ours), np.arange(len(ours))
-    words.reserve(ks, 8)  # a draw's first fetch; the ops need more
-    for op in ops:
-        if op[0] == "integers":
-            got = words.integers(ks, op[1], op[2])
-            want = [int(rng.integers(op[1], op[2] + 1)) for rng in theirs]
-            assert got.tolist() == want, op
-            continue
-        counts = np.broadcast_to(op[1], ks.shape)
-        got = words.take(ks, op[1], op[0])
-        for i, (rng, n) in enumerate(zip(theirs, counts.tolist())):
-            assert got[i, :n].tobytes() == getattr(rng, op[0])(n).tobytes(), \
-                (op, i)
-    words.leave()
-    assert [repr(rng.bit_generator.state) for rng in ours] \
-        == [repr(rng.bit_generator.state) for rng in theirs]
-
-
-def test_word_draws_match_numpy_bit_for_bit():
-    # the words' conversions against numpy's methods, on 3000 streams side
-    # by side (which run past the words first fetched, and take numpy's
-    # slower paths now and then) and on crafted Philox buffers
-    _words_against_numpy(lambda: [_stream(41, i) for i in range(3000)], [
-        ("integers", 2, 5), ("random", 1), ("standard_normal", 9),
-        ("integers", 3, 3), ("standard_exponential", np.arange(3000) % 9 + 1),
-        ("random", np.arange(3000) % 4 + 1), ("integers", 0, 2),
-        ("integers", 1, 64), ("standard_normal", np.arange(3000) % 40 + 1),
-        ("standard_exponential", 30), ("integers", 2, 8)])
-    normal = falsify._ziggurat("standard_normal")[:, 1].astype(np.uint64)
-    expo = falsify._ziggurat("standard_exponential")[:, 1].astype(np.uint64)
-    assert normal[1] == expo[1] == 0 and (normal[2:256] > 0).all() \
-        and (expo[2:] > 0).all()
-    # layers 0 (the tail), 1 (no one-word path) and others, at magnitudes
-    # just below and at the bound, and at the largest
-    rows = []
-    for idx in (0, 1, 2, 3, 100, 255):
-        for m in (max(int(normal[idx]) - 1, 0), int(normal[idx]),
-                  2 ** 52 - 1):
-            rows.append(("standard_normal", [
-                idx | m << 9, idx | 1 << 8 | m << 9, idx | 1 << 9, 7]))
-        for m in (max(int(expo[idx]) - 1, 0), int(expo[idx]), 2 ** 53 - 1):
-            rows.append(("standard_exponential",
-                         [idx << 3 | m << 11, idx << 3 | 1 << 11, 9, 3]))
-    for method in ("standard_normal", "standard_exponential"):
-        buffers = [b for name, b in rows if name == method]
-        _words_against_numpy(lambda: [_crafted(b) for b in buffers],
-                             [(method, 2), (method, 5), ("random", 1)])
-    # a low half of 0: integers(0, 3) keeps it (numpy's threshold is 0) and
-    # integers(0, 2) rejects it and reads the high half; a range of one
-    # uses no word; a half pending in the state is read first; the high
-    # half waits through random and the normals for the next integers
-    lemire = [[5 << 32, 1, 2, 3], [0, 1, 2, 3], [6 << 32 | 1, 2, 3, 4]]
-    for lo, hi in ((0, 3), (0, 2)):
-        _words_against_numpy(lambda: [_crafted(b) for b in lemire], [
-            ("integers", lo, hi), ("integers", 4, 4), ("random", 1),
-            ("integers", lo, hi), ("standard_normal", 2),
-            ("integers", lo, hi), ("integers", lo, hi)])
-    _words_against_numpy(
-        lambda: [_crafted([1, 2, 3, 4], buffer_pos=3, has_uint32=1,
-                          uinteger=12345), _crafted([1, 2, 3, 4])],
-        [("integers", 2, 5), ("integers", 2, 5), ("standard_normal", 11),
-         ("integers", 7, 7), ("random", 2), ("integers", 2, 5)])
-    # any other bit generator is refused
-    with pytest.raises(TypeError):
-        _Words.of([np.random.Generator(np.random.PCG64(1))])
 
 
 def test_a_unit_vector_near_zero_is_drawn_again():
@@ -276,9 +195,9 @@ def test_a_unit_vector_near_zero_is_drawn_again():
 
 def test_draw_is_deterministic_per_seed_and_index():
     region = RULES["amgm"].region
-    a = draw_instance(_stream(123, 5), "amgm", region)
-    b = draw_instance(_stream(123, 5), "amgm", region)
-    c = draw_instance(_stream(123, 6), "amgm", region)
+    a = draw_instance(stream(123, 5), "amgm", region)
+    b = draw_instance(stream(123, 5), "amgm", region)
+    c = draw_instance(stream(123, 6), "amgm", region)
     assert a == b
     assert a != c
 
@@ -287,7 +206,7 @@ def test_drawn_chain_instances_are_feasible_by_construction():
     for target in ("kyfan", "amgm", "chrystal", "holder-mccarthy"):
         region = RULES[target].region
         for i in range(40):
-            inst = draw_instance(_stream(31, i), target, region)
+            inst = draw_instance(stream(31, i), target, region)
             _, flags, _ = evaluate_instance(inst)
             operative = {k: ok for k, ok in flags.items()
                          if not (target == "chrystal"
@@ -325,7 +244,7 @@ def test_an_extreme_row_is_refused_without_numpy_warnings(tmp_path,
     region = Campaign("per-lambda", 1, 1, region={
         "triple": "holder_mccarthy", "alpha": [1e-300, 1e300],
         "v": [1e-300, 1e300]}).region
-    inst = draw_instance(_stream(GOLDEN_SEED, 4), "per-lambda", region)
+    inst = draw_instance(stream(GOLDEN_SEED, 4), "per-lambda", region)
     assert (inst["alpha"], inst["v"]) == (1.9043620795583427e+299,
                                           1.0027243387070759e+247)
     config = tmp_path / "w.json"
@@ -362,7 +281,7 @@ def test_outer_margin_kind_sums_the_chain():
 def test_outer_margin_confirms_at_60_digits():
     # the two 60-digit chain margins are added at working precision: at 53
     # bits this margin reads 30.049179561786864667...
-    inst = draw_instance(_stream(GOLDEN_SEED, 3), "kyfan",
+    inst = draw_instance(stream(GOLDEN_SEED, 3), "kyfan",
                          Campaign("kyfan", 1, 1).region)
     margin, flags, extras = evaluate_instance(inst, "outer")
     out = confirm({"index": 3, "inputs": inst, "margin_double": margin,
@@ -445,7 +364,7 @@ def test_margin_enclosure_covers_the_60_digit_margin():
                    "chrystal", "holder-mccarthy"):
         region = Campaign(target, 1, 1).region
         for i in range(20):
-            inst = draw_instance(_stream(17, i), target, region)
+            inst = draw_instance(stream(17, i), target, region)
             margin, flags, extras = evaluate_instance(inst)
             cand = {"index": i, "inputs": inst, "margin_double": margin,
                     "flags": flags, "extras": extras}
@@ -455,29 +374,6 @@ def test_margin_enclosure_covers_the_60_digit_margin():
             assert 0.0 < (hi - lo) / 2 < 1e-9 * max(1.0, *map(abs, terms)), \
                 (target, i, lo, hi)
             assert lo <= exact <= hi, (target, i)
-
-
-def test_numpy_elementary_functions_are_within_four_ulp():
-    # the enclosures move the ends of numpy's exp, log and power 4 ulp out:
-    # a platform whose routines err by more must fail here, not settle a
-    # status it has not proved.  Ranges: chain log-sums and weight
-    # exponents, the chain values and spectra, holder-mccarthy's p.
-    rng = np.random.default_rng(20260815)
-    t = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 2000))
-    p = rng.uniform(1.0, 4.0, 2000)
-    cases = (("exp", np.exp, mp.exp, (rng.uniform(-40.0, 40.0, 2000),)),
-             ("log", np.log, mp.log, (np.exp(rng.uniform(-60.0, 60.0, 2000)),)),
-             ("power", np.power, mp.power, (t, p)),
-             ("square", np.power, mp.power, (t, 2.0)))
-    for name, fn, exact, args in cases:
-        values = fn(*args)
-        lo, hi = values, values
-        for _ in range(4):
-            lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
-        with mp.workdps(40):
-            for k, row in enumerate(zip(*np.broadcast_arrays(*args))):
-                want = exact(*map(mp.mpf, row))
-                assert lo[k] <= want <= hi[k], (name, row, values[k])
 
 
 def test_margin_enclosure_leaves_dense_and_unbounded_targets_to_confirm():
@@ -507,7 +403,7 @@ def test_campaign_counts_match_full_confirmation(target):
     candidates = confirmed = 0
     demotions = {}
     for i in range(samples):
-        rng = _stream(seed, i)
+        rng = stream(seed, i)
         for _ in range(RETRY_CAP):
             try:
                 inst = draw_instance(rng, target, campaign.region)
@@ -641,7 +537,7 @@ def test_kernel_bits_match_digests(target, margin_kind):
     doubles, confirmed = hashlib.sha256(), hashlib.sha256()
     for i in range(20 if target == "certificates" else 1000):
         try:
-            inst = draw_instance(_stream(GOLDEN_SEED, i), target, region)
+            inst = draw_instance(stream(GOLDEN_SEED, i), target, region)
             margin, flags, extras = evaluate_instance(inst, margin_kind)
         except (ValueError, ArithmeticError, HConvexLabError) as exc:
             doubles.update(type(exc).__name__.encode())
@@ -674,7 +570,7 @@ SETTLED_COUNTS = {
                          ids=[f"{t}/{k}" for t, k in SETTLED_COUNTS])
 def test_settled_candidates_reach_the_pinned_counts(target, margin_kind):
     region = Campaign(target, 1, 1).region
-    streams = _Streams(GOLDEN_SEED)
+    streams = Streams(GOLDEN_SEED)
     settled = 0
     for lo in range(0, 1000, BLOCK_SIZE):
         rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
@@ -703,7 +599,7 @@ def test_block_statuses_match_one_row_enclosures(target, margin_kind):
     # dicts are the rows' own, which evaluate_instance reproduces
     # (test_drawn_columns_and_instance_dicts_agree).
     region = Campaign(target, 1, 1).region
-    streams = _Streams(GOLDEN_SEED)
+    streams = Streams(GOLDEN_SEED)
     for lo in range(0, 1000, BLOCK_SIZE):
         rows = _draw_staged(streams.many(range(lo, min(lo + BLOCK_SIZE, 1000))),
                             target, region)
@@ -835,7 +731,7 @@ def test_draw_bits_match_digests(target, region, streams, draws, digest):
     region = Campaign(target, 1, 1, region=region).region
     bits = hashlib.sha256()
     for i in range(streams):
-        rng = _stream(GOLDEN_SEED, i)
+        rng = stream(GOLDEN_SEED, i)
         for _ in range(draws):
             try:
                 bits.update(repr(_draw(rng, target, region)).encode())
@@ -866,8 +762,8 @@ def _staged_draws_match_draws_of_one(target, region, indices, rounds):
     # one raises, give the others' instances and gates bit for bit, and
     # leave each stream where that draw left it
     region = Campaign(target, 1, 1, region=region).region
-    words = _Streams(GOLDEN_SEED).many(indices)
-    ones = [_stream(GOLDEN_SEED, i) for i in indices]
+    words = Streams(GOLDEN_SEED).many(indices)
+    ones = [stream(GOLDEN_SEED, i) for i in indices]
     for _ in range(rounds):
         rows = _draw_staged(words, target, region)
         drawn = _drawn(rows, range(rows.size))
@@ -916,7 +812,7 @@ def test_drawn_columns_and_instance_dicts_agree(target, region, margin_kind):
         region, size = {**region, "grid": [16, 16]}, 6
     region = Campaign(target, 1, 1, region=region).region
     for lo in (3, size + 3):
-        rows = _draw_staged(_Streams(GOLDEN_SEED).many(range(lo, lo + size)),
+        rows = _draw_staged(Streams(GOLDEN_SEED).many(range(lo, lo + size)),
                             target, region)
         block = RULES[target].evaluate(rows, margin_kind)
         kept = np.flatnonzero(~rows.refused).tolist()
@@ -1008,7 +904,7 @@ def _odd_block(target, start, size, edits, dense=()):
     insts = []
     for i in range(start, start + size):
         try:
-            insts.append(draw_instance(_stream(GOLDEN_SEED, i), target,
+            insts.append(draw_instance(stream(GOLDEN_SEED, i), target,
                                        region))
         except REJECTED:
             continue
@@ -1075,10 +971,10 @@ def test_square_exponent_rows_match_their_own_evaluation():
     # exponents, whose pow can differ in the last place: each holder-
     # mccarthy row's A^p must take its own exponent
     region = RULES["holder-mccarthy"].region
-    insts = [dict(draw_instance(_stream(GOLDEN_SEED, i), "holder-mccarthy",
+    insts = [dict(draw_instance(stream(GOLDEN_SEED, i), "holder-mccarthy",
                                 region), p=2.0, dim=7) for i in range(40)]
     for k, inst in enumerate(insts):
-        inst["diag"] = _stream(5, k).uniform(0.5, 3.0, 7).tolist()
+        inst["diag"] = stream(5, k).uniform(0.5, 3.0, 7).tolist()
         inst["x"] = np.eye(7)[k % 7].tolist()  # <A^p x, x> is one entry
     block = RULES["holder-mccarthy"].evaluate(_instance_rows(insts), "outer")
     for k, inst in enumerate(insts):
@@ -1112,7 +1008,7 @@ def _reference_range(campaign, start, stop):
     drawn = rejected = 0
     min_margin, argmin, candidates = math.inf, None, []
     for i in range(start, stop):
-        rng = _stream(campaign.seed, i)
+        rng = stream(campaign.seed, i)
         for _ in range(RETRY_CAP):
             drawn += 1
             try:
@@ -1168,7 +1064,7 @@ def test_blocks_with_rejections_match_the_per_sample_loop(target, region,
 
     def redrawn(i):  # whether sample i's first draw is refused or infeasible
         try:
-            inst = draw_instance(_stream(campaign.seed, i), target,
+            inst = draw_instance(stream(campaign.seed, i), target,
                                  campaign.region)
             _, flags, _ = evaluate_instance(inst, margin_kind)
         except REJECTED:
@@ -1239,7 +1135,7 @@ def test_empty_region_counts_every_earlier_sample():
     # rows) gets no draw at all; its 512 failed draws come after every
     # earlier sample's draws
     campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
-    many, staged, failing = falsify._Streams.many, falsify._draw_staged, []
+    many, staged, failing = Streams.many, falsify._draw_staged, []
 
     def recording_many(self, indices):
         words = many(self, indices)
@@ -1251,7 +1147,7 @@ def test_empty_region_counts_every_earlier_sample():
         rows.refuse(np.isin(ks, [j for w, j in failing if w is words]),
                     lambda j: ValueError("no draw for this sample"))
         return rows
-    with mock.patch.object(falsify._Streams, "many", recording_many), \
+    with mock.patch.object(Streams, "many", recording_many), \
             mock.patch.object(falsify, "_draw_staged", failing_staged):
         with pytest.raises(EmptyRegion) as exc:
             _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
