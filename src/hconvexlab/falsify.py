@@ -33,22 +33,26 @@ the single source of truth and rejected draws are counted exactly:
 drawn = counted + rejected.
 
 Block drawing: a campaign draws BLOCK_SIZE samples at a time, each from a
-Philox stream of its own.  A target's sampler is a sequence of steps, each
-one Generator method's variates and the transforms around them, and a
-block runs them stage by stage.  Each row first fetches the raw words a
-draw at the largest size takes, and a step computes its variates from the
-words over the rows that passed its check, bit for bit as numpy's method
-would (streams.Words).  Its transforms then run once over the block, a
-vector as one array padded to the largest n: lo + (hi - lo) * u as
-Generator.uniform computes it, math's exp, log and log1p mapped element
-by element, the gate interval (the gate family's core in numpy ops, as
-TripleRule.gate_rows computes it), Dirichlet weights and unit vectors.  A
-row is refused where drawing the sample on its own would raise (numpy's
-uniform refuses a negative, -0.0 or non-finite hi - lo), and its stream
-is left where that draw left it when it raised; a unit vector is drawn
-again in place.  _draw and draw_instance are a block of one, read from a
-Philox generator's full state (a pending half included) and leaving it
-where numpy's own calls would; they raise what refused the row.
+Philox stream of its own, whose generator comes from the process's pool
+(streams.Streams): a block pays numpy's per-call dispatch once for all its
+rows, and a chunk constructs no generator.  A row's bits do not depend on
+which block it is in, so neither does a report.  A target's sampler is a
+sequence of steps, each one Generator method's variates and the transforms
+around them, and a block runs them stage by stage.  Each row first fetches
+the raw words a draw at the largest size takes, and a step computes its
+variates from the words over the rows that passed its check, bit for bit
+as numpy's method would (streams.Words).  Its transforms then run once
+over the block, a vector as one array padded to the largest n:
+lo + (hi - lo) * u as Generator.uniform computes it, math's exp, log and
+log1p mapped element by element, the gate interval (the gate family's core
+in numpy ops, as TripleRule.gate_rows computes it), Dirichlet weights and
+unit vectors.  A row is refused where drawing the sample on its own would
+raise (numpy's uniform refuses a negative, -0.0 or non-finite hi - lo),
+and its stream is left where that draw left it when it raised; a unit
+vector is drawn again in place.  _draw and draw_instance are a block of
+one, read from a Philox generator's full state (a pending half included)
+and leaving it where numpy's own calls would; they raise what refused the
+row.
 
 Block evaluation: in doubles, an operator or chain target's margin is its
 kernel (opcalc.jensen_rows, refined.chain_rows) over a block's columns as
@@ -132,8 +136,9 @@ CANDIDATE_THRESHOLD = -1e-10
 CONFIRM_THRESHOLD = -1e-6
 RETRY_CAP = 512
 # samples drawn, then evaluated by the target's kernel at once; one block
-# of instances and their arrays is held at a time
-BLOCK_SIZE = 256
+# of instances and their arrays is held at a time.  1,024: larger blocks
+# save little more per-block numpy dispatch and cost megabytes of memory
+BLOCK_SIZE = 1024
 # the largest campaign: its report, candidates and wall time stay bounded
 SAMPLES_CAP = 2 ** 20
 WITNESS_CAP = 32

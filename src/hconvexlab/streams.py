@@ -272,31 +272,40 @@ class Words:
 
 
 class Streams:
-    """The streams of stream from a reused pool of generators, as the rows
-    of a block's Words.
+    """The streams of stream from the process's pool of generators, as the
+    rows of a block's Words.
 
     Resetting a Philox state to (key=seed, counter=index << 128) with an
     empty buffer yields the same words as a new Philox and costs a tenth
     as much: the state holds Python ints, which the setter reads faster
-    than numpy's.  A row then fetches its words with one random_raw call,
-    and its generator stays at the end of what it fetched.
+    than numpy's.  The pool is one per process, shared by every Streams and
+    grown to the largest block drawn so far, so a chunk or a block
+    constructs no generator once a block as large was drawn (a worker
+    process builds its own).  A row fetches its words with one random_raw
+    call, and its generator stays at the end of what it fetched.
     """
 
+    _pool: list = []  # the generators of ``many``, for the process
+
     def __init__(self, seed: int):
-        state = Philox(key=seed).state  # counter 0, buffer empty
-        self._state = {**state, "buffer": state["buffer"].tolist(),
-                       "state": {k: t.tolist()
-                                 for k, t in state["state"].items()}}
+        # Philox(key=seed).state: counter 0, buffer empty; the key's low
+        # and high 64 bits
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0] * 4,
+                                 "key": [seed & _MASK64, seed >> 64]},
+                       "buffer": [0] * 4, "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
         self._counter = self._state["state"]["counter"]
-        self._own = []  # the generators of ``many``
 
     def many(self, indices) -> Words:
         """The words of the streams ``indices``, each at its start, a row
         each and none fetched yet.  Each row's generator is a Philox of
-        its own; the next call resets them."""
-        while len(self._own) < len(indices):
-            self._own.append(Generator(Philox(key=0)))  # state set below
-        gens, n = self._own[:len(indices)], len(indices)
+        its own, taken from the process's pool: the Words is valid until
+        the next call of ``many`` on any Streams, which resets them."""
+        pool, n = Streams._pool, len(indices)
+        while len(pool) < n:
+            pool.append(Generator(Philox(key=0)))  # state set below
+        gens = pool[:n]
         for rng, index in zip(gens, indices):
             self._counter[2] = index  # the setter copies the state
             rng.bit_generator.state = self._state

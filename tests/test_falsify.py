@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.random import Philox
 
 from hconvexlab import (
     ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
@@ -34,6 +35,10 @@ from hconvexlab.streams import Streams, Words, stream
 from test_streams import _crafted
 
 REJECTED = (ValueError, ArithmeticError, HConvexLabError)
+# rows of a block drawn or evaluated at once, and the block size of the
+# tests that check every row of a chunk against the per-sample loop:
+# enough to cross block boundaries, far fewer rows than BLOCK_SIZE
+ROWS = 256
 
 
 def _report_bytes(report: dict) -> str:
@@ -783,7 +788,7 @@ def _staged_draws_match_draws_of_one(target, region, indices, rounds):
 def test_block_draws_match_draws_of_one(target, region):
     # once, over more rows than a block: rows of many sizes side by side
     _staged_draws_match_draws_of_one(target, region,
-                                     range(3, 3 + BLOCK_SIZE + 41), 1)
+                                     range(3, 3 + ROWS + 41), 1)
 
 
 @pytest.mark.parametrize("target, region", _DRAW_REGIONS)
@@ -807,7 +812,7 @@ def test_drawn_columns_and_instance_dicts_agree(target, region, margin_kind):
     # evaluate_instance gives for the row's built dict, error messages
     # included, on two blocks of rows of several sizes, padded to the
     # largest, with refused rows among them
-    size = BLOCK_SIZE
+    size = ROWS
     if target == "certificates":
         region, size = {**region, "grid": [16, 16]}, 6
     region = Campaign(target, 1, 1, region=region).region
@@ -1053,10 +1058,12 @@ def _reference_range(campaign, start, stop):
     ("operator-jensen", {"dim": [1, 12]}, "refined"),
 ])
 def test_blocks_with_rejections_match_the_per_sample_loop(target, region,
-                                                          margin_kind):
+                                                          margin_kind,
+                                                          monkeypatch):
+    monkeypatch.setattr(falsify, "BLOCK_SIZE", ROWS)
     campaign = Campaign(target, 1, 5, region=region,
                         margin_kind=margin_kind)
-    start, stop = 3, 3 + BLOCK_SIZE + 41
+    start, stop = 3, 3 + ROWS + 41
     got = _run_range(campaign.to_json(), start, stop)
     want = _reference_range(campaign, start, stop)
     assert repr(got) == repr(want)
@@ -1094,9 +1101,10 @@ def test_every_counted_draw_is_made_once():
     assert sum(sizes) == got["drawn"]
 
 
-def test_nan_margins_are_neither_candidates_nor_the_argmin():
+def test_nan_margins_are_neither_candidates_nor_the_argmin(monkeypatch):
     # best-possible margins are all negative: every sample is a candidate
     # unless its margin reads NaN, which this kernel gives half the rows
+    monkeypatch.setattr(falsify, "BLOCK_SIZE", ROWS)
     rules = RULES["best-possible"]
 
     def some_nan(rows, margin_kind):
@@ -1110,10 +1118,10 @@ def test_nan_margins_are_neither_candidates_nor_the_argmin():
     patched = dataclasses.replace(rules, evaluate=some_nan)
     with mock.patch.dict(falsify.RULES, {"best-possible": patched}):
         campaign = Campaign("best-possible", 1, 4)
-        got = _run_range(campaign.to_json(), 0, BLOCK_SIZE + 9)
-        want = _reference_range(campaign, 0, BLOCK_SIZE + 9)
+        got = _run_range(campaign.to_json(), 0, ROWS + 9)
+        want = _reference_range(campaign, 0, ROWS + 9)
     assert repr(got) == repr(want)
-    assert 0 < len(got["candidates"]) < BLOCK_SIZE + 9
+    assert 0 < len(got["candidates"]) < ROWS + 9
     assert not any(math.isnan(c["margin_double"]) for c in got["candidates"])
     assert got["argmin"][1]["lam"] >= 0.75
 
@@ -1130,10 +1138,11 @@ def test_blocks_split_alike_with_one_and_two_workers(monkeypatch):
     assert one["counts"]["rejected"] > 0
 
 
-def test_empty_region_counts_every_earlier_sample():
+def test_empty_region_counts_every_earlier_sample(monkeypatch):
     # sample 300 (inside the second block, after replayed and accepted
     # rows) gets no draw at all; its 512 failed draws come after every
     # earlier sample's draws
+    monkeypatch.setattr(falsify, "BLOCK_SIZE", ROWS)
     campaign = Campaign("kyfan", 1, 2, region={"v": [0.3, 0.9]})
     many, staged, failing = Streams.many, falsify._draw_staged, []
 
@@ -1150,11 +1159,44 @@ def test_empty_region_counts_every_earlier_sample():
     with mock.patch.object(Streams, "many", recording_many), \
             mock.patch.object(falsify, "_draw_staged", failing_staged):
         with pytest.raises(EmptyRegion) as exc:
-            _run_range(campaign.to_json(), 0, 2 * BLOCK_SIZE)
+            _run_range(campaign.to_json(), 0, 2 * ROWS)
     before = _reference_range(campaign, 0, 300)
     assert before["rejected"] > 0
     assert (exc.value.drawn, exc.value.rejected) \
         == (before["drawn"] + RETRY_CAP, before["rejected"] + RETRY_CAP)
+
+
+@pytest.mark.parametrize("target, region", [
+    ("kyfan", {"v": [0.3, 0.9]}),  # rows failing to evaluate, drawn again
+    ("operator-jensen", {}),
+    ("holder-mccarthy", {"dim": [2, 40]}),
+])
+def test_chunks_do_not_depend_on_the_block_size(target, region, monkeypatch):
+    # each sample draws from its own stream, and a row's arithmetic is its
+    # own, so blocks of any size give a chunk the same aggregates
+    campaign = Campaign(target, 1, 5, region=region).to_json()
+    got = []
+    for size in (97, ROWS, BLOCK_SIZE):
+        monkeypatch.setattr(falsify, "BLOCK_SIZE", size)
+        got.append(repr(_run_range(campaign, 0, 1100)))
+    assert got[0] == got[1] == got[2]
+
+
+def test_the_generator_pool_is_kept_for_the_process():
+    # a chunk after one as large constructs no Philox, and a block's rows
+    # read their own streams whatever the pool's generators drew before
+    campaign = Campaign("half-bound", 1, 3).to_json()
+    _run_range(campaign, 0, 2 * BLOCK_SIZE)
+    with mock.patch("hconvexlab.streams.Philox", wraps=Philox) as made:
+        _run_range(campaign, 0, 2 * BLOCK_SIZE)
+    assert made.call_count == 0
+    Streams(123).many(range(ROWS)).take(np.arange(ROWS), 7, "random")
+    indices = [5, 0, 2 ** 40] + list(range(9, 9 + ROWS))
+    words, ks = Streams(7).many(indices), np.arange(len(indices))
+    start, end = words.reserve(ks, 10)
+    for k, i in enumerate(indices):
+        assert words.words[k, start[k]:end[k]].tolist() \
+            == stream(7, i).bit_generator.random_raw(10).tolist(), i
 
 
 def test_campaign_reports_are_byte_deterministic():
