@@ -117,7 +117,7 @@ from .funclib import (  # noqa: F401
     TRIPLE_NAMES, TRIPLES, Refusals, ScalarFunction, check_triple, core_array,
     evaluate_rows, gate_interval, make_triple, triple_rows,
 )
-from .funclib import family_core
+from .funclib import COLUMN_ERRORS, family_core
 from .highprec import (
     DPS, closed_form_jcoeff, digits, hp_chain_margins, hp_jensen_margin,
 )
@@ -368,9 +368,9 @@ class _Rows(Refusals):
 
     def map(self, fn: Callable, *args):
         """fn over the rows in Python floats, as a draw on its own calls it
-        (math's exp, log and log1p, a chain's gate_value, **).  A row where
-        it raises is refused and reads nan; region constants (Python
-        floats) are mapped once."""
+        (math's exp, log and log1p, **, or a chain's gate_value where its
+        pass over columns raises).  A row where it raises is refused and
+        reads nan; region constants (Python floats) are mapped once."""
         if not any(isinstance(t, np.ndarray) for t in args):
             try:
                 return fn(*args)
@@ -479,11 +479,15 @@ def _unit_vector(name: str) -> _Step:
 
 def _mean_chain_sampler(chain: str) -> Sampler:
     """kyfan and amgm: values uniform on the gate interval [g(v), v]."""
-    gate = TRIPLES[chain].gate_value
+    rule = TRIPLES[chain]
 
     def ends(rows, region):
-        # g(v), which the kernel's flags read again
-        rows["gv"] = rows.map(gate, rows["v"], rows["alpha"])
+        # g(v), which the kernel's flags read again: gate_value's, over
+        # the columns, or row by row where that raises
+        try:
+            rows["gv"] = rule.gate_columns(rows["v"], rows["alpha"])
+        except COLUMN_ERRORS:
+            rows["gv"] = rows.map(rule.gate_value, rows["v"], rows["alpha"])
         return _clamp_rows(rows["gv"], 5e-324, rows["v"]), rows["v"]
     steps = (_uniform("alpha", _region("alpha")),
              _log_uniform("v", _region("v")), _size("n"),

@@ -153,6 +153,41 @@ class _MathOps:
     log = staticmethod(lambda x: -math.inf if x == 0.0 else math.log(x))
 
 
+def _mapped(fn: Callable) -> staticmethod:
+    """fn element by element over columns (1-d arrays of one length, or
+    floats that stand for a column of them), as a float array."""
+    def columns(*xs):
+        n = max(map(np.size, xs))
+        return np.array(list(map(fn, *(x.tolist() if np.ndim(x)
+                                       else [float(x)] * n for x in xs))),
+                        dtype=float)
+    return staticmethod(columns)
+
+
+class MathColumns:
+    """math's exp and log and Python's ** mapped over columns.  A formula
+    run on columns with these, and with numpy's + - * / (IEEE, rounded as
+    Python floats round) under AS_PYTHON, gives each element the bits of
+    the formula in Python floats, or raises: wherever an element's run in
+    Python floats raises, and at inf - inf and at log(0), which
+    _MathOps.log reads as -inf.  A core catches only what _MathOps raise,
+    so on columns an error reaches its caller, which runs the rows one by
+    one."""
+
+    exp = _mapped(math.exp)
+    log = _mapped(math.log)
+    power = _mapped(operator.pow)
+
+
+# numpy raises in doubles where the scalar arithmetic raises or gives nan
+# (x/0, 0/0, inf - inf); over- and underflow give inf and 0 in both
+AS_PYTHON = {"divide": "raise", "invalid": "raise", "over": "ignore",
+             "under": "ignore"}
+# what a pass over columns may raise, where its rows then go one by one
+# (TypeError: ** of a negative base, complex in Python floats)
+COLUMN_ERRORS = (ValueError, ArithmeticError, TypeError)
+
+
 def _positive(name: str, value: float) -> None:
     if not value > 0:
         raise ValueError(f"parameter {name} must be positive, got {value}")
@@ -208,6 +243,8 @@ def _chrystal_core(p, t, ops):
     try:
         arg = ops.power(1.0 + ops.exp(t), expo) - 1.0
     except OverflowError:
+        if ops is not _MathOps:
+            raise
         return _chrystal_beyond(expo, t)
     return ops.log(arg)
 
@@ -222,11 +259,12 @@ def _chrystal_beyond(expo: float, t: float) -> float:
 def _kyfan_gate_core(p, t, ops):
     alpha = p["alpha"]
     try:
-        return ops.power(t, alpha) / (ops.power(t, alpha)
-                                      + ops.power(1.0 - t, alpha))
+        power = ops.power(t, alpha)
+        return power / (power + ops.power(1.0 - t, alpha))
     except ZeroDivisionError:
-        # only _MathOps raise, once both powers underflow: the value is
-        # 1/(1 + e^r), r = alpha log((1-t)/t), written in e^-|r| <= 1
+        # only _MathOps raise, once both powers underflow (numpy raises
+        # FloatingPointError): the value is 1/(1 + e^r), r = alpha
+        # log((1-t)/t), written in e^-|r| <= 1
         e = math.exp(-abs(alpha * math.log((1.0 - t) / t)))
         return e / (1.0 + e) if t < 0.5 else 1.0 / (1.0 + e)
 
@@ -235,7 +273,9 @@ def _power_gate_core(p, t, ops):
     try:
         return ops.power(t, p["alpha"])
     except OverflowError:
-        return math.inf  # only _MathOps raise, at t > 1
+        if ops is not _MathOps:
+            raise
+        return math.inf  # at t > 1
 
 
 _FAMILIES: dict[str, _Family] = {}
@@ -578,6 +618,24 @@ class TripleRule:
             return math.nan
         # a core reads only the parameters its family names
         return family.core({"alpha": alpha, "beta": beta, "p": p}, v, _MathOps)
+
+    def gate_columns(self, v: np.ndarray, alpha, beta=None,
+                     p=None) -> np.ndarray:
+        """gate_value over rows in one pass (v an array, the rest arrays
+        over its rows or floats), each row with gate_value's bits: the core
+        runs on MathColumns.  It raises one of COLUMN_ERRORS where a row's
+        gate_value raises, and may where none does; the caller then runs
+        gate_value row by row."""
+        family = _FAMILIES[self.gate]
+        out = np.full(v.shape, math.nan)
+        ks = np.flatnonzero(family.max_domain.contains_array(v))
+        if ks.size:
+            params = {k: x if np.ndim(x) == 0 else x[ks]
+                      for k, x in (("alpha", alpha), ("beta", beta),
+                                   ("p", p)) if k in family.param_names}
+            with np.errstate(**AS_PYTHON):
+                out[ks] = family.core(params, v[ks], MathColumns)
+        return out
 
     def gate_rows(self, v: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
                   p: float | None, refuse: Callable) -> np.ndarray:

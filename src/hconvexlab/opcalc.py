@@ -373,11 +373,15 @@ def apply_function(f: ScalarFunction, A: SymmetricMatrix) -> SymmetricMatrix:
 
 def quadratic_form(A: SymmetricMatrix, x: UnitVector) -> float:
     """<Ax, x> = x^T A x."""
+    _check_dims(A, x)
+    xv = x.components
+    return float(xv @ A.entries @ xv)
+
+
+def _check_dims(A: SymmetricMatrix, x: UnitVector) -> None:
     if A.dim != x.dim:
         raise DimensionMismatch(
             f"matrix dim {A.dim} does not match vector dim {x.dim}")
-    xv = x.components
-    return float(xv @ A.entries @ xv)
 
 
 def spectrum_in(A: SymmetricMatrix, I: Interval):
@@ -467,13 +471,14 @@ class Spectra:
         decomposition raise.  A matrix whose off-diagonal entries are all 0
         is diagonal's row of one, its eigenvalues in its diagonal's order;
         any other is decomposed by Jacobi, its eigenvalues ascending."""
+        _check_dims(A, x)
         with np.errstate(all="ignore"):  # overflow reads inf, as in Python
-            qf = quadratic_form(A, x)
             d = np.diag(A.entries)
             if np.count_nonzero(A.entries) == np.count_nonzero(d):
                 return _one_row(lambda refuse: cls.diagonal(
                     d[None, :], x.components[None, :], refuse,
                     np.array([d.size])))
+            qf = quadratic_form(A, x)
             dec = A.decomposition()
 
         def expectation(values, refuse):  # its callers ignore fp errors

@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, SpectrumDomainError
-from .funclib import TRIPLES, Interval, Refusals, _one_row, interval
+from .funclib import (AS_PYTHON, COLUMN_ERRORS, TRIPLES, Interval,
+                      MathColumns, Refusals, _one_row, interval)
 from .opcalc import Spectra, SymmetricMatrix, UnitVector
 
 N_CAP = 10_000
@@ -85,16 +86,27 @@ def sample_checks(values: np.ndarray, q: np.ndarray, refuse,
     """WeightedSample's checks over rows of values (a, or a and b side by
     side) and weights q, refusing rows with its errors: entries finite,
     weights in (0, 1] (those of the mask ``own``; the rest pad as 0.0),
-    weights summing to 1 within 1e-12."""
+    weights summing to 1 within 1e-12, as math.fsum sums them."""
     refuse(~(np.isfinite(values).all(-1) & np.isfinite(q).all(-1)),
            lambda j: ValueError("sample entries must be finite"))
     own = np.broadcast_to(own, q.shape)
     refuse(~(((q > 0.0) & (q <= 1.0)) | ~own).all(-1), lambda j: ValueError(
         f"weights must lie in (0, 1], got {tuple(q[j][own[j]].tolist())}"))
-    refuse(np.array([ok and abs(math.fsum(w) - 1.0) > 1e-12 for ok, w in
-                     zip(refuse.ok.tolist(), q.tolist())], dtype=bool),
-           lambda j: ValueError(f"weights must sum to 1, got "
-                                f"{math.fsum(q[j].tolist())!r}"))
+    # w weights in [0, 1] summed in doubles, in any order, lie within
+    # gamma_{w-1} s of their sum s (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2nd ed., 4.2), and fsum's correctly rounded sum
+    # within u s of s: about w u s apart, with u = 2^-53.  A row whose
+    # double sum lies farther than twice that from 1 +- 1e-12 is decided
+    # by it; only the rows closer call fsum.
+    with np.errstate(all="ignore"):
+        total = q.sum(-1)
+        off, slack = np.abs(total - 1.0), q.shape[-1] * 2.0 ** -52 * total
+        wrong = off - slack > 1e-12
+        near = refuse.ok & ~wrong & ~(off + slack < 1e-12)
+    for k in np.flatnonzero(near).tolist():
+        wrong[k] = abs(math.fsum(q[k].tolist()) - 1.0) > 1e-12
+    refuse(wrong, lambda j: ValueError(f"weights must sum to 1, got "
+                                       f"{math.fsum(q[j].tolist())!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +120,10 @@ def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None,
     Each row is given by the smallest and largest of its values (``low``,
     ``high``), its spread g, alpha, v and p (None: no exponent); ``pairs``
     holds the (rows, n) arrays a and b of a chain whose clauses read them.
-    The gate value g(v) is computed row by row in Python floats, unless
-    ``gate`` holds it already, as a draw computes it for a gate that reads
-    alpha alone (kyfan, amgm).
+    The gate value g(v) of the rows the chain gates is gate_value's, over
+    their columns in one pass (TripleRule.gate_columns), or row by row
+    where that raises; ``gate`` may hold it already, as a draw computes it
+    for a gate that reads alpha alone (kyfan, amgm).
     """
     rule, chain = TRIPLES[name], CHAINS[name]
     with np.errstate(all="ignore"):  # inf and nan pass quietly, as in Python
@@ -124,12 +137,15 @@ def flag_rows(name: str, low, high, g, alpha, v, p=None, pairs=None,
         gated = np.logical_and.reduce(
             [np.ones(v.shape, dtype=bool)]
             + [flags[k] for k in chain.gated_by])
-        ps = [None] * v.size if p is None else p.tolist()
-        lo = np.array([rule.gate_value(*args) if ok else math.nan
-                       for ok, *args in zip(gated.tolist(), v.tolist(),
-                                            alpha.tolist(),
-                                            (alpha + g).tolist(), ps)]) \
-            if gate is None else np.where(gated, gate, math.nan)
+        if gate is None:  # v = nan, outside every gate's domain, reads nan
+            cols = (np.where(gated, v, math.nan), alpha, alpha + g, p)
+            try:
+                gate = rule.gate_columns(*cols)
+            except COLUMN_ERRORS:
+                gate = np.array([rule.gate_value(*args) for args in zip(*(
+                    [None] * v.size if t is None else t.tolist()
+                    for t in cols))])
+        lo = np.where(gated, gate, math.nan)
         flags[chain.member] = _within(low, high, lo, v)
     if chain.clauses is not None:
         flags.update(chain.clauses(*pairs, lo, v))
@@ -355,27 +371,6 @@ def hm_chain(A: SymmetricMatrix, x: UnitVector, p: float, alpha: float,
 # The chain kernel
 # ---------------------------------------------------------------------------
 
-class _ElementwiseMath:
-    """math.log and math.exp mapped over a column.  Chain terms run on
-    columns with these keep the bits of their scalar evaluation, where
-    numpy's log and exp can differ from math's in the last place; they
-    raise where math raises."""
-
-    @staticmethod
-    def log(x: np.ndarray) -> np.ndarray:
-        return np.array(list(map(math.log, x.tolist())))
-
-    @staticmethod
-    def exp(x: np.ndarray) -> np.ndarray:
-        return np.array(list(map(math.exp, x.tolist())))
-
-
-# in doubles, raise where the scalar arithmetic raises or gives nan (x/0,
-# 0/0, inf - inf); over- and underflow give inf and 0 in both
-_AS_PYTHON = {"divide": "raise", "invalid": "raise", "over": "ignore",
-              "under": "ignore"}
-
-
 def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
     """The chain ``name`` over rows, as arrays over them: lhs, mid, rhs,
     m1 = mid - lhs, m2 = rhs - mid, gamma, beta, feasible and ``flags``.
@@ -401,11 +396,9 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
                 f"spectrum must be positive, found "
                 f"{_nonpositive(values[j, :s.sizes[j]])}",
                 offending=_nonpositive(values[j, :s.sizes[j]])))
-            # row by row: numpy takes other paths for a scalar exponent
-            # (2.0 squares) than for an array of exponents
             c = {key: t for key, t in c.items() if key != "spectra"}
-            c["qf"], c["apx"] = s.qf, s.expectation(np.array(
-                [np.power(t, e) for t, e in zip(values, p.tolist())]), refuse)
+            c["qf"], c["apx"] = s.qf, s.expectation(_powers(values, p),
+                                                    refuse)
             lo, hi = s.lo, s.hi
         else:
             values = np.hstack((c["a"], c["b"])) if chain.paired else c["a"]
@@ -456,6 +449,18 @@ def chain_rows(name: str, c: dict, refuse: Refusals) -> dict:
     return out
 
 
+def _powers(values: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Each row of values to its own p, with the bits of np.power(row, p)
+    for a float p.  numpy takes other paths for some scalar exponents (2.0
+    squares, -1.0 and 0.5 too), so a row whose p is an integer or
+    half-integer takes that call; the others take one power over the
+    block, which gives their bits."""
+    out = np.power(values, p[:, None])
+    for k in np.flatnonzero(2.0 * p == np.floor(2.0 * p)).tolist():
+        out[k] = np.power(values[k], float(p[k]))
+    return out
+
+
 def _nonpositive(values: np.ndarray) -> list:
     bad = np.sort(values)
     return bad[bad <= 0.0].tolist()
@@ -468,7 +473,7 @@ def _arithmetic(name: str, c: dict, lo, hi, python: bool):
     alpha, g = c["alpha"], c["g"]
     col = (lambda t: t.astype(object)) if python else (lambda t: t)
     # numpy reads the status flags that Python's own float operations set
-    with np.errstate(**({"all": "ignore"} if python else _AS_PYTHON)):
+    with np.errstate(**({"all": "ignore"} if python else AS_PYTHON)):
         if chain.spectral:
             # Python floats, so that hm_terms' qf ** p is Python's pow
             terms = chain.terms(c["qf"].astype(object), col(c["apx"]),
@@ -477,7 +482,7 @@ def _arithmetic(name: str, c: dict, lo, hi, python: bool):
             inputs, _ = chain.inputs(*(list(col(c[key]).T) if key in c
                                        else None for key in ("a", "b", "q")))
             terms = chain.terms(*inputs, col(alpha), col(g),
-                                ops=_ElementwiseMath)
+                                ops=MathColumns)
     flags = flag_rows(name, lo, hi, g, alpha, c["v"], c.get("p"),
                       (c["a"], c["b"]) if chain.paired else None, c.get("gv"))
     return [np.asarray(t, dtype=float) for t in terms], flags

@@ -19,6 +19,7 @@ where numpy's own calls would have left it.
 from __future__ import annotations
 
 import functools
+import struct
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -30,7 +31,8 @@ def stream(seed: int, index: int) -> Generator:
 
 
 _MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
-_COUNTER_BITS = 256
+_COUNTER_MASK = 2 ** 256 - 1
+_COUNTER_WORDS = struct.Struct("<4Q")  # a counter's words, low word first
 # a ziggurat word's fields: (key shift, key mask, magnitude shift, magnitude
 # bits).  standard_normal's key is the layer's byte and the sign bit above
 # it, standard_exponential's the layer's byte at bit 3
@@ -38,9 +40,10 @@ _ZIGGURAT_WORDS = {"standard_normal": (0, 0x1FF, 9, 52),
                    "standard_exponential": (3, 0xFF, 11, 53)}
 
 
-def _counter(words) -> int:
+def _counter(words: np.ndarray) -> int:
     """A Philox counter's four words as one 256-bit integer."""
-    return sum(int(t) << 64 * i for i, t in enumerate(words))
+    w0, w1, w2, w3 = words.tolist()
+    return w0 | w1 << 64 | w2 << 128 | w3 << 192
 
 
 def _one_word(gen: Generator, method: str, words: list):
@@ -151,21 +154,21 @@ class Words:
                    [s["uinteger"] for s in states])
 
     def _block0(self, k: int) -> int:
-        return self.origin[k] + int(self.dropped[k])
+        return self.origin[k] + self.dropped.item(k)
 
     def state(self, k: int) -> dict:
         """The Philox state of row k at its cursor, as numpy leaves it."""
-        at = int(self.cur[k])
+        at = self.cur.item(k)
         block = max(at - 1, 0) // 4
-        counter = (self._block0(k) + block) % 2 ** _COUNTER_BITS
+        counter = (self._block0(k) + block) & _COUNTER_MASK
         return {"bit_generator": "Philox",
-                "state": {"counter": [counter >> s & _MASK64
-                                      for s in range(0, _COUNTER_BITS, 64)],
+                "state": {"counter": list(_COUNTER_WORDS.unpack(
+                              counter.to_bytes(32, "little"))),
                           "key": self.keys[k]},
                 "buffer": self.words[k, 4 * block:4 * block + 4].tolist(),
                 "buffer_pos": at - 4 * block,
-                "has_uint32": int(self.has[k]),
-                "uinteger": int(self.half[k])}
+                "has_uint32": int(self.has.item(k)),
+                "uinteger": self.half.item(k)}
 
     def leave(self) -> None:
         """Place each row's generator where the row's draws left it."""
@@ -219,7 +222,7 @@ class Words:
         out = getattr(self.gens[k], method)(*args)
         after = bits.state
         col = 4 * ((_counter(after["state"]["counter"]) - self._block0(k))
-                   % 2 ** _COUNTER_BITS)
+                   & _COUNTER_MASK)
         self._widen(col + 4)
         self.words[k, col:col + 4] = after["buffer"]
         self.cur[k] = self.have[k] = col + after["buffer_pos"]

@@ -1,10 +1,12 @@
 """Seeded falsification campaigns: sampling, confirmation, determinism."""
 
+import cProfile
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import pstats
 import warnings
 from unittest import mock
 
@@ -14,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from numpy.random import Philox
 
 from hconvexlab import (
-    ConfigError, EmptyRegion, HConvexLabError, falsify, funclib,
+    ConfigError, EmptyRegion, HConvexLabError, falsify, funclib, refined,
 )
 from hconvexlab.cli import main
 from hconvexlab.convexity import SWEEP_GRID_CAP
@@ -28,10 +30,11 @@ from hconvexlab.falsify import (
     _Rows, _draw, _draw_staged, _drawn, _instance_rows, _run_range, _size,
     _unit_vector, _weights, _worker_count,
 )
-from hconvexlab.funclib import scalar_function
+from hconvexlab.funclib import TRIPLES, TripleRule, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
 from hconvexlab.reporting import canonical_json, strip_wall_time
 from hconvexlab.streams import Streams, Words, stream
+from test_funclib import GATE_EDGE_ROWS, gate_rows
 from test_streams import _crafted
 
 REJECTED = (ValueError, ArithmeticError, HConvexLabError)
@@ -1197,6 +1200,71 @@ def test_the_generator_pool_is_kept_for_the_process():
     for k, i in enumerate(indices):
         assert words.words[k, start[k]:end[k]].tolist() \
             == stream(7, i).bit_generator.random_raw(10).tolist(), i
+
+
+@pytest.mark.parametrize("target", ["kyfan", "amgm"])
+def test_chain_draws_gate_rows_as_gate_value_does(target):
+    # the draw's gate step over a block's columns refuses the rows, with the
+    # errors, bounds and g(v) bits, that gate_value row by row gives; a
+    # block with an edge row goes row by row
+    region = RULES[target].region
+    step = next(s for s in RULES[target].draw.steps(region)
+                if s.check is not None and s.per_n)
+
+    def gate_step(args):
+        rows = _Rows(len(args), region)
+        rows["v"], rows["alpha"] = (np.array(t) for t in zip(*args))
+        with mock.patch.object(TripleRule, "gate_value", autospec=True,
+                               side_effect=TripleRule.gate_value) as calls:
+            step.check(rows, region)
+        return rows, calls.call_count
+
+    drawn = gate_rows(target)
+    for args in (drawn, drawn + GATE_EDGE_ROWS[target]):
+        rows, calls = gate_step(args)
+        with mock.patch.object(TripleRule, "gate_columns",
+                               side_effect=ArithmeticError):
+            by_row, _ = gate_step(args)
+        assert (calls == 0) == (args is drawn)
+        assert rows["gv"].tobytes() == by_row["gv"].tobytes()
+        assert [t.tobytes() for t in rows.ends["a"]] \
+            == [t.tobytes() for t in by_row.ends["a"]]
+        assert rows.ok.tolist() == by_row.ok.tolist()
+        assert {k: repr(e) for k, e in rows.errors.items()} \
+            == {k: repr(e) for k, e in by_row.errors.items()}
+    if target == "kyfan":  # its overflow is refused
+        assert any(isinstance(e, OverflowError) for e in rows.errors.values())
+
+
+def test_chain_blocks_run_no_row_by_row_loops(monkeypatch):
+    # gate values, weight sums and holder-mccarthy powers run once per
+    # block at the chains' default regions: no gate_value, no fsum in
+    # refined, no power of one row in chain_rows
+    powers = []
+
+    class CountingNumpy:  # refined's numpy, noting the powers of one row
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def power(self, x, *args, **kwargs):
+            powers.append(np.ndim(x) == 1)
+            return np.power(x, *args, **kwargs)
+
+    monkeypatch.setattr(refined, "np", CountingNumpy())
+    profile = cProfile.Profile()
+    for target in ("kyfan", "amgm", "chrystal", "holder-mccarthy"):
+        profile.runcall(_run_range, Campaign(target, 2048, 7).to_json(),
+                        0, 2048)
+    calls = {"gate_value": 0, "fsum": 0}
+    for (file, _, name), (_, _, _, _, callers) in \
+            pstats.Stats(profile).stats.items():
+        if name == "gate_value" and file.endswith("funclib.py"):
+            calls["gate_value"] += sum(n for n, *_ in callers.values())
+        elif name == "<built-in method math.fsum>":
+            calls["fsum"] += sum(n for (f, *_), (n, *_) in callers.items()
+                                 if f.endswith("refined.py"))
+    assert calls == {"gate_value": 0, "fsum": 0}
+    assert powers and not any(powers)
 
 
 def test_campaign_reports_are_byte_deterministic():

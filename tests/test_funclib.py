@@ -12,8 +12,9 @@ from hconvexlab import (
     gate_interval, make_triple, scalar_function,
 )
 from hconvexlab.funclib import (
-    FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED, UNIT_OPEN, Refusals,
-    check_triple, _one_row, evaluate, evaluate_array, triple_beta_range,
+    COLUMN_ERRORS, FAMILY_NAMES, TRIPLE_NAMES, TRIPLES, UNIT_CLOSED,
+    UNIT_OPEN, Refusals, check_triple, _one_row, evaluate, evaluate_array,
+    triple_beta_range,
 )
 
 
@@ -325,3 +326,69 @@ def test_chrystal_gate_at_beta_equal_alpha_is_minus_inf_without_warning():
         assert evaluate(g, 0.7) == -math.inf
         assert evaluate_array(g, np.array([0.7, 2.0])).tolist() \
             == [-math.inf, -math.inf]
+
+
+# ---------------------------------------------------------------------------
+# Gate values over columns
+# ---------------------------------------------------------------------------
+
+# gate_value's arguments (v, alpha[, beta[, p]]) at the edges of each
+# triple's gate: powers that underflow to 0/0 (kyfan) or overflow (kyfan,
+# which raises, and power_gate, which reads inf), chrystal at beta == alpha
+# and past e^709.78, anchors outside the gate's domain, and nan
+GATE_EDGE_ROWS = {
+    "kyfan": [(0.3, 5000.0), (0.999999, -1000.0), (1.0, 2.0), (0.0, 2.0),
+              (-0.5, 2.0), (math.nan, 2.0), (0.3, math.nan)],
+    "amgm": [(10.0, 400.0), (1e-300, -2.0), (0.0, 2.0), (-1.0, 2.0),
+             (math.inf, 2.0), (math.nan, 2.0), (0.3, math.nan)],
+    "chrystal": [(0.7, 1.5, 1.5), (800.0, 1.0, 2.5), (710.0, 0.5, 0.9),
+                 (700.0, 1.0, 3.5), (math.inf, 1.0, 2.0),
+                 (-math.inf, 1.0, 2.0), (math.nan, 1.0, 2.0)],
+    "holder_mccarthy": [(0.7, 1.5, 1.5, 2.0), (0.0, 1.0, 2.0, 2.0),
+                        (-1.0, 1.0, 2.0, 2.0), (math.inf, 1.0, 2.0, 2.0),
+                        (math.nan, 1.0, 2.0, 2.0), (1e300, 1.0, 3.0, 1.5)],
+}
+
+
+def gate_rows(name: str, size: int = 500, seed: int = 0) -> list:
+    """gate_value's arguments of ``size`` draws inside a triple's stated
+    ranges, as tuples."""
+    rng = np.random.default_rng(seed)
+    chain_mean = name in ("kyfan", "amgm")
+    alpha = rng.uniform(1.000001 if chain_mean else 0.01, 3.0, size)
+    v = rng.uniform(1e-4 if chain_mean else 0.1,
+                    {"kyfan": 0.5, "amgm": 1.0, "chrystal": 3.0}.get(name, 2.0),
+                    size)
+    if chain_mean:
+        return list(zip(v.tolist(), alpha.tolist()))
+    beta = alpha + rng.uniform(0.0, 1.0, size) * alpha
+    rows = zip(v.tolist(), alpha.tolist(), beta.tolist(),
+               rng.uniform(1.000001, 4.0, size).tolist())
+    return [row[:3] if name == "chrystal" else row for row in rows]
+
+
+def _columns(rows: list) -> list:
+    return [np.array(column) for column in zip(*rows)]
+
+
+@pytest.mark.parametrize("name", TRIPLE_NAMES)
+def test_gate_columns_match_gate_value_bitwise(name):
+    # one pass over the columns gives gate_value's bits, where numpy's exp,
+    # log and power would move some of them by an ulp; a block with an edge
+    # row gives them too or raises, and then goes row by row
+    rule, drawn = TRIPLES[name], gate_rows(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rule.gate_columns(*_columns(drawn)).tobytes() == np.array(
+            [rule.gate_value(*row) for row in drawn]).tobytes()
+        passed = 0
+        for rows in [[row] for row in GATE_EDGE_ROWS[name]] \
+                + [drawn + GATE_EDGE_ROWS[name]]:
+            try:
+                got = rule.gate_columns(*_columns(rows))
+            except COLUMN_ERRORS:
+                continue
+            passed += 1  # no row raises in gate_value, and the bits agree
+            assert got.tobytes() == np.array(
+                [rule.gate_value(*row) for row in rows]).tobytes()
+    assert passed >= 3  # the rows outside the domain and nan among them

@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hconvexlab import DomainError, SpectrumDomainError, interval, refined
 from hconvexlab.funclib import TRIPLES, make_triple, scalar_function
 from hconvexlab.opcalc import SymmetricMatrix, UnitVector
+from hconvexlab.funclib import Refusals
 from hconvexlab.refined import (
     CHAIN_NAMES, N_CAP, ChainReport, WeightedSample, amgm_chain,
     amgm_terms, chrystal_chain, chrystal_terms, hm_chain, kyfan_chain,
+    sample_checks,
 )
 
 
@@ -52,6 +55,69 @@ def test_gamma_chrystal_spans_both_value_lists():
     assert chrystal_chain(s, 2.0, 1.0).gamma == 4.0
     with pytest.raises(DomainError):
         chrystal_chain(WeightedSample((1.0,), (1.0,)), 2.0, 1.0)
+
+
+def _checked_as_fsum(q: list):
+    """The weight checks of WeightedSample as written with math.fsum: the
+    error message of weights q, or None."""
+    if not all(map(math.isfinite, q)):
+        return "sample entries must be finite"
+    if not all(0.0 < w <= 1.0 for w in q):
+        return f"weights must lie in (0, 1], got {tuple(q)}"
+    if abs(math.fsum(q) - 1.0) > 1e-12:
+        return f"weights must sum to 1, got {math.fsum(q)!r}"
+    return None
+
+
+# Weights whose sum in doubles, left to right, and whose fsum fall on
+# opposite sides of 1 + 1e-12 or of 1 - 1e-12: small entries that the
+# double sum drops or rounds up, next to a sum one spacing inside or
+# outside.  Near 1 the spacing is 2^-52 above and 2^-53 below.
+_UP, _DOWN = math.floor(1e-12 / 2.0 ** -52), math.ceil(1e-12 / 2.0 ** -53)
+OPPOSITE_SIDES = [
+    [0.5, 0.5 + _UP * 2.0 ** -52] + [2.0 ** -54] * 3,  # fsum refuses
+    [0.5, 0.5 + (_UP - 1) * 2.0 ** -52] + [2.0 ** -53 + 2.0 ** -70] * 2,
+    [0.5, 0.5 - (_DOWN + 1) * 2.0 ** -53] + [2.0 ** -54 + 2.0 ** -70] * 2,
+    [0.5, 0.5 - _DOWN * 2.0 ** -53] + [2.0 ** -55] * 3,  # fsum accepts
+]
+
+
+def test_weight_sums_are_refused_as_fsum_decides():
+    for q in OPPOSITE_SIDES:  # the rows are what they claim to be
+        assert (abs(np.sum(q) - 1.0) > 1e-12) \
+            != (abs(math.fsum(q) - 1.0) > 1e-12), q
+    rows = OPPOSITE_SIDES + [
+        [1e300, 0.5], [-0.5, 1.5], [0.5, math.inf], [math.nan, 1.0],
+        [5e-324, 1.0], [5e-324, 5e-324], [2.0 ** -1074] * 4, [1.0],
+        [0.25] * 4, [0.5, 0.5 + 1e-12], [0.5, 0.5 - 1e-12],
+        [0.1] * 10, [1e-13, 1.0 - 1e-13], [1.0, 1e-12], [1.0, 2e-12]]
+    width = max(map(len, rows))
+    q = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    own = np.arange(width) < np.array([len(row) for row in rows])[:, None]
+    refuse = Refusals(len(rows))
+    sample_checks(np.ones(q.shape), q, refuse, own)
+    expected = [_checked_as_fsum(row) for row in rows]
+    assert [str(refuse.errors[k]) if k in refuse.errors else None
+            for k in range(len(rows))] == expected
+    assert expected.count(None) == 8  # refusals of each kind, and not
+    for row, error in zip(rows, expected):  # a sample of one row
+        if error is None:
+            WeightedSample((1.0,) * len(row), row)
+        else:
+            with pytest.raises(ValueError) as exc:
+                WeightedSample((1.0,) * len(row), row)
+            assert str(exc.value) == error
+
+
+def test_holder_mccarthy_powers_keep_the_bits_of_each_rows_power():
+    # one power over the block, with numpy's own paths for the exponents
+    # it special-cases
+    rng = np.random.default_rng(11)
+    values = rng.uniform(0.01, 3.0, (400, 8))
+    p = rng.uniform(1.000001, 4.0, 400)
+    p[:5] = [2.0, -1.0, 0.5, 1.0, 3.0]
+    assert refined._powers(values, p).tobytes() == np.array(
+        [np.power(row, e) for row, e in zip(values, p.tolist())]).tobytes()
 
 
 # ---------------------------------------------------------------------------
