@@ -15,6 +15,7 @@ the HCONVEXLAB_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -427,7 +428,12 @@ def cmd_sweep(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state
+    between calls.  set_defaults binds each subcommand to the cmd_*
+    function this module held at the first build, so replacing a cmd_*
+    attribute afterwards does not reach main."""
     parser = argparse.ArgumentParser(
         prog="hconvexlab",
         description="Verification and falsification lab for conditional "

@@ -82,9 +82,34 @@ def enclosed(value) -> Enclosure:
 
 def outward(lo, hi, ulps: int = 1) -> Enclosure:
     """[lo, hi] moved ``ulps`` doubles outward at each end."""
-    for _ in range(ulps):
-        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
-    return Enclosure(lo, hi)
+    if ulps == 1:
+        return Enclosure(np.nextafter(lo, -math.inf),
+                         np.nextafter(hi, math.inf))
+    return Enclosure(_step(lo, -ulps), _step(hi, ulps))
+
+
+def _step(x, k: int):
+    """x moved |k| doubles toward +inf (k > 0) or -inf (k < 0), bit for bit
+    as |k| calls of np.nextafter move it.  A float array steps its bits
+    once: read as an int64, a double's bits count ulps away from zero, and
+    its sign bit makes the int64 negative.  A step that would cross zero
+    (within |k| ulps of it, where -0.0 and +0.0 step alike) or leave the
+    finite doubles (±max to ±inf, inf, nan) gives the bits of a nan, and
+    those entries take the nextafter calls, as numbers do."""
+    if not (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64):
+        return _nextafter(x, k)
+    bits = x.view(np.int64)
+    out = (bits + np.where(bits < 0, -k, k)).view(np.float64)
+    slow = ~np.isfinite(out)
+    if slow.any():
+        out[slow] = _nextafter(x[slow], k)
+    return out
+
+
+def _nextafter(x, k: int):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 # the ops of the funclib cores and the chain terms, over enclosures

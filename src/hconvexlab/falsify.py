@@ -98,13 +98,11 @@ import math
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-from mpmath import mp
 from numpy.random import Generator
 
 from .convexity import GRID_CELL_CAP, SWEEP_GRID_CAP, certify
@@ -850,6 +848,7 @@ def _chain_exact(inst: dict, margin_kind: str):
     name = RULES[inst["target"]].chain
     m1, m2 = hp_chain_margins(name, inst, _matrix(inst).entries
                               if CHAINS[name].spectral else None)
+    from mpmath import mp
     with mp.workdps(DPS):  # the outer sum keeps the margins' 60 digits
         return (m1 + m2) if margin_kind == "outer" else min(m1, m2), {}
 
@@ -1029,6 +1028,7 @@ def _best_possible_row(inst: dict):
 
 
 def _best_possible_exact(inst: dict, margin_kind: str):
+    from mpmath import mp
     with mp.workdps(DPS):
         lhs, factor, reduced, full = _best_possible_terms(
             *(mp.mpf(inst[k]) for k in ("a", "beta", "lam")), mp)
@@ -1486,6 +1486,8 @@ def run_campaign(campaign: Campaign) -> dict:
     spans = _chunks(campaign.samples, workers)
     cj = campaign.to_json()
     if len(spans) > 1:
+        # loaded here: a run with one worker never starts a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_range, [cj] * len(spans),
                                   [s[0] for s in spans],

@@ -7,6 +7,10 @@ convexity gap, the refined chain terms and opcalc's mode -> factor rule
 are driven through mpmath numbers, so the two routes differ only in
 arithmetic; the 60-digit spectral step is this module's own.
 
+mpmath loads on the first 60-digit evaluation, not with this module: a
+process that confirms nothing, such as a campaign that finds no
+candidates, never imports it.
+
 Jensen coefficients are reproduced from their closed forms — the
 infimum of h(t)/t over (0,1) is alpha/beta for the exponential weight, 1
 for the identity, and 0 or 1 for pure powers — because re-running a grid
@@ -16,10 +20,11 @@ remove it.  Weights without a closed form raise PrecisionUnavailable.
 
 from __future__ import annotations
 
+import functools
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
-from mpmath import mp
 
 from .convexity import gap
 from .errors import PrecisionUnavailable
@@ -27,27 +32,42 @@ from .funclib import ScalarFunction, family_core
 from .opcalc import jensen_factor
 from .refined import chain_rule
 
+if TYPE_CHECKING:
+    from mpmath import mp
+
 DPS = 60
 WITNESS_DIGITS = 50
 
 
-# mpmath counterparts of the numpy ops used by funclib cores; mp.pi takes
-# the working precision of the expression it enters
-_MP_OPS = SimpleNamespace(exp=mp.exp, log=mp.log, cos=mp.cos, power=mp.power,
-                          pi=mp.pi, where=lambda cond, a, b: a if cond else b)
+@functools.cache
+def _mp():
+    """mpmath's context, imported on the first call."""
+    from mpmath import mp
+    return mp
+
+
+@functools.cache
+def _mp_ops() -> SimpleNamespace:
+    """The mpmath counterparts of the numpy ops used by funclib cores; mp.pi
+    takes the working precision of the expression it enters."""
+    mp = _mp()
+    return SimpleNamespace(exp=mp.exp, log=mp.log, cos=mp.cos, power=mp.power,
+                           pi=mp.pi, where=lambda cond, a, b: a if cond else b)
 
 
 def hp_eval(fn: ScalarFunction, t) -> mp.mpf:
     """Evaluate a scalar function's closed form at 60 digits."""
+    mp = _mp()
     with mp.workdps(DPS):
         # params go in as mpf so ratios like alpha/beta inside the cores
         # are computed at working precision, not in binary64
         params = {k: mp.mpf(v) for k, v in fn.params.items()}
-        return +family_core(fn.family)(params, mp.mpf(t), _MP_OPS)
+        return +family_core(fn.family)(params, mp.mpf(t), _mp_ops())
 
 
 def hp_gap(f: ScalarFunction, h: ScalarFunction, v, u, lam) -> mp.mpf:
     """The convexity gap of convexity.gap at 60 digits."""
+    mp = _mp()
     with mp.workdps(DPS):
         return gap(f, h, v, u, lam, hp_eval, mp.mpf)
 
@@ -73,6 +93,7 @@ def _hp_spectral_forms(value, entries, x):
     normalised by |x|^2, at working precision; <Ax,x> is clamped to the
     spectrum.  A diagonal matrix takes the exact route, a dense one
     mpmath's symmetric eigensolver."""
+    mp = _mp()
     entries, x = np.asarray(entries, float), np.asarray(x, float)
     n = entries.shape[0]
     offdiag = entries - np.diag(np.diag(entries))
@@ -97,6 +118,7 @@ def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
                      lam: float | None = None) -> mp.mpf:
     """Margin factor*<f(A)x,x> - f(<Ax,x>) at 60 digits, with the factor
     rule of opcalc.jensen_verify."""
+    mp = _mp()
     with mp.workdps(DPS):
         _, qf, expectation = _hp_spectral_forms(
             lambda m: hp_eval(f, m), entries, x)
@@ -108,6 +130,7 @@ def hp_jensen_margin(f: ScalarFunction, h: ScalarFunction | None,
 def hp_chain_margins(inequality: str, inst: dict, entries=None):
     """(mid - lhs, rhs - mid) at 60 digits for a chain instance's alpha and
     a, q (and b), or p, x and the matrix ``entries``."""
+    mp = _mp()
     chain = chain_rule(inequality)
     with mp.workdps(DPS):
         if chain.spectral:
@@ -126,5 +149,6 @@ def hp_chain_margins(inequality: str, inst: dict, entries=None):
 
 def digits(value, n: int = WITNESS_DIGITS) -> str:
     """Serialize an mpmath value to n significant digits."""
+    mp = _mp()
     with mp.workdps(max(DPS, n + 5)):
         return mp.nstr(mp.mpf(value), n, strip_zeros=False)

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -423,6 +426,45 @@ def test_replay_inline_witness(tmp_path):
     code, report = _run(tmp_path, "replay", "--config", cfg)
     assert code == 2
     assert report["result"]["matches"]["margin_double"]
+
+
+# a CLI run in a fresh interpreter: which of the lab's heavy imports have
+# loaded after a null campaign, after a replay, and the replay's digits
+_LOADS = """
+import json, sys
+from hconvexlab.cli import main
+heavy = ("mpmath", "concurrent.futures.process", "multiprocessing")
+falsify, replay, witness = sys.argv[1:]
+main(["falsify", "--target", "half-bound", "--samples", "64", "--seed", "3",
+      "--out", falsify])
+print(sorted(set(heavy) & set(sys.modules)))
+main(["replay", "--config", witness, "--out", replay])
+print(sorted(set(heavy) & set(sys.modules)))
+with open(replay) as fh:
+    print(json.load(fh)["result"]["witness"]["margin_confirmed"])
+"""
+
+
+def test_a_null_campaign_loads_neither_mpmath_nor_a_process_pool(
+        tmp_path, monkeypatch):
+    # mpmath loads on the first 60-digit evaluation and the pool only for
+    # more than one worker: a one-worker campaign without candidates needs
+    # neither, and a replay that confirms a witness still loads mpmath
+    monkeypatch.delenv("HCONVEXLAB_THREADS", raising=False)
+    out = tmp_path / "campaign.json"
+    main(["falsify", "--target", "operator-jensen", "--samples", "64",
+          "--seed", "7", "--out", str(out)])
+    witness = json.loads(out.read_text())["result"]["witnesses"][0]
+    cfg = _write(tmp_path, "w.json", {"witness": witness})
+    code, report = _run(tmp_path, "replay", "--config", cfg)
+    confirmed = report["result"]["witness"]["margin_confirmed"]
+    assert code == 2 and confirmed.startswith("-")
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADS, str(tmp_path / "null.json"),
+         str(tmp_path / "replay.json"), cfg],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert run.stdout.splitlines() == ["[]", "['mpmath']", confirmed]
 
 
 def test_replay_of_best_possible_at_negative_lam_is_an_error(tmp_path,

@@ -3,7 +3,10 @@
 import math
 
 import numpy as np
+import pytest
 from mpmath import mp
+
+from hconvexlab.enclosure import outward
 
 
 def test_numpy_elementary_functions_are_within_four_ulp():
@@ -27,3 +30,33 @@ def test_numpy_elementary_functions_are_within_four_ulp():
             for k, row in enumerate(zip(*np.broadcast_arrays(*args))):
                 want = exact(*map(mp.mpf, row))
                 assert lo[k] <= want <= hi[k], (name, row, values[k])
+
+
+def _nextafter_bits(x, k):
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x.view(np.int64)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in nextafter")
+def test_four_ulp_ends_step_as_four_nextafter_calls():
+    # exp, log and power ends move 4 ulp in one integer step of their bits;
+    # each must land where four np.nextafter calls land, zeros' signs, the
+    # subnormals, ±max going to ±inf, inf and nan included
+    tiny, top = 5e-324, np.finfo(float).max
+    crafted = np.array([0.0, -0.0, tiny, -tiny, 3 * tiny, -3 * tiny,
+                        4 * tiny, -4 * tiny, 5 * tiny, -5 * tiny, top, -top,
+                        math.inf, -math.inf, math.nan, 2.0,
+                        np.nextafter(2.0, 0.0), -2.0])
+    rng = np.random.default_rng(20260815)
+    spread = rng.choice([-1.0, 1.0], 10_000) * np.exp2(
+        rng.uniform(-1074.0, 1024.0, 10_000))
+    for x in (crafted, spread, spread.reshape(8, -1)):
+        ends = outward(x, x, 4)
+        assert np.array_equal(ends.lo.view(np.int64), _nextafter_bits(x, -4))
+        assert np.array_equal(ends.hi.view(np.int64), _nextafter_bits(x, 4))
+    # numbers take the nextafter calls
+    for x in map(np.float64, crafted):
+        ends = outward(x, x, 4)
+        assert ends.lo.view(np.int64) == _nextafter_bits(x, -4)
+        assert ends.hi.view(np.int64) == _nextafter_bits(x, 4)

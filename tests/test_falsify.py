@@ -8,6 +8,7 @@ import math
 import os
 import pstats
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -759,6 +760,39 @@ def test_golden_digests_with_two_workers(monkeypatch, target, margin_kind):
                                 margin_kind=margin_kind))
     digest = hashlib.sha256(_report_bytes(rep).encode()).hexdigest()
     assert digest == GOLDEN_DIGESTS[target, margin_kind]
+
+
+def test_confirm_goes_through_the_traced_names(monkeypatch):
+    # perfbench's highprec.* spans wrap falsify's own names for the
+    # 60-digit margins; confirm must look them up there at call time
+    calls = Counter()
+    for name in ("hp_jensen_margin", "hp_chain_margins"):
+        def counting(*args, _name=name, _fn=getattr(falsify, name), **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(falsify, name, counting)
+    for target in ("operator-jensen", "holder-mccarthy"):
+        run_campaign(Campaign(target, 64, GOLDEN_SEED))
+    assert calls["hp_jensen_margin"] > 0 and calls["hp_chain_margins"] > 0
+
+
+def test_two_workers_run_through_the_lazily_imported_pool(monkeypatch):
+    # the process pool is imported inside run_campaign, only for more than
+    # one worker; through it the report keeps its golden bytes
+    import concurrent.futures
+    pools = []
+
+    class Counting(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two even on one CPU
+    monkeypatch.setenv("HCONVEXLAB_THREADS", "2")
+    rep = run_campaign(Campaign("operator-jensen", 200, GOLDEN_SEED))
+    digest = hashlib.sha256(_report_bytes(rep).encode()).hexdigest()
+    assert digest == GOLDEN_DIGESTS["operator-jensen", "refined"]
+    assert pools == [2]
 
 
 _DRAW_REGIONS = list({(c[0], repr(c[1])): c[:2] for c in DRAW_DIGESTS}
